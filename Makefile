@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check
+.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check
 
 all: check
 
@@ -35,6 +35,17 @@ lint:
 	@$(GO) build -o /tmp/gat-gatvet ./cmd/gatvet
 	@/tmp/gat-gatvet ./...
 	@echo "lint: gatvet clean"
+
+# The benchmark harness (benchmark/, run with `bash benchmark/run.sh`)
+# is a Go module of its own, so the root module's build, vet, test and
+# lint targets do not reach it: run its smoke tests (every workload at
+# tiny scale against the committed output digests, ~10 s) and gatvet
+# from inside it.
+benchmark-check:
+	@$(GO) build -o /tmp/gat-gatvet ./cmd/gatvet
+	cd benchmark && $(GO) test ./...
+	@cd benchmark && /tmp/gat-gatvet ./...
+	@echo "benchmark-check: harness tests pass, gatvet clean"
 
 # A fast end-to-end sweep, three ways byte-identical: parallel vs the
 # serial reference path, and a warm content-addressed cache vs the
@@ -135,15 +146,16 @@ bench-queue:
 
 # Engine hot-path benchmarks, recorded into the gat-bench-v1 trajectory
 # file. BENCH_LABEL selects the slot to (re)record; the committed
-# BENCH_PR8.json is the current reference (BENCH_PR2.json stays as the
-# heap-era trajectory, BENCH_PR7.json as the pre-pdes one), so the
-# default refreshes "after" and prints the delta table. -count=6
+# BENCH_PR12.json is the current reference (BENCH_PR2.json stays as the
+# heap-era trajectory, BENCH_PR7.json as the pre-pdes one and
+# BENCH_PR8.json as the pre-allocation-free-Charm one), so the default
+# refreshes "after" and prints the delta table. -count=6
 # interleaves full suite repetitions, so each benchmark's median spans
 # the whole run rather than one hot stretch; -timeout=0 drops the test
 # framework's watchdog timer, whose periodic host-clock reads otherwise
 # tax every goroutine switch — the sweep binaries run without one, so
 # benchmarks should too.
-BENCH_PATTERN := 'BenchmarkZeroDelayLane|BenchmarkSignalFanout|BenchmarkProcPingPong|BenchmarkJacobiStep|BenchmarkEventQueue|BenchmarkPDESWindowMerge'
+BENCH_PATTERN := 'BenchmarkZeroDelayLane|BenchmarkSignalFanout|BenchmarkProcPingPong|BenchmarkJacobiStep|BenchmarkJacobiStepCharm|BenchmarkEventQueue|BenchmarkPDESWindowMerge'
 BENCH_LABEL ?= after
 # The bench output lands in a temp file first so a mid-run benchmark
 # failure aborts before benchjson can overwrite the trajectory file
@@ -151,12 +163,12 @@ BENCH_LABEL ?= after
 bench:
 	@$(GO) build -o /tmp/gat-benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_PATTERN) -benchmem -count=6 -timeout=0 . > /tmp/gat-bench-out.txt
-	/tmp/gat-benchjson -label $(BENCH_LABEL) -out BENCH_PR8.json -in /tmp/gat-bench-out.txt
+	/tmp/gat-benchjson -label $(BENCH_LABEL) -out BENCH_PR12.json -in /tmp/gat-bench-out.txt
 
 # Bench regression gate: re-measure the headline hot-path benchmarks
 # (medians over -count=3) and fail when any is >25% slower than the
-# committed "after" trajectory. JacobiStep and ZeroDelayLane are the
-# end-to-end and lane headliners; the depth16k hold pair keeps the
+# committed "after" trajectory. JacobiStep (MPI-D), JacobiStepCharm
+# (Charm-D) and ZeroDelayLane are the end-to-end and lane headliners; the depth16k hold pair keeps the
 # calendar queue honest against its own recorded number and records the
 # 4-ary heap reference it must not fall behind. The comparison is
 # absolute ns/op against numbers recorded on whatever host last ran
@@ -166,10 +178,10 @@ bench:
 # `make bench` when the reference host changes.
 bench-check:
 	@$(GO) build -o /tmp/gat-benchjson ./cmd/benchjson
-	$(GO) test -run xxx -bench 'BenchmarkJacobiStep$$|BenchmarkJacobiStepSharded$$|BenchmarkZeroDelayLane$$|BenchmarkEventQueue/depth16k$$|BenchmarkEventQueueHeap4/depth16k$$|BenchmarkPDESWindowMerge$$' -benchmem -count=3 -timeout=0 . > /tmp/gat-bench-check.txt
-	/tmp/gat-benchjson -in /tmp/gat-bench-check.txt -check BENCH_PR8.json -against after \
-		-require BenchmarkJacobiStep,BenchmarkJacobiStepSharded,BenchmarkZeroDelayLane,BenchmarkEventQueue/depth16k,BenchmarkEventQueueHeap4/depth16k,BenchmarkPDESWindowMerge -max-regress 25
+	$(GO) test -run xxx -bench 'BenchmarkJacobiStep$$|BenchmarkJacobiStepCharm$$|BenchmarkJacobiStepSharded$$|BenchmarkZeroDelayLane$$|BenchmarkEventQueue/depth16k$$|BenchmarkEventQueueHeap4/depth16k$$|BenchmarkPDESWindowMerge$$' -benchmem -count=3 -timeout=0 . > /tmp/gat-bench-check.txt
+	/tmp/gat-benchjson -in /tmp/gat-bench-check.txt -check BENCH_PR12.json -against after \
+		-require BenchmarkJacobiStep,BenchmarkJacobiStepCharm,BenchmarkJacobiStepSharded,BenchmarkZeroDelayLane,BenchmarkEventQueue/depth16k,BenchmarkEventQueueHeap4/depth16k,BenchmarkPDESWindowMerge -max-regress 25
 
 # claims-smoke is not part of check: CI runs it as its own job, and
 # doubling it into the matrix legs would just re-run identical work.
-check: build vet fmt-check lint test sweep-smoke sweepd-smoke scenario-smoke
+check: build vet fmt-check lint test benchmark-check sweep-smoke sweepd-smoke scenario-smoke

@@ -20,13 +20,15 @@
 // simulation actually spends its time in: zero-delay self-rescheduling
 // (BenchmarkZeroDelayLane), signal fan-out wakeups
 // (BenchmarkSignalFanout), proc park/resume round trips
-// (BenchmarkProcPingPong), and a full Jacobi3D iteration end to end
-// (BenchmarkJacobiStep). Run them all with:
+// (BenchmarkProcPingPong), and a full Jacobi3D iteration end to end on
+// each runtime (BenchmarkJacobiStep for MPI-D, BenchmarkJacobiStepCharm
+// for Charm-D). Run them all with:
 //
 //	go test -run xxx -bench . -benchmem
 //
-// make bench records their trajectory into BENCH_PR8.json (BENCH_PR2.json
-// and BENCH_PR7.json are kept in-tree as earlier reference points).
+// make bench records their trajectory into BENCH_PR12.json
+// (BENCH_PR2.json, BENCH_PR7.json and BENCH_PR8.json are kept in-tree as
+// earlier reference points).
 package gat
 
 import (
@@ -350,6 +352,30 @@ func BenchmarkJacobiStep(b *testing.B) {
 		jacobi.RunMPIWorld(w, cfg, opts)
 		m.ResetTransients()
 		w.Reset()
+	}
+}
+
+// BenchmarkJacobiStepCharm is BenchmarkJacobiStep for the Charm-style
+// runtime: one timed Jacobi3D iteration of the GPU-aware Charm-D variant
+// at ODF 4 on 2 Summit nodes (12 PEs, 48 chares), the task path behind
+// most paper figures. Runs reuse one machine with the arena records
+// reset between them, as in BenchmarkJacobiStep; each run builds its
+// runtime, chares, streams and channels afresh, amortized over
+// jacobiBenchIters iterations.
+func BenchmarkJacobiStepCharm(b *testing.B) {
+	const jacobiBenchIters = 128
+	m := machine.MustNew(machine.Summit(2))
+	opts := jacobi.CharmOpts{ODF: 4, GPUAware: true}.Optimized()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= jacobiBenchIters {
+		iters := jacobiBenchIters
+		if n < iters {
+			iters = n
+		}
+		cfg := jacobi.Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters}
+		jacobi.RunCharm(m, cfg, opts)
+		m.ResetTransients()
 	}
 }
 

@@ -2,6 +2,7 @@ package charm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/sim"
 )
@@ -57,6 +58,7 @@ type Array struct {
 	elems   []*Elem // ordered by flat index, for deterministic iteration
 	peOf    []int
 	entries []EntryFn
+	labels  []string // per-entry task labels, "<name>.e<entry>"
 
 	msgsSent uint64
 }
@@ -71,6 +73,9 @@ func NewArray(rt *Runtime, name string, dims [3]int, entries []EntryFn, factory 
 		panic("charm: array needs positive dimensions")
 	}
 	a := &Array{rt: rt, name: name, dims: dims, entries: entries}
+	for i := range entries {
+		a.entryLabel(i)
+	}
 	numPE := rt.NumPEs()
 	for flat := 0; flat < n; flat++ {
 		ix := a.Unflatten(flat)
@@ -82,6 +87,16 @@ func NewArray(rt *Runtime, name string, dims [3]int, entries []EntryFn, factory 
 	}
 	rt.arrays = append(rt.arrays, a)
 	return a
+}
+
+// entryLabel returns the task label of entry e, building it on first
+// use; NewArray builds every registered entry's, so delivery only looks
+// them up.
+func (a *Array) entryLabel(e int) string {
+	for len(a.labels) <= e {
+		a.labels = append(a.labels, fmt.Sprintf("%s.e%d", a.name, len(a.labels)))
+	}
+	return a.labels[e]
 }
 
 // Name returns the array name.
@@ -128,15 +143,15 @@ func (a *Array) ElemsOnPE(pe int) []*Elem {
 }
 
 // deliver enqueues the entry invocation at the element's PE. recvCost
-// covers scheduling, dispatch, and payload unpacking.
+// covers scheduling, dispatch, and payload unpacking. The task carries
+// the array and message itself, so delivery creates no closure.
+//
+//gat:hotpath
 func (a *Array) deliver(el *Elem, m Msg) {
 	rt := a.rt
 	pe := rt.PE(a.peOf[el.Flat])
 	cost := rt.Opt.SchedOverhead + rt.Opt.EntryOverhead + rt.payloadCost(m.Bytes)
-	label := fmt.Sprintf("%s.e%d", a.name, m.Entry)
-	pe.Enqueue(PrioNormal, cost, label, el, func(ctx *Ctx) {
-		a.entries[m.Entry](el, ctx, m)
-	})
+	pe.enqueue(task{prio: PrioNormal, cost: cost, label: a.entryLabel(m.Entry), elem: el, arr: a, msg: m})
 }
 
 // Send invokes entry m.Entry on element ix from within a running entry
@@ -148,22 +163,41 @@ func (ctx *Ctx) Send(a *Array, ix Index, m Msg) {
 	rt := ctx.pe.rt
 	a.msgsSent++
 	ctx.clock += rt.Opt.MsgHostOverhead + rt.payloadCost(m.Bytes)
-	el := a.Elem(ix)
-	srcPE := ctx.pe.id
-	at := ctx.clock
-	eng := ctx.Engine()
-	eng.At(at, func() {
-		dstPE := a.peOf[el.Flat]
-		if dstPE == srcPE {
-			a.deliver(el, m)
-			return
-		}
-		srcNode := rt.M.NodeOf(srcPE)
-		dstNode := rt.M.NodeOf(dstPE)
-		size := m.Bytes + rt.Opt.Envelope
-		rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).
-			OnFire(eng, func() { a.deliver(el, m) })
-	})
+	c := rt.newCall()
+	c.arr, c.elem, c.msg, c.srcPE = a, a.Elem(ix), m, ctx.pe.id
+	ctx.schedule(sendFire, c)
+}
+
+// sendFire injects a Send at the sender's staggered clock: the message
+// is delivered directly when the element lives on the sending PE, and
+// otherwise crosses the machine first.
+//
+//gat:hotpath
+func sendFire(eng *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	a, el := c.arr, c.elem
+	dstPE := a.peOf[el.Flat]
+	if dstPE == c.srcPE {
+		m := c.msg
+		c.release()
+		a.deliver(el, m)
+		return
+	}
+	rt := c.rt
+	srcNode := rt.M.NodeOf(c.srcPE)
+	dstNode := rt.M.NodeOf(dstPE)
+	size := c.msg.Bytes + rt.Opt.Envelope
+	rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).OnFireArg(eng, sendArriveFire, arg)
+}
+
+// sendArriveFire delivers a Send whose transfer has arrived.
+//
+//gat:hotpath
+func sendArriveFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	a, el, m := c.arr, c.elem, c.msg
+	c.release()
+	a.deliver(el, m)
 }
 
 // Invoke delivers an entry invocation from driver code (outside any

@@ -1,6 +1,8 @@
 package charm
 
 import (
+	"unsafe"
+
 	"gat/internal/gpu"
 	"gat/internal/sim"
 )
@@ -10,6 +12,12 @@ import (
 // that costs CPU time advances the clock, and every side effect (kernel
 // enqueue, message injection) is scheduled at the clock value it would
 // occur at on real hardware. The PE stays busy until the final clock.
+//
+// A *Ctx is valid only while its handler runs: each PE reuses one Ctx
+// for every task it executes, so a Ctx retained past the handler's
+// return describes whichever task the PE runs next. Code that must act
+// later captures the values it needs (the PE, the element, the clock)
+// rather than the Ctx itself.
 type Ctx struct {
 	pe      *PE
 	elem    *Elem
@@ -53,6 +61,124 @@ func (ctx *Ctx) Block(sig *sim.Signal) {
 	ctx.blockOn = sig
 }
 
+// call is one side effect a handler schedules at its staggered clock: a
+// GPU operation to enqueue, a task to deliver to a PE, or a message to
+// send. It carries the operation's arguments from the handler to the
+// event that performs it, which dispatches through a static function
+// (sim.Engine.InjectAt) instead of a closure. Records are recycled through
+// the runtime's free list once their event has run, so the steady state
+// allocates none.
+type call struct {
+	rt *Runtime
+
+	// GPU operations.
+	s     *gpu.Stream
+	label string
+	dur   sim.Time
+	dir   gpu.CopyDir
+	bytes int64
+	graph *gpu.Graph
+	after *sim.Signal // gate: copy precondition, or the GateStream signal
+	out   *sim.Signal // completion signal handed to the handler
+
+	// Task delivery (HAPICallback, Post).
+	pe   *PE
+	prio int
+	elem *Elem
+	run  func(*Ctx)
+
+	// Entry-method messages (Send).
+	arr   *Array
+	msg   Msg
+	srcPE int
+}
+
+// newCall returns a zeroed call record bound to the runtime.
+//
+//gat:hotpath
+func (rt *Runtime) newCall() *call {
+	if k := len(rt.free); k > 0 {
+		c := rt.free[k-1]
+		rt.free[k-1] = nil
+		rt.free = rt.free[:k-1]
+		return c
+	}
+	return &call{rt: rt}
+}
+
+// release returns c to the free list, dropping its references.
+//
+//gat:hotpath
+func (c *call) release() {
+	rt := c.rt
+	*c = call{rt: rt}
+	rt.free = append(rt.free, c)
+}
+
+// schedule queues fn(c) at the handler's current clock.
+func (ctx *Ctx) schedule(fn sim.ArgFunc, c *call) {
+	ctx.Engine().InjectAt(ctx.clock, fn, unsafe.Pointer(c))
+}
+
+// launchKernelFire enqueues a LaunchKernel kernel.
+//
+//gat:hotpath
+func launchKernelFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	c.s.KernelChain(c.label, c.dur, c.out)
+	c.release()
+}
+
+// enqueueCopyFire enqueues an EnqueueCopy transfer behind its gate.
+//
+//gat:hotpath
+func enqueueCopyFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	if c.after != nil {
+		c.s.WaitSignal(c.after)
+	}
+	c.s.CopyChain(c.dir, c.bytes, c.out)
+	c.release()
+}
+
+// launchGraphFire enqueues a LaunchGraph execution.
+//
+//gat:hotpath
+func launchGraphFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	c.s.LaunchChain(c.graph, c.out)
+	c.release()
+}
+
+// gateStreamFire enqueues a GateStream wait.
+//
+//gat:hotpath
+func gateStreamFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	c.s.WaitSignal(c.after)
+	c.release()
+}
+
+// hapiRegisterFire registers a HAPICallback on its stream; the record
+// stays live until the callback runs.
+//
+//gat:hotpath
+func hapiRegisterFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	c.s.OnComplete(deliverTaskFire, arg)
+}
+
+// deliverTaskFire enqueues the record's task on its PE (a HAPI
+// completion or a Post continuation).
+//
+//gat:hotpath
+func deliverTaskFire(_ *sim.Engine, arg unsafe.Pointer) {
+	c := (*call)(arg)
+	pe, prio, label, elem, run := c.pe, c.prio, c.label, c.elem, c.run
+	c.release()
+	pe.Enqueue(prio, pe.rt.Opt.SchedOverhead, label, elem, run)
+}
+
 // LaunchKernel charges the kernel launch host overhead and enqueues the
 // kernel on the stream at the staggered instant. It returns the kernel's
 // completion signal.
@@ -62,12 +188,10 @@ func (ctx *Ctx) LaunchKernel(s *gpu.Stream, label string, dur sim.Time) *sim.Sig
 	if ctx.elem != nil {
 		ctx.elem.GPULoad += dur
 	}
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		s.Kernel(label, dur).Chain(eng, out)
-	})
-	return out
+	c := ctx.pe.rt.newCall()
+	c.s, c.label, c.dur, c.out = s, label, dur, ctx.Engine().NewSignal()
+	ctx.schedule(launchKernelFire, c)
+	return c.out
 }
 
 // LaunchKernelBytes is LaunchKernel with a roofline-derived duration.
@@ -80,15 +204,10 @@ func (ctx *Ctx) LaunchKernelBytes(s *gpu.Stream, label string, bytes int64) *sim
 func (ctx *Ctx) EnqueueCopy(s *gpu.Stream, dir gpu.CopyDir, bytes int64, after *sim.Signal) *sim.Signal {
 	cfg := s.Device().Config()
 	ctx.clock += cfg.CopyLaunchHost
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		if after != nil {
-			s.WaitSignal(after)
-		}
-		s.Copy(dir, bytes).Chain(eng, out)
-	})
-	return out
+	c := ctx.pe.rt.newCall()
+	c.s, c.dir, c.bytes, c.after, c.out = s, dir, bytes, after, ctx.Engine().NewSignal()
+	ctx.schedule(enqueueCopyFire, c)
+	return c.out
 }
 
 // LaunchGraph charges the graph launch host overhead and enqueues one
@@ -99,19 +218,18 @@ func (ctx *Ctx) LaunchGraph(s *gpu.Stream, g *gpu.Graph) *sim.Signal {
 	if ctx.elem != nil {
 		ctx.elem.GPULoad += g.TotalKernelTime()
 	}
-	out := sim.NewSignal()
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		s.Launch(g).Chain(eng, out)
-	})
-	return out
+	c := ctx.pe.rt.newCall()
+	c.s, c.graph, c.out = s, g, ctx.Engine().NewSignal()
+	ctx.schedule(launchGraphFire, c)
+	return c.out
 }
 
 // GateStream makes subsequent work on s wait for sig, charging no host
 // time (the dependency is enforced on the device).
 func (ctx *Ctx) GateStream(s *gpu.Stream, sig *sim.Signal) {
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() { s.WaitSignal(sig) })
+	c := ctx.pe.rt.newCall()
+	c.s, c.after = s, sig
+	ctx.schedule(gateStreamFire, c)
 }
 
 // HAPICallback registers fn to run as a high-priority PE task when all
@@ -123,25 +241,17 @@ func (ctx *Ctx) GateStream(s *gpu.Stream, sig *sim.Signal) {
 func (ctx *Ctx) HAPICallback(s *gpu.Stream, label string, fn func(*Ctx)) {
 	rt := ctx.pe.rt
 	ctx.clock += rt.Opt.HAPIRegister
-	pe := ctx.pe
-	elem := ctx.elem
-	eng := ctx.Engine()
-	eng.At(ctx.clock, func() {
-		s.OnComplete(func() {
-			pe.Enqueue(PrioHigh, rt.Opt.SchedOverhead, label, elem, fn)
-		})
-	})
+	c := rt.newCall()
+	c.s, c.pe, c.prio, c.label, c.elem, c.run = s, ctx.pe, PrioHigh, label, ctx.elem, fn
+	ctx.schedule(hapiRegisterFire, c)
 }
 
 // Post enqueues fn as a task on this PE at the handler's staggered
 // clock — the self-message pattern for continuations.
 func (ctx *Ctx) Post(prio int, label string, fn func(*Ctx)) {
-	rt := ctx.pe.rt
-	pe := ctx.pe
-	elem := ctx.elem
-	ctx.Do(func() {
-		pe.Enqueue(prio, rt.Opt.SchedOverhead, label, elem, fn)
-	})
+	c := ctx.pe.rt.newCall()
+	c.pe, c.prio, c.label, c.elem, c.run = ctx.pe, prio, label, ctx.elem, fn
+	ctx.schedule(deliverTaskFire, c)
 }
 
 // CommCallback returns a plain closure suitable for comm.Channel

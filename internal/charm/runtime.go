@@ -15,7 +15,6 @@
 package charm
 
 import (
-	"container/heap"
 	"fmt"
 
 	"gat/internal/machine"
@@ -75,6 +74,9 @@ type Runtime struct {
 	Opt    Options
 	PEs    []*PE
 	arrays []*Array
+
+	// free holds released call records for reuse (see call).
+	free []*call
 }
 
 // NewRuntime creates a runtime with one PE per GPU (the paper's non-SMP
@@ -82,7 +84,11 @@ type Runtime struct {
 func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	rt := &Runtime{M: m, Opt: opt}
 	for i := 0; i < m.Procs(); i++ {
-		rt.PEs = append(rt.PEs, &PE{rt: rt, id: i, node: m.NodeOf(i)})
+		pe := &PE{rt: rt, id: i, node: m.NodeOf(i)}
+		pe.ctx.pe = pe
+		pe.finishFn = pe.finish
+		pe.unblockFn = pe.unblock
+		rt.PEs = append(rt.PEs, pe)
 	}
 	return rt
 }
@@ -157,7 +163,8 @@ func (rt *Runtime) payloadCost(bytes int64) sim.Time {
 }
 
 // task is one unit of PE work: an entry-method invocation or a runtime
-// callback.
+// callback. An entry invocation carries its array and message (run ==
+// nil) instead of a closure binding them.
 type task struct {
 	prio  int
 	seq   uint64
@@ -165,25 +172,81 @@ type task struct {
 	label string
 	elem  *Elem // owning chare element, if any (for load accounting)
 	run   func(*Ctx)
+	arr   *Array
+	msg   Msg
 }
 
-type taskHeap []*task
-
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+// before reports whether a runs before b: higher priority (lower value)
+// first, then submission order.
+func (a *task) before(b *task) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*task)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	*h = old[:n-1]
-	return t
+
+// taskHeap is a monomorphic 4-ary min-heap of task values ordered by
+// (prio, seq), the shape of gpu's ready heap: container/heap would box
+// a *task per Push, and every entry delivery goes through here.
+type taskHeap []task
+
+// push inserts t, holding it aside and shifting displaced parents down.
+//
+//gat:hotpath
+func (h *taskHeap) push(t task) {
+	q := append(*h, t)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !t.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = t
+	*h = q
+}
+
+// popMin removes and returns the next task to run, zeroing the vacated
+// tail slot so the queue does not retain the task's closure or message.
+//
+//gat:hotpath
+func (h *taskHeap) popMin() task {
+	q := *h
+	min := q[0]
+	n := len(q) - 1
+	tail := q[n]
+	q[n] = task{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		hi := c + 4
+		if hi > n {
+			hi = n
+		}
+		for j := c + 1; j < hi; j++ {
+			if q[j].before(&q[best]) {
+				best = j
+			}
+		}
+		if !q[best].before(&tail) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = tail
+	return min
 }
 
 // PE is one processing element: a scheduler draining a prioritized
@@ -192,11 +255,23 @@ type PE struct {
 	rt   *Runtime
 	id   int
 	node int
+	name string // tracer resource name, built on first traced task
 
 	queue   taskHeap
 	seq     uint64
 	busy    bool
 	blocked bool
+
+	// A PE runs one task at a time, so the running task's context and
+	// bookkeeping live on the PE, and its finish and unblock events
+	// schedule thunks bound once at NewRuntime instead of closures per
+	// task.
+	ctx       Ctx
+	curStart  sim.Time
+	curLabel  string
+	curElem   *Elem
+	finishFn  func()
+	unblockFn func()
 
 	busyAccum sim.Time
 	tasksRun  uint64
@@ -222,41 +297,80 @@ func (pe *PE) QueueLen() int { return len(pe.queue) }
 // before the handler's side effects (scheduling + dispatch + payload
 // handling); run executes with a Ctx whose clock starts after cost.
 func (pe *PE) Enqueue(prio int, cost sim.Time, label string, elem *Elem, run func(*Ctx)) {
+	pe.enqueue(task{prio: prio, cost: cost, label: label, elem: elem, run: run})
+}
+
+// enqueue stamps t with the PE's submission sequence, queues it and
+// starts it if the PE is idle.
+//
+//gat:hotpath
+func (pe *PE) enqueue(t task) {
 	pe.seq++
-	heap.Push(&pe.queue, &task{prio: prio, seq: pe.seq, cost: cost, label: label, elem: elem, run: run})
+	t.seq = pe.seq
+	pe.queue.push(t)
 	pe.startNext()
 }
 
-// startNext pops and executes the next task if the PE is idle.
+// startNext pops and executes the next task if the PE is idle. The
+// handler runs on the PE's one Ctx, reset for the task; the PE stays
+// busy until the finish event at the handler's final clock.
+//
+//gat:hotpath
 func (pe *PE) startNext() {
 	if pe.busy || pe.blocked || len(pe.queue) == 0 {
 		return
 	}
-	t := heap.Pop(&pe.queue).(*task)
+	t := pe.queue.popMin()
 	pe.busy = true
 	pe.tasksRun++
 	eng := pe.rt.Engine()
 	start := eng.Now()
-	ctx := &Ctx{pe: pe, elem: t.elem, clock: start + t.cost}
-	t.run(ctx)
-	end := ctx.clock
-	eng.At(end, func() {
-		pe.busyAccum += end - start
-		if t.elem != nil {
-			t.elem.Busy += end - start
-		}
-		if tr := eng.Tracer(); tr != nil {
-			tr.Add(sim.Span{Resource: fmt.Sprintf("pe%d", pe.id), Label: t.label, Start: start, End: end})
-		}
-		pe.busy = false
-		if ctx.blockOn != nil && !ctx.blockOn.Fired() {
-			pe.blocked = true
-			ctx.blockOn.OnFire(eng, func() {
-				pe.blocked = false
-				pe.startNext()
-			})
-			return
-		}
-		pe.startNext()
-	})
+	ctx := &pe.ctx
+	ctx.elem, ctx.clock, ctx.blockOn = t.elem, start+t.cost, nil
+	if t.run != nil {
+		t.run(ctx)
+	} else {
+		t.arr.entries[t.msg.Entry](t.elem, ctx, t.msg)
+	}
+	pe.curStart, pe.curLabel, pe.curElem = start, t.label, t.elem
+	eng.At(ctx.clock, pe.finishFn)
+}
+
+// finish retires the running task at its final clock, the current
+// time: load accounting, the trace span, then either blocking on the
+// handler's Block signal or starting the next task.
+//
+//gat:hotpath
+func (pe *PE) finish() {
+	eng := pe.rt.Engine()
+	start, end := pe.curStart, eng.Now()
+	pe.busyAccum += end - start
+	if el := pe.curElem; el != nil {
+		el.Busy += end - start
+	}
+	if tr := eng.Tracer(); tr != nil {
+		pe.traceSpan(tr, start, end)
+	}
+	pe.busy = false
+	pe.curElem = nil
+	if b := pe.ctx.blockOn; b != nil && !b.Fired() {
+		pe.blocked = true
+		b.OnFire(eng, pe.unblockFn)
+		return
+	}
+	pe.startNext()
+}
+
+// traceSpan records the finished task on the tracer.
+func (pe *PE) traceSpan(tr *sim.Tracer, start, end sim.Time) {
+	if pe.name == "" {
+		pe.name = fmt.Sprintf("pe%d", pe.id)
+	}
+	tr.Add(sim.Span{Resource: pe.name, Label: pe.curLabel, Start: start, End: end})
+}
+
+// unblock resumes a PE whose handler blocked on a signal.
+func (pe *PE) unblock() {
+	pe.blocked = false
+	pe.startNext()
 }

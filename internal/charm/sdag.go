@@ -7,30 +7,31 @@ package charm
 // how Jacobi3D keeps neighbors exchanging halos from the same iteration
 // without any global synchronization.
 type Gate struct {
-	ref      int
-	need     int
-	got      int
-	open     bool
-	onDone   func(*Ctx)
-	buffered map[int][]func(*Ctx)
+	ref    int
+	need   int
+	got    int
+	open   bool
+	onDone func(*Ctx)
+	// buffered holds future arrivals in arrival order. Neighbors run at
+	// most one reference number ahead, so it stays a few entries long
+	// and its backing array is reused from one reference to the next.
+	buffered []arrival
+}
+
+// arrival is one buffered future arrival.
+type arrival struct {
+	ref    int
+	action func(*Ctx)
 }
 
 // NewGate returns a closed gate at reference number 0.
-func NewGate() *Gate {
-	return &Gate{buffered: make(map[int][]func(*Ctx))}
-}
+func NewGate() *Gate { return &Gate{} }
 
 // Ref returns the gate's current reference number.
 func (g *Gate) Ref() int { return g.ref }
 
 // Pending returns the number of buffered future arrivals.
-func (g *Gate) Pending() int {
-	n := 0
-	for _, b := range g.buffered {
-		n += len(b)
-	}
-	return n
-}
+func (g *Gate) Pending() int { return len(g.buffered) }
 
 // Expect opens the gate for reference number ref, requiring need
 // arrivals; done runs (on the Ctx of the final arrival, or immediately
@@ -46,13 +47,23 @@ func (g *Gate) Expect(ctx *Ctx, ref, need int, done func(*Ctx)) {
 	g.got = 0
 	g.onDone = done
 	g.open = true
-	for _, action := range g.buffered[ref] {
-		g.consume(ctx, action)
-		if !g.open {
-			break
+	// Replay ref's arrivals in arrival order and drop them (any beyond
+	// the count are dropped too, as the gate closes), keeping the other
+	// references' arrivals in order.
+	kept := 0
+	for i := 0; i < len(g.buffered); i++ {
+		a := g.buffered[i]
+		if a.ref != ref {
+			g.buffered[kept] = a
+			kept++
+			continue
+		}
+		if g.open {
+			g.consume(ctx, a.action)
 		}
 	}
-	delete(g.buffered, ref)
+	clear(g.buffered[kept:])
+	g.buffered = g.buffered[:kept]
 }
 
 // Arrive delivers one arrival tagged ref; action runs when the arrival
@@ -67,7 +78,7 @@ func (g *Gate) Arrive(ctx *Ctx, ref int, action func(*Ctx)) {
 	if ref < g.ref {
 		panic("charm: arrival for a past reference number")
 	}
-	g.buffered[ref] = append(g.buffered[ref], action)
+	g.buffered = append(g.buffered, arrival{ref: ref, action: action})
 }
 
 func (g *Gate) consume(ctx *Ctx, action func(*Ctx)) {

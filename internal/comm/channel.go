@@ -12,6 +12,7 @@ package comm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/netsim"
 	"gat/internal/sim"
@@ -24,14 +25,18 @@ type Endpoint struct {
 	Node int
 }
 
-type pendingSend struct {
-	bytes int64
-	ready *sim.Signal
-	done  func()
-}
-
-type pendingRecv struct {
-	done func()
+// pending is one posted, not yet matched send or receive, queued FIFO
+// per match key through next. Once both sides have posted, the send's
+// record carries the matched transfer until its data arrives. Records
+// are recycled through the channel's free list, also linked through
+// next.
+type pending struct {
+	c        *Channel
+	bytes    int64
+	ready    *sim.Signal
+	sendDone *sim.Signal
+	recvDone func()
+	next     *pending
 }
 
 type matchKey struct {
@@ -43,12 +48,17 @@ type matchKey struct {
 // two endpoints. Sends and receives are matched by (destination, tag);
 // tags carry the iteration number in Jacobi3D, providing the same
 // ordering guarantee as SDAG reference numbers.
+//
+// Each match map holds only keys with posts waiting: a key is deleted
+// when its last post is matched, so a channel's maps stay as small as
+// the posts in flight however many iterations it carries.
 type Channel struct {
 	net  *netsim.Network
 	a, b Endpoint
 
-	sends map[matchKey][]*pendingSend
-	recvs map[matchKey][]*pendingRecv
+	sends map[matchKey]*pending
+	recvs map[matchKey]*pending
+	free  *pending
 
 	sent, received uint64
 }
@@ -62,8 +72,8 @@ func NewChannel(net *netsim.Network, a, b Endpoint) *Channel {
 		net:   net,
 		a:     a,
 		b:     b,
-		sends: make(map[matchKey][]*pendingSend),
-		recvs: make(map[matchKey][]*pendingRecv),
+		sends: make(map[matchKey]*pending),
+		recvs: make(map[matchKey]*pending),
 	}
 }
 
@@ -85,50 +95,111 @@ func (c *Channel) endpoint(proc int) Endpoint {
 	return c.b
 }
 
-// Send posts a send of bytes from endpoint proc. The data is on the
-// device and becomes valid when ready fires (e.g. after the packing
-// kernel). done runs when the transfer completes at the receiver, at
-// which point the send buffer is reusable.
-func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done func()) {
-	dst := c.peer(proc)
-	key := matchKey{dstProc: dst.Proc, tag: tag}
-	if rs := c.recvs[key]; len(rs) > 0 {
-		r := rs[0]
-		c.recvs[key] = rs[1:]
-		c.start(proc, dst.Proc, bytes, ready, done, r.done)
+// newPending returns a zeroed record from the free list.
+//
+//gat:hotpath
+func (c *Channel) newPending() *pending {
+	if p := c.free; p != nil {
+		c.free = p.next
+		p.next = nil
+		return p
+	}
+	return &pending{c: c}
+}
+
+// release returns p to the free list, dropping its references.
+//
+//gat:hotpath
+func (c *Channel) release(p *pending) {
+	*p = pending{c: c, next: c.free}
+	c.free = p
+}
+
+// popFirst removes and returns the oldest post under key, deleting the
+// key once it has none left, or returns nil.
+func popFirst(m map[matchKey]*pending, key matchKey) *pending {
+	p := m[key]
+	if p == nil {
+		return nil
+	}
+	if p.next == nil {
+		delete(m, key)
+	} else {
+		m[key] = p.next
+		p.next = nil
+	}
+	return p
+}
+
+// appendPost queues p behind any earlier posts under key.
+func appendPost(m map[matchKey]*pending, key matchKey, p *pending) {
+	head := m[key]
+	if head == nil {
+		m[key] = p
 		return
 	}
-	c.sends[key] = append(c.sends[key], &pendingSend{bytes: bytes, ready: ready, done: done})
+	for head.next != nil {
+		head = head.next
+	}
+	head.next = p
+}
+
+// Send posts a send of bytes from endpoint proc. The data is on the
+// device and becomes valid when ready fires (e.g. after the packing
+// kernel). done, if non-nil, fires (as its own event) when the transfer
+// completes at the receiver, at which point the send buffer is reusable.
+func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done *sim.Signal) {
+	dst := c.peer(proc)
+	key := matchKey{dstProc: dst.Proc, tag: tag}
+	p := c.newPending()
+	p.bytes, p.ready, p.sendDone = bytes, ready, done
+	if r := popFirst(c.recvs, key); r != nil {
+		p.recvDone = r.recvDone
+		c.release(r)
+		c.start(proc, dst.Proc, p)
+		return
+	}
+	appendPost(c.sends, key, p)
 }
 
 // Recv posts a receive at endpoint proc. done runs when the matching
 // send's data has fully arrived in the destination device buffer.
 func (c *Channel) Recv(proc, tag int, done func()) {
 	key := matchKey{dstProc: c.endpoint(proc).Proc, tag: tag}
-	if ss := c.sends[key]; len(ss) > 0 {
-		s := ss[0]
-		c.sends[key] = ss[1:]
-		c.start(c.peer(proc).Proc, proc, s.bytes, s.ready, s.done, done)
+	if s := popFirst(c.sends, key); s != nil {
+		s.recvDone = done
+		c.start(c.peer(proc).Proc, proc, s)
 		return
 	}
-	c.recvs[key] = append(c.recvs[key], &pendingRecv{done: done})
+	p := c.newPending()
+	p.recvDone = done
+	appendPost(c.recvs, key, p)
 }
 
-// start moves the data once both sides have posted.
-func (c *Channel) start(srcProc, dstProc int, bytes int64, ready *sim.Signal, sendDone, recvDone func()) {
+// start moves the data once both sides have posted; p carries the
+// matched transfer until it arrives.
+func (c *Channel) start(srcProc, dstProc int, p *pending) {
 	src, dst := c.endpoint(srcProc), c.endpoint(dstProc)
-	arrived := c.net.TransferGPUDirect(src.Node, dst.Node, bytes, ready)
-	eng := c.net.Engine()
-	arrived.OnFire(eng, func() {
-		c.sent++
-		c.received++
-		if sendDone != nil {
-			eng.Schedule(0, sendDone)
-		}
-		if recvDone != nil {
-			eng.Schedule(0, recvDone)
-		}
-	})
+	arrived := c.net.TransferGPUDirect(src.Node, dst.Node, p.bytes, p.ready)
+	arrived.OnFireArg(c.net.Engine(), transferArrived, unsafe.Pointer(p))
+}
+
+// transferArrived completes a matched transfer: both sides' completions
+// are scheduled as their own events, send first.
+//
+//gat:hotpath
+func transferArrived(eng *sim.Engine, arg unsafe.Pointer) {
+	p := (*pending)(arg)
+	c := p.c
+	c.sent++
+	c.received++
+	if p.sendDone != nil {
+		eng.FireAt(eng.Now(), p.sendDone)
+	}
+	if p.recvDone != nil {
+		eng.Schedule(0, p.recvDone)
+	}
+	c.release(p)
 }
 
 // Completed returns the number of completed sends over this channel.
@@ -136,19 +207,21 @@ func (c *Channel) Completed() uint64 { return c.sent }
 
 // PendingSends returns the number of unmatched sends (for tests and
 // quiescence checks).
-func (c *Channel) PendingSends() int {
-	n := 0
-	for _, s := range c.sends {
-		n += len(s)
-	}
-	return n
-}
+func (c *Channel) PendingSends() int { return countPosts(c.sends) }
 
 // PendingRecvs returns the number of unmatched receives.
-func (c *Channel) PendingRecvs() int {
+func (c *Channel) PendingRecvs() int { return countPosts(c.recvs) }
+
+// MatchKeys returns the number of match keys the channel currently
+// holds across both directions' maps (for leak checks).
+func (c *Channel) MatchKeys() int { return len(c.sends) + len(c.recvs) }
+
+func countPosts(m map[matchKey]*pending) int {
 	n := 0
-	for _, r := range c.recvs {
-		n += len(r)
+	for _, p := range m { //gat:nondet-ok a count is independent of iteration order
+		for ; p != nil; p = p.next {
+			n++
+		}
 	}
 	return n
 }

@@ -27,7 +27,9 @@ func TestChannelSendThenRecv(t *testing.T) {
 	n := testNet(e, 2)
 	ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 	var sendAt, recvAt sim.Time = -1, -1
-	ch.Send(0, 7, 500, sim.FiredSignal(), func() { sendAt = e.Now() })
+	sent := sim.NewSignal()
+	sent.OnFire(e, func() { sendAt = e.Now() })
+	ch.Send(0, 7, 500, sim.FiredSignal(), sent)
 	e.Schedule(50, func() {
 		ch.Recv(1, 7, func() { recvAt = e.Now() })
 	})

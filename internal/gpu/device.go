@@ -14,6 +14,7 @@ package gpu
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/sim"
 )
@@ -105,7 +106,8 @@ type Device struct {
 	curService sim.Time
 	curStart   sim.Time
 	curLabel   string
-	curDone    func()
+	curFn      sim.ArgFunc
+	curArg     unsafe.Pointer
 	completeFn func()
 
 	d2h, h2d *sim.Pipe
@@ -115,9 +117,13 @@ type Device struct {
 	// re-acquired.
 	streamPool []*Stream
 
-	// ops is the arena all stream operations are carved from; records
-	// live until the device (with its engine) is discarded.
-	ops sim.Arena[op]
+	// ops is the arena the pinned stream operations — those whose
+	// completion signal a caller holds — are carved from; they live until
+	// ResetOps or until the device is discarded. Every other op is
+	// recycled through freeOps on completion, so its memory is bounded by
+	// the ops in flight.
+	ops     sim.Arena[op]
+	freeOps []*op
 
 	kernelCount uint64
 	copyCount   uint64
@@ -203,13 +209,17 @@ const (
 	PriorityNormal = 1
 )
 
-// readyItem is a unit of compute work eligible for dispatch.
+// readyItem is a unit of compute work eligible for dispatch. Its
+// completion action is a static function with a record argument (the
+// stream, or one graph node of a launched instance), so queueing
+// compute work creates no closure.
 type readyItem struct {
 	prio    int
 	seq     uint64
 	service sim.Time
 	label   string
-	done    func()
+	fn      sim.ArgFunc
+	arg     unsafe.Pointer
 }
 
 // readyHeap is a monomorphic 4-ary min-heap ordered by (prio, seq),
@@ -247,7 +257,7 @@ func (h *readyHeap) push(it readyItem) {
 }
 
 // popMin removes and returns the first item to dispatch, zeroing the
-// vacated tail slot so it does not retain the item's done closure.
+// vacated tail slot so it does not retain the item's record.
 //
 //gat:hotpath
 func (h *readyHeap) popMin() readyItem {
@@ -287,10 +297,13 @@ func (h *readyHeap) popMin() readyItem {
 	return min
 }
 
-// submitCompute queues work for the serial compute engine.
-func (d *Device) submitCompute(prio int, label string, service sim.Time, done func()) {
+// submitCompute queues work for the serial compute engine; fn(arg)
+// runs when it completes.
+//
+//gat:hotpath
+func (d *Device) submitCompute(prio int, label string, service sim.Time, fn sim.ArgFunc, arg unsafe.Pointer) {
 	d.seq++
-	d.ready.push(readyItem{prio: prio, seq: d.seq, service: service, label: label, done: done})
+	d.ready.push(readyItem{prio: prio, seq: d.seq, service: service, label: label, fn: fn, arg: arg})
 	d.tryDispatch()
 }
 
@@ -301,22 +314,23 @@ func (d *Device) tryDispatch() {
 	it := d.ready.popMin()
 	d.busy = true
 	d.kernelCount++
-	d.curService, d.curStart, d.curLabel, d.curDone = it.service, d.eng.Now(), it.label, it.done
+	d.curService, d.curStart, d.curLabel = it.service, d.eng.Now(), it.label
+	d.curFn, d.curArg = it.fn, it.arg
 	d.eng.At(d.eng.Now()+it.service, d.completeFn)
 }
 
 // complete finishes the in-flight compute item. The current item's
-// fields are copied out first: done() may submit new work, which
-// re-dispatches and overwrites them.
+// fields are copied out first: its completion action may submit new
+// work, which re-dispatches and overwrites them.
 func (d *Device) complete() {
-	service, start, label, done := d.curService, d.curStart, d.curLabel, d.curDone
-	d.curDone = nil
+	service, start, label, fn, arg := d.curService, d.curStart, d.curLabel, d.curFn, d.curArg
+	d.curFn, d.curArg = nil, nil
 	d.busyAccum += service
 	if tr := d.eng.Tracer(); tr != nil {
 		tr.Add(sim.Span{Resource: d.name, Label: label, Start: start, End: d.eng.Now()})
 	}
 	d.busy = false
-	done()
+	fn(d.eng, arg)
 	d.tryDispatch()
 }
 
@@ -327,8 +341,8 @@ func (d *Device) copyPipe(dir CopyDir) *sim.Pipe {
 	return d.h2d
 }
 
-// ResetOps frees all stream-op records at once, keeping chunk capacity
-// warm for the next run. It may only be called at a run boundary: every
+// ResetOps frees all pinned stream-op records at once, keeping chunk
+// capacity warm for the next run; recycled ops stay on the free list. It may only be called at a run boundary: every
 // stream must be drained (no op in flight or queued) and the caller
 // must not use any previously returned op signal — stream completion
 // signals, recorded events — afterwards.

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gat/internal/sim"
 )
@@ -130,7 +131,7 @@ func TestOnCompleteCallback(t *testing.T) {
 	s := d.NewStream("s", PriorityNormal)
 	var cbAt sim.Time = -1
 	s.Kernel("k", 50)
-	s.OnComplete(func() { cbAt = e.Now() })
+	s.OnComplete(func(e *sim.Engine, arg unsafe.Pointer) { *(*sim.Time)(arg) = e.Now() }, unsafe.Pointer(&cbAt))
 	e.Run()
 	if cbAt != 52 {
 		t.Fatalf("callback at %v, want 52", cbAt)

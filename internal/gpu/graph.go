@@ -1,6 +1,10 @@
 package gpu
 
-import "gat/internal/sim"
+import (
+	"unsafe"
+
+	"gat/internal/sim"
+)
 
 // Graph is an executable graph of device operations with explicit
 // dependencies — the CUDA Graphs analogue. A graph is captured once and
@@ -10,9 +14,15 @@ import "gat/internal/sim"
 //
 // Node parameters are fixed at capture time (the CUDA Graphs
 // restriction the paper works around in §III-D2 by capturing two graphs
-// with swapped buffer pointers and alternating between them).
+// with swapped buffer pointers and alternating between them). The
+// launch-invariant shape — each node's dependents and its dispatch
+// label — is likewise built once, as nodes are added, so a launch only
+// resets per-instance countdowns.
 type Graph struct {
 	nodes []*GraphNode
+	// free holds finished launch instances for reuse; a graph normally
+	// has at most one instance in flight.
+	free []*graphExec
 }
 
 // GraphNode is one operation in a graph.
@@ -24,6 +34,12 @@ type GraphNode struct {
 	dir   CopyDir
 	deps  []*GraphNode
 	index int
+	// children lists the indices of the nodes that depend on this one,
+	// in the order they were added.
+	children []int
+	// execLabel is the label the node's kernel runs under ("graph/" +
+	// label).
+	execLabel string
 }
 
 // NewGraph returns an empty graph.
@@ -44,18 +60,24 @@ func (g *Graph) TotalKernelTime() sim.Time {
 	return total
 }
 
-// AddKernel adds a kernel node that runs after all deps complete.
-func (g *Graph) AddKernel(label string, dur sim.Time, deps ...*GraphNode) *GraphNode {
-	n := &GraphNode{label: label, kind: opKernel, dur: dur, deps: deps, index: len(g.nodes)}
+// add appends n, wiring it into its dependencies' child lists.
+func (g *Graph) add(n *GraphNode) *GraphNode {
+	n.index = len(g.nodes)
+	for _, dep := range n.deps {
+		dep.children = append(dep.children, n.index)
+	}
 	g.nodes = append(g.nodes, n)
 	return n
 }
 
+// AddKernel adds a kernel node that runs after all deps complete.
+func (g *Graph) AddKernel(label string, dur sim.Time, deps ...*GraphNode) *GraphNode {
+	return g.add(&GraphNode{label: label, execLabel: "graph/" + label, kind: opKernel, dur: dur, deps: deps})
+}
+
 // AddCopy adds a DMA node that runs after all deps complete.
 func (g *Graph) AddCopy(dir CopyDir, bytes int64, deps ...*GraphNode) *GraphNode {
-	n := &GraphNode{label: dir.String(), kind: opCopy, bytes: bytes, dir: dir, deps: deps, index: len(g.nodes)}
-	g.nodes = append(g.nodes, n)
-	return n
+	return g.add(&GraphNode{label: dir.String(), kind: opCopy, bytes: bytes, dir: dir, deps: deps})
 }
 
 // Launch enqueues one execution of the graph on the stream and returns
@@ -65,55 +87,112 @@ func (s *Stream) Launch(g *Graph) *sim.Signal {
 	if g.Len() == 0 {
 		return sim.FiredSignal()
 	}
-	o := s.newOp()
+	o := s.newPinnedOp()
 	o.kind, o.label, o.graph = opGraph, "graph", g
 	return s.enqueue(o)
 }
 
-// launchGraphInstance executes one instance of o.graph, calling complete
-// when every node has finished. Node-level parallelism is bounded by the
-// device engines, as on real hardware.
-func (s *Stream) launchGraphInstance(o *op, complete func()) {
-	g := o.graph
-	d := s.dev
-	remaining := len(g.nodes)
-	indeg := make([]int, len(g.nodes))
-	children := make([][]*GraphNode, len(g.nodes))
-	for _, n := range g.nodes {
-		indeg[n.index] = len(n.deps)
-		for _, dep := range n.deps {
-			children[dep.index] = append(children[dep.index], n)
-		}
+// LaunchChain enqueues one execution of the graph like Launch and fires
+// out when it completes — the event-for-event equivalent of
+// Launch(g).Chain(eng, out) — recycling the op record.
+//
+//gat:hotpath
+func (s *Stream) LaunchChain(g *Graph, out *sim.Signal) {
+	if g.Len() == 0 {
+		s.dev.eng.FireAt(s.dev.eng.Now(), out)
+		return
 	}
+	o := s.newOp()
+	o.kind, o.label, o.graph, o.out = opGraph, "graph", g, out
+	s.push(o)
+}
 
-	var start func(n *GraphNode)
-	nodeDone := func(n *GraphNode) {
-		remaining--
-		for _, c := range children[n.index] {
-			indeg[c.index]--
-			if indeg[c.index] == 0 {
-				start(c)
-			}
-		}
-		if remaining == 0 {
-			complete()
+// graphExec is one launched instance of a graph: per-node dependency
+// countdowns, the nodes still running, and one completion record per
+// node, so node completions dispatch through a static function.
+type graphExec struct {
+	g         *Graph
+	s         *Stream
+	remaining int
+	indeg     []int
+	nodes     []graphNodeRun
+}
+
+// graphNodeRun is the completion record of one node of an instance.
+type graphNodeRun struct {
+	ex  *graphExec
+	idx int
+}
+
+// launchGraphInstance executes one instance of g, completing the
+// stream's head op when every node has finished. Node-level parallelism
+// is bounded by the device engines, as on real hardware.
+//
+//gat:hotpath
+func (s *Stream) launchGraphInstance(g *Graph) {
+	var ex *graphExec
+	if k := len(g.free); k > 0 {
+		ex = g.free[k-1]
+		g.free[k-1] = nil
+		g.free = g.free[:k-1]
+	} else {
+		ex = &graphExec{g: g}
+	}
+	n := len(g.nodes)
+	if cap(ex.indeg) < n {
+		ex.indeg = make([]int, n)
+		ex.nodes = make([]graphNodeRun, n)
+	}
+	ex.indeg, ex.nodes = ex.indeg[:n], ex.nodes[:n]
+	ex.s, ex.remaining = s, n
+	for i, nd := range g.nodes {
+		ex.indeg[i] = len(nd.deps)
+		ex.nodes[i] = graphNodeRun{ex: ex, idx: i}
+	}
+	for i := range g.nodes {
+		if ex.indeg[i] == 0 {
+			ex.start(i)
 		}
 	}
-	start = func(n *GraphNode) {
-		switch n.kind {
-		case opKernel:
-			d.submitCompute(s.prio, "graph/"+n.label, d.cfg.GraphNodeDispatch+n.dur,
-				func() { nodeDone(n) })
-		case opCopy:
-			d.copyCount++
-			d.copyPipe(n.dir).Transfer(n.bytes).OnFire(d.eng, func() { nodeDone(n) })
-		default:
-			panic("gpu: unsupported graph node kind")
+}
+
+// start dispatches node i of the instance.
+//
+//gat:hotpath
+func (ex *graphExec) start(i int) {
+	n := ex.g.nodes[i]
+	d := ex.s.dev
+	arg := unsafe.Pointer(&ex.nodes[i])
+	switch n.kind {
+	case opKernel:
+		d.submitCompute(ex.s.prio, n.execLabel, d.cfg.GraphNodeDispatch+n.dur, graphNodeDone, arg)
+	case opCopy:
+		d.copyCount++
+		d.copyPipe(n.dir).Transfer(n.bytes).OnFireArg(d.eng, graphNodeDone, arg)
+	default:
+		panic("gpu: unsupported graph node kind")
+	}
+}
+
+// graphNodeDone retires one node: it releases the node's dependents in
+// insertion order and, after the last node, returns the instance to its
+// graph and completes the stream's head op.
+//
+//gat:hotpath
+func graphNodeDone(_ *sim.Engine, arg unsafe.Pointer) {
+	r := (*graphNodeRun)(arg)
+	ex := r.ex
+	ex.remaining--
+	for _, c := range ex.g.nodes[r.idx].children {
+		ex.indeg[c]--
+		if ex.indeg[c] == 0 {
+			ex.start(c)
 		}
 	}
-	for _, n := range g.nodes {
-		if indeg[n.index] == 0 {
-			start(n)
-		}
+	if ex.remaining == 0 {
+		s := ex.s
+		ex.s = nil
+		ex.g.free = append(ex.g.free, ex)
+		s.complete()
 	}
 }

@@ -77,6 +77,28 @@ type chState struct {
 	graphs   [2]*gpu.Graph
 
 	warmReported bool
+
+	// Continuations bound once per chare at setup, so an iteration
+	// schedules no fresh closure: startFn and afterFn run the iteration
+	// phases; recvFn[f] is face f's channel receive completion, which
+	// enqueues haloFn[f]; unpackFn[f] and recvHFn[f] are the gate actions
+	// of a GPU-aware and a host-staged arrival on face f. A face's
+	// arrivals all belong to the chare's current iteration (GPU-aware:
+	// the receive is posted by that iteration) or carry equal byte counts
+	// (host-staged: recvBytes[f]), so the thunks need no per-call state.
+	startFn, afterFn func(*charm.Ctx)
+	recvFn           [NumFaces]func()
+	haloFn           [NumFaces]func(*charm.Ctx)
+	unpackFn         [NumFaces]func(*charm.Ctx)
+	recvHFn          [NumFaces]func(*charm.Ctx)
+	recvBytes        [NumFaces]int64
+
+	// spareSends is the previous iteration's send-signal slice, reused
+	// for the next iteration's; scratch backs AllOf argument lists.
+	spareSends []*sim.Signal
+	scratch    []*sim.Signal
+	// staged collects a host-staged send phase's halo records.
+	staged []*haloSend
 }
 
 type charmDriver struct {
@@ -90,10 +112,19 @@ type charmDriver struct {
 
 	warmC, doneC *sim.Counter
 	tWarm, tEnd  sim.Time
+
+	// freeSends recycles host-staged halo send records.
+	freeSends []*haloSend
 }
 
 // RunCharm executes Jacobi3D with the Charm-style runtime on machine m.
 func RunCharm(m *machine.Machine, cfg Config, opt CharmOpts) Result {
+	return newCharmDriver(m, cfg, opt).run()
+}
+
+// newCharmDriver builds the runtime, chare array, streams, channels and
+// graphs of a Charm-style run without starting it.
+func newCharmDriver(m *machine.Machine, cfg Config, opt CharmOpts) *charmDriver {
 	cfg = cfg.DefaultIterations()
 	if opt.ODF <= 0 {
 		opt.ODF = 1
@@ -125,10 +156,15 @@ func RunCharm(m *machine.Machine, cfg Config, opt CharmOpts) Result {
 		drv.resid = charm.NewReduction(drv.arr, 8)
 	}
 	drv.setup()
+	return drv
+}
+
+// run executes the driver's iterations to completion.
+func (drv *charmDriver) run() Result {
+	m := drv.rt.M
 	drv.arr.Broadcast(charm.Msg{Entry: entryStart})
 	m.Eng.Run()
-
-	return result(m, (drv.tEnd-drv.tWarm)/sim.Time(cfg.Iters))
+	return result(m, (drv.tEnd-drv.tWarm)/sim.Time(drv.cfg.Iters))
 }
 
 func state(el *charm.Elem) *chState { return el.State.(*chState) }
@@ -167,6 +203,7 @@ func (drv *charmDriver) setup() {
 			st.graphs[0] = drv.buildGraph(dev, st.blk)
 			st.graphs[1] = drv.buildGraph(dev, st.blk) // swapped-pointer twin
 		}
+		drv.bindThunks(el, st)
 	}
 	if drv.opt.GPUAware {
 		// One channel per adjacent chare pair, created from the
@@ -185,6 +222,43 @@ func (drv *charmDriver) setup() {
 				st.channels[nb.Face] = ch
 				state(peer).channels[Opposite(nb.Face)] = ch
 			}
+		}
+	}
+}
+
+// bindThunks builds the chare's per-iteration continuations (see
+// chState).
+func (drv *charmDriver) bindThunks(el *charm.Elem, st *chState) {
+	st.startFn = func(ctx *charm.Ctx) { drv.startIter(el, ctx) }
+	st.afterFn = func(ctx *charm.Ctx) { drv.afterHalos(el, ctx) }
+	perFaceUnpack := (drv.opt.Fusion == FusionNone || drv.opt.Fusion == FusionA) && !drv.opt.Graphs
+	for _, nb := range st.nbrs {
+		face := nb.Face
+		unpackBytes := packKernelBytes(st.blk.FaceCells(face / 2))
+		if !drv.opt.GPUAware {
+			st.recvHFn[face] = func(ctx *charm.Ctx) {
+				h2d := ctx.EnqueueCopy(st.h2dS, gpu.H2D, st.recvBytes[face], nil)
+				ctx.GateStream(st.packS, h2d)
+				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes))
+			}
+			continue
+		}
+		// With per-face unpacking (FusionNone and FusionA, which fuses
+		// only the packs) the face's unpack kernel launches immediately,
+		// overlapping with other arrivals; fused-unpack and graph modes
+		// only count the arrival, since their unpack cannot start until
+		// every halo is present (§III-D1).
+		st.unpackFn[face] = func(ctx *charm.Ctx) {
+			if perFaceUnpack {
+				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes))
+			}
+		}
+		if drv.opt.UseMessagingAPI {
+			continue
+		}
+		st.haloFn[face] = func(ctx *charm.Ctx) { st.gate.Arrive(ctx, st.iter, st.unpackFn[face]) }
+		st.recvFn[face] = func() {
+			drv.rt.PE(el.PE()).Enqueue(charm.PrioHigh, drv.rt.Opt.SchedOverhead, "haloArrived", el, st.haloFn[face])
 		}
 	}
 }
@@ -238,19 +312,30 @@ func (drv *charmDriver) startIter(el *charm.Elem, ctx *charm.Ctx) {
 		return
 	}
 	iter := st.iter
+	// The previous iteration's send signals feed this send phase's
+	// input gate; its slice is reused for the next iteration's.
 	prevSends := st.sends
-	st.sends = nil
-	st.unpacks = nil
+	st.sends = st.spareSends[:0]
+	st.spareSends = prevSends
+	st.unpacks = st.unpacks[:0]
 
 	if drv.opt.GPUAware {
 		drv.sendPhaseD(el, ctx, iter, prevSends)
 	} else {
-		drv.sendPhaseH(el, ctx, iter, prevSends)
+		drv.sendPhaseH(el, ctx, iter)
 	}
 
-	st.gate.Expect(ctx, iter, len(st.nbrs), func(ctx *charm.Ctx) {
-		drv.afterHalos(el, ctx)
-	})
+	st.gate.Expect(ctx, iter, len(st.nbrs), st.afterFn)
+}
+
+// allOf joins sigs into one signal, building the argument list in the
+// chare's scratch slice.
+func (drv *charmDriver) allOf(st *chState, first *sim.Signal, rest []*sim.Signal) *sim.Signal {
+	st.scratch = append(st.scratch[:0], first)
+	st.scratch = append(st.scratch, rest...)
+	sig := sim.AllOf(drv.rt.Engine(), st.scratch...)
+	clear(st.scratch)
+	return sig
 }
 
 // sendPhaseD packs and sends halos over GPU-aware channels.
@@ -260,8 +345,8 @@ func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 	eng := drv.rt.Engine()
 
 	// Per-face data-ready signals for the sends.
-	ready := make(map[int]*sim.Signal, len(st.nbrs))
-	inputReady := sim.AllOf(eng, append([]*sim.Signal{st.produced}, prevSends...)...)
+	var ready [NumFaces]*sim.Signal
+	inputReady := drv.allOf(st, st.produced, prevSends)
 	switch {
 	case drv.opt.Graphs && iter > 0, drv.opt.Fusion == FusionC && iter > 0:
 		// Packing already happened inside the previous graph / fused
@@ -286,8 +371,7 @@ func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 	}
 
 	for _, nb := range st.nbrs {
-		nb := nb
-		sendDone := sim.NewSignal()
+		sendDone := eng.NewSignal()
 		st.sends = append(st.sends, sendDone)
 		if drv.opt.UseMessagingAPI {
 			drv.messagingSend(el, ctx, nb, iter, ready[nb.Face], sendDone)
@@ -295,12 +379,9 @@ func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 		}
 		ch := st.channels[nb.Face]
 		ctx.Charge(opt.MsgHostOverhead)
-		ch.Send(el.Flat, iter, st.blk.FaceBytes(nb.Face), ready[nb.Face],
-			func() { sendDone.Fire(eng) })
+		ch.Send(el.Flat, iter, st.blk.FaceBytes(nb.Face), ready[nb.Face], sendDone)
 		ctx.Charge(opt.MsgHostOverhead)
-		ch.Recv(el.Flat, iter, ctx.CommCallback("haloArrived", func(ctx *charm.Ctx) {
-			drv.onHaloArrivedD(el, ctx, nb, iter)
-		}))
+		ch.Recv(el.Flat, iter, st.recvFn[nb.Face])
 	}
 }
 
@@ -313,85 +394,96 @@ func (drv *charmDriver) messagingSend(el *charm.Elem, ctx *charm.Ctx, nb Neighbo
 	m := drv.rt.M
 	eng := drv.rt.Engine()
 	peer := drv.arr.Elem(charm.Index(nb.Idx))
-	recvNb := Neighbor{Face: Opposite(nb.Face), Idx: [3]int(el.Idx)}
+	recvFace := Opposite(nb.Face)
 	ctx.Charge(drv.rt.Opt.MsgHostOverhead)
 	comm.MessagingSend(m.Net, comm.DefaultMessagingConfig(),
 		comm.Endpoint{Proc: el.Flat, Node: m.NodeOf(el.PE())},
 		comm.Endpoint{Proc: peer.Flat, Node: m.NodeOf(peer.PE())},
 		st.blk.FaceBytes(nb.Face), ready, func() {
 			sendDone.Fire(eng)
+			peerSt := state(peer)
 			drv.rt.PE(peer.PE()).Enqueue(charm.PrioHigh, drv.rt.Opt.SchedOverhead,
 				"haloArrived", peer, func(ctx *charm.Ctx) {
-					drv.onHaloArrivedD(peer, ctx, recvNb, iter)
+					peerSt.gate.Arrive(ctx, iter, peerSt.unpackFn[recvFace])
 				})
 		})
 }
 
-// onHaloArrivedD handles one GPU-aware halo arrival: with per-face
-// unpacking (FusionNone and FusionA, which fuses only the packs) the
-// face's unpack kernel launches immediately, overlapping with other
-// arrivals; fused-unpack and graph modes only count the arrival, since
-// their unpack cannot start until every halo is present (§III-D1).
-func (drv *charmDriver) onHaloArrivedD(el *charm.Elem, ctx *charm.Ctx, nb Neighbor, iter int) {
-	st := state(el)
-	st.gate.Arrive(ctx, iter, func(ctx *charm.Ctx) {
-		if (drv.opt.Fusion == FusionNone || drv.opt.Fusion == FusionA) && !drv.opt.Graphs {
-			st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack",
-				packKernelBytes(st.blk.FaceCells(nb.Face/2))))
-		}
-	})
+// haloSend is one host-staged halo message waiting for its staging copy:
+// the iteration it belongs to and its face. Records are recycled through
+// the driver, and each binds its two continuations once, when it is
+// first built.
+type haloSend struct {
+	drv  *charmDriver
+	el   *charm.Elem
+	nb   Neighbor
+	iter int
+	size int64
+
+	enqueueFn func()           // the staging copy landed: queue sendFn
+	sendFn    func(*charm.Ctx) // send the message, then recycle
+}
+
+func (drv *charmDriver) newHaloSend() *haloSend {
+	if k := len(drv.freeSends); k > 0 {
+		hs := drv.freeSends[k-1]
+		drv.freeSends[k-1] = nil
+		drv.freeSends = drv.freeSends[:k-1]
+		return hs
+	}
+	hs := &haloSend{drv: drv}
+	hs.enqueueFn = func() {
+		hs.drv.rt.PE(hs.el.PE()).Enqueue(charm.PrioHigh, hs.drv.rt.Opt.SchedOverhead, "sendHalo", hs.el, hs.sendFn)
+	}
+	hs.sendFn = func(ctx *charm.Ctx) {
+		d := hs.drv
+		ctx.Send(d.arr, charm.Index(hs.nb.Idx), charm.Msg{
+			Entry: entryRecvHalo,
+			Ref:   hs.iter,
+			Bytes: hs.size,
+			Data:  Opposite(hs.nb.Face),
+		})
+		hs.el = nil
+		d.freeSends = append(d.freeSends, hs)
+	}
+	return hs
 }
 
 // sendPhaseH packs halos, stages them to the host, and sends them as
 // regular runtime messages (Charm-H).
-func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int, prevSends []*sim.Signal) {
+func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int) {
 	st := state(el)
 	eng := drv.rt.Engine()
 	ctx.GateStream(st.packS, st.produced)
 
-	d2hSigs := make([]*sim.Signal, 0, len(st.nbrs))
-	type outMsg struct {
-		nb   Neighbor
-		d2h  *sim.Signal
-		size int64
-	}
-	outs := make([]outMsg, 0, len(st.nbrs))
+	d2hSigs := st.scratch[:0]
 	for _, nb := range st.nbrs {
+		size := st.blk.FaceBytes(nb.Face)
 		pack := ctx.LaunchKernelBytes(st.packS, "pack", packKernelBytes(st.blk.FaceCells(nb.Face/2)))
-		d2h := ctx.EnqueueCopy(st.d2hS, gpu.D2H, st.blk.FaceBytes(nb.Face), pack)
+		d2h := ctx.EnqueueCopy(st.d2hS, gpu.D2H, size, pack)
 		d2hSigs = append(d2hSigs, d2h)
-		outs = append(outs, outMsg{nb: nb, d2h: d2h, size: st.blk.FaceBytes(nb.Face)})
-	}
-
-	pe := drv.rt.PE(el.PE())
-	sendOne := func(o outMsg) func(*charm.Ctx) {
-		return func(ctx *charm.Ctx) {
-			ctx.Send(drv.arr, charm.Index(o.nb.Idx), charm.Msg{
-				Entry: entryRecvHalo,
-				Ref:   iter,
-				Bytes: o.size,
-				Data:  Opposite(o.nb.Face),
-			})
-		}
+		hs := drv.newHaloSend()
+		hs.el, hs.nb, hs.iter, hs.size = el, nb, iter, size
+		st.staged = append(st.staged, hs)
 	}
 	if drv.opt.Async {
 		// After-optimization: each halo is sent as soon as its staging
 		// copy completes, with no blocking synchronization.
-		for _, o := range outs {
-			o := o
-			o.d2h.OnFire(eng, func() {
-				pe.Enqueue(charm.PrioHigh, drv.rt.Opt.SchedOverhead, "sendHalo", el, sendOne(o))
-			})
+		for i, hs := range st.staged {
+			d2hSigs[i].OnFire(eng, hs.enqueueFn)
 		}
 	} else {
 		// Before-optimization: block the PE until all staging copies
 		// finish, then send everything (the §III-C redundant sync).
 		ctx.Block(sim.AllOf(eng, d2hSigs...))
-		for _, o := range outs {
-			o := o
-			ctx.Post(charm.PrioHigh, "sendHalo", sendOne(o))
+		for _, hs := range st.staged {
+			ctx.Post(charm.PrioHigh, "sendHalo", hs.sendFn)
 		}
 	}
+	clear(d2hSigs)
+	st.scratch = d2hSigs[:0]
+	clear(st.staged)
+	st.staged = st.staged[:0]
 }
 
 // recvHaloH handles a host-staged halo message: H2D transfer, then the
@@ -399,12 +491,8 @@ func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 func (drv *charmDriver) recvHaloH(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) {
 	st := state(el)
 	face := msg.Data.(int)
-	st.gate.Arrive(ctx, msg.Ref, func(ctx *charm.Ctx) {
-		h2d := ctx.EnqueueCopy(st.h2dS, gpu.H2D, msg.Bytes, nil)
-		ctx.GateStream(st.packS, h2d)
-		st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack",
-			packKernelBytes(st.blk.FaceCells(face/2))))
-	})
+	st.recvBytes[face] = msg.Bytes
+	st.gate.Arrive(ctx, msg.Ref, st.recvHFn[face])
 }
 
 // afterHalos runs once all halos of the iteration have arrived: it
@@ -441,15 +529,11 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 
 	st.iter++
 	if drv.opt.Async {
-		ctx.HAPICallback(st.updS, "nextIter", func(ctx *charm.Ctx) {
-			drv.startIter(el, ctx)
-		})
+		ctx.HAPICallback(st.updS, "nextIter", st.startFn)
 	} else {
 		// Before-optimization: synchronize with the device before
 		// starting the next iteration.
 		ctx.Block(st.produced)
-		ctx.Post(charm.PrioHigh, "nextIter", func(ctx *charm.Ctx) {
-			drv.startIter(el, ctx)
-		})
+		ctx.Post(charm.PrioHigh, "nextIter", st.startFn)
 	}
 }

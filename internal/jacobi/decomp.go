@@ -153,27 +153,34 @@ type Neighbor struct {
 func (b Block) Neighbors() []Neighbor {
 	var out []Neighbor
 	for face := 0; face < NumFaces; face++ {
-		ax := face / 2
-		delta := -1
-		if face%2 == 1 {
-			delta = 1
+		if ni, ok := b.neighbor(face); ok {
+			out = append(out, Neighbor{Face: face, Idx: ni})
 		}
-		ni := b.Idx
-		ni[ax] += delta
-		if ni[ax] < 0 || ni[ax] >= b.D.Dims[ax] {
-			continue
-		}
-		out = append(out, Neighbor{Face: face, Idx: ni})
 	}
 	return out
+}
+
+// neighbor returns the index of the block across face, and whether that
+// block exists.
+func (b Block) neighbor(face int) ([3]int, bool) {
+	ax := face / 2
+	delta := -1
+	if face%2 == 1 {
+		delta = 1
+	}
+	ni := b.Idx
+	ni[ax] += delta
+	return ni, ni[ax] >= 0 && ni[ax] < b.D.Dims[ax]
 }
 
 // TotalFaceCells returns the sum of halo cells over the block's
 // existing neighbors (the thread count basis for fused kernels).
 func (b Block) TotalFaceCells() int64 {
 	var total int64
-	for _, n := range b.Neighbors() {
-		total += b.FaceCells(n.Face / 2)
+	for face := 0; face < NumFaces; face++ {
+		if _, ok := b.neighbor(face); ok {
+			total += b.FaceCells(face / 2)
+		}
 	}
 	return total
 }

@@ -264,6 +264,7 @@ type Engine struct {
 	pipeOps  Arena[pipeOp]
 	delayOps Arena[delayOp]
 	waitAlls Arena[waitAll]
+	allOfs   Arena[allOf]
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -439,8 +440,13 @@ func (e *Engine) drive(self *Proc) {
 }
 
 // InjectAt schedules a statically dispatched (fn, arg) pair at absolute
-// time t — the cross-engine injection seam of the conservative PDES
-// layer (internal/pdes). A coordinator that owns several parked engines
+// time t. It is the allocation-free form of At for callers that keep
+// per-call state in a record instead of a closure (gpu stream
+// callbacks, charm's scheduled side effects): it pushes the event At
+// would push, at the same queue position; only the payload form
+// differs, and arg must be non-nil. It is also the cross-engine
+// injection seam of the conservative PDES layer (internal/pdes): a
+// coordinator that owns several parked engines
 // calls it between lookahead windows to deliver merged cross-shard
 // messages; sequence numbers are assigned in call order, so injecting a
 // batch in sorted (time, source, sequence) order makes the receiving
@@ -531,11 +537,11 @@ type QueueStats struct {
 func (e *Engine) QueueStats() QueueStats { return e.timed.stats() }
 
 // ResetArenas frees all engine-arena records (signals, pipe and delay
-// ops) at once, keeping chunk capacity so the next run reuses the same
+// ops, group-wait and AllOf joins) at once, keeping chunk capacity so the next run reuses the same
 // warm memory. It may only be called at a run boundary: the engine must
 // be idle, and the caller must guarantee no record pointer from before
 // the reset — no *Signal from Engine.NewSignal, no signal returned by
-// Pipe.TransferAfter or Engine.AfterSignal — is used afterwards.
+// Pipe.TransferAfter, Engine.AfterSignal or AllOf — is used afterwards.
 func (e *Engine) ResetArenas() {
 	if !e.Idle() {
 		panic("sim: ResetArenas with events pending")
@@ -544,4 +550,5 @@ func (e *Engine) ResetArenas() {
 	e.pipeOps.Reset()
 	e.delayOps.Reset()
 	e.waitAlls.Reset()
+	e.allOfs.Reset()
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -247,5 +248,44 @@ func TestEventPayloadRoundTrip(t *testing.T) {
 	}
 	if e.Now() != 5 {
 		t.Fatalf("fire event ran at %v, want 5", e.Now())
+	}
+}
+
+// TestSignalSize pins the Signal layout: signals are embedded in every
+// transfer, pipe and stream record, so a field added inline grows all
+// of them. Rare state belongs behind the overflow pointer.
+func TestSignalSize(t *testing.T) {
+	if got := unsafe.Sizeof(Signal{}); got != 64 {
+		t.Fatalf("sizeof(Signal) = %d bytes, want 64", got)
+	}
+}
+
+// TestSignalOverflowOrder checks that waiters and callbacks beyond the
+// inline slots still run in registration order.
+func TestSignalOverflowOrder(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal()
+	var order []int
+	for i := 0; i < 5; i++ {
+		i := i
+		s.OnFire(e, func() { order = append(order, i) })
+	}
+	for i := 0; i < 3; i++ {
+		i := i
+		e.Spawn("w", func(p *Proc) {
+			p.Wait(s)
+			order = append(order, 10+i)
+		})
+	}
+	e.Schedule(5, func() { s.Fire(e) })
+	e.Run()
+	want := []int{10, 11, 12, 0, 1, 2, 3, 4}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }

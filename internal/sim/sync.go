@@ -24,14 +24,23 @@ type sigCB struct {
 // callbacks is the next most common (an accounting hook plus the
 // transfer start on one gate signal), so the inline slots make both
 // allocation-free. Registration order is preserved — the inline slots
-// are always the earliest registrations.
+// are always the earliest registrations. The rare overflow lives behind
+// one pointer, which keeps a Signal at 64 bytes: signals are embedded in
+// every transfer, pipe and stream record, so their size is most of
+// those records' memory.
 type Signal struct {
-	fired     bool
-	w0        *Proc
-	waiters   []*Proc // second and later waiters
-	ga        *waitAll
-	cb0, cb1  sigCB
-	callbacks []sigCB // third and later callbacks
+	fired    bool
+	w0       *Proc
+	ga       *waitAll
+	cb0, cb1 sigCB
+	more     *sigOverflow
+}
+
+// sigOverflow holds a signal's second and later waiters and third and
+// later callbacks.
+type sigOverflow struct {
+	waiters   []*Proc
+	callbacks []sigCB
 }
 
 // NewSignal returns an unfired signal.
@@ -77,10 +86,12 @@ func (s *Signal) Fire(e *Engine) {
 		e.push(e.now, procResumePtr, unsafe.Pointer(s.w0))
 		s.w0 = nil
 	}
-	waiters := s.waiters
-	s.waiters = nil
-	for _, p := range waiters {
-		e.push(e.now, procResumePtr, unsafe.Pointer(p))
+	more := s.more
+	s.more = nil
+	if more != nil {
+		for _, p := range more.waiters {
+			e.push(e.now, procResumePtr, unsafe.Pointer(p))
+		}
 	}
 	if g := s.ga; g != nil {
 		// Group wait: decrement at fire time, in the waiter slot of the
@@ -101,17 +112,17 @@ func (s *Signal) Fire(e *Engine) {
 		e.push(e.now, s.cb1.fn, s.cb1.arg)
 		s.cb1 = sigCB{}
 	}
-	callbacks := s.callbacks
-	s.callbacks = nil
-	for _, cb := range callbacks {
-		e.push(e.now, cb.fn, cb.arg)
+	if more != nil {
+		for _, cb := range more.callbacks {
+			e.push(e.now, cb.fn, cb.arg)
+		}
 	}
 }
 
 // addCB appends a callback in registration order, filling the inline
 // slots first.
 func (s *Signal) addCB(cb sigCB) {
-	if len(s.callbacks) == 0 {
+	if s.more == nil || len(s.more.callbacks) == 0 {
 		if s.cb0 == (sigCB{}) {
 			s.cb0 = cb
 			return
@@ -121,7 +132,17 @@ func (s *Signal) addCB(cb sigCB) {
 			return
 		}
 	}
-	s.callbacks = append(s.callbacks, cb)
+	m := s.overflow()
+	m.callbacks = append(m.callbacks, cb)
+}
+
+// overflow returns the signal's overflow record, creating it on first
+// use.
+func (s *Signal) overflow() *sigOverflow {
+	if s.more == nil {
+		s.more = &sigOverflow{}
+	}
+	return s.more
 }
 
 // OnFire registers cb to run (as a scheduled event) when the signal
@@ -199,17 +220,41 @@ func (e *Engine) AfterSignal(sig *Signal, d Time) *Signal {
 }
 
 func (s *Signal) addWaiter(p *Proc) {
-	if s.w0 == nil && len(s.waiters) == 0 {
+	if s.w0 == nil && (s.more == nil || len(s.more.waiters) == 0) {
 		s.w0 = p
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	m := s.overflow()
+	m.waiters = append(m.waiters, p)
+}
+
+// allOf is the arena-allocated record behind AllOf: a countdown of the
+// inputs still unfired and the output signal.
+type allOf struct {
+	n   int
+	out Signal
+}
+
+// allOfFire is the ArgFunc each unfired AllOf input runs when it fires.
+//
+//gat:hotpath
+func allOfFire(e *Engine, arg unsafe.Pointer) {
+	a := (*allOf)(arg)
+	a.n--
+	if a.n == 0 {
+		a.out.Fire(e)
+	}
 }
 
 // AllOf returns a signal that fires once every input signal has fired.
-// With no inputs it returns an already-fired signal.
+// With no unfired inputs it returns an already-fired signal. The
+// countdown and output live in an engine arena record, registered on
+// each unfired input in the record-callback form, so the join allocates
+// no closure; like every engine-arena signal, the result is valid until
+// the engine's arenas are reset.
+//
+//gat:hotpath
 func AllOf(e *Engine, sigs ...*Signal) *Signal {
-	out := NewSignal()
 	remaining := 0
 	for _, s := range sigs {
 		if !s.Fired() {
@@ -217,22 +262,16 @@ func AllOf(e *Engine, sigs ...*Signal) *Signal {
 		}
 	}
 	if remaining == 0 {
-		out.fired = true
-		return out
+		return FiredSignal()
 	}
-	n := remaining
+	a := e.allOfs.New()
+	a.n = remaining
 	for _, s := range sigs {
-		if s.Fired() {
-			continue
+		if !s.Fired() {
+			s.OnFireArg(e, allOfFire, unsafe.Pointer(a))
 		}
-		s.OnFire(e, func() {
-			n--
-			if n == 0 {
-				out.Fire(e)
-			}
-		})
 	}
-	return out
+	return &a.out
 }
 
 // Counter fires a signal after a fixed number of Add calls. It is used

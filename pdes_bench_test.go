@@ -8,7 +8,7 @@
 // counterpart of BenchmarkJacobiStep for the LP-model path: one timed
 // exascale-model iteration across 64 dragonfly nodes on 4 shards.
 //
-// make bench records both into BENCH_PR8.json alongside the engine
+// make bench records both into BENCH_PR12.json alongside the engine
 // benchmarks.
 package gat
 

@@ -5,13 +5,9 @@
 // model against the calibration targets in DESIGN.md §5.
 //
 // It also runs the event-queue hold microgrid (arrival distribution x
-// standing depth) through the engine's calendar queue; -v adds the
-// calendar geometry each cell settled into (bucket width and count,
-// occupancy, overflow population, rebuilds), which is where a resize
-// pathology — rebuild churn, a width stuck far from the inter-event
-// spacing, everything pooling in the overflow tier — shows up first.
+// standing depth) through the engine's timed-event heap.
 //
-// Usage: microbench [-j N] [-v]
+// Usage: microbench [-j N]
 package main
 
 import (
@@ -29,7 +25,6 @@ import (
 
 func main() {
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent simulation runs")
-	verbose := flag.Bool("v", false, "print calendar-queue geometry per hold-grid cell")
 	flag.Parse()
 
 	fmt.Println("== transfer paths: one-way delivery time (inter-node) ==")
@@ -110,22 +105,14 @@ func main() {
 		fmt.Printf("  %11d cells  update %v\n", cells, d.KernelTime(cells*24))
 	}
 
-	fmt.Println("\n== event queue: hold workload ns/op (calendar queue) ==")
+	fmt.Println("\n== event queue: hold workload ns/op ==")
 	fmt.Printf("%-10s %10s %10s %10s\n", "depth", "uniform", "bimodal", "ties")
 	for _, depth := range []int{64, 1024, 16384} {
 		var cells [len(holdDists)]float64
-		var geom [len(holdDists)]sim.QueueStats
-		for i, dist := range holdDists {
-			cells[i], geom[i] = holdCell(depth, dist.next)
+		for i, next := range holdDists {
+			cells[i] = holdCell(depth, next)
 		}
 		fmt.Printf("%-10d %10.1f %10.1f %10.1f\n", depth, cells[0], cells[1], cells[2])
-		if *verbose {
-			for i, dist := range holdDists {
-				g := geom[i]
-				fmt.Printf("    %-8s width %-8v buckets %-6d in-buckets %-6d overflow %-6d maxchain %-4d resizes %d\n",
-					dist.name, g.BucketWidth, g.Buckets, g.InBuckets, g.Overflow, g.MaxBucketLen, g.Resizes)
-			}
-		}
 	}
 
 	fmt.Println("\n== network config (Summit EDR fat tree) ==")
@@ -137,31 +124,28 @@ func main() {
 		ncfg.PipelineChunkSize>>20, ncfg.PipelineChunkOverhead)
 }
 
-// holdDists are the arrival distributions of the hold microgrid,
-// mirroring the BenchmarkEventQueue* variants: uniform short gaps,
-// a near/far bimodal mix exercising the overflow tier, and all-ties
-// (fixed period, ordering carried by sequence numbers alone).
-var holdDists = [3]struct {
-	name string
-	next func(rng *sim.RNG) sim.Time
-}{
-	{"uniform", func(rng *sim.RNG) sim.Time { return sim.Time(1 + rng.Intn(1000)) }},
-	{"bimodal", func(rng *sim.RNG) sim.Time {
+// holdDists are the arrival distributions of the hold microgrid's
+// columns, mirroring the BenchmarkEventQueue* variants: uniform short
+// gaps, a near/far bimodal mix, and all-ties (fixed period, ordering
+// carried by sequence numbers alone).
+var holdDists = [3]func(rng *sim.RNG) sim.Time{
+	func(rng *sim.RNG) sim.Time { return sim.Time(1 + rng.Intn(1000)) },
+	func(rng *sim.RNG) sim.Time {
 		d := sim.Time(1 + rng.Intn(1000))
 		if rng.Intn(2) == 1 {
 			d += 1_000_000
 		}
 		return d
-	}},
-	{"ties", func(*sim.RNG) sim.Time { return 1000 }},
+	},
+	func(*sim.RNG) sim.Time { return 1000 },
 }
 
 // holdCell runs one hold-workload cell — pop the earliest event,
 // schedule a replacement drawn from dist, repeat — at the given
-// standing depth, returning wall ns/op and the calendar geometry the
-// queue settled into. Cells run serially: wall timing under a worker
-// pool would measure scheduler contention, not the queue.
-func holdCell(depth int, dist func(*sim.RNG) sim.Time) (float64, sim.QueueStats) {
+// standing depth, returning wall ns/op. Cells run serially: wall
+// timing under a worker pool would measure scheduler contention, not
+// the queue.
+func holdCell(depth int, dist func(*sim.RNG) sim.Time) float64 {
 	e := sim.NewEngine()
 	rng := sim.NewRNG(1)
 	var fn func()
@@ -175,7 +159,7 @@ func holdCell(depth int, dist func(*sim.RNG) sim.Time) (float64, sim.QueueStats)
 		e.Step()
 	}
 	wall := time.Since(start)
-	return float64(wall.Nanoseconds()) / ops, e.QueueStats()
+	return float64(wall.Nanoseconds()) / ops
 }
 
 // pathTime measures one delivery on a fresh 2-node machine.

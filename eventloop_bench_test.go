@@ -1,20 +1,16 @@
 // Event-loop benchmarks: the simulator's throughput bound is the
 // engine event loop, so these measure its hot paths.
 //
-// BenchmarkEventQueue exercises the timed-event queue under the classic
-// "hold" workload (pop the earliest event, schedule a replacement a
-// random increment later, repeat) at several queue depths and under
-// three arrival distributions: uniform increments (the base case the
-// calendar queue's bucket geometry adapts to), bimodal near/far (half
-// the replacements land ~1ms out, stressing the overflow tier and its
-// drain back into the bucket window), and all-ties (every event in a
-// depth-sized cohort shares one timestamp, so ordering is carried
-// entirely by sequence numbers within a single bucket).
-// BenchmarkEventQueueHeap4 runs the uniform workload against a replica
-// of the 4-ary array heap the engine used before the calendar queue,
-// and BenchmarkEventQueueContainerHeap against the pre-PR-1 binary heap
-// behind the container/heap interface — so the calendar's standing is
-// directly visible against both ancestors at every depth.
+// BenchmarkEventQueue exercises the engine's timed-event heap under the
+// classic "hold" workload (pop the earliest event, schedule a
+// replacement a random increment later, repeat) at several queue depths
+// and under three arrival distributions: uniform increments, bimodal
+// near/far (half the replacements land ~1ms out), and all-ties (every
+// event in a depth-sized cohort shares one timestamp, so ordering is
+// carried entirely by sequence numbers).
+// BenchmarkEventQueueContainerHeap runs the uniform workload against a
+// binary heap behind the container/heap interface, the engine's first
+// queue, so the cost of interface boxing stays visible at every depth.
 //
 // The remaining benchmarks target the steady-state scheduling paths a
 // simulation actually spends its time in: zero-delay self-rescheduling
@@ -26,9 +22,9 @@
 //
 //	go test -run xxx -bench . -benchmem
 //
-// make bench records their trajectory into BENCH_PR12.json
-// (BENCH_PR2.json, BENCH_PR7.json and BENCH_PR8.json are kept in-tree as
-// earlier reference points).
+// make bench records their trajectory into BENCH_PR13.json
+// (BENCH_PR2.json, BENCH_PR7.json, BENCH_PR8.json and BENCH_PR12.json
+// are kept in-tree as earlier reference points).
 package gat
 
 import (
@@ -76,10 +72,9 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkEventQueueBimodal is the hold workload with a near/far
-// mixture: half the replacements land within 1µs, half ~1ms out. The
-// far half stream through the calendar's overflow tier and re-enter the
-// bucket window as the clock advances — the distribution sweeps with
-// long-latency network transfers among dense kernel completions produce.
+// mixture: half the replacements land within 1µs, half ~1ms out — the
+// distribution sweeps with long-latency network transfers among dense
+// kernel completions produce.
 func BenchmarkEventQueueBimodal(b *testing.B) {
 	for _, c := range holdDepths {
 		b.Run(c.name, func(b *testing.B) {
@@ -108,9 +103,8 @@ func BenchmarkEventQueueBimodal(b *testing.B) {
 // BenchmarkEventQueueTies is the hold workload where every replacement
 // lands exactly one fixed period after the event it replaces, so the
 // whole depth-sized cohort shares a single timestamp and ordering is
-// carried purely by sequence numbers — the worst case for bucket
-// indexing (everything in one bucket) and the best case for the seq
-// tie-break path.
+// carried purely by sequence numbers — every comparison falls through
+// to the seq tie-break.
 func BenchmarkEventQueueTies(b *testing.B) {
 	for _, c := range holdDepths {
 		b.Run(c.name, func(b *testing.B) {
@@ -131,99 +125,7 @@ func BenchmarkEventQueueTies(b *testing.B) {
 	}
 }
 
-// hold4Ev / hold4Heap replicate the 4-ary array heap the engine used
-// between PR 1 and the calendar queue: same payload shape, same
-// (at, seq) order, direct array code with no interface boxing. The
-// calendar queue must hold its own against this at every depth — the
-// acceptance bar is calendar ≤ heap at depth16k.
-type hold4Ev struct {
-	at  sim.Time
-	seq uint64
-	fn  func()
-}
-
-func hold4Before(a, b hold4Ev) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-type hold4Heap []hold4Ev
-
-func (h *hold4Heap) push(e hold4Ev) {
-	q := append(*h, e)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !hold4Before(e, q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
-	*h = q
-}
-
-func (h *hold4Heap) pop() hold4Ev {
-	q := *h
-	min := q[0]
-	n := len(q) - 1
-	tail := q[n]
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if hold4Before(q[j], q[best]) {
-				best = j
-			}
-		}
-		if !hold4Before(q[best], tail) {
-			break
-		}
-		q[i] = q[best]
-		i = best
-	}
-	q[i] = tail
-	return min
-}
-
-func BenchmarkEventQueueHeap4(b *testing.B) {
-	for _, c := range holdDepths {
-		b.Run(c.name, func(b *testing.B) {
-			var h hold4Heap
-			rng := sim.NewRNG(1)
-			var now sim.Time
-			seq := uint64(0)
-			fn := func() {}
-			for i := 0; i < c.depth; i++ {
-				seq++
-				h.push(hold4Ev{at: sim.Time(1 + rng.Intn(1000)), seq: seq, fn: fn})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev := h.pop()
-				now = ev.at
-				seq++
-				h.push(hold4Ev{at: now + sim.Time(1+rng.Intn(1000)), seq: seq, fn: fn})
-			}
-		})
-	}
-}
-
-// oldEvent / oldHeap replicate the engine's previous event queue: a
+// oldEvent / oldHeap replicate the engine's first event queue: a
 // binary min-heap driven through the container/heap interface.
 type oldEvent struct {
 	at  sim.Time

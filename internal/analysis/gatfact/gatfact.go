@@ -1,9 +1,9 @@
 // Package gatfact is the shared vocabulary of //gat: source
 // annotations — the facts the gatvet analyzers exchange with the code
 // they check. Keeping the vocabulary in one package means every
-// analyzer (including future ones: PDES shard-safety, calendar-queue
-// ordering) parses annotations identically and gatdir can police the
-// whole vocabulary in one place.
+// analyzer (including future ones, such as PDES shard-safety) parses
+// annotations identically and gatdir can police the whole vocabulary in
+// one place.
 //
 // The vocabulary:
 //

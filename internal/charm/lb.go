@@ -1,10 +1,6 @@
 package charm
 
-import (
-	"sort"
-
-	"gat/internal/sim"
-)
+import "gat/internal/sim"
 
 // Migrate moves element ix to PE dst, transferring stateBytes of chare
 // state across the machine. The element is unavailable during the move;
@@ -33,34 +29,6 @@ func (a *Array) Migrate(ix Index, dst int, stateBytes int64, done func()) {
 			done()
 		}
 	})
-}
-
-// GreedyAssign computes a greedy longest-processing-time assignment of
-// element loads to numPE bins and returns the per-element PE choice.
-// It is the classic Charm++ GreedyLB strategy.
-func GreedyAssign(loads []sim.Time, numPE int) []int {
-	type item struct {
-		idx  int
-		load sim.Time
-	}
-	items := make([]item, len(loads))
-	for i, l := range loads {
-		items[i] = item{idx: i, load: l}
-	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].load > items[j].load })
-	binLoad := make([]sim.Time, numPE)
-	out := make([]int, len(loads))
-	for _, it := range items {
-		best := 0
-		for b := 1; b < numPE; b++ {
-			if binLoad[b] < binLoad[best] {
-				best = b
-			}
-		}
-		out[it.idx] = best
-		binLoad[best] += it.load
-	}
-	return out
 }
 
 // RefineAssign improves an existing placement by moving elements off

@@ -7,70 +7,6 @@ import (
 	"gat/internal/sim"
 )
 
-func TestGreedyAssignBalances(t *testing.T) {
-	loads := []sim.Time{100, 90, 80, 10, 10, 10}
-	assign := GreedyAssign(loads, 3)
-	bins := make([]sim.Time, 3)
-	for i, pe := range assign {
-		bins[pe] += loads[i]
-	}
-	// LPT on these loads achieves perfect balance (100, 90+10, 80+10+10).
-	for _, b := range bins {
-		if b != 100 {
-			t.Fatalf("bins = %v, want all 100", bins)
-		}
-	}
-}
-
-func TestGreedyAssignSingleBin(t *testing.T) {
-	assign := GreedyAssign([]sim.Time{5, 5, 5}, 1)
-	for _, pe := range assign {
-		if pe != 0 {
-			t.Fatal("single-bin assignment must map all to 0")
-		}
-	}
-}
-
-// Property: greedy assignment never leaves max/min bin imbalance worse
-// than max single load relative to the mean-optimal bound.
-func TestGreedyAssignBoundProperty(t *testing.T) {
-	f := func(raw []uint16, binsRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		bins := int(binsRaw)%8 + 1
-		loads := make([]sim.Time, len(raw))
-		var total, maxLoad sim.Time
-		for i, r := range raw {
-			loads[i] = sim.Time(r)
-			total += loads[i]
-			if loads[i] > maxLoad {
-				maxLoad = loads[i]
-			}
-		}
-		assign := GreedyAssign(loads, bins)
-		binLoad := make([]sim.Time, bins)
-		for i, pe := range assign {
-			if pe < 0 || pe >= bins {
-				return false
-			}
-			binLoad[pe] += loads[i]
-		}
-		var maxBin sim.Time
-		for _, b := range binLoad {
-			if b > maxBin {
-				maxBin = b
-			}
-		}
-		// LPT guarantee: makespan <= mean + max item.
-		mean := total / sim.Time(bins)
-		return maxBin <= mean+maxLoad
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRefineAssignMovesOnlyWhatItMust(t *testing.T) {
 	// One overloaded PE; refine must fix it while leaving balanced PEs
 	// untouched.

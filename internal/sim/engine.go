@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -127,24 +128,30 @@ func (ev event) dispatch(e *Engine) {
 	ptrToArgFn(ev.fn)(e, ev.arg)
 }
 
-// eventHeap is a monomorphic 4-ary min-heap ordered by (at, seq). It
-// deliberately avoids container/heap: the interface methods box every
-// event and defeat inlining. Since the calendar queue took over the
-// dense near-term population, the heap serves as the calendar's
-// far-future overflow tier — events beyond the bucket window, where
-// O(log n) on a small, rarely touched set is cheaper than widening the
-// calendar to reach them. A 4-ary layout halves the tree depth of a
-// binary heap, trading slightly more comparisons per level for far
-// fewer cache-missing sift-down steps.
+// eventHeap is the timed-event store: a monomorphic binary min-heap
+// ordered by (at, seq), with the earliest pending event at index 0, so
+// the run loop's lane/timed interleave check and Proc.Sleep's
+// fast-forward probe peek it with one load. It deliberately avoids
+// container/heap: the interface methods box every event and defeat
+// inlining. The layout is binary because the workloads keep the heap
+// shallow — a paper-figure sweep's median depth is a few hundred
+// events — and a wider layout's per-level min-of-children scan costs
+// more there than the levels it saves.
 type eventHeap []event
 
 // before reports whether a fires before b: earlier time, then earlier
 // insertion sequence, so same-time events keep FIFO order.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a event) before(b event) bool { return a.precedes(b) != 0 }
+
+// precedes is before as 0 or 1. It compares (at, seq) as one 128-bit
+// unsigned number — at is never negative, since push rejects the past
+// and the clock starts at zero — so popMin picks the earlier child with
+// arithmetic instead of a branch that random fire times mispredict half
+// the time.
+func (a event) precedes(b event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
 
 // pushEv inserts e, sifting it up toward the root. The sift holds e
@@ -156,9 +163,9 @@ func (a event) before(b event) bool {
 func (h *eventHeap) pushEv(e event) {
 	q := append(*h, e)
 	i := len(q) - 1
-	if i > 0 && e.before(q[(i-1)/4]) {
+	if i > 0 && e.before(q[(i-1)/2]) {
 		for i > 0 {
-			p := (i - 1) / 4
+			p := (i - 1) / 2
 			if !e.before(q[p]) {
 				break
 			}
@@ -187,29 +194,22 @@ func (h *eventHeap) popMin() event {
 	if n == 0 {
 		return min
 	}
-	// Sift the hole at the root down, pulling the smallest child up one
+	// Sift the hole at the root down, pulling the smaller child up one
 	// copy per level, until the displaced tail element fits.
 	i := 0
 	for {
-		c := 4*i + 1
+		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
+		if c+1 < n {
+			c += int(q[c+1].precedes(q[c]))
 		}
-		for j := c + 1; j < hi; j++ {
-			if q[j].before(q[best]) {
-				best = j
-			}
-		}
-		if !q[best].before(tail) {
+		if !q[c].before(tail) {
 			break
 		}
-		q[i] = q[best]
-		i = best
+		q[i] = q[c]
+		i = c
 	}
 	q[i] = tail
 	return min
@@ -219,14 +219,15 @@ func (h *eventHeap) popMin() event {
 // construct with NewEngine.
 //
 // Internally the engine keeps two event stores that together implement
-// exact (time, sequence) order: the calendar queue for timed events,
+// exact (time, sequence) order: a binary min-heap for timed events,
 // and a FIFO lane for zero-delay events — the dominant class in a real
 // simulation (signal wakeups, queue wakeups, yields, proc resumes).
 // Because a zero-delay event both carries the current timestamp and
 // outranks, by sequence, every timed event that could still be
 // scheduled at that timestamp, FIFO order within the lane is exactly
 // (time, seq) order; only timed events already queued at the current
-// instant can outrank the lane head, and a single peek detects that.
+// instant can outrank the lane head, and a single peek at the heap's
+// root detects that.
 type Engine struct {
 	// Hot fields first, grouped so the run loop touches few cache
 	// lines: every dispatched event reads now/seq/nEvents and one of
@@ -251,7 +252,7 @@ type Engine struct {
 	// legacy handshake.
 	inDrive bool
 	lane    eventLane
-	timed   calQueue
+	timed   eventHeap
 
 	handoff chan struct{} // procs signal here when they park or exit
 	tracer  *Tracer
@@ -269,9 +270,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{handoff: make(chan struct{})}
-	e.timed.init()
-	return e
+	return &Engine{handoff: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -318,7 +317,7 @@ func (e *Engine) push(t Time, fn, arg unsafe.Pointer) {
 		e.lane.push(laneEvent{seq: e.seq, fn: fn, arg: arg})
 		return
 	}
-	e.timed.push(event{at: t, seq: e.seq, fn: fn, arg: arg})
+	e.timed.pushEv(event{at: t, seq: e.seq, fn: fn, arg: arg})
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -354,8 +353,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 // lane before consulting the timed queue for a clock advance; timed
 // events that share the current timestamp (necessarily scheduled
 // earlier, so with smaller sequence numbers) are interleaved ahead of
-// the lane by a single peek of the queue's cached head, never a
-// re-sort.
+// the lane by a single peek of the heap's root, never a re-sort.
 //
 // Proc resume events are intercepted by payload identity (fn ==
 // procResumePtr) instead of dispatched: popping one's own resume means
@@ -376,7 +374,7 @@ func (e *Engine) drive(self *Proc) {
 			if e.now > e.limit {
 				break
 			}
-			if e.timed.n > 0 && e.timed.head.at == e.now && e.timed.head.seq < e.lane.peekSeq() {
+			if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
 				ev := e.timed.popMin()
 				fn, arg = ev.fn, ev.arg
 			} else {
@@ -384,10 +382,10 @@ func (e *Engine) drive(self *Proc) {
 				fn, arg = le.fn, le.arg
 			}
 		} else {
-			if e.timed.n == 0 {
+			if len(e.timed) == 0 {
 				break
 			}
-			if e.timed.head.at > e.limit {
+			if e.timed[0].at > e.limit {
 				if e.limit > e.now {
 					e.now = e.limit
 				}
@@ -468,8 +466,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	if e.lane.n > 0 {
 		return e.now, true
 	}
-	if e.timed.n > 0 {
-		return e.timed.head.at, true
+	if len(e.timed) > 0 {
+		return e.timed[0].at, true
 	}
 	return 0, false
 }
@@ -484,7 +482,7 @@ func (e *Engine) Step() bool {
 	e.limit = maxTime
 	e.inDrive = false
 	if e.lane.n > 0 {
-		if e.timed.n > 0 && e.timed.head.at == e.now && e.timed.head.seq < e.lane.peekSeq() {
+		if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
 			ev := e.timed.popMin()
 			e.nEvents++
 			ev.dispatch(e)
@@ -495,7 +493,7 @@ func (e *Engine) Step() bool {
 		le.dispatch(e)
 		return true
 	}
-	if e.timed.n == 0 {
+	if len(e.timed) == 0 {
 		return false
 	}
 	ev := e.timed.popMin()
@@ -510,31 +508,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return e.timed.n == 0 && e.lane.n == 0 }
-
-// QueueStats is a snapshot of the timed queue's calendar structure, for
-// diagnostics (cmd/microbench -v) and resize-pathology hunting.
-type QueueStats struct {
-	// Standing is the number of pending timed events, including the
-	// cached head.
-	Standing int
-	// BucketWidth is the calendar bucket width.
-	BucketWidth Time
-	// Buckets is the number of calendar buckets.
-	Buckets int
-	// InBuckets counts events stored in the calendar buckets.
-	InBuckets int
-	// Overflow counts far-future events parked in the heap tier.
-	Overflow int
-	// MaxBucketLen is the longest current bucket chain.
-	MaxBucketLen int
-	// Resizes counts calendar rebuilds (width or bucket-count changes)
-	// since the engine was created.
-	Resizes int
-}
-
-// QueueStats returns a snapshot of the timed queue's structure.
-func (e *Engine) QueueStats() QueueStats { return e.timed.stats() }
+func (e *Engine) Idle() bool { return len(e.timed) == 0 && e.lane.n == 0 }
 
 // ResetArenas frees all engine-arena records (signals, pipe and delay
 // ops, group-wait and AllOf joins) at once, keeping chunk capacity so the next run reuses the same

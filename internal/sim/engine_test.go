@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -195,25 +197,63 @@ func TestDurationOf(t *testing.T) {
 }
 
 func TestEventHeapOrdering(t *testing.T) {
-	// Push a scrambled schedule and verify pops come back sorted by
-	// (time, insertion order). The RNG makes heavy duplicate times so
-	// the seq tiebreak is actually exercised.
+	// Push a scrambled schedule, run a hold phase (each pop pushes a
+	// replacement no earlier than the popped event, as the engine does),
+	// then drain, and verify pops come back sorted by (time, insertion
+	// order). The RNG makes heavy duplicate times so the seq tiebreak is
+	// actually exercised.
 	var h eventHeap
 	rng := NewRNG(42)
 	const n = 2000
-	for seq := uint64(1); seq <= n; seq++ {
-		h.pushEv(event{at: Time(rng.Intn(50)), seq: seq})
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		h.pushEv(event{at: at, seq: seq})
 	}
 	var last event
-	for i := 0; i < n; i++ {
+	pop := func(i int) {
 		e := h.popMin()
 		if i > 0 && e.before(last) {
 			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", i, e.at, e.seq, last.at, last.seq)
 		}
 		last = e
 	}
+	for i := 0; i < n; i++ {
+		push(Time(rng.Intn(50)))
+	}
+	for i := 0; i < 4*n; i++ {
+		pop(i)
+		push(last.at + Time(rng.Intn(50)))
+	}
+	for i := 0; i < n; i++ {
+		pop(4*n + i)
+	}
 	if len(h) != 0 {
 		t.Fatalf("heap not drained: %d left", len(h))
+	}
+}
+
+func TestEventBefore(t *testing.T) {
+	// The (at, seq) order at the edges of both words: a later time
+	// loses whatever its seq, and equal times fall through to seq.
+	cases := []struct {
+		a, b event
+		want bool
+	}{
+		{event{at: 1, seq: 5}, event{at: 2, seq: 1}, true},
+		{event{at: 2, seq: 1}, event{at: 1, seq: 5}, false},
+		{event{at: 3, seq: 1}, event{at: 3, seq: 2}, true},
+		{event{at: 3, seq: 2}, event{at: 3, seq: 1}, false},
+		{event{at: 3, seq: 2}, event{at: 3, seq: 2}, false},
+		{event{at: 0, seq: math.MaxUint64}, event{at: 1, seq: 0}, true},
+		{event{at: 1, seq: 0}, event{at: 0, seq: math.MaxUint64}, false},
+		{event{at: maxTime, seq: 1}, event{at: maxTime, seq: 2}, true},
+		{event{at: maxTime - 1, seq: 9}, event{at: maxTime, seq: 1}, true},
+	}
+	for _, c := range cases {
+		if got := c.a.before(c.b); got != c.want {
+			t.Errorf("(%d,%d).before(%d,%d) = %v, want %v", c.a.at, c.a.seq, c.b.at, c.b.seq, got, c.want)
+		}
 	}
 }
 
@@ -227,6 +267,56 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 	tail := h[:cap(h)][len(h)]
 	if tail.fn != nil || tail.at != 0 || tail.seq != 0 {
 		t.Fatalf("vacated slot still live: %+v", tail)
+	}
+}
+
+// TestTimedHoldSteadyStateAllocs pins the timed store's steady state:
+// once a constant-depth hold workload (pop the earliest event, push its
+// replacement) has run long enough for the store to reach its working
+// size, further Steps allocate nothing. The shapes are those of
+// BenchmarkEventQueue (uniform gaps) and BenchmarkEventQueueBimodal
+// (half the gaps ~1ms longer). A store whose per-time-slot chains keep
+// regrowing as the clock advances — a calendar queue's buckets —
+// allocates megabytes over the same window.
+func TestTimedHoldSteadyStateAllocs(t *testing.T) {
+	shapes := []struct {
+		name string
+		gap  func(*RNG) Time
+	}{
+		{"uniform", func(rng *RNG) Time { return Time(1 + rng.Intn(1000)) }},
+		{"bimodal", func(rng *RNG) Time {
+			d := Time(1 + rng.Intn(1000))
+			if rng.Intn(2) == 1 {
+				d += 1_000_000
+			}
+			return d
+		}},
+	}
+	const steps = 1 << 18
+	const budget = 64 << 10 // bytes
+	for _, sh := range shapes {
+		for _, depth := range []int{1 << 10, 1 << 14} {
+			e := NewEngine()
+			rng := NewRNG(1)
+			var fn func()
+			fn = func() { e.Schedule(sh.gap(rng), fn) }
+			for i := 0; i < depth; i++ {
+				fn()
+			}
+			for i := 0; i < steps; i++ {
+				e.Step()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < steps; i++ {
+				e.Step()
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
+				t.Errorf("%s hold at depth %d: %d bytes allocated over %d steady-state steps, budget %d",
+					sh.name, depth, grew, steps, budget)
+			}
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func TestInjectAtPast(t *testing.T) {
 }
 
 // TestNextEventTime checks the window-bound query against both event
-// stores: the timed queue's cached head and the zero-delay lane (whose
+// stores: the timed heap's root and the zero-delay lane (whose
 // entries carry the current time).
 func TestNextEventTime(t *testing.T) {
 	e := NewEngine()

@@ -106,7 +106,7 @@ func (p *Proc) Sleep(d Time) {
 	// target < e.now means the addition overflowed; fall through so push
 	// reports it loudly instead of moving the clock backward.
 	if target >= e.now && e.lane.n == 0 && !e.stopped && target <= e.limit &&
-		(e.timed.n == 0 || e.timed.head.at > target) {
+		(len(e.timed) == 0 || e.timed[0].at > target) {
 		e.now = target
 		return
 	}

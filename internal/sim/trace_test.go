@@ -121,3 +121,14 @@ func TestPipeReserve(t *testing.T) {
 	})
 	e.Run()
 }
+
+func TestTracerSummary(t *testing.T) {
+	tr := NewTracer()
+	tr.Add(Span{Resource: "gpu0", Label: "kernel", Start: 0, End: 100})
+	tr.Add(Span{Resource: "gpu0", Label: "kernel", Start: 150, End: 250})
+	tr.Add(Span{Resource: "nic0", Label: "xfer", Start: 0, End: 50, Bytes: 10})
+	busy := tr.BusyByResource()
+	if busy["gpu0"] != 200 || busy["nic0"] != 50 {
+		t.Fatalf("busy = %v", busy)
+	}
+}

@@ -173,7 +173,7 @@ func (ctx *Ctx) Send(a *Array, ix Index, m Msg) {
 // otherwise crosses the machine first.
 //
 //gat:hotpath
-func sendFire(eng *sim.Engine, arg unsafe.Pointer) {
+func sendFire(_ *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
 	a, el := c.arr, c.elem
 	dstPE := a.peOf[el.Flat]
@@ -187,7 +187,7 @@ func sendFire(eng *sim.Engine, arg unsafe.Pointer) {
 	srcNode := rt.M.NodeOf(c.srcPE)
 	dstNode := rt.M.NodeOf(dstPE)
 	size := c.msg.Bytes + rt.Opt.Envelope
-	rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).OnFireArg(eng, sendArriveFire, arg)
+	rt.M.Net.TransferArg(srcNode, dstNode, size, sim.FiredSignal(), sendArriveFire, arg)
 }
 
 // sendArriveFire delivers a Send whose transfer has arrived.

@@ -180,8 +180,7 @@ func (c *Channel) Recv(proc, tag int, done func()) {
 // matched transfer until it arrives.
 func (c *Channel) start(srcProc, dstProc int, p *pending) {
 	src, dst := c.endpoint(srcProc), c.endpoint(dstProc)
-	arrived := c.net.TransferGPUDirect(src.Node, dst.Node, p.bytes, p.ready)
-	arrived.OnFireArg(c.net.Engine(), transferArrived, unsafe.Pointer(p))
+	c.net.TransferGPUDirectArg(src.Node, dst.Node, p.bytes, p.ready, transferArrived, unsafe.Pointer(p))
 }
 
 // transferArrived completes a matched transfer: both sides' completions

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,55 @@ func TestChannelMatchingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChannelSteadyStateAllocs checks that a channel carrying batch
+// after batch of matched messages stops allocating: the post and match
+// records, the GPUDirect gates and the transfer records are recycled as
+// each message arrives, so memory tracks the messages in flight rather
+// than the messages sent. It covers the eager and rendezvous inter-node
+// paths and the intra-node path.
+func TestChannelSteadyStateAllocs(t *testing.T) {
+	const warmup, measured, perBatch = 64, 256, 64
+	cases := []struct {
+		name  string
+		b     Endpoint
+		bytes int64
+	}{
+		{"inter-eager", Endpoint{Proc: 1, Node: 1}, 500},
+		{"inter-rendezvous", Endpoint{Proc: 1, Node: 1}, 4000},
+		{"intra", Endpoint{Proc: 1, Node: 0}, 4000},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			a := Endpoint{Proc: 0, Node: 0}
+			ch := NewChannel(testNet(e, 2), a, c.b)
+			received := 0
+			recvDone := func() { received++ }
+			batch := func() {
+				for tag := 0; tag < perBatch; tag++ {
+					ch.Send(a.Proc, tag, c.bytes, sim.FiredSignal(), nil)
+					ch.Recv(c.b.Proc, tag, recvDone)
+				}
+				e.Run()
+			}
+			for i := 0; i < warmup; i++ {
+				batch()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < measured; i++ {
+				batch()
+			}
+			runtime.ReadMemStats(&after)
+			if want := (warmup + measured) * perBatch; received != want {
+				t.Fatalf("received %d messages, want %d", received, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+				t.Fatalf("%d batches of %d messages allocated %d bytes after warm-up, want <= 64 KiB", measured, perBatch, got)
+			}
+		})
 	}
 }

@@ -123,7 +123,7 @@ type Device struct {
 	// recycled through freeOps on completion, so its memory is bounded by
 	// the ops in flight.
 	ops     sim.Arena[op]
-	freeOps []*op
+	freeOps sim.FreeList[op]
 
 	kernelCount uint64
 	copyCount   uint64

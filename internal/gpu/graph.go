@@ -168,7 +168,7 @@ func (ex *graphExec) start(i int) {
 		d.submitCompute(ex.s.prio, n.execLabel, d.cfg.GraphNodeDispatch+n.dur, graphNodeDone, arg)
 	case opCopy:
 		d.copyCount++
-		d.copyPipe(n.dir).Transfer(n.bytes).OnFireArg(d.eng, graphNodeDone, arg)
+		d.copyPipe(n.dir).TransferAfterArg(sim.FiredSignal(), n.bytes, graphNodeDone, arg)
 	default:
 		panic("gpu: unsupported graph node kind")
 	}

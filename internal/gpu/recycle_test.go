@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"runtime"
 	"testing"
 
 	"gat/internal/sim"
@@ -71,7 +72,7 @@ func TestChainOpsRecycle(t *testing.T) {
 		t.Fatalf("chain-form run carved %d pinned ops from the arena, want 0", got)
 	}
 	// Each round queues four ops and drains before the next begins.
-	if got := len(d.freeOps); got != 4 {
+	if got := d.freeOps.Len(); got != 4 {
 		t.Fatalf("free list holds %d ops after 200 rounds, want the 4 of one round", got)
 	}
 	e2, d2 := newTestDevice()
@@ -99,5 +100,41 @@ func TestGraphRelaunchReusesInstance(t *testing.T) {
 	}
 	if got := d.KernelsLaunched(); got != 150 {
 		t.Fatalf("ran %d kernels, want 150", got)
+	}
+}
+
+// TestCopySteadyStateAllocs checks that chain-form copies, on a stream
+// and as graph nodes, stop allocating once warm: the stream op, the
+// graph instance and the copy engine's transfer record are all
+// recycled on completion.
+func TestCopySteadyStateAllocs(t *testing.T) {
+	const warmup, measured, perBatch = 64, 256, 64
+	e, d := newTestDevice()
+	s := d.NewStream("s", PriorityNormal)
+	g := NewGraph()
+	g.AddCopy(D2H, 4096, g.AddKernel("k", 5))
+	outs := make([]sim.Signal, 2*perBatch)
+	batch := func() {
+		for i := 0; i < perBatch; i++ {
+			outs[2*i], outs[2*i+1] = sim.Signal{}, sim.Signal{}
+			s.CopyChain(H2D, 4096, &outs[2*i])
+			s.LaunchChain(g, &outs[2*i+1])
+		}
+		e.Run()
+	}
+	for i := 0; i < warmup; i++ {
+		batch()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < measured; i++ {
+		batch()
+	}
+	runtime.ReadMemStats(&after)
+	if want := uint64(2 * (warmup + measured) * perBatch); d.CopiesIssued() != want {
+		t.Fatalf("issued %d copies, want %d", d.CopiesIssued(), want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("%d batches of %d copies and graph launches allocated %d bytes after warm-up, want <= 64 KiB", measured, perBatch, got)
 	}
 }

@@ -42,16 +42,7 @@ func streamCallback(e *sim.Engine, arg unsafe.Pointer) {
 // by the ops in flight, and they survive ResetOps.
 //
 //gat:hotpath
-func (s *Stream) newOp() *op {
-	d := s.dev
-	if k := len(d.freeOps); k > 0 {
-		o := d.freeOps[k-1]
-		d.freeOps[k-1] = nil
-		d.freeOps = d.freeOps[:k-1]
-		return o
-	}
-	return new(op)
-}
+func (s *Stream) newOp() *op { return s.dev.freeOps.Get() }
 
 // newPinnedOp returns a zeroed op from the device's arena for an
 // operation whose done signal is handed to the caller. The signal may
@@ -168,7 +159,7 @@ func (s *Stream) startHead() {
 		d.submitCompute(s.prio, o.label, d.cfg.KernelDispatch+o.dur, streamComplete, arg)
 	case opCopy:
 		d.copyCount++
-		d.copyPipe(o.dir).Transfer(o.bytes).OnFireArg(d.eng, streamComplete, arg)
+		d.copyPipe(o.dir).TransferAfterArg(sim.FiredSignal(), o.bytes, streamComplete, arg)
 	case opCallback:
 		// Host callback: runs as an event at the current time, then the
 		// stream advances.
@@ -202,8 +193,7 @@ func (s *Stream) complete() {
 	s.ops[n] = nil
 	s.ops = s.ops[:n]
 	if !o.pinned {
-		*o = op{}
-		s.dev.freeOps = append(s.dev.freeOps, o)
+		s.dev.freeOps.Put(o)
 	}
 	if len(s.ops) > 0 {
 		s.startHead()

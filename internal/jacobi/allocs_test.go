@@ -1,6 +1,8 @@
 package jacobi
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"gat/internal/machine"
@@ -21,10 +23,13 @@ func charmAllocsPerIter(opt CharmOpts, n int) float64 {
 }
 
 // maxAllocsPerIter bounds TestCharmIterationAllocs. An iteration of 24
-// chares (Summit(1), ODF 4) measures about 3: the amortized growth of
-// the run's arenas, whose transfer, pipe and signal records are
-// bump-allocated in chunks of 256 and freed with the run. One closure,
-// task or record per chare per iteration would add 24.
+// chares (Summit(1), ODF 4) measures 0.5 to 2: the amortized growth of
+// the run's arenas, chiefly the engine signals handed to callers (Ctx
+// results, send completions) and, in host-staged mode, the staging
+// records, bump-allocated in chunks of 256 and freed with the run.
+// Transfer, pipe and GPUDirect gate records are recycled as their
+// messages arrive. One closure, task or record per chare per iteration
+// would add 24.
 const maxAllocsPerIter = 8
 
 // TestCharmIterationAllocs pins the allocation-free Charm task path:
@@ -81,5 +86,59 @@ func TestCharmChannelsDrain(t *testing.T) {
 	}
 	if channels == 0 {
 		t.Fatal("run built no channels")
+	}
+}
+
+// bytesPerIter returns the marginal heap bytes of one Jacobi3D
+// iteration of run, measured like charmAllocsPerIter: the TotalAlloc of
+// a run of 2n timed iterations minus that of a run of n, over n. It
+// takes the minimum of a few tries, since the collector's own
+// allocations can land in either run.
+func bytesPerIter(run func(iters int), n int) float64 {
+	measure := func(iters int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(iters)
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	best := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		best = math.Min(best, (measure(2*n)-measure(n))/float64(n))
+	}
+	return best
+}
+
+// TestIterationBytes bounds the heap bytes an iteration allocates once
+// a run is set up. Transfer, pipe, GPUDirect gate and MPI match records
+// are recycled as their messages arrive, so what an iteration still
+// allocates is records handed to callers, which live until the run
+// ends: engine signals and AllOf joins in Charm-D (Ctx results, send
+// completions), kernel stream ops and requests in MPI-D.
+func TestIterationBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a dozen simulations")
+	}
+	cfg := func(iters int) Config { return Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters} }
+	charm := func(opt CharmOpts) func(int) {
+		return func(iters int) { RunCharm(machine.MustNew(machine.Summit(1)), cfg(iters), opt) }
+	}
+	cases := []struct {
+		name string
+		run  func(int)
+		max  float64
+	}{
+		{"charm-d", charm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 32 << 10},
+		{"charm-d-graphs", charm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 16 << 10},
+		{"mpi-d", func(iters int) { RunMPI(machine.MustNew(machine.Summit(2)), cfg(iters), MPIOpts{Device: true}) }, 28 << 10},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := bytesPerIter(c.run, 32)
+			t.Logf("%s: %.0f bytes/iteration", c.name, got)
+			if got > c.max {
+				t.Fatalf("%s allocates %.0f bytes per iteration (marginal), want <= %.0f", c.name, got, c.max)
+			}
+		})
 	}
 }

@@ -29,10 +29,10 @@ func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) Result {
 	return RunMPIWorld(mpi.NewWorld(m, mpi.DefaultOptions()), cfg, opts)
 }
 
-// RunMPIWorld is RunMPI on a caller-provided world, so a benchmark or
-// sweep batch can reuse one world (and its per-message record arenas)
-// across consecutive runs on the same machine. Call World.Reset and
-// Machine.ResetTransients between runs.
+// RunMPIWorld is RunMPI on a caller-provided world, so a benchmark can
+// reuse one world (and its request arena) across consecutive runs on
+// the same machine. Call World.Reset and Machine.ResetTransients
+// between runs.
 func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 	cfg = cfg.DefaultIterations()
 	m := w.M

@@ -166,14 +166,18 @@ func MustNew(cfg Config) *Machine {
 }
 
 // ResetTransients frees every arena-allocated transient record on the
-// machine — engine signals and pipe ops, GPU stream ops, network
-// protocol records — keeping the chunk memory warm for the next run.
-// Call it only at a run boundary: the engine idle, all streams drained,
-// and no signal or record handle from the finished run used afterwards.
-// Durable state (clock, traffic counters, pipe busy accounting, stream
-// pools) is preserved, so a machine can host a sequence of runs — a
-// benchmark batch, a parameter sweep reusing one cluster — with zero
-// steady-state record allocation.
+// machine — the records whose signals callers may hold: engine signals
+// and the pipe ops of Pipe.TransferAfter, GPU stream ops whose signal
+// was handed out, the transfer records of Network.Transfer — keeping
+// the chunk memory warm for the next run. Records recycled through free
+// lists (callback-form transfers, GPUDirect gates, chain-form stream
+// ops) need no reset. Call it only at a run boundary: the engine idle,
+// all streams drained, and no signal or record handle from the finished
+// run used afterwards. Durable state (clock, traffic counters, pipe
+// busy accounting, stream pools) is preserved, so a machine can host a
+// sequence of runs — a benchmark batch reusing one cluster — with zero
+// steady-state record allocation. Sweeps build a fresh machine per run
+// instead (bench.Cell.Run) and do not call it.
 func (m *Machine) ResetTransients() {
 	m.Eng.ResetArenas()
 	for _, d := range m.GPUs {

@@ -54,19 +54,25 @@ func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
 	return req
 }
 
-// matchDone links a matched pair's completion: when the transfer's
-// arrived signal fires, both request signals fire from one event, in
+// matchDone links a matched pair's completion: when the transfer has
+// arrived, both request signals fire from one event, in
 // send-then-receive order — two separate completion events would give
 // an interleaving point the real sequence does not have.
 type matchDone struct {
+	w          *World
 	sreq, rreq *Request
 }
 
-// matchDoneFire is the ArgFunc completing a matched send/recv pair.
+// matchDoneFire is the ArgFunc completing a matched send/recv pair; the
+// link is recycled as it fires.
+//
+//gat:hotpath
 func matchDoneFire(e *sim.Engine, arg unsafe.Pointer) {
 	md := (*matchDone)(arg)
-	md.sreq.done.Fire(e)
-	md.rreq.done.Fire(e)
+	sreq, rreq := md.sreq, md.rreq
+	md.w.links.Put(md)
+	sreq.done.Fire(e)
+	rreq.done.Fire(e)
 }
 
 // start launches the matched transfer on the path implied by the buffer
@@ -79,22 +85,22 @@ func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sre
 	}
 	srcNode := w.M.NodeOf(key.src())
 	dstNode := w.M.NodeOf(key.dst())
-	var arrived *sim.Signal
+	md := w.links.Get()
+	md.w, md.sreq, md.rreq = w, sreq, rreq
+	arg := unsafe.Pointer(md)
 	switch {
 	case sendKind == Host:
-		arrived = w.M.Net.Transfer(srcNode, dstNode, bytes, sim.FiredSignal())
+		w.M.Net.TransferArg(srcNode, dstNode, bytes, sim.FiredSignal(), matchDoneFire, arg)
 	case bytes >= w.Opt.PipelineThreshold && srcNode != dstNode:
 		// Spectrum MPI's large-device-message fallback: chunked
 		// staging through pinned host buffers.
-		arrived = w.M.Net.PipelinedStagedTransfer(
+		w.M.Net.PipelinedStagedTransfer(
 			w.M.GPUOf(key.src()), w.M.GPUOf(key.dst()),
-			srcNode, dstNode, bytes, w.M.Cfg.Net.PipelineChunkSize, sim.FiredSignal())
+			srcNode, dstNode, bytes, w.M.Cfg.Net.PipelineChunkSize, sim.FiredSignal()).
+			OnFireArg(w.M.Eng, matchDoneFire, arg)
 	default:
-		arrived = w.M.Net.TransferGPUDirect(srcNode, dstNode, bytes, sim.FiredSignal())
+		w.M.Net.TransferGPUDirectArg(srcNode, dstNode, bytes, sim.FiredSignal(), matchDoneFire, arg)
 	}
-	md := w.matchDones.New()
-	md.sreq, md.rreq = sreq, rreq
-	arrived.OnFireArg(w.M.Eng, matchDoneFire, unsafe.Pointer(md))
 }
 
 // Wait blocks until the request completes.

@@ -65,10 +65,12 @@ type World struct {
 	// counter would be shared by concurrently sweeping runs.
 	collEpoch int
 
-	// reqs and matchDones are the per-message record arenas; records
-	// share the world's engine lifetime (see sim.Arena).
-	reqs       sim.Arena[Request]
-	matchDones sim.Arena[matchDone]
+	// reqs is the arena of the per-message requests, which ranks hold
+	// until the world is reset or dropped (see sim.Arena). The match
+	// links of matched pairs are recycled through links as soon as
+	// their pair completes.
+	reqs  sim.Arena[Request]
+	links sim.FreeList[matchDone]
 }
 
 // matchKey packs (src, dst, tag) into one word: posting a message hashes
@@ -165,17 +167,15 @@ func NewWorld(m *machine.Machine, opt Options) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Reset frees every per-message record (requests and match-completion
-// links) the world has allocated, keeping the chunk memory warm for the
-// next Run. Like sim.Engine.ResetArenas it must only be called at a run
-// boundary — every posted operation matched and completed, no Request
-// handle from the finished run used afterwards — which also means the
-// match map is empty again. A world reset this way can host a sequence
-// of runs on one machine with zero steady-state record allocation.
-func (w *World) Reset() {
-	w.reqs.Reset()
-	w.matchDones.Reset()
-}
+// Reset frees every request the world has allocated, keeping the chunk
+// memory warm for the next Run; match links need no reset, as each
+// returns to the world's free list when its pair completes. Like
+// sim.Engine.ResetArenas it must only be called at a run boundary —
+// every posted operation matched and completed, no Request handle from
+// the finished run used afterwards — which also means the match map is
+// empty again. A world reset this way can host a sequence of runs on
+// one machine with zero steady-state record allocation.
+func (w *World) Reset() { w.reqs.Reset() }
 
 // Run spawns every rank executing body and runs the simulation to
 // completion, returning the final virtual time.

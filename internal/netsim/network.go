@@ -107,13 +107,17 @@ type Network struct {
 	messages uint64
 	bytes    int64
 
-	// Arenas for the per-message protocol records. They share the
-	// engine's lifetime: a record is pinned by pending events only until
-	// its message completes, and the whole set is dropped with the
-	// network (see sim.Arena).
-	xferOps  sim.Arena[xferOp]
-	countOps sim.Arena[countOp]
-	gdOps    sim.Arena[gdOp]
+	// xferOps holds the transfer records of Transfer, whose arrival
+	// signal the caller keeps: they live until ResetOps or until the
+	// network is dropped (see sim.Arena). The records no caller holds a
+	// pointer into — the transfer records of TransferArg, and every
+	// GPUDirect gate and deferred-count record — are recycled through
+	// free lists as soon as their last event has run, so their memory is
+	// bounded by the messages in flight.
+	xferOps   sim.Arena[xferOp]
+	xferFree  sim.FreeList[xferOp]
+	gdFree    sim.FreeList[gdOp]
+	countFree sim.FreeList[countOp]
 }
 
 // New builds a network connecting nodes nodes. An unknown
@@ -185,16 +189,12 @@ func (n *Network) LinkUtilization() (max, mean float64) {
 	return n.fabric.UtilizationSummary()
 }
 
-// ResetOps frees all protocol records (transfer, accounting and
-// GPUDirect gate ops) at once, keeping chunk capacity warm for the next
-// run. It may only be called at a run boundary: no transfer may be
-// pending and no previously returned arrival signal may be used
-// afterwards. Traffic counters are not reset.
-func (n *Network) ResetOps() {
-	n.xferOps.Reset()
-	n.countOps.Reset()
-	n.gdOps.Reset()
-}
+// ResetOps frees the transfer records of Transfer at once, keeping
+// chunk capacity warm for the next run; the recycled records stay on
+// their free lists. It may only be called at a run boundary: no
+// transfer may be pending and no previously returned arrival signal may
+// be used afterwards. Traffic counters are not reset.
+func (n *Network) ResetOps() { n.xferOps.Reset() }
 
 // Hops returns the switch hop count between two nodes under the
 // configured topology: 0 within a node, 2 within a switch group, and
@@ -250,17 +250,40 @@ type countOp struct {
 }
 
 // countOpFire is the ArgFunc advancing the counters when a deferred
-// intra-node transfer starts.
+// intra-node transfer starts; the record is recycled at once.
+//
+//gat:hotpath
 func countOpFire(_ *sim.Engine, arg unsafe.Pointer) {
 	op := (*countOp)(arg)
-	op.n.messages++
-	op.n.bytes += op.bytes
+	n := op.n
+	n.messages++
+	n.bytes += op.bytes
+	n.countFree.Put(op)
+}
+
+// countIntra advances the counters for an intra-node transfer when it
+// starts: now if ready has fired, else when it fires.
+//
+//gat:hotpath
+func (n *Network) countIntra(bytes int64, ready *sim.Signal) {
+	if ready.Fired() {
+		// The dominant already-ready path: the transfer starts now, so
+		// count now.
+		n.messages++
+		n.bytes += bytes
+		return
+	}
+	op := n.countFree.Get()
+	op.n = n
+	op.bytes = bytes
+	ready.OnFireArg(n.eng, countOpFire, unsafe.Pointer(op))
 }
 
 // xferOp is one pending inter-node transfer: the route waits in the
 // record until ready fires, then the cut-through reservations are made
 // at fire-time prices (NIC occupancy, fabric contention, jitter draw)
-// and arrived is scheduled.
+// and the arrival is scheduled. A Transfer op is pinned in the arena; a
+// TransferArg op is recycled once arrived has fired.
 type xferOp struct {
 	n        *Network
 	src, dst int
@@ -268,10 +291,11 @@ type xferOp struct {
 	arrived  sim.Signal
 }
 
-// xferOpStart is the ArgFunc run when an inter-node transfer's ready
-// signal fires.
-func xferOpStart(_ *sim.Engine, arg unsafe.Pointer) {
-	op := (*xferOp)(arg)
+// reserve makes op's reservations from now on and returns the instant
+// its data has fully arrived.
+//
+//gat:hotpath
+func (op *xferOp) reserve() sim.Time {
 	n := op.n
 	src, dst, bytes := op.src, op.dst, op.bytes
 	n.messages++
@@ -297,7 +321,44 @@ func xferOpStart(_ *sim.Engine, arg unsafe.Pointer) {
 	if e := downEnd + n.cfg.LatencyPerHop; e > rxEnd {
 		rxEnd = e
 	}
-	n.eng.FireAt(rxEnd, &op.arrived)
+	return rxEnd
+}
+
+// xferOpStart is the ArgFunc run when a Transfer op's ready signal
+// fires.
+//
+//gat:hotpath
+func xferOpStart(e *sim.Engine, arg unsafe.Pointer) {
+	op := (*xferOp)(arg)
+	e.FireAt(op.reserve(), &op.arrived)
+}
+
+// xferOpStartArg is xferOpStart for a TransferArg op: its arrival
+// event, pushed where xferOpStart pushes the signal's, also recycles
+// the op.
+//
+//gat:hotpath
+func xferOpStartArg(e *sim.Engine, arg unsafe.Pointer) {
+	e.InjectAt((*xferOp)(arg).reserve(), xferOpDone, arg)
+}
+
+// xferOpDone completes a TransferArg op: arrived fires, scheduling the
+// caller's callback, and the op goes back to the free list.
+//
+//gat:hotpath
+func xferOpDone(e *sim.Engine, arg unsafe.Pointer) {
+	op := (*xferOp)(arg)
+	op.arrived.Fire(e)
+	op.n.xferFree.Put(op)
+}
+
+// post fills op and queues start(op) behind ready.
+//
+//gat:hotpath
+func (n *Network) post(op *xferOp, src, dst int, bytes int64, ready *sim.Signal, start sim.ArgFunc) {
+	op.n = n
+	op.src, op.dst, op.bytes = src, dst, bytes
+	ready.OnFireArg(n.eng, start, unsafe.Pointer(op))
 }
 
 // Transfer moves bytes from node src to node dst, starting when ready
@@ -315,24 +376,32 @@ func xferOpStart(_ *sim.Engine, arg unsafe.Pointer) {
 func (n *Network) Transfer(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
 	n.offered = true
 	if src == dst {
-		if ready.Fired() {
-			// The dominant already-ready path: the transfer starts now,
-			// so count now.
-			n.messages++
-			n.bytes += bytes
-		} else {
-			op := n.countOps.New()
-			op.n = n
-			op.bytes = bytes
-			ready.OnFireArg(n.eng, countOpFire, unsafe.Pointer(op))
-		}
+		n.countIntra(bytes, ready)
 		return n.intra[src].TransferAfter(ready, bytes)
 	}
 	op := n.xferOps.New()
-	op.n = n
-	op.src, op.dst, op.bytes = src, dst, bytes
-	ready.OnFireArg(n.eng, xferOpStart, unsafe.Pointer(op))
+	n.post(op, src, dst, bytes, ready, xferOpStart)
 	return &op.arrived
+}
+
+// TransferArg is Transfer for a caller that only needs one completion
+// callback: fn(arg) runs when the data has arrived, as the event
+// OnFireArg on Transfer's signal would schedule, at the same queue
+// position. No signal is handed out, so the transfer's records are
+// recycled on arrival and a run's transfer records are bounded by the
+// messages in flight. arg must be non-nil.
+//
+//gat:hotpath
+func (n *Network) TransferArg(src, dst int, bytes int64, ready *sim.Signal, fn sim.ArgFunc, arg unsafe.Pointer) {
+	n.offered = true
+	if src == dst {
+		n.countIntra(bytes, ready)
+		n.intra[src].TransferAfterArg(ready, bytes, fn, arg)
+		return
+	}
+	op := n.xferFree.Get()
+	op.arrived.OnFireArg(n.eng, fn, arg)
+	n.post(op, src, dst, bytes, ready, xferOpStartArg)
 }
 
 // After returns a signal that fires d after sig fires.
@@ -344,7 +413,8 @@ func After(e *sim.Engine, sig *sim.Signal, d sim.Time) *sim.Signal {
 // handshake RTT after ready (rendezvous-sized messages only), gated
 // fires the registration overhead after that. The RTT is computed when
 // the gate event runs, not at schedule time, so the jitter RNG draw
-// order matches the protocol order on the wire.
+// order matches the protocol order on the wire. No caller ever holds a
+// pointer into the record, so it is recycled once gated has fired.
 type gdOp struct {
 	n        *Network
 	src, dst int
@@ -353,15 +423,48 @@ type gdOp struct {
 }
 
 // gdGateFire schedules the rendezvous gate one RTT out.
+//
+//gat:hotpath
 func gdGateFire(_ *sim.Engine, arg unsafe.Pointer) {
 	op := (*gdOp)(arg)
 	op.n.eng.FireAt(op.n.eng.Now()+op.n.RTT(op.src, op.dst), &op.gate)
 }
 
 // gdOverheadFire schedules the registration-complete gate.
+//
+//gat:hotpath
 func gdOverheadFire(_ *sim.Engine, arg unsafe.Pointer) {
 	op := (*gdOp)(arg)
-	op.n.eng.FireAt(op.n.eng.Now()+op.n.cfg.GPUDirectOverhead, &op.gated)
+	op.n.eng.InjectAt(op.n.eng.Now()+op.n.cfg.GPUDirectOverhead, gdGatedFire, arg)
+}
+
+// gdGatedFire opens the data gate in the event FireAt(&op.gated) would
+// push and recycles the op: firing gated queues the transfer's start
+// with the transfer's own records, so nothing references the op after.
+//
+//gat:hotpath
+func gdGatedFire(e *sim.Engine, arg unsafe.Pointer) {
+	op := (*gdOp)(arg)
+	op.gated.Fire(e)
+	op.n.gdFree.Put(op)
+}
+
+// gpuDirectGate returns a signal that fires when a GPUDirect message of
+// bytes may start moving data after ready: the registration overhead
+// later, preceded by a handshake RTT for rendezvous-sized messages.
+//
+//gat:hotpath
+func (n *Network) gpuDirectGate(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
+	op := n.gdFree.Get()
+	op.n = n
+	op.src, op.dst = src, dst
+	start := ready
+	if bytes >= n.cfg.RendezvousThreshold && src != dst {
+		ready.OnFireArg(n.eng, gdGateFire, unsafe.Pointer(op))
+		start = &op.gate
+	}
+	start.OnFireArg(n.eng, gdOverheadFire, unsafe.Pointer(op))
+	return &op.gated
 }
 
 // TransferGPUDirect is Transfer plus the device-buffer registration
@@ -371,14 +474,14 @@ func gdOverheadFire(_ *sim.Engine, arg unsafe.Pointer) {
 //
 //gat:hotpath
 func (n *Network) TransferGPUDirect(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
-	op := n.gdOps.New()
-	op.n = n
-	op.src, op.dst = src, dst
-	start := ready
-	if bytes >= n.cfg.RendezvousThreshold && src != dst {
-		ready.OnFireArg(n.eng, gdGateFire, unsafe.Pointer(op))
-		start = &op.gate
-	}
-	start.OnFireArg(n.eng, gdOverheadFire, unsafe.Pointer(op))
-	return n.Transfer(src, dst, bytes, &op.gated)
+	return n.Transfer(src, dst, bytes, n.gpuDirectGate(src, dst, bytes, ready))
+}
+
+// TransferGPUDirectArg is TransferGPUDirect in the callback form of
+// TransferArg: fn(arg) runs when the data has arrived, and every record
+// of the message is recycled.
+//
+//gat:hotpath
+func (n *Network) TransferGPUDirectArg(src, dst int, bytes int64, ready *sim.Signal, fn sim.ArgFunc, arg unsafe.Pointer) {
+	n.TransferArg(src, dst, bytes, n.gpuDirectGate(src, dst, bytes, ready), fn, arg)
 }

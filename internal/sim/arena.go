@@ -88,3 +88,44 @@ func (a *Arena[T]) Reset() {
 	a.idx = 0
 	a.n = 0
 }
+
+// FreeList recycles records that nothing references once their last
+// event has run — transfer ops and match links whose completion goes
+// straight to one callback, so no caller ever holds a pointer into
+// them. Get pops a banked record, or allocates a fresh one when every
+// record is in use; Put zeroes a record and banks it. The records of a
+// free list are thus bounded by those in use at once rather than by
+// all a run creates, and they survive arena resets.
+//
+// A record may be Put only when no pointer into it — above all, none to
+// a Signal embedded in it — is still held: the next Get hands the same
+// memory to a new owner.
+//
+// The zero value is ready to use.
+type FreeList[T any] struct{ free []*T }
+
+// Get returns a zeroed record.
+//
+//gat:hotpath
+func (l *FreeList[T]) Get() *T {
+	if k := len(l.free); k > 0 {
+		p := l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+		return p
+	}
+	return new(T)
+}
+
+// Put zeroes p, dropping the references it holds, and banks it for the
+// next Get.
+//
+//gat:hotpath
+func (l *FreeList[T]) Put(p *T) {
+	var zero T
+	*p = zero
+	l.free = append(l.free, p)
+}
+
+// Len returns the number of banked records.
+func (l *FreeList[T]) Len() int { return len(l.free) }

@@ -258,14 +258,17 @@ type Engine struct {
 	tracer  *Tracer
 
 	// Per-engine arenas for the record types sim itself creates on the
-	// hot path. Records live until the engine is discarded (or the
-	// arenas are reset between runs by a caller that owns the engine);
-	// see Arena for the lifetime contract.
+	// hot path and hands to callers. Records live until the engine is
+	// discarded (or the arenas are reset between runs by a caller that
+	// owns the engine); see Arena for the lifetime contract.
 	sigs     Arena[Signal]
 	pipeOps  Arena[pipeOp]
 	delayOps Arena[delayOp]
 	waitAlls Arena[waitAll]
 	allOfs   Arena[allOf]
+	// pipeFree recycles the pipe records of TransferAfterArg, which no
+	// caller holds a pointer into.
+	pipeFree FreeList[pipeOp]
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -510,12 +513,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // Idle reports whether no events are pending.
 func (e *Engine) Idle() bool { return len(e.timed) == 0 && e.lane.n == 0 }
 
-// ResetArenas frees all engine-arena records (signals, pipe and delay
-// ops, group-wait and AllOf joins) at once, keeping chunk capacity so the next run reuses the same
-// warm memory. It may only be called at a run boundary: the engine must
-// be idle, and the caller must guarantee no record pointer from before
-// the reset — no *Signal from Engine.NewSignal, no signal returned by
-// Pipe.TransferAfter, Engine.AfterSignal or AllOf — is used afterwards.
+// ResetArenas frees all engine-arena records (signals, the pipe ops of
+// TransferAfter, delay ops, group-wait and AllOf joins) at once, keeping
+// chunk capacity so the next run reuses the same warm memory. The pipe
+// ops of TransferAfterArg are not arena records: they return to the
+// engine's free list as each transfer completes. It may only be called
+// at a run boundary: the engine must be idle, and the caller must
+// guarantee no record pointer from before the reset — no *Signal from
+// Engine.NewSignal, no signal returned by Pipe.TransferAfter,
+// Engine.AfterSignal or AllOf — is used afterwards.
 func (e *Engine) ResetArenas() {
 	if !e.Idle() {
 		panic("sim: ResetArenas with events pending")

@@ -72,40 +72,67 @@ func (pp *Pipe) FreeAt() Time {
 	return pp.freeAt
 }
 
-// Transfer reserves the pipe for bytes starting no earlier than now and
-// returns a signal fired when the transfer completes. A zero-byte
-// transfer still pays the per-transfer overhead.
-func (pp *Pipe) Transfer(bytes int64) *Signal {
-	return pp.TransferAfter(FiredSignal(), bytes)
-}
-
-// pipeOp is one pending TransferAfter: the pipe and byte count wait in
-// the record until the ready signal fires, then the reservation is made
-// and done is scheduled. Allocated from the engine's arena.
+// pipeOp is one pending transfer: the pipe and byte count wait in the
+// record until the ready signal fires, then the reservation is made and
+// the completion is scheduled. A TransferAfter op is pinned in the
+// engine's arena, since its caller holds &done; a TransferAfterArg op
+// is recycled through the engine's free list once done has fired.
 type pipeOp struct {
 	pp    *Pipe
 	bytes int64
 	done  Signal
 }
 
-// pipeOpStart is the ArgFunc run when a pipeOp's ready signal fires.
-func pipeOpStart(_ *Engine, arg unsafe.Pointer) {
-	op := (*pipeOp)(arg)
+// reserve books the pipe for op from now on and returns the instant
+// the transfer completes.
+//
+//gat:hotpath
+func (op *pipeOp) reserve() Time {
 	pp := op.pp
 	start := pp.FreeAt()
 	dur := pp.duration(op.bytes)
 	pp.freeAt = start + dur
 	pp.busyAccum += dur
-	pp.eng.FireAt(pp.freeAt, &op.done)
 	if tr := pp.eng.tracer; tr != nil {
 		tr.Add(Span{Resource: pp.name, Label: "xfer", Start: start, End: pp.freeAt, Bytes: op.bytes})
 	}
+	return pp.freeAt
 }
 
-// TransferAfter is like Transfer but the transfer cannot start before
-// ready fires. The pipe is reserved only once ready fires, so other
-// transfers may proceed in the meantime. The pending transfer lives in
-// an arena record, so the steady state allocates nothing.
+// pipeOpStart is the ArgFunc run when a TransferAfter op's ready signal
+// fires.
+//
+//gat:hotpath
+func pipeOpStart(e *Engine, arg unsafe.Pointer) {
+	op := (*pipeOp)(arg)
+	e.FireAt(op.reserve(), &op.done)
+}
+
+// pipeOpStartArg is pipeOpStart for a TransferAfterArg op: its
+// completion event, pushed where pipeOpStart pushes the signal's, also
+// recycles the op.
+//
+//gat:hotpath
+func pipeOpStartArg(e *Engine, arg unsafe.Pointer) {
+	e.InjectAt((*pipeOp)(arg).reserve(), pipeOpDone, arg)
+}
+
+// pipeOpDone completes a TransferAfterArg op: done fires, scheduling
+// the caller's callback, and the op goes back to the free list.
+//
+//gat:hotpath
+func pipeOpDone(e *Engine, arg unsafe.Pointer) {
+	op := (*pipeOp)(arg)
+	op.done.Fire(e)
+	e.pipeFree.Put(op)
+}
+
+// TransferAfter reserves the pipe for bytes once ready fires and
+// returns a signal fired when the transfer completes. The pipe is
+// reserved only once ready fires, so other transfers may proceed in the
+// meantime; a zero-byte transfer still pays the per-transfer overhead.
+// The pending transfer lives in an engine-arena record until the
+// engine's arenas are reset.
 //
 //gat:hotpath
 func (pp *Pipe) TransferAfter(ready *Signal, bytes int64) *Signal {
@@ -116,13 +143,30 @@ func (pp *Pipe) TransferAfter(ready *Signal, bytes int64) *Signal {
 	return &op.done
 }
 
+// TransferAfterArg is TransferAfter for a caller that only needs one
+// completion callback: fn(arg) runs when the transfer completes, as the
+// event OnFireArg on TransferAfter's signal would schedule, at the same
+// queue position. No signal is handed out, so the record is recycled on
+// completion and a run's pipe records are bounded by the transfers in
+// flight. arg must be non-nil.
+//
+//gat:hotpath
+func (pp *Pipe) TransferAfterArg(ready *Signal, bytes int64, fn ArgFunc, arg unsafe.Pointer) {
+	op := pp.eng.pipeFree.Get()
+	op.pp = pp
+	op.bytes = bytes
+	op.done.OnFireArg(pp.eng, fn, arg)
+	ready.OnFireArg(pp.eng, pipeOpStartArg, unsafe.Pointer(op))
+}
+
 // Reserve books the pipe for bytes starting no earlier than earliest,
 // updating the busy-until bookkeeping, and returns the occupancy window.
 // It is a synchronous primitive for callers that compose multi-stage
 // transfers (e.g. cut-through network paths); most callers should use
-// Transfer instead. An earliest in the past is clamped to Now(): a
-// reservation can never backdate occupancy, so a stage computed from a
-// stale upstream start time still books forward-looking time only.
+// TransferAfter or TransferAfterArg instead. An earliest in the past is
+// clamped to Now(): a reservation can never backdate occupancy, so a
+// stage computed from a stale upstream start time still books
+// forward-looking time only.
 func (pp *Pipe) Reserve(earliest Time, bytes int64) (start, end Time) {
 	if earliest < pp.eng.Now() {
 		earliest = pp.eng.Now()

@@ -10,7 +10,7 @@ func TestPipeSingleTransfer(t *testing.T) {
 	// 1 GB/s, 2ns overhead: 1000 bytes -> 1000ns + 2ns.
 	p := NewPipe(e, "link", 1e9, 2)
 	var doneAt Time = -1
-	p.Transfer(1000).OnFire(e, func() { doneAt = e.Now() })
+	p.TransferAfter(FiredSignal(), 1000).OnFire(e, func() { doneAt = e.Now() })
 	e.Run()
 	if doneAt != 1002 {
 		t.Fatalf("transfer done at %v, want 1002", doneAt)
@@ -21,8 +21,8 @@ func TestPipeSerialization(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, "link", 1e9, 0)
 	var first, second Time
-	p.Transfer(100).OnFire(e, func() { first = e.Now() })
-	p.Transfer(100).OnFire(e, func() { second = e.Now() })
+	p.TransferAfter(FiredSignal(), 100).OnFire(e, func() { first = e.Now() })
+	p.TransferAfter(FiredSignal(), 100).OnFire(e, func() { second = e.Now() })
 	e.Run()
 	if first != 100 || second != 200 {
 		t.Fatalf("first=%v second=%v, want 100/200", first, second)
@@ -34,7 +34,7 @@ func TestPipeIdleGap(t *testing.T) {
 	p := NewPipe(e, "link", 1e9, 0)
 	var doneAt Time
 	e.Schedule(500, func() {
-		p.Transfer(100).OnFire(e, func() { doneAt = e.Now() })
+		p.TransferAfter(FiredSignal(), 100).OnFire(e, func() { doneAt = e.Now() })
 	})
 	e.Run()
 	if doneAt != 600 {
@@ -50,7 +50,7 @@ func TestPipeTransferAfter(t *testing.T) {
 	p.TransferAfter(ready, 100).OnFire(e, func() { doneAt = e.Now() })
 	// The pipe must remain available to others while waiting for ready.
 	var otherAt Time
-	p.Transfer(50).OnFire(e, func() { otherAt = e.Now() })
+	p.TransferAfter(FiredSignal(), 50).OnFire(e, func() { otherAt = e.Now() })
 	e.Schedule(300, func() { ready.Fire(e) })
 	e.Run()
 	if otherAt != 50 {
@@ -64,7 +64,7 @@ func TestPipeTransferAfter(t *testing.T) {
 func TestPipeUtilization(t *testing.T) {
 	e := NewEngine()
 	p := NewPipe(e, "link", 1e9, 0)
-	p.Transfer(100)
+	p.TransferAfter(FiredSignal(), 100)
 	e.Schedule(400, func() {}) // extend horizon to 400
 	e.Run()
 	if u := p.Utilization(); u != 0.25 {
@@ -82,7 +82,7 @@ func TestPipeSerializationProperty(t *testing.T) {
 		p := NewPipe(e, "link", 1e9, 3)
 		var last Time
 		for i := 0; i < count; i++ {
-			p.Transfer(bytes).OnFire(e, func() { last = e.Now() })
+			p.TransferAfter(FiredSignal(), bytes).OnFire(e, func() { last = e.Now() })
 		}
 		e.Run()
 		per := 3 + DurationOf(bytes, 1e9)

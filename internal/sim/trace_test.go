@@ -83,7 +83,7 @@ func TestEngineTracerIntegration(t *testing.T) {
 	tr := NewTracer()
 	e.SetTracer(tr)
 	p := NewPipe(e, "link", 1e9, 0)
-	p.Transfer(100)
+	p.TransferAfter(FiredSignal(), 100)
 	e.Run()
 	if len(tr.Spans) != 1 {
 		t.Fatalf("pipe did not trace: %d spans", len(tr.Spans))
@@ -92,7 +92,7 @@ func TestEngineTracerIntegration(t *testing.T) {
 		t.Fatalf("bad span: %+v", tr.Spans[0])
 	}
 	e.SetTracer(nil)
-	p.Transfer(100)
+	p.TransferAfter(FiredSignal(), 100)
 	e.Run()
 	if len(tr.Spans) != 1 {
 		t.Fatal("disabled tracer still recorded")

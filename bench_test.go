@@ -1,8 +1,8 @@
 // Package gat's top-level benchmarks regenerate every table and figure
 // of the paper's evaluation (one benchmark per figure, fig6a..fig9b,
-// plus the ablations in DESIGN.md). Each benchmark prints the figure's
-// rows — the same series the paper plots — so `go test -bench=.` is the
-// reproduction harness.
+// plus the ablations of internal/bench/ablations.go). Each benchmark
+// prints the figure's rows — the same series the paper plots — so
+// `go test -bench=.` is the reproduction harness.
 //
 // Scale knobs (environment):
 //
@@ -10,7 +10,7 @@
 //	               suite fits a default `go test` timeout; the paper's
 //	               full 512-node range: GAT_MAX_NODES=512 or cmd/sweep)
 //	GAT_ITERS      timed iterations per run (default 5 here; 10 in
-//	               cmd/sweep and EXPERIMENTS.md)
+//	               cmd/sweep)
 //	GAT_JOBS       concurrent simulation runs per figure (default
 //	               GOMAXPROCS; 1 recovers the serial path)
 package gat

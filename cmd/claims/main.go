@@ -1,5 +1,5 @@
-// Command claims verifies the paper's qualitative claims (C1–C7 in
-// DESIGN.md) against the simulation and prints a PASS/FAIL report.
+// Command claims verifies the paper's qualitative claims (C1–C7, listed
+// in bench.Claims) against the simulation and prints a PASS/FAIL report.
 //
 // Usage:
 //

@@ -2,7 +2,7 @@
 // primitives the way osu_latency/osu_bw measure a real cluster: one-way
 // latency and effective bandwidth for every transfer path, and the
 // device-side launch/copy overheads. Use it to sanity-check the cost
-// model against the calibration targets in DESIGN.md §5.
+// model of gpu.V100 and netsim.Summit.
 //
 // It also runs the event-queue hold microgrid (arrival distribution x
 // standing depth) through the engine's timed-event heap.

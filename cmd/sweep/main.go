@@ -189,6 +189,7 @@ func main() {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "sweep: %d figures in %v with %d workers (%s)\n",
 			len(res.Figures), res.Wall.Round(1e6), res.Workers, res.Provenance())
+		fmt.Fprintf(os.Stderr, "sweep: %d repeated simulations answered by the sweep's memo\n", res.Reused)
 	}
 	if res.CacheErrors > 0 {
 		// Never silent, -v or not: a full disk or rotting cache dir

@@ -39,6 +39,10 @@ type Options struct {
 	Shards int
 	// Verbose, if non-nil, receives progress lines.
 	Verbose io.Writer
+
+	// memo, when set (WithMemo), is shared by every cell planned with
+	// these options.
+	memo *memo
 }
 
 // machineFor builds the standard Summit machine for one run, wiring

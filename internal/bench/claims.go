@@ -8,7 +8,7 @@ import (
 	"gat/internal/sim"
 )
 
-// Claims are the paper's qualitative statements (DESIGN.md §4, C1–C7),
+// Claims are the paper's qualitative statements (C1–C7, listed in Claims),
 // checked programmatically against the simulation. Each claim runs at a
 // configurable scale; thresholds encode "shape" (orderings and rough
 // factors), not absolute times.

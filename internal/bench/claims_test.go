@@ -7,7 +7,7 @@ import (
 
 // TestClaimsAtReducedScale is the integration gate: every qualitative
 // claim of the paper must hold on the simulator at CI-friendly scale.
-// The full-scale verification is recorded in EXPERIMENTS.md.
+// cmd/claims runs the same checks at full scale.
 func TestClaimsAtReducedScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims take ~10s")

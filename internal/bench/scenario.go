@@ -55,8 +55,9 @@ type AxisPoint struct {
 
 // CellFn measures one (series, x) cell and returns its figure point.
 // It may run the application several times (an ODF search, a
-// with/without ratio) — each Cell.Run builds a fresh machine, so the
-// runs stay independent and deterministic.
+// with/without ratio). Each Cell.Run simulates on a fresh machine or,
+// inside a sweep, returns the metrics of an identical earlier
+// simulation, so the runs stay independent and deterministic.
 type CellFn func(c *Cell) Point
 
 // SeriesDef is one line of a scenario: its column name and the cell
@@ -129,6 +130,7 @@ type Cell struct {
 	opt     Options
 	profile machine.Profile
 	app     app.App
+	appID   string // app.Identity(app), for memo keys
 	name    string // FigID/Series@X, for progress lines
 }
 
@@ -194,13 +196,32 @@ func (c *Cell) Defaults() app.Params { return c.app.Defaults(c.Nodes) }
 // machine. Non-zero sweep options override the given Warmup/Iters
 // (so -iters/-warmup always win, even over app defaults); fields left
 // zero fall through to the app's own defaults.
+//
+// Within one sweep (Options.WithMemo), a run whose full input — app
+// identity, variant, the parameters after those overrides, and the
+// machine configuration as a machine.Key — equals an earlier run's
+// returns that run's metrics without building a machine.
 func (c *Cell) Run(variant string, p app.Params) app.Metrics {
-	return c.RunOn(c.NewMachine(), variant, p)
+	p = c.params(p)
+	cfg := c.Config()
+	k := memoKey{app: c.appID, variant: variant, params: p, machine: cfg.Key()}
+	if r, ok := c.opt.memo.get(k); ok {
+		return r
+	}
+	r := c.run(machine.MustNew(cfg), variant, p)
+	c.opt.memo.put(k, r)
+	return r
 }
 
 // RunOn is Run on a caller-built machine (NewMachine/NewMachineWith),
-// for cells whose sweep axis is a machine property.
+// for cells whose sweep axis is a machine property. It always
+// simulates.
 func (c *Cell) RunOn(m *machine.Machine, variant string, p app.Params) app.Metrics {
+	return c.run(m, variant, c.params(p))
+}
+
+// params applies the sweep's iteration overrides to p.
+func (c *Cell) params(p app.Params) app.Params {
 	if c.app == nil {
 		panic(fmt.Sprintf("bench: cell %s belongs to an app-less scenario; use NewMachine", c.name))
 	}
@@ -210,6 +231,11 @@ func (c *Cell) RunOn(m *machine.Machine, variant string, p app.Params) app.Metri
 	if c.opt.Iters != 0 {
 		p.Iters = c.opt.Iters
 	}
+	return p
+}
+
+// run simulates one run of variant with resolved parameters p on m.
+func (c *Cell) run(m *machine.Machine, variant string, p app.Params) app.Metrics {
 	run, err := c.app.BuildRun(m, variant, p)
 	if err != nil {
 		panic(fmt.Sprintf("bench: cell %s: %v", c.name, err))
@@ -285,6 +311,7 @@ func (s *Scenario) Plan(opt Options, ov Overrides) (Plan, error) {
 					opt:     opt,
 					profile: prof,
 					app:     a,
+					appID:   b.appID,
 					name:    spec.Name(),
 				})
 			})

@@ -20,7 +20,7 @@ import (
 )
 
 // Cost-model constants for the memory-bound kernels (bytes of device
-// memory traffic per grid cell; see DESIGN.md §5).
+// memory traffic per grid cell).
 const (
 	// ElemBytes is the size of one grid element (double precision).
 	ElemBytes = 8

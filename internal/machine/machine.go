@@ -93,6 +93,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Key is the comparable form of a Config: configurations with equal
+// keys build machines that simulate identically. It holds the fabric
+// by value and clears Net.JitterSeed when nothing reads it
+// (netsim.Config.ReadsSeed), so runs that differ only in an unread
+// seed share a key. Key is a map key, so Config must stay comparable.
+type Key struct {
+	cfg       Config // Fabric nil
+	fabric    netsim.FabricConfig
+	hasFabric bool
+}
+
+// Key returns the configuration's comparable form.
+func (c Config) Key() Key {
+	k := Key{cfg: c}
+	if c.Fabric != nil {
+		k.fabric, k.hasFabric = *c.Fabric, true
+		k.cfg.Fabric = nil
+	}
+	if !c.Net.ReadsSeed(c.Fabric) {
+		k.cfg.Net.JitterSeed = 0
+	}
+	return k
+}
+
 // TopologySummary names the configured switch geometry with its taper,
 // e.g. "fattree", "fattree 4:1", "dragonfly 2:1" — the topology column
 // of profile listings.

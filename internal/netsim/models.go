@@ -4,7 +4,7 @@ import "gat/internal/sim"
 
 // Additional interconnect cost models beyond the paper's calibrated
 // Summit fat tree. Illustrative, from public latency/bandwidth figures;
-// not calibrated the way Summit() is (DESIGN.md §5).
+// not calibrated the way Summit() is.
 
 // Slingshot returns an illustrative HPE Slingshot-11 dragonfly-class
 // interconnect with the given aggregate per-node injection bandwidth

@@ -59,14 +59,26 @@ type Config struct {
 	// observed 300–800 us swings for CUDA-aware Spectrum MPI on 64+
 	// nodes, §IV-B). Zero keeps the network perfectly deterministic.
 	JitterFrac float64
-	// JitterSeed seeds the jitter RNG; runs with equal seeds are
-	// reproducible even with jitter enabled.
+	// JitterSeed seeds the jitter RNG and the random stream of the
+	// valiant and adaptive routers; runs with equal seeds are
+	// reproducible even with jitter enabled. ReadsSeed says when a
+	// network reads it at all.
 	JitterSeed uint64
 }
 
+// ReadsSeed reports whether a network built from c, with the detailed
+// fabric fab attached (nil for the NIC-only model), ever reads
+// c.JitterSeed. It has exactly two readers: the jitter RNG New creates
+// when JitterFrac > 0, and the random stream of the routers that draw
+// one (routerDraws). When ReadsSeed is false, networks that differ
+// only in JitterSeed simulate identically, so result caches may key
+// them as one. A new reader of the seed must be added here.
+func (c Config) ReadsSeed(fab *FabricConfig) bool {
+	return c.JitterFrac > 0 || (fab != nil && routerDraws(fab.Routing))
+}
+
 // Summit returns an interconnect model calibrated to Summit's dual-rail
-// EDR InfiniBand non-blocking fat tree (23 GB/s injection). See
-// DESIGN.md §5.
+// EDR InfiniBand non-blocking fat tree (23 GB/s injection).
 func Summit() Config {
 	return Config{
 		LatencyBase:           1600 * sim.Nanosecond,

@@ -82,6 +82,13 @@ const routingSeedSalt = 0x9e3779b97f4a7c15
 // router considers per message, UGAL-style.
 const adaptiveCandidates = 2
 
+// routerDraws reports whether the named policy draws from a seeded
+// routing RNG, and so reads the per-run seed (Config.ReadsSeed): it
+// must hold for every policy newRouter gives an rng.
+func routerDraws(name string) bool {
+	return name == RoutingValiant || name == RoutingAdaptive
+}
+
 // newRouter instantiates the configured policy for this fabric. The
 // seed is the per-run jitter seed (set for every run by the bench
 // layer, jittered or not), so routing decisions reproduce run-for-run.

@@ -98,6 +98,44 @@ func TestRouterDeterminism(t *testing.T) {
 	t.Fatal("valiant routing ignored its seed: 17 seeds, identical timelines")
 }
 
+// TestUnreadSeedChangesNothing pins Config.ReadsSeed: on every
+// topology and routing policy, a network that ReadsSeed says ignores
+// JitterSeed must run identically under two seeds. A new reader of the
+// seed that ReadsSeed does not know fails here.
+func TestUnreadSeedChangesNothing(t *testing.T) {
+	for _, topo := range []string{TopoFatTree, TopoDragonfly, TopoTorus, TopoSlimFly} {
+		for _, routing := range append([]string{""}, RoutingNames()...) {
+			fc := fabricConfig()
+			fc.Routing = routing
+			if testConfig().ReadsSeed(&fc) {
+				continue
+			}
+			// Every ordered pair of the 8 nodes, twice: each message's
+			// arrival time and every link's utilization must match.
+			run := func(seed uint64) ([]sim.Time, map[string]float64) {
+				e, n, f := routedNetwork(t, topo, routing, 4, 2, seed)
+				at := make([]sim.Time, 0, 2*8*7)
+				for msg := 0; msg < 2*8*8; msg++ {
+					src, dst := msg%8, msg/8%8
+					if src == dst {
+						continue
+					}
+					i := len(at)
+					at = append(at, 0)
+					n.Transfer(src, dst, int64(500+100*msg), sim.FiredSignal()).OnFire(e, func() { at[i] = e.Now() })
+				}
+				e.Run()
+				return at, f.Utilizations()
+			}
+			a1, u1 := run(1)
+			a2, u2 := run(2)
+			if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(u1, u2) {
+				t.Errorf("%s/%q: ReadsSeed is false, but seeds 1 and 2 diverged:\n%v\n%v", topo, routing, a1, a2)
+			}
+		}
+	}
+}
+
 // TestAdaptivePenaltyEvolution: the penalty table is live state — a
 // backlogged wave must steer the next wave's choices. Observable as:
 // with adaptive routing, repeating an adversarial wave pattern leaves

@@ -1,11 +1,12 @@
 // Package sweep is the parallel figure-sweep orchestrator. It takes
 // the flat RunSpec plans that internal/bench produces, executes the
-// specs on a worker pool — every run builds its own machine and
-// private sim.Engine, so runs never share state — and reassembles the
-// results in deterministic spec order. Table and CSV output is
-// therefore byte-identical to the serial path regardless of worker
-// count or scheduling; only the per-run wall-clock metadata in the
-// JSON report varies between hosts.
+// specs on a worker pool — every simulation builds its own machine and
+// private sim.Engine, and the only state runs share is the sweep's
+// memo of simulation results, whose entries are identical whichever
+// worker stores them — and reassembles the results in deterministic
+// spec order. Table and CSV output is therefore byte-identical to the
+// serial path regardless of worker count or scheduling; only the
+// per-run wall-clock metadata in the JSON report varies between hosts.
 package sweep
 
 import (
@@ -128,10 +129,15 @@ type Result struct {
 	// Simulated, FromStore and FromPrior count the runs by source; a
 	// fully warm cache shows Simulated == 0.
 	Simulated, FromStore, FromPrior int
+	// Reused counts the simulations (bench.Cell.Run calls) that the
+	// sweep's memo answered because an earlier simulation of the same
+	// sweep had the same input. A simulated run may reuse some of its
+	// simulations, so Reused is not a run count.
+	Reused int
 	// CacheErrors counts non-fatal run-store failures (corrupt entries
 	// discarded, write-through errors); each is also reported on the
 	// Progress writer. The sweep's figures are unaffected: failed
-	// lookups are simulated and failed writes only lose the memo.
+	// lookups are simulated and failed writes only lose the entry.
 	CacheErrors int
 }
 
@@ -184,6 +190,10 @@ func Sweep(ids []string, opt Options) (Result, error) {
 	if opt.Bench.Verbose != nil {
 		opt.Bench.Verbose = &lockedWriter{w: opt.Bench.Verbose}
 	}
+	// One memo of simulation results for this call's plans: the
+	// figures share data points, and a repeated simulation returns the
+	// earlier one's metrics.
+	opt.Bench = opt.Bench.WithMemo()
 
 	plans := make([]bench.Plan, len(ids))
 	var jobs []job
@@ -210,7 +220,7 @@ func Sweep(ids []string, opt Options) (Result, error) {
 	)
 	// complain reports a non-fatal cache problem; the run itself is
 	// unaffected (lookup failures simulate, write failures lose only
-	// the memo).
+	// the store entry).
 	complain := func(err error) {
 		mu.Lock()
 		cacheErrs++
@@ -300,7 +310,7 @@ func Sweep(ids []string, opt Options) (Result, error) {
 	})
 
 	//gat:nondet-ok host-side sweep wall time; never enters figure values
-	res := Result{Wall: time.Since(start), Workers: opt.workers(), CacheErrors: cacheErrs}
+	res := Result{Wall: time.Since(start), Workers: opt.workers(), CacheErrors: cacheErrs, Reused: opt.Bench.Reused()}
 	for i, p := range plans {
 		points := make([]bench.Point, len(p.Specs))
 		for s, r := range runs[i] {

@@ -39,6 +39,11 @@
 //	sweep -fig all -remote http://cachehost:8344
 //	sweep -fig all -cache -remote http://cachehost:8344   # tiered
 //	sweep -fig all -remote http://cachehost:8344 -sweep-id nightly
+//
+// Host profiling: -cpuprofile and -memprofile write pprof profiles of
+// the sweep (go tool pprof FILE); they change no output byte.
+//
+//	sweep -fig all -maxnodes 16 -j 1 -memprofile mem.pprof
 package main
 
 import (
@@ -47,6 +52,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 
 	"gat/internal/app"
@@ -79,6 +85,8 @@ func main() {
 	resume := flag.String("resume", "", "reuse results from a previous gat-sweep JSON report; only missing/failed runs are simulated")
 	explain := flag.Bool("explain", false, "print the per-run provenance table (simulated vs cached, keys) to stderr")
 	verbose := flag.Bool("v", false, "print per-run progress to stderr")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile (allocations since start, live heap at the end) of the sweep to this file")
 	flag.Parse()
 
 	if *list {
@@ -182,7 +190,20 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	cpuFile, memFile := createFile("cpuprofile", *cpuProfile), createFile("memprofile", *memProfile)
+	if cpuFile != nil {
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			fatalf("-cpuprofile: %v", err)
+		}
+	}
 	res, err := sweep.Sweep(ids, opt)
+	pprof.StopCPUProfile() // a no-op without -cpuprofile
+	if memFile != nil {
+		runtime.GC() // bring the live-heap figures up to date
+		if err := pprof.WriteHeapProfile(memFile); err != nil {
+			fatalf("-memprofile: %v", err)
+		}
+	}
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -214,6 +235,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// createFile creates the file a profile flag names, or returns nil for
+// an unset flag.
+func createFile(flagName, path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf("-%s: %v", flagName, err)
+	}
+	return f
 }
 
 // resolveIDs maps the -fig alias and -scenario flag to scenario names.

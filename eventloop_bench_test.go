@@ -233,9 +233,8 @@ func BenchmarkProcPingPong(b *testing.B) {
 // BenchmarkJacobiStep measures one timed Jacobi3D iteration end to end
 // (MPI-D variant, 2 Summit nodes = 12 ranks), the workload every
 // figure sweep is made of. b.N is spread over runs of jacobiBenchIters
-// iterations on one machine, with the arena records reset between runs
-// — the sweep shape the simulator is built for (one engine per data
-// point, transient records freed wholesale at the run boundary), so
+// iterations on one machine, with the world's requests reset between
+// runs; every other transient record recycles as it completes, so
 // record memory stays warm instead of accumulating for the lifetime of
 // the benchmark.
 func BenchmarkJacobiStep(b *testing.B) {
@@ -260,10 +259,9 @@ func BenchmarkJacobiStep(b *testing.B) {
 // BenchmarkJacobiStepCharm is BenchmarkJacobiStep for the Charm-style
 // runtime: one timed Jacobi3D iteration of the GPU-aware Charm-D variant
 // at ODF 4 on 2 Summit nodes (12 PEs, 48 chares), the task path behind
-// most paper figures. Runs reuse one machine with the arena records
-// reset between them, as in BenchmarkJacobiStep; each run builds its
-// runtime, chares, streams and channels afresh, amortized over
-// jacobiBenchIters iterations.
+// most paper figures. Runs reuse one machine, as in
+// BenchmarkJacobiStep; each run builds its runtime, chares, streams and
+// channels afresh, amortized over jacobiBenchIters iterations.
 func BenchmarkJacobiStepCharm(b *testing.B) {
 	const jacobiBenchIters = 128
 	m := machine.MustNew(machine.Summit(2))

@@ -187,7 +187,7 @@ func sendFire(_ *sim.Engine, arg unsafe.Pointer) {
 	srcNode := rt.M.NodeOf(c.srcPE)
 	dstNode := rt.M.NodeOf(dstPE)
 	size := c.msg.Bytes + rt.Opt.Envelope
-	rt.M.Net.TransferArg(srcNode, dstNode, size, sim.FiredSignal(), sendArriveFire, arg)
+	rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).OnFireArg(rt.M.Eng, sendArriveFire, arg)
 }
 
 // sendArriveFire delivers a Send whose transfer has arrived.

@@ -22,7 +22,7 @@ type Ctx struct {
 	pe      *PE
 	elem    *Elem
 	clock   sim.Time
-	blockOn *sim.Signal
+	blockOn sim.SignalRef
 }
 
 // PE returns the executing processing element.
@@ -58,7 +58,7 @@ func (ctx *Ctx) Do(fn func()) {
 // the cudaStreamSynchronize pattern. A blocked PE processes no messages,
 // which is exactly the lost overlap the paper's Fig 4 illustrates.
 func (ctx *Ctx) Block(sig *sim.Signal) {
-	ctx.blockOn = sig
+	ctx.blockOn = sig.Ref()
 }
 
 // call is one side effect a handler schedules at its staggered clock: a
@@ -78,8 +78,8 @@ type call struct {
 	dir   gpu.CopyDir
 	bytes int64
 	graph *gpu.Graph
-	after *sim.Signal // gate: copy precondition, or the GateStream signal
-	out   *sim.Signal // completion signal handed to the handler
+	after sim.SignalRef // gate: copy precondition, or the GateStream signal
+	out   *sim.Signal   // completion signal handed to the handler
 
 	// Task delivery (HAPICallback, Post).
 	pe   *PE
@@ -123,30 +123,30 @@ func (ctx *Ctx) schedule(fn sim.ArgFunc, c *call) {
 // launchKernelFire enqueues a LaunchKernel kernel.
 //
 //gat:hotpath
-func launchKernelFire(_ *sim.Engine, arg unsafe.Pointer) {
+func launchKernelFire(e *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
-	c.s.KernelChain(c.label, c.dur, c.out)
+	c.s.Kernel(c.label, c.dur).Chain(e, c.out)
 	c.release()
 }
 
 // enqueueCopyFire enqueues an EnqueueCopy transfer behind its gate.
 //
 //gat:hotpath
-func enqueueCopyFire(_ *sim.Engine, arg unsafe.Pointer) {
+func enqueueCopyFire(e *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
-	if c.after != nil {
-		c.s.WaitSignal(c.after)
+	if c.after != (sim.SignalRef{}) {
+		c.s.WaitSignal(c.after.Signal())
 	}
-	c.s.CopyChain(c.dir, c.bytes, c.out)
+	c.s.Copy(c.dir, c.bytes).Chain(e, c.out)
 	c.release()
 }
 
 // launchGraphFire enqueues a LaunchGraph execution.
 //
 //gat:hotpath
-func launchGraphFire(_ *sim.Engine, arg unsafe.Pointer) {
+func launchGraphFire(e *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
-	c.s.LaunchChain(c.graph, c.out)
+	c.s.Launch(c.graph).Chain(e, c.out)
 	c.release()
 }
 
@@ -155,7 +155,7 @@ func launchGraphFire(_ *sim.Engine, arg unsafe.Pointer) {
 //gat:hotpath
 func gateStreamFire(_ *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
-	c.s.WaitSignal(c.after)
+	c.s.WaitSignal(c.after.Signal())
 	c.release()
 }
 
@@ -181,7 +181,8 @@ func deliverTaskFire(_ *sim.Engine, arg unsafe.Pointer) {
 
 // LaunchKernel charges the kernel launch host overhead and enqueues the
 // kernel on the stream at the staggered instant. It returns the kernel's
-// completion signal.
+// completion signal, an engine signal valid until it fires (see
+// sim.Signal).
 func (ctx *Ctx) LaunchKernel(s *gpu.Stream, label string, dur sim.Time) *sim.Signal {
 	cfg := s.Device().Config()
 	ctx.clock += cfg.KernelLaunchHost
@@ -205,7 +206,10 @@ func (ctx *Ctx) EnqueueCopy(s *gpu.Stream, dir gpu.CopyDir, bytes int64, after *
 	cfg := s.Device().Config()
 	ctx.clock += cfg.CopyLaunchHost
 	c := ctx.pe.rt.newCall()
-	c.s, c.dir, c.bytes, c.after, c.out = s, dir, bytes, after, ctx.Engine().NewSignal()
+	c.s, c.dir, c.bytes, c.out = s, dir, bytes, ctx.Engine().NewSignal()
+	if after != nil {
+		c.after = after.Ref()
+	}
 	ctx.schedule(enqueueCopyFire, c)
 	return c.out
 }
@@ -228,7 +232,7 @@ func (ctx *Ctx) LaunchGraph(s *gpu.Stream, g *gpu.Graph) *sim.Signal {
 // time (the dependency is enforced on the device).
 func (ctx *Ctx) GateStream(s *gpu.Stream, sig *sim.Signal) {
 	c := ctx.pe.rt.newCall()
-	c.s, c.after = s, sig
+	c.s, c.after = s, sig.Ref()
 	ctx.schedule(gateStreamFire, c)
 }
 

@@ -326,7 +326,7 @@ func (pe *PE) startNext() {
 	eng := pe.rt.Engine()
 	start := eng.Now()
 	ctx := &pe.ctx
-	ctx.elem, ctx.clock, ctx.blockOn = t.elem, start+t.cost, nil
+	ctx.elem, ctx.clock, ctx.blockOn = t.elem, start+t.cost, sim.SignalRef{}
 	if t.run != nil {
 		t.run(ctx)
 	} else {
@@ -353,9 +353,9 @@ func (pe *PE) finish() {
 	}
 	pe.busy = false
 	pe.curElem = nil
-	if b := pe.ctx.blockOn; b != nil && !b.Fired() {
+	if b := pe.ctx.blockOn; b != (sim.SignalRef{}) && !b.Fired() {
 		pe.blocked = true
-		b.OnFire(eng, pe.unblockFn)
+		b.Signal().OnFire(eng, pe.unblockFn)
 		return
 	}
 	pe.startNext()

@@ -29,11 +29,12 @@ type Endpoint struct {
 // per match key through next. Once both sides have posted, the send's
 // record carries the matched transfer until its data arrives. Records
 // are recycled through the channel's free list, also linked through
-// next.
+// next. A send's ready signal may fire while the send waits for its
+// receive, so the record keeps a reference to it.
 type pending struct {
 	c        *Channel
 	bytes    int64
-	ready    *sim.Signal
+	ready    sim.SignalRef
 	sendDone *sim.Signal
 	recvDone func()
 	next     *pending
@@ -152,7 +153,7 @@ func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done *sim.
 	dst := c.peer(proc)
 	key := matchKey{dstProc: dst.Proc, tag: tag}
 	p := c.newPending()
-	p.bytes, p.ready, p.sendDone = bytes, ready, done
+	p.bytes, p.ready, p.sendDone = bytes, ready.Ref(), done
 	if r := popFirst(c.recvs, key); r != nil {
 		p.recvDone = r.recvDone
 		c.release(r)
@@ -180,7 +181,8 @@ func (c *Channel) Recv(proc, tag int, done func()) {
 // matched transfer until it arrives.
 func (c *Channel) start(srcProc, dstProc int, p *pending) {
 	src, dst := c.endpoint(srcProc), c.endpoint(dstProc)
-	c.net.TransferGPUDirectArg(src.Node, dst.Node, p.bytes, p.ready, transferArrived, unsafe.Pointer(p))
+	c.net.TransferGPUDirect(src.Node, dst.Node, p.bytes, p.ready.Signal()).
+		OnFireArg(c.net.Engine(), transferArrived, unsafe.Pointer(p))
 }
 
 // transferArrived completes a matched transfer: both sides' completions

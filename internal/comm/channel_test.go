@@ -216,6 +216,9 @@ func TestChannelMatchingProperty(t *testing.T) {
 // than the messages sent. It covers the eager and rendezvous inter-node
 // paths and the intra-node path.
 func TestChannelSteadyStateAllocs(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
 	const warmup, measured, perBatch = 64, 256, 64
 	cases := []struct {
 		name  string

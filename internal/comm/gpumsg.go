@@ -31,7 +31,7 @@ func DefaultMessagingConfig() MessagingConfig {
 func MessagingSend(net *netsim.Network, cfg MessagingConfig, src, dst Endpoint, bytes int64, ready *sim.Signal, done func()) {
 	eng := net.Engine()
 	meta := net.Transfer(src.Node, dst.Node, cfg.MetadataBytes, ready)
-	posted := netsim.After(eng, meta, cfg.PostCost)
+	posted := eng.AfterSignal(meta, cfg.PostCost)
 	arrived := net.TransferGPUDirect(src.Node, dst.Node, bytes, posted)
 	arrived.OnFire(eng, func() {
 		if done != nil {

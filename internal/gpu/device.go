@@ -117,12 +117,8 @@ type Device struct {
 	// re-acquired.
 	streamPool []*Stream
 
-	// ops is the arena the pinned stream operations — those whose
-	// completion signal a caller holds — are carved from; they live until
-	// ResetOps or until the device is discarded. Every other op is
-	// recycled through freeOps on completion, so its memory is bounded by
-	// the ops in flight.
-	ops     sim.Arena[op]
+	// freeOps recycles stream ops: each returns as it completes, so
+	// their memory is bounded by the ops in flight.
 	freeOps sim.FreeList[op]
 
 	kernelCount uint64
@@ -222,10 +218,10 @@ type readyItem struct {
 	arg     unsafe.Pointer
 }
 
-// readyHeap is a monomorphic 4-ary min-heap ordered by (prio, seq),
-// mirroring the engine's event heap: the container/heap interface would
-// box every readyItem on Push and Pop, and kernel dispatch sits on the
-// per-iteration hot path of every simulation.
+// readyHeap is a monomorphic 4-ary min-heap ordered by (prio, seq):
+// the container/heap interface would box every readyItem on Push and
+// Pop, and kernel dispatch sits on the per-iteration hot path of every
+// simulation.
 type readyHeap []readyItem
 
 // before reports whether a dispatches before b: higher priority (lower
@@ -339,23 +335,6 @@ func (d *Device) copyPipe(dir CopyDir) *sim.Pipe {
 		return d.d2h
 	}
 	return d.h2d
-}
-
-// ResetOps frees all pinned stream-op records at once, keeping chunk
-// capacity warm for the next run; recycled ops stay on the free list. It may only be called at a run boundary: every
-// stream must be drained (no op in flight or queued) and the caller
-// must not use any previously returned op signal — stream completion
-// signals, recorded events — afterwards.
-func (d *Device) ResetOps() {
-	if d.busy || len(d.ready) > 0 {
-		panic("gpu: ResetOps with compute work pending")
-	}
-	for _, s := range d.streamPool {
-		if len(s.ops) > 0 {
-			panic("gpu: ResetOps with stream ops pending")
-		}
-	}
-	d.ops.Reset()
 }
 
 // Utilization returns compute busy time over elapsed time.

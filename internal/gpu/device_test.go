@@ -138,13 +138,16 @@ func TestOnCompleteCallback(t *testing.T) {
 	}
 }
 
+// TestEventAndWaitEvent checks the cross-stream dependency of
+// cudaStreamWaitEvent: an event recorded on one stream gates another
+// through WaitSignal.
 func TestEventAndWaitEvent(t *testing.T) {
 	e, d := newTestDevice()
 	prod := d.NewStream("prod", PriorityNormal)
 	cons := d.NewStream("cons", PriorityNormal)
 	prod.Kernel("p", 100)
 	ev := prod.RecordEvent()
-	cons.WaitEvent(ev)
+	cons.WaitSignal(ev.Done())
 	var consAt sim.Time
 	cons.Kernel("c", 10).OnFire(e, func() { consAt = e.Now() })
 	e.Run()
@@ -197,18 +200,26 @@ func TestStreamSyncEmpty(t *testing.T) {
 	}
 }
 
+// TestDrained checks that an event recorded on an idle stream is done
+// at once, and one recorded behind work fires when the work drains —
+// and that the event still reads done after its op was recycled.
 func TestDrained(t *testing.T) {
 	e, d := newTestDevice()
 	s := d.NewStream("s", PriorityNormal)
-	if !s.Drained().Fired() {
-		t.Fatal("empty stream should be drained")
+	if !s.RecordEvent().Done().Fired() {
+		t.Fatal("an event recorded on an empty stream should be done")
 	}
 	s.Kernel("k", 10)
+	ev := s.RecordEvent()
 	var at sim.Time
-	s.Drained().OnFire(e, func() { at = e.Now() })
+	ev.Done().OnFire(e, func() { at = e.Now() })
 	e.Run()
 	if at != 12 {
 		t.Fatalf("drained at %v, want 12", at)
+	}
+	s.Kernel("k2", 10) // reuses the event's recycled op
+	if !ev.Done().Fired() {
+		t.Fatal("a completed event reads pending after its op was reused")
 	}
 }
 

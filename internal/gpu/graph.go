@@ -81,30 +81,17 @@ func (g *Graph) AddCopy(dir CopyDir, bytes int64, deps ...*GraphNode) *GraphNode
 }
 
 // Launch enqueues one execution of the graph on the stream and returns
-// its completion signal. The caller charges Config.GraphLaunchHost to
-// the launching CPU.
+// its completion signal, valid until it fires. The caller charges
+// Config.GraphLaunchHost to the launching CPU.
+//
+//gat:hotpath
 func (s *Stream) Launch(g *Graph) *sim.Signal {
 	if g.Len() == 0 {
 		return sim.FiredSignal()
 	}
-	o := s.newPinnedOp()
+	o := s.newOp()
 	o.kind, o.label, o.graph = opGraph, "graph", g
 	return s.enqueue(o)
-}
-
-// LaunchChain enqueues one execution of the graph like Launch and fires
-// out when it completes — the event-for-event equivalent of
-// Launch(g).Chain(eng, out) — recycling the op record.
-//
-//gat:hotpath
-func (s *Stream) LaunchChain(g *Graph, out *sim.Signal) {
-	if g.Len() == 0 {
-		s.dev.eng.FireAt(s.dev.eng.Now(), out)
-		return
-	}
-	o := s.newOp()
-	o.kind, o.label, o.graph, o.out = opGraph, "graph", g, out
-	s.push(o)
 }
 
 // graphExec is one launched instance of a graph: per-node dependency
@@ -168,7 +155,7 @@ func (ex *graphExec) start(i int) {
 		d.submitCompute(ex.s.prio, n.execLabel, d.cfg.GraphNodeDispatch+n.dur, graphNodeDone, arg)
 	case opCopy:
 		d.copyCount++
-		d.copyPipe(n.dir).TransferAfterArg(sim.FiredSignal(), n.bytes, graphNodeDone, arg)
+		d.copyPipe(n.dir).TransferAfter(sim.FiredSignal(), n.bytes).OnFireArg(d.eng, graphNodeDone, arg)
 	default:
 		panic("gpu: unsupported graph node kind")
 	}

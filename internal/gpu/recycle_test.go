@@ -8,77 +8,71 @@ import (
 )
 
 // chainWorkload enqueues the same mix on s — a gate, a kernel, a copy
-// and a graph per round, one round every 1000ns — either through the
-// pinned forms chained to out signals or through the chain forms, and
-// records when each out signal fires.
-func chainWorkload(e *sim.Engine, s *Stream, chainForm bool, rounds int) []sim.Time {
+// and a graph per round, one round every 1000ns from now — chaining
+// each operation's signal to an engine signal, and records when each of
+// those fires, relative to the start.
+func chainWorkload(e *sim.Engine, s *Stream, rounds int) []sim.Time {
 	g := NewGraph()
 	a := g.AddKernel("a", 5)
 	g.AddCopy(D2H, 100, a)
 	g.AddKernel("b", 7, a)
+	t0 := e.Now()
 	var fired []sim.Time
 	for r := 0; r < rounds; r++ {
 		e.Schedule(sim.Time(1000*r), func() {
-			gate := sim.NewSignal()
-			e.Schedule(3, func() { gate.Fire(e) })
-			outs := []*sim.Signal{sim.NewSignal(), sim.NewSignal(), sim.NewSignal()}
+			gate := e.NewSignal()
+			e.FireAt(e.Now()+3, gate)
+			outs := []*sim.Signal{e.NewSignal(), e.NewSignal(), e.NewSignal()}
 			for _, out := range outs {
-				out.OnFire(e, func() { fired = append(fired, e.Now()) })
+				out.OnFire(e, func() { fired = append(fired, e.Now()-t0) })
 			}
 			s.WaitSignal(gate)
-			if chainForm {
-				s.KernelChain("k", 10, outs[0])
-				s.CopyChain(H2D, 200, outs[1])
-				s.LaunchChain(g, outs[2])
-			} else {
-				s.Kernel("k", 10).Chain(e, outs[0])
-				s.Copy(H2D, 200).Chain(e, outs[1])
-				s.Launch(g).Chain(e, outs[2])
-			}
+			s.Kernel("k", 10).Chain(e, outs[0])
+			s.Copy(H2D, 200).Chain(e, outs[1])
+			s.Launch(g).Chain(e, outs[2])
 		})
 	}
 	e.Run()
 	return fired
 }
 
-// TestChainFormsMatchPinnedForms checks that the recycled chain forms
-// fire their out signals at the same instants, through the same number
-// of events, as the pinned forms chained by hand.
-func TestChainFormsMatchPinnedForms(t *testing.T) {
-	e1, d1 := newTestDevice()
-	pinned := chainWorkload(e1, d1.NewStream("s", PriorityNormal), false, 20)
-	e2, d2 := newTestDevice()
-	chained := chainWorkload(e2, d2.NewStream("s", PriorityNormal), true, 20)
-	if len(pinned) != 60 || len(chained) != len(pinned) {
-		t.Fatalf("fired %d and %d out signals, want 60 each", len(pinned), len(chained))
+// TestStreamReuseMatchesFreshDevice checks that recycled stream ops
+// behave like fresh ones: a second run of the workload on the same
+// stream, drawing only ops the first run recycled, fires every signal
+// at the same offsets through the same number of events.
+func TestStreamReuseMatchesFreshDevice(t *testing.T) {
+	e, d := newTestDevice()
+	s := d.NewStream("s", PriorityNormal)
+	fresh := chainWorkload(e, s, 20)
+	events, pooled := e.EventsExecuted(), d.freeOps.Len()
+	reused := chainWorkload(e, s, 20)
+	if len(fresh) != 60 || len(reused) != len(fresh) {
+		t.Fatalf("fired %d and %d signals, want 60 each", len(fresh), len(reused))
 	}
-	for i := range pinned {
-		if pinned[i] != chained[i] {
-			t.Fatalf("out %d fired at %v in chain form, %v in pinned form", i, chained[i], pinned[i])
+	for i := range fresh {
+		if reused[i] != fresh[i] {
+			t.Fatalf("signal %d fired at +%v on recycled ops, +%v on fresh ones", i, reused[i], fresh[i])
 		}
 	}
-	if e1.EventsExecuted() != e2.EventsExecuted() {
-		t.Fatalf("chain form ran %d events, pinned form %d", e2.EventsExecuted(), e1.EventsExecuted())
+	if got := e.EventsExecuted() - events; got != events {
+		t.Fatalf("recycled run ran %d events, fresh run %d", got, events)
+	}
+	if got := d.freeOps.Len(); sim.Recycles && got != pooled {
+		t.Fatalf("free list holds %d ops after the recycled run, %d after the fresh one: the rerun allocated ops", got, pooled)
 	}
 }
 
-// TestChainOpsRecycle checks that ops whose signal is never handed out
-// return to the device's free list, so a long run reuses a handful of
-// op records, while pinned ops stay out of it.
+// TestChainOpsRecycle checks that every op returns to the device's free
+// list as it completes, so a long run reuses a handful of op records.
 func TestChainOpsRecycle(t *testing.T) {
-	e, d := newTestDevice()
-	chainWorkload(e, d.NewStream("s", PriorityNormal), true, 200)
-	if got := d.ops.Allocated(); got != 0 {
-		t.Fatalf("chain-form run carved %d pinned ops from the arena, want 0", got)
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
 	}
+	e, d := newTestDevice()
+	chainWorkload(e, d.NewStream("s", PriorityNormal), 200)
 	// Each round queues four ops and drains before the next begins.
 	if got := d.freeOps.Len(); got != 4 {
 		t.Fatalf("free list holds %d ops after 200 rounds, want the 4 of one round", got)
-	}
-	e2, d2 := newTestDevice()
-	chainWorkload(e2, d2.NewStream("s", PriorityNormal), false, 10)
-	if got := d2.ops.Allocated(); got != 30 {
-		t.Fatalf("pinned-form run carved %d arena ops, want 30 (kernel, copy, graph per round)", got)
 	}
 }
 
@@ -92,7 +86,7 @@ func TestGraphRelaunchReusesInstance(t *testing.T) {
 	g.AddKernel("b", 5, root)
 	g.AddKernel("c", 5, root)
 	for i := 0; i < 50; i++ {
-		s.LaunchChain(g, e.NewSignal())
+		s.Launch(g)
 	}
 	e.Run()
 	if len(g.free) != 1 {
@@ -103,11 +97,14 @@ func TestGraphRelaunchReusesInstance(t *testing.T) {
 	}
 }
 
-// TestCopySteadyStateAllocs checks that chain-form copies, on a stream
-// and as graph nodes, stop allocating once warm: the stream op, the
-// graph instance and the copy engine's transfer record are all
-// recycled on completion.
+// TestCopySteadyStateAllocs checks that copies, on a stream and as
+// graph nodes, stop allocating once warm: the stream op, the graph
+// instance and the copy engine's transfer record are all recycled on
+// completion.
 func TestCopySteadyStateAllocs(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
 	const warmup, measured, perBatch = 64, 256, 64
 	e, d := newTestDevice()
 	s := d.NewStream("s", PriorityNormal)
@@ -117,8 +114,8 @@ func TestCopySteadyStateAllocs(t *testing.T) {
 	batch := func() {
 		for i := 0; i < perBatch; i++ {
 			outs[2*i], outs[2*i+1] = sim.Signal{}, sim.Signal{}
-			s.CopyChain(H2D, 4096, &outs[2*i])
-			s.LaunchChain(g, &outs[2*i+1])
+			s.Copy(H2D, 4096).Chain(e, &outs[2*i])
+			s.Launch(g).Chain(e, &outs[2*i+1])
 		}
 		e.Run()
 	}

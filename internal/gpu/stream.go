@@ -35,27 +35,13 @@ func streamCallback(e *sim.Engine, arg unsafe.Pointer) {
 	s.complete()
 }
 
-// newOp returns a zeroed op for an operation whose done signal is never
-// handed out: a recycled one from the device's free list, or a fresh
-// heap record when every recycled op is in flight. These ops return to
-// the free list on completion (see complete), so their memory is bounded
-// by the ops in flight, and they survive ResetOps.
+// newOp returns a zeroed op: a recycled one from the device's free
+// list, or a fresh heap record when every recycled op is in flight.
+// Every op returns to the free list as it completes (see complete), so
+// a device's ops are bounded by those in flight.
 //
 //gat:hotpath
 func (s *Stream) newOp() *op { return s.dev.freeOps.Get() }
-
-// newPinnedOp returns a zeroed op from the device's arena for an
-// operation whose done signal is handed to the caller. The signal may
-// outlive completion in caller hands, so the op is never recycled
-// individually: it lives until ResetOps or until the device's engine
-// (and with it the arena) is discarded.
-//
-//gat:hotpath
-func (s *Stream) newPinnedOp() *op {
-	o := s.dev.ops.New()
-	o.pinned = true
-	return o
-}
 
 // NewStream creates a stream with the given priority (PriorityHigh or
 // PriorityNormal).
@@ -120,18 +106,16 @@ type op struct {
 	dir   CopyDir        // copy direction
 	cbFn  sim.ArgFunc    // callback body
 	cbArg unsafe.Pointer // callback record
-	wait  *sim.Signal    // gate for opWait
+	wait  sim.SignalRef  // gate for opWait
 	graph *Graph         // for opGraph
-	// out, for an op enqueued in chain form, is fired at completion in
-	// place of done — exactly the event done's chain link would push.
-	out *sim.Signal
-	// pinned marks an op whose done signal was handed to a caller; it is
-	// never recycled.
-	pinned bool
-	done   sim.Signal // embedded: one allocation per op, not two
+	done  sim.Signal     // embedded: one allocation per op, not two
 }
 
-// enqueue queues the pinned op o and returns its done signal.
+// enqueue queues o and returns its done signal. o must be an op that
+// completes in a later event (not opEvent), so the signal is still
+// pending when the caller receives it.
+//
+//gat:hotpath
 func (s *Stream) enqueue(o *op) *sim.Signal {
 	s.push(o)
 	return &o.done
@@ -159,7 +143,7 @@ func (s *Stream) startHead() {
 		d.submitCompute(s.prio, o.label, d.cfg.KernelDispatch+o.dur, streamComplete, arg)
 	case opCopy:
 		d.copyCount++
-		d.copyPipe(o.dir).TransferAfterArg(sim.FiredSignal(), o.bytes, streamComplete, arg)
+		d.copyPipe(o.dir).TransferAfter(sim.FiredSignal(), o.bytes).OnFireArg(d.eng, streamComplete, arg)
 	case opCallback:
 		// Host callback: runs as an event at the current time, then the
 		// stream advances.
@@ -167,7 +151,7 @@ func (s *Stream) startHead() {
 	case opEvent:
 		s.complete()
 	case opWait:
-		o.wait.OnFireArg(d.eng, streamComplete, arg)
+		o.wait.Signal().OnFireArg(d.eng, streamComplete, arg)
 	case opGraph:
 		s.launchGraphInstance(o.graph)
 	default:
@@ -175,50 +159,34 @@ func (s *Stream) startHead() {
 	}
 }
 
-// complete finishes the head op: fire its signal (or its chain target),
-// dequeue it (capacity-preserving, so a steady enqueue/complete cycle
-// never reallocates), recycle it unless a caller holds its signal, and
-// start the next.
+// complete finishes the head op: fire its signal, dequeue it
+// (capacity-preserving, so a steady enqueue/complete cycle never
+// reallocates), recycle it, and start the next.
 //
 //gat:hotpath
 func (s *Stream) complete() {
 	o := s.ops[0]
-	eng := s.dev.eng
-	if o.pinned {
-		o.done.Fire(eng)
-	} else if o.out != nil {
-		eng.FireAt(eng.Now(), o.out)
-	}
+	d := s.dev
+	o.done.Fire(d.eng)
 	n := copy(s.ops, s.ops[1:])
 	s.ops[n] = nil
 	s.ops = s.ops[:n]
-	if !o.pinned {
-		s.dev.freeOps.Put(o)
-	}
+	d.freeOps.Recycle(o, &o.done)
 	if len(s.ops) > 0 {
 		s.startHead()
 	}
 }
 
 // Kernel enqueues a kernel with an explicit device duration and returns
-// its completion signal. The caller is responsible for charging
-// Config.KernelLaunchHost to the launching CPU.
-func (s *Stream) Kernel(label string, dur sim.Time) *sim.Signal {
-	o := s.newPinnedOp()
-	o.kind, o.label, o.dur = opKernel, label, dur
-	return s.enqueue(o)
-}
-
-// KernelChain enqueues a kernel like Kernel and fires out when it
-// completes — the event-for-event equivalent of
-// Kernel(label, dur).Chain(eng, out). No signal is handed out, so the
-// op record is recycled on completion.
+// its completion signal, valid until it fires (see sim.Signal). The
+// caller is responsible for charging Config.KernelLaunchHost to the
+// launching CPU.
 //
 //gat:hotpath
-func (s *Stream) KernelChain(label string, dur sim.Time, out *sim.Signal) {
+func (s *Stream) Kernel(label string, dur sim.Time) *sim.Signal {
 	o := s.newOp()
-	o.kind, o.label, o.dur, o.out = opKernel, label, dur, out
-	s.push(o)
+	o.kind, o.label, o.dur = opKernel, label, dur
+	return s.enqueue(o)
 }
 
 // KernelBytes enqueues a memory-bound kernel whose duration is derived
@@ -227,22 +195,15 @@ func (s *Stream) KernelBytes(label string, bytes int64) *sim.Signal {
 	return s.Kernel(label, s.dev.KernelTime(bytes))
 }
 
-// Copy enqueues an async DMA transfer of the given size and direction.
-// The caller charges Config.CopyLaunchHost to the launching CPU.
-func (s *Stream) Copy(dir CopyDir, bytes int64) *sim.Signal {
-	o := s.newPinnedOp()
-	o.kind, o.label, o.bytes, o.dir = opCopy, dir.String(), bytes, dir
-	return s.enqueue(o)
-}
-
-// CopyChain enqueues a DMA transfer like Copy and fires out when it
-// completes, recycling the op record (see KernelChain).
+// Copy enqueues an async DMA transfer of the given size and direction
+// and returns its completion signal, valid until it fires. The caller
+// charges Config.CopyLaunchHost to the launching CPU.
 //
 //gat:hotpath
-func (s *Stream) CopyChain(dir CopyDir, bytes int64, out *sim.Signal) {
+func (s *Stream) Copy(dir CopyDir, bytes int64) *sim.Signal {
 	o := s.newOp()
-	o.kind, o.label, o.bytes, o.dir, o.out = opCopy, dir.String(), bytes, dir, out
-	s.push(o)
+	o.kind, o.label, o.bytes, o.dir = opCopy, dir.String(), bytes, dir
+	return s.enqueue(o)
 }
 
 // OnComplete enqueues a host callback that runs when all previously
@@ -260,36 +221,33 @@ func (s *Stream) OnComplete(fn sim.ArgFunc, arg unsafe.Pointer) {
 }
 
 // Event is a CUDA-event analogue: a marker recorded on a stream whose
-// signal fires when all prior work on that stream has completed.
-type Event struct{ sig *sim.Signal }
+// signal fires when all prior work on that stream has completed. It
+// holds a reference, so it stays valid after the marker completes.
+type Event struct{ ref sim.SignalRef }
 
-// Done returns the completion signal.
-func (ev *Event) Done() *sim.Signal { return ev.sig }
+// Done returns the completion signal, or sim.FiredSignal once the
+// marker has completed.
+func (ev *Event) Done() *sim.Signal { return ev.ref.Signal() }
 
-// RecordEvent records an event on the stream.
+// RecordEvent records an event on the stream. On an idle stream the
+// marker completes at once.
 func (s *Stream) RecordEvent() *Event {
-	o := s.newPinnedOp()
+	o := s.newOp()
 	o.kind, o.label = opEvent, "event"
-	return &Event{sig: s.enqueue(o)}
-}
-
-// WaitEvent blocks subsequent work on s until ev (recorded on another
-// stream) completes — the cross-stream dependency primitive.
-func (s *Stream) WaitEvent(ev *Event) *sim.Signal {
-	o := s.newPinnedOp()
-	o.kind, o.label, o.wait = opWait, "waitEvent", ev.sig
-	return s.enqueue(o)
+	ev := &Event{ref: o.done.Ref()}
+	s.push(o)
+	return ev
 }
 
 // WaitSignal blocks subsequent work on s until an arbitrary simulation
-// signal fires (e.g. network data arrival before an unpack kernel). The
-// gate has no completion signal of its own, so its op is recycled once
-// the gate opens.
+// signal fires (e.g. network data arrival before an unpack kernel, or
+// another stream's Event). The gate op keeps a reference to sig until
+// it reaches the head of the stream.
 //
 //gat:hotpath
 func (s *Stream) WaitSignal(sig *sim.Signal) {
 	o := s.newOp()
-	o.kind, o.label, o.wait = opWait, "waitSignal", sig
+	o.kind, o.label, o.wait = opWait, "waitSignal", sig.Ref()
 	s.push(o)
 }
 
@@ -302,15 +260,5 @@ func (s *Stream) Sync(p *sim.Proc) {
 	if len(s.ops) == 0 {
 		return
 	}
-	ev := s.RecordEvent()
-	p.Wait(ev.sig)
-}
-
-// Drained returns a signal that fires when all currently enqueued work
-// completes, without blocking (for event-driven callers).
-func (s *Stream) Drained() *sim.Signal {
-	if len(s.ops) == 0 {
-		return sim.FiredSignal()
-	}
-	return s.RecordEvent().sig
+	p.Wait(s.RecordEvent().Done())
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gat/internal/machine"
+	"gat/internal/sim"
 )
 
 // charmAllocsPerIter returns the marginal heap allocations of one
@@ -23,20 +24,21 @@ func charmAllocsPerIter(opt CharmOpts, n int) float64 {
 }
 
 // maxAllocsPerIter bounds TestCharmIterationAllocs. An iteration of 24
-// chares (Summit(1), ODF 4) measures 0.5 to 2: the amortized growth of
-// the run's arenas, chiefly the engine signals handed to callers (Ctx
-// results, send completions) and, in host-staged mode, the staging
-// records, bump-allocated in chunks of 256 and freed with the run.
-// Transfer, pipe and GPUDirect gate records are recycled as their
-// messages arrive. One closure, task or record per chare per iteration
-// would add 24.
-const maxAllocsPerIter = 8
+// chares (Summit(1), ODF 4) measures 0 (-0.06 to 0.03 on Go 1.24): the
+// records an iteration uses, signals included, return to free lists as
+// their operations complete, so the run reuses them. The bound leaves
+// room for the odd runtime allocation landing in one run of a pair; one
+// closure, task or record per iteration would add 1, one per chare 24.
+const maxAllocsPerIter = 0.25
 
 // TestCharmIterationAllocs pins the allocation-free Charm task path:
 // once a run is set up, an iteration must allocate next to nothing, in
 // GPU-aware mode with and without graphs and in host-staged mode with
 // and without the §III-C optimizations.
 func TestCharmIterationAllocs(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
 	if testing.Short() {
 		t.Skip("runs a dozen simulations")
 	}
@@ -54,7 +56,7 @@ func TestCharmIterationAllocs(t *testing.T) {
 			got := charmAllocsPerIter(c.opt, 32)
 			t.Logf("%s: %.2f allocs/iteration", c.name, got)
 			if got > maxAllocsPerIter {
-				t.Fatalf("%s allocates %.1f times per iteration (marginal), want <= %d", c.name, got, maxAllocsPerIter)
+				t.Fatalf("%s allocates %.2f times per iteration (marginal), want <= %.2f", c.name, got, maxAllocsPerIter)
 			}
 		})
 	}
@@ -110,12 +112,16 @@ func bytesPerIter(run func(iters int), n int) float64 {
 }
 
 // TestIterationBytes bounds the heap bytes an iteration allocates once
-// a run is set up. Transfer, pipe, GPUDirect gate and MPI match records
-// are recycled as their messages arrive, so what an iteration still
-// allocates is records handed to callers, which live until the run
-// ends: engine signals and AllOf joins in Charm-D (Ctx results, send
-// completions), kernel stream ops and requests in MPI-D.
+// a run is set up. Every record an iteration uses returns to a free
+// list as its operation completes — engine signals, AllOf joins, GPU
+// stream ops, transfer, pipe and match records — so the Charm variants
+// measure 0 (-15 to 0 B on Go 1.24) and their bound is a noise floor
+// below one record per chare. What MPI-D still allocates is its
+// requests, which ranks hold until the world is reset (5.6–5.8 KB).
 func TestIterationBytes(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
 	if testing.Short() {
 		t.Skip("runs a dozen simulations")
 	}
@@ -128,9 +134,10 @@ func TestIterationBytes(t *testing.T) {
 		run  func(int)
 		max  float64
 	}{
-		{"charm-d", charm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 32 << 10},
-		{"charm-d-graphs", charm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 16 << 10},
-		{"mpi-d", func(iters int) { RunMPI(machine.MustNew(machine.Summit(2)), cfg(iters), MPIOpts{Device: true}) }, 28 << 10},
+		{"charm-d", charm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 512},
+		{"charm-d-graphs", charm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 512},
+		{"charm-h", charm(CharmOpts{ODF: 4}.Optimized()), 512},
+		{"mpi-d", func(iters int) { RunMPI(machine.MustNew(machine.Summit(2)), cfg(iters), MPIOpts{Device: true}) }, 11 << 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

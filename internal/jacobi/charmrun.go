@@ -67,11 +67,14 @@ type chState struct {
 
 	packS, d2hS, h2dS, updS *gpu.Stream
 
+	// produced, sends and unpacks outlive the handler that issued them,
+	// and their signals recycle as they fire, so the chare keeps
+	// references.
 	gate     *charm.Gate
 	iter     int
-	produced *sim.Signal   // input data ready to pack (prev update/graph)
-	sends    []*sim.Signal // this iteration's send completions
-	unpacks  []*sim.Signal
+	produced sim.SignalRef   // input data ready to pack (prev update/graph)
+	sends    []sim.SignalRef // this iteration's send completions
+	unpacks  []sim.SignalRef
 
 	channels [NumFaces]*comm.Channel
 	graphs   [2]*gpu.Graph
@@ -93,9 +96,10 @@ type chState struct {
 	recvHFn          [NumFaces]func(*charm.Ctx)
 	recvBytes        [NumFaces]int64
 
-	// spareSends is the previous iteration's send-signal slice, reused
-	// for the next iteration's; scratch backs AllOf argument lists.
-	spareSends []*sim.Signal
+	// spareSends is the previous iteration's send-reference slice,
+	// reused for the next iteration's; scratch backs AllOf argument
+	// lists.
+	spareSends []sim.SignalRef
 	scratch    []*sim.Signal
 	// staged collects a host-staged send phase's halo records.
 	staged []*haloSend
@@ -177,7 +181,7 @@ func (drv *charmDriver) setup() {
 		st.blk = drv.d.Block([3]int(el.Idx))
 		st.nbrs = st.blk.Neighbors()
 		st.gate = charm.NewGate()
-		st.produced = sim.FiredSignal()
+		st.produced = sim.FiredSignal().Ref()
 		dev := m.GPUOf(el.PE())
 		dev.Alloc("jacobi/grids", 2*st.blk.Volume()*ElemBytes)
 		dev.Alloc("jacobi/halos", 2*st.blk.TotalFaceCells()*ElemBytes)
@@ -239,7 +243,7 @@ func (drv *charmDriver) bindThunks(el *charm.Elem, st *chState) {
 			st.recvHFn[face] = func(ctx *charm.Ctx) {
 				h2d := ctx.EnqueueCopy(st.h2dS, gpu.H2D, st.recvBytes[face], nil)
 				ctx.GateStream(st.packS, h2d)
-				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes))
+				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes).Ref())
 			}
 			continue
 		}
@@ -250,7 +254,7 @@ func (drv *charmDriver) bindThunks(el *charm.Elem, st *chState) {
 		// every halo is present (§III-D1).
 		st.unpackFn[face] = func(ctx *charm.Ctx) {
 			if perFaceUnpack {
-				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes))
+				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes).Ref())
 			}
 		}
 		if drv.opt.UseMessagingAPI {
@@ -328,31 +332,35 @@ func (drv *charmDriver) startIter(el *charm.Elem, ctx *charm.Ctx) {
 	st.gate.Expect(ctx, iter, len(st.nbrs), st.afterFn)
 }
 
-// allOf joins sigs into one signal, building the argument list in the
-// chare's scratch slice.
-func (drv *charmDriver) allOf(st *chState, first *sim.Signal, rest []*sim.Signal) *sim.Signal {
+// allOf joins first and the signals refs refer to into one, building
+// the argument list in the chare's scratch slice.
+func (drv *charmDriver) allOf(st *chState, first *sim.Signal, refs []sim.SignalRef) *sim.Signal {
 	st.scratch = append(st.scratch[:0], first)
-	st.scratch = append(st.scratch, rest...)
+	for _, r := range refs {
+		st.scratch = append(st.scratch, r.Signal())
+	}
 	sig := sim.AllOf(drv.rt.Engine(), st.scratch...)
 	clear(st.scratch)
+	st.scratch = st.scratch[:0]
 	return sig
 }
 
 // sendPhaseD packs and sends halos over GPU-aware channels.
-func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, prevSends []*sim.Signal) {
+func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, prevSends []sim.SignalRef) {
 	st := state(el)
 	opt := drv.rt.Opt
 	eng := drv.rt.Engine()
 
 	// Per-face data-ready signals for the sends.
 	var ready [NumFaces]*sim.Signal
-	inputReady := drv.allOf(st, st.produced, prevSends)
+	inputReady := drv.allOf(st, st.produced.Signal(), prevSends)
 	switch {
 	case drv.opt.Graphs && iter > 0, drv.opt.Fusion == FusionC && iter > 0:
 		// Packing already happened inside the previous graph / fused
 		// kernel.
+		produced := st.produced.Signal()
 		for _, nb := range st.nbrs {
-			ready[nb.Face] = st.produced
+			ready[nb.Face] = produced
 		}
 	case drv.opt.Fusion == FusionA || drv.opt.Fusion == FusionB ||
 		(drv.opt.Fusion == FusionC && iter == 0) ||
@@ -372,7 +380,7 @@ func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 
 	for _, nb := range st.nbrs {
 		sendDone := eng.NewSignal()
-		st.sends = append(st.sends, sendDone)
+		st.sends = append(st.sends, sendDone.Ref())
 		if drv.opt.UseMessagingAPI {
 			drv.messagingSend(el, ctx, nb, iter, ready[nb.Face], sendDone)
 			continue
@@ -454,7 +462,7 @@ func (drv *charmDriver) newHaloSend() *haloSend {
 func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int) {
 	st := state(el)
 	eng := drv.rt.Engine()
-	ctx.GateStream(st.packS, st.produced)
+	ctx.GateStream(st.packS, st.produced.Signal())
 
 	d2hSigs := st.scratch[:0]
 	for _, nb := range st.nbrs {
@@ -500,26 +508,27 @@ func (drv *charmDriver) recvHaloH(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg)
 // advances to the next iteration.
 func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 	st := state(el)
-	eng := drv.rt.Engine()
 
+	var produced *sim.Signal
 	switch {
 	case drv.opt.Graphs:
-		st.produced = ctx.LaunchGraph(st.updS, st.graphs[st.iter%2])
+		produced = ctx.LaunchGraph(st.updS, st.graphs[st.iter%2])
 	case drv.opt.Fusion == FusionC:
 		// Single kernel: unpack + update + pack for the next iteration.
 		// The pack portion writes the send buffers, so it must wait for
 		// the previous sends to drain.
-		ctx.GateStream(st.updS, sim.AllOf(eng, st.sends...))
-		st.produced = ctx.LaunchKernelBytes(st.updS, "fusedAll",
+		ctx.GateStream(st.updS, drv.allOf(st, sim.FiredSignal(), st.sends))
+		produced = ctx.LaunchKernelBytes(st.updS, "fusedAll",
 			fusedAllBytes(st.blk.Volume(), st.blk.TotalFaceCells()))
 	case drv.opt.Fusion == FusionB:
 		unp := ctx.LaunchKernelBytes(st.packS, "unpackAll", fusedPackBytes(st.blk.TotalFaceCells()))
 		ctx.GateStream(st.updS, unp)
-		st.produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
+		produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
 	default:
-		ctx.GateStream(st.updS, sim.AllOf(eng, st.unpacks...))
-		st.produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
+		ctx.GateStream(st.updS, drv.allOf(st, sim.FiredSignal(), st.unpacks))
+		produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
 	}
+	st.produced = produced.Ref()
 
 	if drv.opt.ResidualEvery > 0 && (st.iter+1)%drv.opt.ResidualEvery == 0 {
 		// Contribute asynchronously; the chare does not wait for the
@@ -533,7 +542,7 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 	} else {
 		// Before-optimization: synchronize with the device before
 		// starting the next iteration.
-		ctx.Block(st.produced)
+		ctx.Block(produced)
 		ctx.Post(charm.PrioHigh, "nextIter", st.startFn)
 	}
 }

@@ -31,8 +31,9 @@ func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) Result {
 
 // RunMPIWorld is RunMPI on a caller-provided world, so a benchmark can
 // reuse one world (and its request arena) across consecutive runs on
-// the same machine. Call World.Reset and Machine.ResetTransients
-// between runs.
+// the same machine. Call World.Reset between runs to free the requests;
+// every other record of a run recycles as it completes, so the machine
+// needs no reset beyond the boundary check of Machine.ResetTransients.
 func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 	cfg = cfg.DefaultIterations()
 	m := w.M
@@ -63,10 +64,12 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 		p := r.Proc()
 
 		// Per-iteration scratch, hoisted out of the loop and reset with
-		// [:0] so the steady state allocates nothing.
-		packSigs := make([]*sim.Signal, 0, len(nbrs))
-		d2hSigs := make([]*sim.Signal, 0, len(nbrs))
-		unpackSigs := make([]*sim.Signal, 0, len(nbrs))
+		// [:0] so the steady state allocates nothing. The rank waits on
+		// these signals after Compute sleeps, and a signal recycles as
+		// it fires, so it keeps references.
+		packSigs := make([]sim.SignalRef, 0, len(nbrs))
+		d2hSigs := make([]sim.SignalRef, 0, len(nbrs))
+		unpackSigs := make([]sim.SignalRef, 0, len(nbrs))
 		reqs := make([]*mpi.Request, 0, 2*len(nbrs))
 
 		// Per-neighbor constants, computed once: the loop below runs
@@ -110,20 +113,20 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 			for i := range plan {
 				nb := &plan[i]
 				r.Compute(gcfg.KernelLaunchHost)
-				sig := packS.KernelBytes("pack", nb.packBytes)
-				packSigs = append(packSigs, sig)
+				pack := packS.KernelBytes("pack", nb.packBytes).Ref()
+				packSigs = append(packSigs, pack)
 				if !opts.Device {
 					r.Compute(gcfg.CopyLaunchHost)
-					d2hS.WaitSignal(sig)
-					d2hSigs = append(d2hSigs, d2hS.Copy(gpu.D2H, nb.faceBytes))
+					d2hS.WaitSignal(pack.Signal())
+					d2hSigs = append(d2hSigs, d2hS.Copy(gpu.D2H, nb.faceBytes).Ref())
 				}
 			}
 			// The send buffers must be ready before posting sends.
 			r.Compute(gcfg.SyncOverhead)
 			if opts.Device {
-				p.WaitAll(packSigs...)
+				waitAll(p, packSigs)
 			} else {
-				p.WaitAll(d2hSigs...)
+				waitAll(p, d2hSigs)
 			}
 
 			// Non-blocking halo exchange.
@@ -135,10 +138,10 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 					r.Isend(nb.peer, iter*NumFaces+nb.face, nb.faceBytes, kind))
 			}
 
-			var interior *sim.Signal
+			var interior sim.SignalRef
 			if opts.Overlap {
 				r.Compute(gcfg.KernelLaunchHost)
-				interior = updS.KernelBytes("interior", interiorTraffic)
+				interior = updS.KernelBytes("interior", interiorTraffic).Ref()
 			}
 
 			r.Waitall(reqs...)
@@ -154,23 +157,23 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 				}
 				r.Compute(gcfg.KernelLaunchHost)
 				unpackSigs = append(unpackSigs,
-					packS.KernelBytes("unpack", nb.packBytes))
+					packS.KernelBytes("unpack", nb.packBytes).Ref())
 			}
 
 			// Update (exterior only under manual overlap).
 			r.Compute(gcfg.KernelLaunchHost)
 			for _, s := range unpackSigs {
-				updS.WaitSignal(s)
+				updS.WaitSignal(s.Signal())
 			}
-			upd := updS.KernelBytes("update", updKernelTraffic)
+			upd := updS.KernelBytes("update", updKernelTraffic).Ref()
 
 			// End-of-iteration device synchronization (sequential MPI
 			// control flow).
 			r.Compute(gcfg.SyncOverhead)
-			if interior != nil {
-				p.Wait(interior)
+			if interior != (sim.SignalRef{}) {
+				p.Wait(interior.Signal())
 			}
-			p.Wait(upd)
+			p.Wait(upd.Signal())
 
 			if opts.ResidualEvery > 0 && (iter+1)%opts.ResidualEvery == 0 {
 				// Global residual check: one 8-byte max-allreduce.
@@ -184,6 +187,15 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 	})
 
 	return result(m, (tEnd-tWarm)/sim.Time(cfg.Iters))
+}
+
+// waitAll is Proc.WaitAll over the signals refs refer to.
+func waitAll(p *sim.Proc, refs []sim.SignalRef) {
+	g := p.NewWaitSet()
+	for _, r := range refs {
+		g.Add(r.Signal())
+	}
+	g.Wait()
 }
 
 // result assembles the machine-wide counters shared by both runtimes.

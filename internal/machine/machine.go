@@ -189,25 +189,20 @@ func MustNew(cfg Config) *Machine {
 	return m
 }
 
-// ResetTransients frees every arena-allocated transient record on the
-// machine — the records whose signals callers may hold: engine signals
-// and the pipe ops of Pipe.TransferAfter, GPU stream ops whose signal
-// was handed out, the transfer records of Network.Transfer — keeping
-// the chunk memory warm for the next run. Records recycled through free
-// lists (callback-form transfers, GPUDirect gates, chain-form stream
-// ops) need no reset. Call it only at a run boundary: the engine idle,
-// all streams drained, and no signal or record handle from the finished
-// run used afterwards. Durable state (clock, traffic counters, pipe
-// busy accounting, stream pools) is preserved, so a machine can host a
-// sequence of runs — a benchmark batch reusing one cluster — with zero
-// steady-state record allocation. Sweeps build a fresh machine per run
-// instead (bench.Cell.Run) and do not call it.
+// ResetTransients marks a run boundary on a machine that hosts a
+// sequence of runs — a benchmark batch reusing one cluster. It panics
+// if the engine still has events pending. Every transient record (engine
+// signals, AllOf and delay joins, pipe and transfer records, GPU stream
+// ops) returns to a free list in the event that completes it, so a
+// finished run leaves nothing to free, and the next run reuses the same
+// records with zero steady-state allocation. Durable state (clock,
+// traffic counters, pipe busy accounting, stream pools) is preserved.
+// Sweeps build a fresh machine per run instead (bench.Cell.Run) and do
+// not call it.
 func (m *Machine) ResetTransients() {
-	m.Eng.ResetArenas()
-	for _, d := range m.GPUs {
-		d.ResetOps()
+	if !m.Eng.Idle() {
+		panic("machine: ResetTransients with events pending")
 	}
-	m.Net.ResetOps()
 }
 
 // Procs returns the total number of PEs/ranks (one per GPU, matching the

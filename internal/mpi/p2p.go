@@ -87,20 +87,20 @@ func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sre
 	dstNode := w.M.NodeOf(key.dst())
 	md := w.links.Get()
 	md.w, md.sreq, md.rreq = w, sreq, rreq
-	arg := unsafe.Pointer(md)
+	var arrived *sim.Signal
 	switch {
 	case sendKind == Host:
-		w.M.Net.TransferArg(srcNode, dstNode, bytes, sim.FiredSignal(), matchDoneFire, arg)
+		arrived = w.M.Net.Transfer(srcNode, dstNode, bytes, sim.FiredSignal())
 	case bytes >= w.Opt.PipelineThreshold && srcNode != dstNode:
 		// Spectrum MPI's large-device-message fallback: chunked
 		// staging through pinned host buffers.
-		w.M.Net.PipelinedStagedTransfer(
+		arrived = w.M.Net.PipelinedStagedTransfer(
 			w.M.GPUOf(key.src()), w.M.GPUOf(key.dst()),
-			srcNode, dstNode, bytes, w.M.Cfg.Net.PipelineChunkSize, sim.FiredSignal()).
-			OnFireArg(w.M.Eng, matchDoneFire, arg)
+			srcNode, dstNode, bytes, w.M.Cfg.Net.PipelineChunkSize, sim.FiredSignal())
 	default:
-		w.M.Net.TransferGPUDirectArg(srcNode, dstNode, bytes, sim.FiredSignal(), matchDoneFire, arg)
+		arrived = w.M.Net.TransferGPUDirect(srcNode, dstNode, bytes, sim.FiredSignal())
 	}
+	arrived.OnFireArg(w.M.Eng, matchDoneFire, unsafe.Pointer(md))
 }
 
 // Wait blocks until the request completes.

@@ -169,12 +169,13 @@ func (w *World) Size() int { return len(w.ranks) }
 
 // Reset frees every request the world has allocated, keeping the chunk
 // memory warm for the next Run; match links need no reset, as each
-// returns to the world's free list when its pair completes. Like
-// sim.Engine.ResetArenas it must only be called at a run boundary —
-// every posted operation matched and completed, no Request handle from
-// the finished run used afterwards — which also means the match map is
-// empty again. A world reset this way can host a sequence of runs on
-// one machine with zero steady-state record allocation.
+// returns to the world's free list when its pair completes, and neither
+// do the transfer and signal records below them, which recycle as they
+// fire. Reset must only be called at a run boundary — every posted
+// operation matched and completed, no Request handle from the finished
+// run used afterwards — which also means the match map is empty again.
+// A world reset this way can host a sequence of runs on one machine
+// with zero steady-state record allocation.
 func (w *World) Reset() { w.reqs.Reset() }
 
 // Run spawns every rank executing body and runs the simulation to

@@ -119,14 +119,10 @@ type Network struct {
 	messages uint64
 	bytes    int64
 
-	// xferOps holds the transfer records of Transfer, whose arrival
-	// signal the caller keeps: they live until ResetOps or until the
-	// network is dropped (see sim.Arena). The records no caller holds a
-	// pointer into — the transfer records of TransferArg, and every
-	// GPUDirect gate and deferred-count record — are recycled through
-	// free lists as soon as their last event has run, so their memory is
-	// bounded by the messages in flight.
-	xferOps   sim.Arena[xferOp]
+	// Free lists of the per-message records: transfer records return as
+	// their arrival signal fires, GPUDirect gate and deferred-count
+	// records as their last event runs, so their memory is bounded by
+	// the messages in flight.
 	xferFree  sim.FreeList[xferOp]
 	gdFree    sim.FreeList[gdOp]
 	countFree sim.FreeList[countOp]
@@ -200,13 +196,6 @@ func (n *Network) LinkUtilization() (max, mean float64) {
 	}
 	return n.fabric.UtilizationSummary()
 }
-
-// ResetOps frees the transfer records of Transfer at once, keeping
-// chunk capacity warm for the next run; the recycled records stay on
-// their free lists. It may only be called at a run boundary: no
-// transfer may be pending and no previously returned arrival signal may
-// be used afterwards. Traffic counters are not reset.
-func (n *Network) ResetOps() { n.xferOps.Reset() }
 
 // Hops returns the switch hop count between two nodes under the
 // configured topology: 0 within a node, 2 within a switch group, and
@@ -294,8 +283,8 @@ func (n *Network) countIntra(bytes int64, ready *sim.Signal) {
 // xferOp is one pending inter-node transfer: the route waits in the
 // record until ready fires, then the cut-through reservations are made
 // at fire-time prices (NIC occupancy, fabric contention, jitter draw)
-// and the arrival is scheduled. A Transfer op is pinned in the arena; a
-// TransferArg op is recycled once arrived has fired.
+// and the arrival is scheduled. The op returns to the network's free
+// list as arrived fires.
 type xferOp struct {
 	n        *Network
 	src, dst int
@@ -336,41 +325,24 @@ func (op *xferOp) reserve() sim.Time {
 	return rxEnd
 }
 
-// xferOpStart is the ArgFunc run when a Transfer op's ready signal
-// fires.
+// xferOpStart is the ArgFunc run when an op's ready signal fires: it
+// makes the reservations and schedules xferOpDone at the arrival
+// instant.
 //
 //gat:hotpath
 func xferOpStart(e *sim.Engine, arg unsafe.Pointer) {
-	op := (*xferOp)(arg)
-	e.FireAt(op.reserve(), &op.arrived)
-}
-
-// xferOpStartArg is xferOpStart for a TransferArg op: its arrival
-// event, pushed where xferOpStart pushes the signal's, also recycles
-// the op.
-//
-//gat:hotpath
-func xferOpStartArg(e *sim.Engine, arg unsafe.Pointer) {
 	e.InjectAt((*xferOp)(arg).reserve(), xferOpDone, arg)
 }
 
-// xferOpDone completes a TransferArg op: arrived fires, scheduling the
-// caller's callback, and the op goes back to the free list.
+// xferOpDone completes an op: arrived fires, scheduling the caller's
+// callbacks, and the op goes back to the free list.
 //
 //gat:hotpath
 func xferOpDone(e *sim.Engine, arg unsafe.Pointer) {
 	op := (*xferOp)(arg)
+	n := op.n
 	op.arrived.Fire(e)
-	op.n.xferFree.Put(op)
-}
-
-// post fills op and queues start(op) behind ready.
-//
-//gat:hotpath
-func (n *Network) post(op *xferOp, src, dst int, bytes int64, ready *sim.Signal, start sim.ArgFunc) {
-	op.n = n
-	op.src, op.dst, op.bytes = src, dst, bytes
-	ready.OnFireArg(n.eng, start, unsafe.Pointer(op))
+	n.xferFree.Recycle(op, &op.arrived)
 }
 
 // Transfer moves bytes from node src to node dst, starting when ready
@@ -384,6 +356,10 @@ func (n *Network) post(op *xferOp, src, dst int, bytes int64, ready *sim.Signal,
 // (ready fires), not at schedule time, so truncated runs and
 // never-fired ready signals do not overstate traffic.
 //
+// The returned signal is valid until it fires (see sim.Signal): the
+// transfer's records return to free lists as the data arrives, so a
+// run's transfer records are bounded by the messages in flight.
+//
 //gat:hotpath
 func (n *Network) Transfer(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
 	n.offered = true
@@ -391,34 +367,11 @@ func (n *Network) Transfer(src, dst int, bytes int64, ready *sim.Signal) *sim.Si
 		n.countIntra(bytes, ready)
 		return n.intra[src].TransferAfter(ready, bytes)
 	}
-	op := n.xferOps.New()
-	n.post(op, src, dst, bytes, ready, xferOpStart)
-	return &op.arrived
-}
-
-// TransferArg is Transfer for a caller that only needs one completion
-// callback: fn(arg) runs when the data has arrived, as the event
-// OnFireArg on Transfer's signal would schedule, at the same queue
-// position. No signal is handed out, so the transfer's records are
-// recycled on arrival and a run's transfer records are bounded by the
-// messages in flight. arg must be non-nil.
-//
-//gat:hotpath
-func (n *Network) TransferArg(src, dst int, bytes int64, ready *sim.Signal, fn sim.ArgFunc, arg unsafe.Pointer) {
-	n.offered = true
-	if src == dst {
-		n.countIntra(bytes, ready)
-		n.intra[src].TransferAfterArg(ready, bytes, fn, arg)
-		return
-	}
 	op := n.xferFree.Get()
-	op.arrived.OnFireArg(n.eng, fn, arg)
-	n.post(op, src, dst, bytes, ready, xferOpStartArg)
-}
-
-// After returns a signal that fires d after sig fires.
-func After(e *sim.Engine, sig *sim.Signal, d sim.Time) *sim.Signal {
-	return e.AfterSignal(sig, d)
+	op.n = n
+	op.src, op.dst, op.bytes = src, dst, bytes
+	ready.OnFireArg(n.eng, xferOpStart, unsafe.Pointer(op))
+	return &op.arrived
 }
 
 // gdOp carries one GPUDirect transfer's protocol gates: gate fires a
@@ -487,13 +440,4 @@ func (n *Network) gpuDirectGate(src, dst int, bytes int64, ready *sim.Signal) *s
 //gat:hotpath
 func (n *Network) TransferGPUDirect(src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
 	return n.Transfer(src, dst, bytes, n.gpuDirectGate(src, dst, bytes, ready))
-}
-
-// TransferGPUDirectArg is TransferGPUDirect in the callback form of
-// TransferArg: fn(arg) runs when the data has arrived, and every record
-// of the message is recycled.
-//
-//gat:hotpath
-func (n *Network) TransferGPUDirectArg(src, dst int, bytes int64, ready *sim.Signal, fn sim.ArgFunc, arg unsafe.Pointer) {
-	n.TransferArg(src, dst, bytes, n.gpuDirectGate(src, dst, bytes, ready), fn, arg)
 }

@@ -190,13 +190,15 @@ func TestPipelinedStagedSlowerThanGPUDirect(t *testing.T) {
 	}
 }
 
+// TestAfterHelper checks the delay link PipelinedStagedTransfer and
+// comm.MessagingSend put between a signal and the next protocol step.
 func TestAfterHelper(t *testing.T) {
 	e := sim.NewEngine()
 	base := sim.NewSignal()
 	var at sim.Time
-	After(e, base, 50).OnFire(e, func() { at = e.Now() })
-	if After(e, base, 0) != base {
-		t.Fatal("After with zero delay should return the input signal")
+	e.AfterSignal(base, 50).OnFire(e, func() { at = e.Now() })
+	if e.AfterSignal(base, 0) != base {
+		t.Fatal("AfterSignal with zero delay should return the input signal")
 	}
 	e.Schedule(100, func() { base.Fire(e) })
 	e.Run()

@@ -59,11 +59,13 @@ func randomMessages(seed uint64, nodes, count int, threshold int64) []message {
 	return msgs
 }
 
-// runMessages posts msgs on n, through the signal forms with one
-// OnFireArg registered right after each call or through the callback
-// forms, runs the engine, and returns the arrival log.
-func runMessages(n *Network, msgs []message, callbackForm bool) []arrival {
+// runMessages posts msgs on n, each through Transfer or
+// TransferGPUDirect with one OnFireArg registered on the returned
+// signal, runs the engine, and returns the arrival log with times
+// relative to the start of the pass.
+func runMessages(n *Network, msgs []message) []arrival {
 	e := n.Engine()
+	t0 := e.Now()
 	var log []arrival
 	for i, m := range msgs {
 		arg := unsafe.Pointer(&probe{id: i, log: &log})
@@ -73,31 +75,43 @@ func runMessages(n *Network, msgs []message, callbackForm bool) []arrival {
 				ready = e.NewSignal()
 				e.FireAt(e.Now()+m.readyIn, ready)
 			}
-			switch {
-			case callbackForm && m.direct:
-				n.TransferGPUDirectArg(m.src, m.dst, m.bytes, ready, probeFire, arg)
-			case callbackForm:
-				n.TransferArg(m.src, m.dst, m.bytes, ready, probeFire, arg)
-			case m.direct:
+			if m.direct {
 				n.TransferGPUDirect(m.src, m.dst, m.bytes, ready).OnFireArg(e, probeFire, arg)
-			default:
+			} else {
 				n.Transfer(m.src, m.dst, m.bytes, ready).OnFireArg(e, probeFire, arg)
 			}
 		})
 	}
 	e.Run()
+	for i := range log {
+		log[i].at -= t0
+	}
 	return log
 }
 
-// TestCallbackFormsMatchSignalForms checks that TransferArg and
-// TransferGPUDirectArg run each message's callback at the same instant
-// and in the same order, through the same number of events and with the
-// same traffic counters, as Transfer and TransferGPUDirect followed by
-// OnFireArg — with jitter, whose RNG draws follow the event order, and
-// on a dragonfly fabric whose adaptive router picks each route at fire
-// time from the congestion so far — and that the callback forms carve
-// no pinned transfer record.
-func TestCallbackFormsMatchSignalForms(t *testing.T) {
+// restart gives n the model state of a new network — fresh jitter and
+// routing streams, no routing penalties; every pipe and link is idle
+// once a pass has run — while it keeps its recycled records.
+func restart(n *Network) {
+	if n.rng != nil {
+		n.rng = sim.NewRNG(n.cfg.JitterSeed)
+	}
+	if f := n.fabric; f != nil {
+		f.router = f.newRouter(f.cfg.Routing, n.cfg.JitterSeed)
+	}
+}
+
+// TestRecycledTransfersRepeatFreshOnes runs one randomized message set
+// twice on one network: the first pass on fresh records, the second on
+// the records the first recycled. Both passes must run each message's
+// callback at the same offset and in the same order, through the same
+// number of events and with the same traffic counters — with jitter,
+// whose RNG draws follow the event order, and on a dragonfly fabric
+// whose adaptive router picks each route at fire time from the
+// congestion so far — and the second pass must allocate no transfer,
+// GPUDirect gate or count record (the gatcheck build, which never
+// reuses a record, checks the passes only).
+func TestRecycledTransfersRepeatFreshOnes(t *testing.T) {
 	cases := []struct {
 		name    string
 		jitter  float64
@@ -110,45 +124,49 @@ func TestCallbackFormsMatchSignalForms(t *testing.T) {
 	const nodes, count = 8, 400
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			build := func() *Network {
-				cfg := testConfig()
-				cfg.JitterFrac, cfg.JitterSeed = c.jitter, 11
-				if c.routing == "" {
-					return New(sim.NewEngine(), cfg, nodes)
-				}
+			cfg := testConfig()
+			cfg.JitterFrac, cfg.JitterSeed = c.jitter, 11
+			var n *Network
+			if c.routing == "" {
+				n = New(sim.NewEngine(), cfg, nodes)
+			} else {
 				cfg.Topology = TopoDragonfly
-				n := New(sim.NewEngine(), cfg, nodes)
+				n = New(sim.NewEngine(), cfg, nodes)
 				fc := fabricConfig()
 				fc.UplinksPerPod, fc.Routing = 2, c.routing
 				n.EnableFabric(fc)
-				return n
 			}
-			msgs := randomMessages(5, nodes, count, testConfig().RendezvousThreshold)
-			ns, nc := build(), build()
-			want := runMessages(ns, msgs, false)
-			got := runMessages(nc, msgs, true)
-			if len(want) != count || len(got) != count {
-				t.Fatalf("signal forms logged %d arrivals, callback forms %d, want %d each", len(want), len(got), count)
+			msgs := randomMessages(5, nodes, count, cfg.RendezvousThreshold)
+			e := n.Engine()
+
+			fresh := runMessages(n, msgs)
+			events, msgsMoved, bytes := e.EventsExecuted(), n.Messages(), n.BytesMoved()
+			xfers, gates, counts := n.xferFree.Len(), n.gdFree.Len(), n.countFree.Len()
+			if sim.Recycles && (xfers == 0 || gates == 0 || counts == 0) {
+				t.Fatalf("free lists hold %d transfer, %d GPUDirect and %d count records after the first pass, want each > 0",
+					xfers, gates, counts)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("arrival %d: callback forms ran message %d at %v, signal forms message %d at %v",
-						i, got[i].id, got[i].at, want[i].id, want[i].at)
+
+			restart(n)
+			reused := runMessages(n, msgs)
+			if len(fresh) != count || len(reused) != count {
+				t.Fatalf("fresh pass logged %d arrivals, recycled pass %d, want %d each", len(fresh), len(reused), count)
+			}
+			for i := range fresh {
+				if reused[i] != fresh[i] {
+					t.Fatalf("arrival %d: recycled pass ran message %d at +%v, fresh pass message %d at +%v",
+						i, reused[i].id, reused[i].at, fresh[i].id, fresh[i].at)
 				}
 			}
-			if a, b := ns.Engine().EventsExecuted(), nc.Engine().EventsExecuted(); a != b {
-				t.Fatalf("callback forms ran %d events, signal forms %d", b, a)
+			if got := e.EventsExecuted() - events; got != events {
+				t.Fatalf("recycled pass ran %d events, fresh pass %d", got, events)
 			}
-			if ns.Messages() != nc.Messages() || ns.BytesMoved() != nc.BytesMoved() {
-				t.Fatalf("callback forms counted %d messages / %d bytes, signal forms %d / %d",
-					nc.Messages(), nc.BytesMoved(), ns.Messages(), ns.BytesMoved())
+			if m, b := n.Messages()-msgsMoved, n.BytesMoved()-bytes; m != msgsMoved || b != bytes {
+				t.Fatalf("recycled pass counted %d messages / %d bytes, fresh pass %d / %d", m, b, msgsMoved, bytes)
 			}
-			if got := nc.xferOps.Allocated(); got != 0 {
-				t.Fatalf("callback forms carved %d pinned transfer records, want 0", got)
-			}
-			if nc.xferFree.Len() == 0 || nc.gdFree.Len() == 0 || nc.countFree.Len() == 0 {
-				t.Fatalf("free lists hold %d transfer, %d GPUDirect and %d count records after the run, want each > 0",
-					nc.xferFree.Len(), nc.gdFree.Len(), nc.countFree.Len())
+			if n.xferFree.Len() != xfers || n.gdFree.Len() != gates || n.countFree.Len() != counts {
+				t.Fatalf("free lists hold %d/%d/%d transfer/GPUDirect/count records after the recycled pass, %d/%d/%d after the fresh one: the second pass allocated records",
+					n.xferFree.Len(), n.gdFree.Len(), n.countFree.Len(), xfers, gates, counts)
 			}
 		})
 	}

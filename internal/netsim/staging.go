@@ -65,7 +65,7 @@ func (n *Network) PipelinedStagedTransfer(srcDev, dstDev *gpu.Device, src, dst i
 		d2hDone := srcStream.Copy(gpu.D2H, c)
 		// Each chunk pays the pipeline protocol overhead before it can
 		// be injected — the cost that keeps this path below GPUDirect.
-		sendReady := After(n.eng, d2hDone, n.cfg.PipelineChunkOverhead)
+		sendReady := n.eng.AfterSignal(d2hDone, n.cfg.PipelineChunkOverhead)
 		arrived := n.Transfer(src, dst, c, sendReady)
 		dstStream.WaitSignal(arrived)
 		h2dDone := dstStream.Copy(gpu.H2D, c)

@@ -1,19 +1,16 @@
 package sim
 
-// Arena is a typed bump allocator for a run's transient records:
-// transfer ops, request handles, and similar objects that are created
-// on the event hot path, live until the run ends, and are never freed
-// individually. New hands out pointers into chunked backing arrays, so
-// the steady-state cost of a record is one pointer bump instead of one
-// garbage-collected heap object — and the records of one chunk sit
-// contiguously, which the event loop's access pattern rewards.
+// Arena is a typed bump allocator for records that live until a run
+// ends and are never freed individually: the requests of mpi.World,
+// which ranks keep until the world is reset. New hands out pointers
+// into chunked backing arrays, so the steady-state cost of a record is
+// one pointer bump instead of one garbage-collected heap object.
+// Records that complete within a run go through a FreeList instead.
 //
 // Records handed out by New must not outlive the next Reset: Reset
 // frees every record at once (recycling the chunks, zeroed, for the
 // next run), so a *T retained across it is a dangling — silently
-// reused — record. The simulator's convention is one arena set per
-// Engine (or per component bound to one), reset together at run
-// boundaries or simply discarded with the engine.
+// reused — record.
 //
 // The zero value is ready to use.
 type Arena[T any] struct {
@@ -21,7 +18,6 @@ type Arena[T any] struct {
 	spare [][]T // zeroed chunks banked by Reset, reused before making new
 	cur   []T   // chunk currently being carved
 	idx   int   // next free slot in cur
-	n     int   // records handed out since the last Reset
 }
 
 // arenaChunk is the records-per-chunk granularity. Large enough that
@@ -41,7 +37,6 @@ func (a *Arena[T]) New() *T {
 	}
 	p := &a.cur[a.idx]
 	a.idx++
-	a.n++
 	return p
 }
 
@@ -63,16 +58,10 @@ func (a *Arena[T]) grow() {
 	a.idx = 0
 }
 
-// Allocated returns the number of records handed out since the last
-// Reset, for diagnostics and capacity reporting.
-func (a *Arena[T]) Allocated() int { return a.n }
-
 // Reset frees every record at once, banking the chunks — zeroed, so
 // stale record pointers are released and the next run's records start
 // from zero values — for reuse. The caller must guarantee no *T from
-// before the Reset is still referenced — for engine-owned arenas that
-// means the run is over and its events, signals and handles are all
-// dead.
+// before the Reset is still referenced.
 //
 //gat:hotpath
 func (a *Arena[T]) Reset() {
@@ -86,22 +75,19 @@ func (a *Arena[T]) Reset() {
 		clear(a.cur[:a.idx])
 	}
 	a.idx = 0
-	a.n = 0
 }
 
-// FreeList recycles records that nothing references once their last
-// event has run — transfer ops and match links whose completion goes
-// straight to one callback, so no caller ever holds a pointer into
-// them. Get pops a banked record, or allocates a fresh one when every
-// record is in use; Put zeroes a record and banks it. The records of a
-// free list are thus bounded by those in use at once rather than by
-// all a run creates, and they survive arena resets.
+// FreeList recycles a record once its last event has run, so a run's
+// records of one kind are bounded by those in use at once rather than
+// by all the run creates. Get pops a banked record, or allocates a
+// fresh one when every record is in use; Put zeroes a record and banks
+// it. A record may be Put only when no pointer into it is still held,
+// except through a handed-out signal, which goes back through Recycle
+// in the event that fires it (see Signal).
 //
-// A record may be Put only when no pointer into it — above all, none to
-// a Signal embedded in it — is still held: the next Get hands the same
-// memory to a new owner.
-//
-// The zero value is ready to use.
+// In the gatcheck build no record is ever banked and Recycle marks the
+// signal dead, so a stale handle panics instead of reaching a later
+// owner. The zero value is ready to use.
 type FreeList[T any] struct{ free []*T }
 
 // Get returns a zeroed record.
@@ -124,8 +110,31 @@ func (l *FreeList[T]) Get() *T {
 func (l *FreeList[T]) Put(p *T) {
 	var zero T
 	*p = zero
+	if checkRecycle {
+		return
+	}
 	l.free = append(l.free, p)
 }
+
+// Recycle is Put for a record p whose embedded signal sig has just
+// fired: sig keeps its generation, so every SignalRef to it reads fired
+// after p is reused.
+//
+//gat:hotpath
+func (l *FreeList[T]) Recycle(p *T, sig *Signal) {
+	if checkRecycle {
+		sig.dead = true
+		return
+	}
+	gen := sig.gen
+	l.Put(p)
+	sig.gen = gen
+}
+
+// Recycles reports whether free lists reuse records, as they do except
+// in the gatcheck build; tests of reuse and allocation bounds skip
+// without it.
+const Recycles = !checkRecycle
 
 // Len returns the number of banked records.
 func (l *FreeList[T]) Len() int { return len(l.free) }

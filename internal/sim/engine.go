@@ -76,7 +76,7 @@ func DurationOf(bytes int64, bytesPerSec float64) Time {
 
 // ArgFunc is a statically defined callback that receives its state as
 // an untyped pointer. Scheduling (fn, arg) pairs lets a long-lived
-// record — an arena-allocated transfer op, a proc — be dispatched
+// record — a recycled transfer op, a proc — be dispatched
 // through one shared top-level function, so registering or firing it
 // allocates no closure. The arg must be non-nil (a nil arg selects the
 // plain-callback payload form below).
@@ -91,7 +91,7 @@ type ArgFunc func(*Engine, unsafe.Pointer)
 //	                      every transfer model, carried without closure
 //	arg == nil            call the func() packed in fn
 //	fn, arg both non-nil  call the ArgFunc packed in fn with arg — the
-//	                      record-callback form behind arena-allocated
+//	                      record-callback form behind recycled
 //	                      transfer ops and proc wakeups
 type event struct {
 	at  Time
@@ -257,18 +257,15 @@ type Engine struct {
 	handoff chan struct{} // procs signal here when they park or exit
 	tracer  *Tracer
 
-	// Per-engine arenas for the record types sim itself creates on the
-	// hot path and hands to callers. Records live until the engine is
-	// discarded (or the arenas are reset between runs by a caller that
-	// owns the engine); see Arena for the lifetime contract.
-	sigs     Arena[Signal]
-	pipeOps  Arena[pipeOp]
-	delayOps Arena[delayOp]
-	waitAlls Arena[waitAll]
-	allOfs   Arena[allOf]
-	// pipeFree recycles the pipe records of TransferAfterArg, which no
-	// caller holds a pointer into.
-	pipeFree FreeList[pipeOp]
+	// Free lists of the records sim creates on the hot path. Each
+	// record returns to its list in the event that fires its signal (or,
+	// for group waits, when the group resumes), so a run's records are
+	// bounded by the operations in flight.
+	sigFree   FreeList[Signal]
+	pipeFree  FreeList[pipeOp]
+	delayFree FreeList[delayOp]
+	allOfFree FreeList[allOf]
+	waitFree  FreeList[waitAll]
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -512,23 +509,3 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Idle reports whether no events are pending.
 func (e *Engine) Idle() bool { return len(e.timed) == 0 && e.lane.n == 0 }
-
-// ResetArenas frees all engine-arena records (signals, the pipe ops of
-// TransferAfter, delay ops, group-wait and AllOf joins) at once, keeping
-// chunk capacity so the next run reuses the same warm memory. The pipe
-// ops of TransferAfterArg are not arena records: they return to the
-// engine's free list as each transfer completes. It may only be called
-// at a run boundary: the engine must be idle, and the caller must
-// guarantee no record pointer from before the reset — no *Signal from
-// Engine.NewSignal, no signal returned by Pipe.TransferAfter,
-// Engine.AfterSignal or AllOf — is used afterwards.
-func (e *Engine) ResetArenas() {
-	if !e.Idle() {
-		panic("sim: ResetArenas with events pending")
-	}
-	e.sigs.Reset()
-	e.pipeOps.Reset()
-	e.delayOps.Reset()
-	e.waitAlls.Reset()
-	e.allOfs.Reset()
-}

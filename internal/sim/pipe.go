@@ -58,9 +58,6 @@ func NewPipe(e *Engine, name string, bytesPerSec float64, overhead Time) *Pipe {
 // Name returns the pipe's name.
 func (pp *Pipe) Name() string { return pp.name }
 
-// Bandwidth returns the pipe's bandwidth in bytes per second.
-func (pp *Pipe) Bandwidth() float64 { return pp.bytesPerSec }
-
 // BusyTime returns the cumulative time the pipe has spent transferring.
 func (pp *Pipe) BusyTime() Time { return pp.busyAccum }
 
@@ -74,9 +71,8 @@ func (pp *Pipe) FreeAt() Time {
 
 // pipeOp is one pending transfer: the pipe and byte count wait in the
 // record until the ready signal fires, then the reservation is made and
-// the completion is scheduled. A TransferAfter op is pinned in the
-// engine's arena, since its caller holds &done; a TransferAfterArg op
-// is recycled through the engine's free list once done has fired.
+// the completion is scheduled. The op returns to the engine's free list
+// as done fires.
 type pipeOp struct {
 	pp    *Pipe
 	bytes int64
@@ -99,74 +95,48 @@ func (op *pipeOp) reserve() Time {
 	return pp.freeAt
 }
 
-// pipeOpStart is the ArgFunc run when a TransferAfter op's ready signal
-// fires.
+// pipeOpStart is the ArgFunc run when an op's ready signal fires: it
+// books the pipe and schedules pipeOpDone at the completion instant.
 //
 //gat:hotpath
 func pipeOpStart(e *Engine, arg unsafe.Pointer) {
-	op := (*pipeOp)(arg)
-	e.FireAt(op.reserve(), &op.done)
-}
-
-// pipeOpStartArg is pipeOpStart for a TransferAfterArg op: its
-// completion event, pushed where pipeOpStart pushes the signal's, also
-// recycles the op.
-//
-//gat:hotpath
-func pipeOpStartArg(e *Engine, arg unsafe.Pointer) {
 	e.InjectAt((*pipeOp)(arg).reserve(), pipeOpDone, arg)
 }
 
-// pipeOpDone completes a TransferAfterArg op: done fires, scheduling
-// the caller's callback, and the op goes back to the free list.
+// pipeOpDone completes an op: done fires, scheduling the caller's
+// callbacks, and the op goes back to the free list.
 //
 //gat:hotpath
 func pipeOpDone(e *Engine, arg unsafe.Pointer) {
 	op := (*pipeOp)(arg)
 	op.done.Fire(e)
-	e.pipeFree.Put(op)
+	e.pipeFree.Recycle(op, &op.done)
 }
 
 // TransferAfter reserves the pipe for bytes once ready fires and
 // returns a signal fired when the transfer completes. The pipe is
 // reserved only once ready fires, so other transfers may proceed in the
 // meantime; a zero-byte transfer still pays the per-transfer overhead.
-// The pending transfer lives in an engine-arena record until the
-// engine's arenas are reset.
+// The pending transfer's record returns to the engine's free list as
+// the signal fires, so a run's pipe records are bounded by the
+// transfers in flight.
 //
 //gat:hotpath
 func (pp *Pipe) TransferAfter(ready *Signal, bytes int64) *Signal {
-	op := pp.eng.pipeOps.New()
+	op := pp.eng.pipeFree.Get()
 	op.pp = pp
 	op.bytes = bytes
 	ready.OnFireArg(pp.eng, pipeOpStart, unsafe.Pointer(op))
 	return &op.done
 }
 
-// TransferAfterArg is TransferAfter for a caller that only needs one
-// completion callback: fn(arg) runs when the transfer completes, as the
-// event OnFireArg on TransferAfter's signal would schedule, at the same
-// queue position. No signal is handed out, so the record is recycled on
-// completion and a run's pipe records are bounded by the transfers in
-// flight. arg must be non-nil.
-//
-//gat:hotpath
-func (pp *Pipe) TransferAfterArg(ready *Signal, bytes int64, fn ArgFunc, arg unsafe.Pointer) {
-	op := pp.eng.pipeFree.Get()
-	op.pp = pp
-	op.bytes = bytes
-	op.done.OnFireArg(pp.eng, fn, arg)
-	ready.OnFireArg(pp.eng, pipeOpStartArg, unsafe.Pointer(op))
-}
-
 // Reserve books the pipe for bytes starting no earlier than earliest,
 // updating the busy-until bookkeeping, and returns the occupancy window.
 // It is a synchronous primitive for callers that compose multi-stage
 // transfers (e.g. cut-through network paths); most callers should use
-// TransferAfter or TransferAfterArg instead. An earliest in the past is
-// clamped to Now(): a reservation can never backdate occupancy, so a
-// stage computed from a stale upstream start time still books
-// forward-looking time only.
+// TransferAfter instead. An earliest in the past is clamped to Now(): a
+// reservation can never backdate occupancy, so a stage computed from a
+// stale upstream start time still books forward-looking time only.
 func (pp *Pipe) Reserve(earliest Time, bytes int64) (start, end Time) {
 	if earliest < pp.eng.Now() {
 		earliest = pp.eng.Now()

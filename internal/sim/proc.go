@@ -124,10 +124,10 @@ func (p *Proc) Wait(s *Signal) {
 	p.park()
 }
 
-// waitAll is the arena-allocated record behind a group wait: a countdown
-// of unfired signals and the proc to resume when it reaches zero. Each
-// member signal holds a pointer to the record and decrements it at fire
-// time (see Signal.Fire).
+// waitAll is the record behind a group wait: a countdown of unfired
+// signals and the proc to resume when it reaches zero. Each member
+// signal holds a pointer to the record and decrements it at fire time
+// (see Signal.Fire).
 type waitAll struct {
 	n int
 	p *Proc
@@ -143,22 +143,23 @@ type WaitSet struct {
 	p    *Proc
 	wa   *waitAll
 	n    int
-	rest []*Signal // signals whose group slot another WaitSet already holds
+	rest []SignalRef // signals whose group slot another WaitSet already holds
 }
 
-// NewWaitSet returns an empty wait set for the proc. The set allocates
-// its countdown record from the engine arena on the first unfired Add,
-// so a set over already-fired signals costs nothing.
+// NewWaitSet returns an empty wait set for the proc. The set takes its
+// countdown record from the engine's free list on the first unfired
+// Add, so a set over already-fired signals costs nothing, and returns
+// it when Wait resumes.
 func (p *Proc) NewWaitSet() WaitSet { return WaitSet{p: p} }
 
 // Add registers s as a member of the group. Already-fired signals and
 // duplicates are skipped.
 func (g *WaitSet) Add(s *Signal) {
-	if s.fired {
+	if s.Fired() {
 		return
 	}
 	if g.wa == nil {
-		g.wa = g.p.eng.waitAlls.New()
+		g.wa = g.p.eng.waitFree.Get()
 		g.wa.p = g.p
 	}
 	if s.ga == g.wa {
@@ -170,7 +171,7 @@ func (g *WaitSet) Add(s *Signal) {
 		// simulator today); fall back to an in-order wait after the
 		// group parks.
 		//gat:alloc-ok cold contended-slot fallback
-		g.rest = append(g.rest, s)
+		g.rest = append(g.rest, s.Ref())
 		return
 	}
 	s.ga = g.wa
@@ -192,8 +193,13 @@ func (g *WaitSet) Wait() {
 		g.wa.n = g.n
 		g.p.park()
 	}
-	for _, s := range g.rest {
-		g.p.Wait(s)
+	if g.wa != nil {
+		// Every member has fired and cleared its slot, so nothing
+		// references the countdown any more.
+		g.p.eng.waitFree.Put(g.wa)
+	}
+	for _, r := range g.rest {
+		g.p.Wait(r.Signal())
 	}
 	g.wa, g.n, g.rest = nil, 0, nil
 }

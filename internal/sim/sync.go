@@ -18,6 +18,14 @@ type sigCB struct {
 // Signals are the completion primitive used throughout the simulator:
 // GPU events, network transfer completions, and request objects all
 // expose Signals.
+//
+// A signal an operation hands out (Engine.NewSignal, AllOf,
+// Engine.AfterSignal, Pipe.TransferAfter, the netsim transfers, the gpu
+// stream operations) lives in a record that returns to a free list in
+// the event that fires it, for a later operation to reuse. Such a
+// *Signal is valid only until it fires; code that keeps one across an
+// event holds a SignalRef instead.
+//
 // Signal stores its first waiter and first two callbacks inline: one
 // each is the common case throughout the simulator (a request with one
 // waiting rank, a transfer with one completion callback), and two
@@ -30,6 +38,9 @@ type sigCB struct {
 // those records' memory.
 type Signal struct {
 	fired    bool
+	pooled   bool   // from Engine.NewSignal: Fire recycles it
+	dead     bool   // recycled, in the gatcheck build
+	gen      uint32 // bumped as the signal fires; see SignalRef
 	w0       *Proc
 	ga       *waitAll
 	cb0, cb1 sigCB
@@ -43,17 +54,63 @@ type sigOverflow struct {
 	callbacks []sigCB
 }
 
+// SignalRef refers to a signal across events: unlike a *Signal it stays
+// valid after the signal fires and its record is reused, reading fired
+// from then on, since its generation no longer matches the record's.
+// The zero SignalRef refers to no signal and must not be read.
+type SignalRef struct {
+	s   *Signal
+	gen uint32
+}
+
+// Ref returns a reference to s that outlives its firing.
+//
+//gat:hotpath
+func (s *Signal) Ref() SignalRef {
+	s.live()
+	if s.fired {
+		return SignalRef{s: firedSignal}
+	}
+	return SignalRef{s: s, gen: s.gen}
+}
+
+// Fired reports whether the referenced signal has fired.
+//
+//gat:hotpath
+func (r SignalRef) Fired() bool { return r.s.gen != r.gen || r.s.fired }
+
+// Signal returns the referenced signal while it is pending, or
+// FiredSignal once it has fired; either is valid for immediate use.
+//
+//gat:hotpath
+func (r SignalRef) Signal() *Signal {
+	if r.Fired() {
+		return firedSignal
+	}
+	return r.s
+}
+
+// live panics on a recycled signal in the gatcheck build.
+func (s *Signal) live() {
+	if checkRecycle && s.dead {
+		panic("sim: use of a recycled signal: a handed-out *Signal is valid only until it fires; keep a SignalRef")
+	}
+}
+
 // NewSignal returns an unfired signal.
 func NewSignal() *Signal { return &Signal{} }
 
-// NewSignal returns an unfired signal allocated from the engine's
-// arena: it costs a pointer bump, and it is reclaimed wholesale when
-// the engine's arenas are reset or discarded. Use it for run-transient
-// completion signals; a signal that must outlive the engine still goes
-// through the package-level NewSignal.
+// NewSignal returns an unfired signal from the engine's free list,
+// valid until it fires, when it returns there (see Signal). A signal
+// that must outlive its firing goes through the package-level
+// NewSignal.
 //
 //gat:hotpath
-func (e *Engine) NewSignal() *Signal { return e.sigs.New() }
+func (e *Engine) NewSignal() *Signal {
+	s := e.sigFree.Get()
+	s.pooled = true
+	return s
+}
 
 // firedSignal is the shared already-fired signal. Safe to share across
 // engines and goroutines: every Signal method is a pure read once fired
@@ -66,11 +123,12 @@ var firedSignal = &Signal{fired: true}
 func FiredSignal() *Signal { return firedSignal }
 
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+func (s *Signal) Fired() bool { s.live(); return s.fired }
 
 // Fire marks the signal fired, schedules all waiting procs to resume at
 // the current time, and runs callbacks in registration order. Firing an
-// already-fired signal is a no-op.
+// already-fired signal is a no-op. A signal from Engine.NewSignal then
+// returns to the engine's free list.
 //
 // Waiters resume through the shared procResume dispatch and callbacks
 // are re-queued in their stored payload form, so firing a signal
@@ -78,10 +136,12 @@ func (s *Signal) Fired() bool { return s.fired }
 //
 //gat:hotpath
 func (s *Signal) Fire(e *Engine) {
+	s.live()
 	if s.fired {
 		return
 	}
 	s.fired = true
+	s.gen++
 	if s.w0 != nil {
 		e.push(e.now, procResumePtr, unsafe.Pointer(s.w0))
 		s.w0 = nil
@@ -117,6 +177,9 @@ func (s *Signal) Fire(e *Engine) {
 			e.push(e.now, cb.fn, cb.arg)
 		}
 	}
+	if s.pooled {
+		e.sigFree.Recycle(s, s)
+	}
 }
 
 // addCB appends a callback in registration order, filling the inline
@@ -148,7 +211,7 @@ func (s *Signal) overflow() *sigOverflow {
 // OnFire registers cb to run (as a scheduled event) when the signal
 // fires. If the signal already fired, cb is scheduled immediately.
 func (s *Signal) OnFire(e *Engine, cb func()) {
-	if s.fired {
+	if s.Fired() {
 		e.At(e.now, cb)
 		return
 	}
@@ -156,17 +219,17 @@ func (s *Signal) OnFire(e *Engine, cb func()) {
 }
 
 // OnFireArg registers a static callback with a record argument, the
-// allocation-free form of OnFire for arena-allocated records: the
-// (fn, arg) pair is stored and later scheduled verbatim, no closure is
-// created at any point. arg must be non-nil — a nil arg would make the
-// stored pair ambiguous with the other payload forms.
+// allocation-free form of OnFire: the (fn, arg) pair is stored and
+// later scheduled verbatim, no closure is created at any point. arg
+// must be non-nil — a nil arg would make the stored pair ambiguous with
+// the other payload forms.
 //
 //gat:hotpath
 func (s *Signal) OnFireArg(e *Engine, fn ArgFunc, arg unsafe.Pointer) {
 	if arg == nil {
 		panic("sim: OnFireArg requires a non-nil arg")
 	}
-	if s.fired {
+	if s.Fired() {
 		e.push(e.now, argFnToPtr(fn), arg)
 		return
 	}
@@ -178,7 +241,7 @@ func (s *Signal) OnFireArg(e *Engine, fn ArgFunc, arg unsafe.Pointer) {
 // current time. Either way the link is carried in the fire-signal
 // payload form, so chaining allocates nothing.
 func (s *Signal) Chain(e *Engine, dst *Signal) {
-	if s.fired {
+	if s.Fired() {
 		e.FireAt(e.now, dst)
 		return
 	}
@@ -201,19 +264,31 @@ type delayOp struct {
 }
 
 // delayOpFire is the ArgFunc behind AfterSignal.
+//
+//gat:hotpath
 func delayOpFire(e *Engine, arg unsafe.Pointer) {
+	e.InjectAt(e.now+(*delayOp)(arg).d, delayOpDone, arg)
+}
+
+// delayOpDone fires the link's out signal and recycles the link.
+//
+//gat:hotpath
+func delayOpDone(e *Engine, arg unsafe.Pointer) {
 	op := (*delayOp)(arg)
-	e.FireAt(e.now+op.d, &op.out)
+	op.out.Fire(e)
+	e.delayFree.Recycle(op, &op.out)
 }
 
 // AfterSignal returns a signal that fires d after sig fires. A
 // non-positive delay returns sig itself. The link record comes from the
-// engine's arena, so a delay chain costs no per-hop heap allocation.
+// engine's free list and returns there as the result fires.
+//
+//gat:hotpath
 func (e *Engine) AfterSignal(sig *Signal, d Time) *Signal {
 	if d <= 0 {
 		return sig
 	}
-	op := e.delayOps.New()
+	op := e.delayFree.Get()
 	op.d = d
 	sig.OnFireArg(e, delayOpFire, unsafe.Pointer(op))
 	return &op.out
@@ -228,14 +303,15 @@ func (s *Signal) addWaiter(p *Proc) {
 	m.waiters = append(m.waiters, p)
 }
 
-// allOf is the arena-allocated record behind AllOf: a countdown of the
-// inputs still unfired and the output signal.
+// allOf is the record behind AllOf: a countdown of the inputs still
+// unfired and the output signal.
 type allOf struct {
 	n   int
 	out Signal
 }
 
-// allOfFire is the ArgFunc each unfired AllOf input runs when it fires.
+// allOfFire is the ArgFunc each unfired AllOf input runs when it fires;
+// the last one fires the output and recycles the record.
 //
 //gat:hotpath
 func allOfFire(e *Engine, arg unsafe.Pointer) {
@@ -243,15 +319,16 @@ func allOfFire(e *Engine, arg unsafe.Pointer) {
 	a.n--
 	if a.n == 0 {
 		a.out.Fire(e)
+		e.allOfFree.Recycle(a, &a.out)
 	}
 }
 
 // AllOf returns a signal that fires once every input signal has fired.
 // With no unfired inputs it returns an already-fired signal. The
-// countdown and output live in an engine arena record, registered on
-// each unfired input in the record-callback form, so the join allocates
-// no closure; like every engine-arena signal, the result is valid until
-// the engine's arenas are reset.
+// countdown and output live in a record from the engine's free list,
+// registered on each unfired input in the record-callback form, so the
+// join allocates no closure; the record returns to the free list as the
+// result fires.
 //
 //gat:hotpath
 func AllOf(e *Engine, sigs ...*Signal) *Signal {
@@ -264,10 +341,10 @@ func AllOf(e *Engine, sigs ...*Signal) *Signal {
 	if remaining == 0 {
 		return FiredSignal()
 	}
-	a := e.allOfs.New()
+	a := e.allOfFree.Get()
 	a.n = remaining
 	for _, s := range sigs {
-		if !s.Fired() {
+		if !s.fired {
 			s.OnFireArg(e, allOfFire, unsafe.Pointer(a))
 		}
 	}

@@ -9,26 +9,48 @@ import (
 	"gat/internal/sim"
 )
 
-// charmAllocsPerIter returns the marginal heap allocations of one
-// Jacobi3D iteration under opt: the allocations of a run of 2n timed
-// iterations minus those of a run of n, over n. Machine construction,
-// chare set-up and warm-up cancel out, leaving the per-iteration path.
-func charmAllocsPerIter(opt CharmOpts, n int) float64 {
-	run := func(iters int) float64 {
-		return testing.AllocsPerRun(2, func() {
-			m := machine.MustNew(machine.Summit(1))
-			RunCharm(m, Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters}, opt)
-		})
+// perIter returns the marginal growth of a MemStats counter over one
+// Jacobi3D iteration of run once a run is set up: the growth over a run
+// of 2n timed iterations minus that over a run of n, over n. Each run
+// gets a fresh Summit machine of the given size, built outside the
+// measured span, so machine construction, chare set-up and warm-up
+// cancel out. Each length takes the fewest of a few tries: what else
+// allocates — the collector, and sync.Pool refills, which the race
+// detector randomizes — only ever adds.
+func perIter(nodes int, run func(m *machine.Machine, iters int), n int, counter func(*runtime.MemStats) uint64) float64 {
+	measure := func(iters int) float64 {
+		var before, after runtime.MemStats
+		best := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			m := machine.MustNew(machine.Summit(nodes))
+			runtime.ReadMemStats(&before)
+			run(m, iters)
+			runtime.ReadMemStats(&after)
+			best = min(best, counter(&after)-counter(&before))
+		}
+		return float64(best)
 	}
-	return (run(2*n) - run(n)) / float64(n)
+	return (measure(2*n) - measure(n)) / float64(n)
 }
 
+// iterConfig is the 96³ grid of the per-iteration tests.
+func iterConfig(iters int) Config { return Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters} }
+
+// runCharm returns a perIter run of RunCharm under opt.
+func runCharm(opt CharmOpts) func(*machine.Machine, int) {
+	return func(m *machine.Machine, iters int) { RunCharm(m, iterConfig(iters), opt) }
+}
+
+func mallocs(ms *runtime.MemStats) uint64    { return ms.Mallocs }
+func allocBytes(ms *runtime.MemStats) uint64 { return ms.TotalAlloc }
+
 // maxAllocsPerIter bounds TestCharmIterationAllocs. An iteration of 24
-// chares (Summit(1), ODF 4) measures 0 (-0.06 to 0.03 on Go 1.24): the
-// records an iteration uses, signals included, return to free lists as
-// their operations complete, so the run reuses them. The bound leaves
-// room for the odd runtime allocation landing in one run of a pair; one
-// closure, task or record per iteration would add 1, one per chare 24.
+// chares (Summit(1), ODF 4) measures 0 on Go 1.24 (-0.06 to 0.06 under
+// the race detector): the records an iteration uses, signals included,
+// return to free lists as their operations complete, so the run reuses
+// them. The bound leaves room for the odd runtime allocation landing in
+// one run of a pair; one closure, task or record per iteration would
+// add 1, one per chare 24.
 const maxAllocsPerIter = 0.25
 
 // TestCharmIterationAllocs pins the allocation-free Charm task path:
@@ -53,7 +75,7 @@ func TestCharmIterationAllocs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := charmAllocsPerIter(c.opt, 32)
+			got := perIter(1, runCharm(c.opt), 32, mallocs)
 			t.Logf("%s: %.2f allocs/iteration", c.name, got)
 			if got > maxAllocsPerIter {
 				t.Fatalf("%s allocates %.2f times per iteration (marginal), want <= %.2f", c.name, got, maxAllocsPerIter)
@@ -91,33 +113,14 @@ func TestCharmChannelsDrain(t *testing.T) {
 	}
 }
 
-// bytesPerIter returns the marginal heap bytes of one Jacobi3D
-// iteration of run, measured like charmAllocsPerIter: the TotalAlloc of
-// a run of 2n timed iterations minus that of a run of n, over n. It
-// takes the minimum of a few tries, since the collector's own
-// allocations can land in either run.
-func bytesPerIter(run func(iters int), n int) float64 {
-	measure := func(iters int) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run(iters)
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc - before.TotalAlloc)
-	}
-	best := math.Inf(1)
-	for try := 0; try < 3; try++ {
-		best = math.Min(best, (measure(2*n)-measure(n))/float64(n))
-	}
-	return best
-}
-
 // TestIterationBytes bounds the heap bytes an iteration allocates once
 // a run is set up. Every record an iteration uses returns to a free
 // list as its operation completes — engine signals, AllOf joins, GPU
 // stream ops, transfer, pipe and match records — so the Charm variants
-// measure 0 (-15 to 0 B on Go 1.24) and their bound is a noise floor
-// below one record per chare. What MPI-D still allocates is its
-// requests, which ranks hold until the world is reset (5.6–5.8 KB).
+// measure 0 on Go 1.24 (0 to 7 B under the race detector) and their
+// bound is a noise floor below one record per chare. What MPI-D still
+// allocates is its requests, which ranks hold until the world is reset
+// (5.8 KB).
 func TestIterationBytes(t *testing.T) {
 	if !sim.Recycles {
 		t.Skip("the gatcheck build allocates every record afresh")
@@ -125,23 +128,20 @@ func TestIterationBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a dozen simulations")
 	}
-	cfg := func(iters int) Config { return Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters} }
-	charm := func(opt CharmOpts) func(int) {
-		return func(iters int) { RunCharm(machine.MustNew(machine.Summit(1)), cfg(iters), opt) }
-	}
 	cases := []struct {
-		name string
-		run  func(int)
-		max  float64
+		name  string
+		nodes int
+		run   func(*machine.Machine, int)
+		max   float64
 	}{
-		{"charm-d", charm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 512},
-		{"charm-d-graphs", charm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 512},
-		{"charm-h", charm(CharmOpts{ODF: 4}.Optimized()), 512},
-		{"mpi-d", func(iters int) { RunMPI(machine.MustNew(machine.Summit(2)), cfg(iters), MPIOpts{Device: true}) }, 11 << 10},
+		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 512},
+		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 512},
+		{"charm-h", 1, runCharm(CharmOpts{ODF: 4}.Optimized()), 512},
+		{"mpi-d", 2, func(m *machine.Machine, iters int) { RunMPI(m, iterConfig(iters), MPIOpts{Device: true}) }, 11 << 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := bytesPerIter(c.run, 32)
+			got := perIter(c.nodes, c.run, 32, allocBytes)
 			t.Logf("%s: %.0f bytes/iteration", c.name, got)
 			if got > c.max {
 				t.Fatalf("%s allocates %.0f bytes per iteration (marginal), want <= %.0f", c.name, got, c.max)

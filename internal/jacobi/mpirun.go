@@ -124,9 +124,9 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 			// The send buffers must be ready before posting sends.
 			r.Compute(gcfg.SyncOverhead)
 			if opts.Device {
-				waitAll(p, packSigs)
+				p.WaitAll(packSigs...)
 			} else {
-				waitAll(p, d2hSigs)
+				p.WaitAll(d2hSigs...)
 			}
 
 			// Non-blocking halo exchange.
@@ -187,15 +187,6 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 	})
 
 	return result(m, (tEnd-tWarm)/sim.Time(cfg.Iters))
-}
-
-// waitAll is Proc.WaitAll over the signals refs refer to.
-func waitAll(p *sim.Proc, refs []sim.SignalRef) {
-	g := p.NewWaitSet()
-	for _, r := range refs {
-		g.Add(r.Signal())
-	}
-	g.Wait()
 }
 
 // result assembles the machine-wide counters shared by both runtimes.

@@ -136,7 +136,7 @@ type waitAll struct {
 // WaitSet accumulates signals for a single group wait: Add registers any
 // number of signals, Wait parks the proc at most once until every added
 // signal has fired. It is the incremental form of WaitAll for callers
-// that would otherwise have to build a []*Signal (MPI Waitall over
+// that would otherwise have to build a []SignalRef (MPI Waitall over
 // request records, for example). A WaitSet is a one-shot stack value:
 // obtain it from Proc.NewWaitSet, use it, drop it.
 type WaitSet struct {
@@ -204,12 +204,12 @@ func (g *WaitSet) Wait() {
 	g.wa, g.n, g.rest = nil, 0, nil
 }
 
-// WaitAll blocks until every signal in sigs has fired, parking at most
-// once regardless of how many are still pending.
-func (p *Proc) WaitAll(sigs ...*Signal) {
+// WaitAll blocks until every signal refs refer to has fired, parking at
+// most once regardless of how many are still pending.
+func (p *Proc) WaitAll(refs ...SignalRef) {
 	g := p.NewWaitSet()
-	for _, s := range sigs {
-		g.Add(s)
+	for _, r := range refs {
+		g.Add(r.Signal())
 	}
 	g.Wait()
 }

@@ -85,6 +85,32 @@ func TestSignalRefReadsFiredAfterReuse(t *testing.T) {
 	}
 }
 
+// TestWaitAllReadsStaleRefsFired checks that a group wait over
+// references skips a member whose record already serves a later,
+// pending operation, and resumes when the last live member fires.
+func TestWaitAllReadsStaleRefsFired(t *testing.T) {
+	e := sim.NewEngine()
+	early, late := e.NewSignal(), e.NewSignal()
+	e.FireAt(10, early)
+	e.FireAt(30, late)
+	refs := []sim.SignalRef{early.Ref(), late.Ref()}
+	var resumed sim.Time
+	e.Spawn("w", func(p *sim.Proc) {
+		p.Sleep(20)
+		reuse := e.NewSignal()
+		if sim.Recycles && reuse != early {
+			t.Error("the new signal did not reuse the fired record")
+		}
+		e.FireAt(100, reuse)
+		p.WaitAll(refs...)
+		resumed = p.Now()
+	})
+	e.Run()
+	if resumed != 30 {
+		t.Fatalf("WaitAll resumed at %d, want 30", resumed)
+	}
+}
+
 // panics reports whether fn panics.
 func panics(fn func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()

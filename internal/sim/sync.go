@@ -126,9 +126,15 @@ func FiredSignal() *Signal { return firedSignal }
 func (s *Signal) Fired() bool { s.live(); return s.fired }
 
 // Fire marks the signal fired, schedules all waiting procs to resume at
-// the current time, and runs callbacks in registration order. Firing an
-// already-fired signal is a no-op. A signal from Engine.NewSignal then
-// returns to the engine's free list.
+// the current time, and runs callbacks in registration order. A signal
+// from Engine.NewSignal then returns to the engine's free list.
+//
+// A signal an operation hands out (see Signal) must be fired exactly
+// once: after its first firing the record may already serve a later
+// operation, so a second Fire or FireAt fires that operation's signal.
+// Firing an already-fired signal is a no-op only for signals that are
+// never recycled: those from the package-level NewSignal, FiredSignal,
+// and MPI requests.
 //
 // Waiters resume through the shared procResume dispatch and callbacks
 // are re-queued in their stored payload form, so firing a signal
@@ -157,7 +163,7 @@ func (s *Signal) Fire(e *Engine) {
 		// Group wait: decrement at fire time, in the waiter slot of the
 		// push order, so the group's single resume is pushed at exactly
 		// the position a plain waiter's resume would occupy on the last
-		// signal to fire (see Proc.WaitAll).
+		// signal to fire (see WaitSet.Wait).
 		s.ga = nil
 		g.n--
 		if g.n == 0 {

@@ -47,10 +47,12 @@ benchmark-check:
 	@cd benchmark && /tmp/gat-gatvet ./...
 	@echo "benchmark-check: harness tests pass, gatvet clean"
 
-# A fast end-to-end sweep, three ways byte-identical: parallel vs the
-# serial reference path, and a warm content-addressed cache vs the
-# cold run that filled it — with the warm run simulating nothing (the
-# "[0-9]* simulated" provenance line comes from the run counter).
+# A fast end-to-end sweep, four ways byte-identical: parallel vs the
+# serial reference path, a warm content-addressed cache vs the cold
+# run that filled it, and a -resume from the sweep's own -json report
+# — with the warm and the resumed runs simulating nothing (the
+# "[0-9]* simulated" provenance line comes from the run counter). The
+# same report re-tagged gat-sweep-v2 must be refused, naming the tag.
 # The tapered-fabric scenario gets the same serial-vs-parallel gate:
 # fabric link contention must not perturb deterministic reassembly —
 # and -shards 4 layered on top must still reproduce the serial bytes
@@ -78,7 +80,17 @@ sweep-smoke:
 	@grep -Eq "\([0-9]+ runs: 0 simulated, [0-9]+ from store, 0 resumed\)" /tmp/gat-sweep-warm-log.txt || \
 		{ echo "sweep-smoke: warm cache run still simulated:"; tail -1 /tmp/gat-sweep-warm-log.txt; exit 1; }
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -cache-dir /tmp/gat-sweep-cache -json > $(SMOKE_OUT)/sweep-smoke.json
-	@echo "sweep-smoke: parallel, sharded and warm-cache output byte-identical to serial; warm run simulated 0 runs"
+	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -resume $(SMOKE_OUT)/sweep-smoke.json -v \
+		> /tmp/gat-sweep-resumed.txt 2> /tmp/gat-sweep-resumed-log.txt
+	@cmp /tmp/gat-sweep-serial.txt /tmp/gat-sweep-resumed.txt
+	@grep -Eq "\(([0-9]+) runs: 0 simulated, 0 from store, \1 resumed\)" /tmp/gat-sweep-resumed-log.txt || \
+		{ echo "sweep-smoke: resume from the sweep's own report still simulated:"; tail -2 /tmp/gat-sweep-resumed-log.txt; exit 1; }
+	@sed 's/"gat-sweep-v3"/"gat-sweep-v2"/' $(SMOKE_OUT)/sweep-smoke.json > /tmp/gat-sweep-smoke-v2.json
+	@if /tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -resume /tmp/gat-sweep-smoke-v2.json > /dev/null 2> /tmp/gat-sweep-v2-log.txt; then \
+		echo "sweep-smoke: -resume accepted a gat-sweep-v2 report"; exit 1; fi
+	@grep -q gat-sweep-v2 /tmp/gat-sweep-v2-log.txt || \
+		{ echo "sweep-smoke: the v2 refusal does not name the schema:"; cat /tmp/gat-sweep-v2-log.txt; exit 1; }
+	@echo "sweep-smoke: parallel, sharded, warm-cache and resumed output byte-identical to serial; warm and resumed runs simulated 0 runs; a v2 report is refused"
 
 # Sweep-as-a-service smoke: a sweepd on a random port backs a cold
 # `sweep -remote` run, the warm rerun simulates nothing and emits
@@ -112,10 +124,11 @@ sweepd-smoke:
 # Scenario registry smoke: the registry must list (with the topology
 # and routing columns), a non-Summit, non-Jacobi composition must run
 # end to end, one tapered-fabric run must emit its link-utilization
-# provenance in the v3 JSON, and one adaptive-routing run must emit its
-# routing provenance.
+# provenance in the v3 JSON, one adaptive-routing run must emit its
+# routing provenance, and cmd/jacobi3d must run every variant.
 scenario-smoke:
 	@$(GO) build -o /tmp/gat-sweep ./cmd/sweep
+	@$(GO) build -o /tmp/gat-jacobi3d ./cmd/jacobi3d
 	@/tmp/gat-sweep -list | grep -q minimd-frontier
 	@/tmp/gat-sweep -list | grep -q "dragonfly 2:1"
 	@/tmp/gat-sweep -list | grep -q adaptive
@@ -128,7 +141,13 @@ scenario-smoke:
 	@/tmp/gat-sweep -scenario jacobi-adaptive-vs-minimal -maxnodes 48 -iters 2 -warmup 1 -j 4 -json > $(SMOKE_OUT)/routing-smoke.json
 	@grep -q '"routing"' $(SMOKE_OUT)/routing-smoke.json || \
 		{ echo "scenario-smoke: adaptive-routing run reported no routing provenance"; exit 1; }
-	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run"
+	@for v in mpi-h mpi-d charm-h charm-d; do \
+		/tmp/gat-jacobi3d -variant $$v -nodes 2 -iters 2 > /tmp/gat-jacobi3d-$$v.txt || \
+			{ echo "scenario-smoke: jacobi3d -variant $$v failed"; exit 1; }; \
+		grep -q '^time/iter' /tmp/gat-jacobi3d-$$v.txt || \
+			{ echo "scenario-smoke: jacobi3d -variant $$v printed no time/iter"; exit 1; }; \
+	done
+	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run; jacobi3d runs every variant"
 
 # Claims smoke: all seven C1-C7 checks must execute and report at
 # reduced scale; their verdicts are advisory there (-smoke exits 0).

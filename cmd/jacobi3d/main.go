@@ -16,7 +16,7 @@ import (
 	"sort"
 	"strings"
 
-	"gat/internal/jacobi"
+	"gat/internal/app"
 	"gat/internal/machine"
 	"gat/internal/sim"
 	"gat/internal/timeline"
@@ -47,13 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fusion, err := jacobi.ParseFusion(*fusionStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	cfg := jacobi.Config{Global: global, Iters: *iters, Warmup: *warmup}
 	mcfg, err := machine.BuildProfile(*machineName, *nodes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -68,28 +61,27 @@ func main() {
 		m.Eng.SetTracer(sim.NewTracer())
 	}
 
-	var res jacobi.Result
-	switch *variant {
-	case "mpi-h":
-		res = jacobi.RunMPI(m, cfg, jacobi.MPIOpts{Overlap: *overlap, ResidualEvery: *residual})
-	case "mpi-d":
-		res = jacobi.RunMPI(m, cfg, jacobi.MPIOpts{Device: true, Overlap: *overlap, ResidualEvery: *residual})
-	case "charm-h", "charm-d":
-		opts := jacobi.CharmOpts{
-			ODF:           *odf,
-			GPUAware:      *variant == "charm-d",
-			Fusion:        fusion,
-			Graphs:        *graphs,
-			ResidualEvery: *residual,
-		}
-		if !*before {
-			opts = opts.Optimized()
-		}
-		res = jacobi.RunCharm(m, cfg, opts)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
+	jac, err := app.ByName("jacobi3d")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	run, err := jac.BuildRun(m, *variant, app.Params{
+		Global:      global,
+		ODF:         *odf,
+		Warmup:      *warmup,
+		Iters:       *iters,
+		Fusion:      *fusionStr,
+		Graphs:      *graphs,
+		Unoptimized: *before,
+		Overlap:     *overlap,
+		Residual:    *residual,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	res := run()
 
 	fmt.Printf("variant      %s\n", *variant)
 	fmt.Printf("machine      %s\n", *machineName)

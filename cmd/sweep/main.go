@@ -180,8 +180,8 @@ func main() {
 		}
 		opt.Prior = sweep.NewPrior(rep)
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "sweep: resuming from %s (%d reusable runs, schema %s)\n",
-				*resume, opt.Prior.Len(), rep.Schema)
+			fmt.Fprintf(os.Stderr, "sweep: resuming from %s (%d reusable runs)\n",
+				*resume, len(opt.Prior))
 		}
 	}
 

@@ -80,6 +80,31 @@ func TestUnknownVariantErrors(t *testing.T) {
 	}
 }
 
+// TestJacobiFusionParsedForEveryVariant: BuildRun rejects a malformed
+// fusion strategy on every jacobi3d variant, the MPI ones included,
+// which ignore a well-formed one.
+func TestJacobiFusionParsedForEveryVariant(t *testing.T) {
+	a, err := ByName("jacobi3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range a.Variants() {
+		for _, c := range []struct {
+			fusion  string
+			wantErr bool
+		}{{"", false}, {"none", false}, {"C", false}, {"Z", true}} {
+			p := Params{Global: [3]int{96, 96, 96}, ODF: 1, Fusion: c.fusion}
+			_, err := a.BuildRun(summitMachine(t, 1), v, p)
+			if got := err != nil; got != c.wantErr {
+				t.Errorf("%s with fusion %q: err = %v, want error %v", v, c.fusion, err, c.wantErr)
+			}
+			if c.wantErr && err != nil && !strings.Contains(err.Error(), `"Z"`) {
+				t.Errorf("%s: fusion error %q does not name the strategy", v, err)
+			}
+		}
+	}
+}
+
 // TestJacobiAppMatchesDirectRun pins the adapter to the underlying
 // proxy: the app path and a direct jacobi.RunCharm must produce the
 // same simulated time on identical machines.

@@ -37,6 +37,12 @@ func (jacobi3D) Defaults(nodes int) Params {
 }
 
 func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func() Metrics, error) {
+	// Parse Fusion for every variant, so a malformed strategy fails
+	// even on the MPI variants, which ignore it.
+	fusion, err := jacobi.ParseFusion(p.Fusion)
+	if err != nil {
+		return nil, err
+	}
 	cfg := jacobi.Config{Global: p.Global, Warmup: p.Warmup, Iters: p.Iters}
 	switch variant {
 	case "mpi-h", "mpi-d":
@@ -47,10 +53,6 @@ func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func()
 		}
 		return func() Metrics { return fromResult(jacobi.RunMPI(m, cfg, mo)) }, nil
 	case "charm-h", "charm-d":
-		fusion, err := jacobi.ParseFusion(p.Fusion)
-		if err != nil {
-			return nil, err
-		}
 		co := jacobi.CharmOpts{
 			ODF:           p.ODF,
 			GPUAware:      variant == "charm-d",

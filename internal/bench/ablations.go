@@ -85,7 +85,7 @@ func ablChannelAPIScenario() *Scenario {
 		Series: []SeriesDef{
 			{"ChannelAPI", func(c *Cell) Point {
 				bytes := int64(1) << c.X
-				mc := c.NewMachine()
+				mc := c.NewMachine(nil)
 				ch := comm.NewChannel(mc.Net,
 					comm.Endpoint{Proc: 0, Node: 0}, comm.Endpoint{Proc: 1, Node: 1})
 				var at sim.Time
@@ -97,7 +97,7 @@ func ablChannelAPIScenario() *Scenario {
 			}},
 			{"MessagingAPI", func(c *Cell) Point {
 				bytes := int64(1) << c.X
-				mm := c.NewMachine()
+				mm := c.NewMachine(nil)
 				var at sim.Time
 				comm.MessagingSend(mm.Net, comm.DefaultMessagingConfig(),
 					comm.Endpoint{Proc: 0, Node: 0}, comm.Endpoint{Proc: 1, Node: 1},
@@ -158,7 +158,7 @@ func ablODFScenario() *Scenario {
 // GenerateAny resolves any scenario — paper figure, ablation or extra
 // — and runs it serially.
 func GenerateAny(id string, opt Options) (Figure, error) {
-	p, err := PlanFor(id, opt)
+	p, err := PlanScenario(id, opt, Overrides{})
 	if err != nil {
 		return Figure{}, err
 	}

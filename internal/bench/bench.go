@@ -1,11 +1,11 @@
-// Package bench is the experiment harness: one generator per figure of
-// the paper's evaluation (§IV), each reproducing the figure's series —
-// workload, parameter sweep, baselines — on the simulated machine and
-// emitting the same rows the paper plots.
+// Package bench is the experiment harness: one registered scenario per
+// figure of the paper's evaluation (§IV), each reproducing the figure's
+// series — workload, parameter sweep, baselines — on the simulated
+// machine and emitting the same rows the paper plots.
 //
-// A generator does not run anything itself: it produces a Plan, a flat
-// list of self-contained RunSpecs (one simulation point each) plus a
-// deterministic assembly step. Plan.Run executes serially; the
+// A scenario does not run anything itself: it compiles to a Plan, a
+// flat list of self-contained RunSpecs (one simulation point each) plus
+// a deterministic assembly step. Plan.Run executes serially; the
 // internal/sweep orchestrator executes the same specs on a worker pool
 // with byte-identical output.
 package bench
@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"gat/internal/jacobi"
-	"gat/internal/machine"
 	"gat/internal/sim"
 )
 
@@ -43,22 +42,6 @@ type Options struct {
 	// memo, when set (WithMemo), is shared by every cell planned with
 	// these options.
 	memo *memo
-}
-
-// machineFor builds the standard Summit machine for one run, wiring
-// the jitter knobs so equal (options, seed) pairs reproduce equal
-// timelines. Scenario cells build machines through Cell.NewMachine
-// instead; this remains for the claim checks, which are calibrated to
-// Summit.
-func (o Options) machineFor(nodes int, seed uint64) *machine.Machine {
-	cfg := machine.Summit(nodes)
-	cfg.Net.JitterFrac = o.Jitter
-	cfg.Net.JitterSeed = seed
-	return machine.MustNew(cfg)
-}
-
-func (o Options) cfg(global [3]int) jacobi.Config {
-	return jacobi.Config{Global: global, Warmup: o.Warmup, Iters: o.Iters}.DefaultIterations()
 }
 
 func (o Options) progress(format string, args ...any) {
@@ -105,66 +88,6 @@ type Figure struct {
 	Series []Series
 }
 
-// Generator builds one figure. Plan decomposes the figure into a flat
-// list of independent RunSpecs; Run is the serial reference execution.
-// Generators are views over the scenario registry, kept for the
-// classic figure-centric API.
-type Generator struct {
-	ID    string
-	Title string
-	Plan  func(Options) Plan
-}
-
-// Run generates the figure serially, in spec order.
-func (g Generator) Run(opt Options) Figure { return g.Plan(opt).Run() }
-
-// generatorsOfKind adapts the registered scenarios of one kind.
-func generatorsOfKind(k Kind) []Generator {
-	var out []Generator
-	for _, s := range Scenarios() {
-		if s.Kind != k {
-			continue
-		}
-		s := s
-		out = append(out, Generator{
-			ID:    s.Name,
-			Title: s.Title,
-			Plan: func(opt Options) Plan {
-				p, err := s.Plan(opt, Overrides{})
-				if err != nil {
-					// Registered scenarios resolve by construction; a
-					// failure here is a registration bug.
-					panic(err)
-				}
-				return p
-			},
-		})
-	}
-	return out
-}
-
-// Generators returns the paper-figure generators in publication order.
-func Generators() []Generator { return generatorsOfKind(KindFigure) }
-
-// AblationGenerators returns the ablation generators.
-func AblationGenerators() []Generator { return generatorsOfKind(KindAblation) }
-
-// Generate runs the paper-figure scenario with the given id.
-func Generate(id string, opt Options) (Figure, error) {
-	for _, g := range Generators() {
-		if g.ID == id {
-			return g.Run(opt), nil
-		}
-	}
-	return Figure{}, fmt.Errorf("bench: unknown figure %q", id)
-}
-
-// PlanFor resolves id — any registered scenario — to its run plan on
-// the scenario's default app and machine.
-func PlanFor(id string, opt Options) (Plan, error) {
-	return PlanScenario(id, opt, Overrides{})
-}
-
 // nodeSweep returns the geometric node-count range [lo..hi] capped by
 // opt.MaxNodes. A cap below lo still yields the single point lo, so a
 // figure never comes back empty.
@@ -186,25 +109,6 @@ func nodeSweep(lo, hi int, opt Options) []int {
 // matching §IV-B (now shared with the app layer as jacobi.WeakGlobal).
 func weakGlobal(base [3]int, nodes int) [3]int {
 	return jacobi.WeakGlobal(base, nodes)
-}
-
-// bestODF runs the Charm variant over the candidate ODFs and returns
-// the fastest result, as the paper does for every Charm data point
-// (§IV-A: "the one with the best performance is chosen"). All
-// candidate runs share one seed: they are alternatives for the same
-// data point, not separate measurements.
-func bestODF(opt Options, cfg jacobi.Config, nodes int, seed uint64, base jacobi.CharmOpts, odfs []int) (jacobi.Result, int) {
-	var best jacobi.Result
-	bestODF := 0
-	for _, odf := range odfs {
-		opts := base
-		opts.ODF = odf
-		r := jacobi.RunCharm(opt.machineFor(nodes, seed), cfg, opts)
-		if bestODF == 0 || r.TimePerIter < best.TimePerIter {
-			best, bestODF = r, odf
-		}
-	}
-	return best, bestODF
 }
 
 // odfCandidates returns the ODF search set, trimmed at large node

@@ -1,35 +1,50 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"gat/internal/jacobi"
+	"gat/internal/app"
 )
 
-func base() jacobi.CharmOpts { return jacobi.CharmOpts{GPUAware: true} }
-
-// quickOpt keeps generator tests fast: tiny sweeps, few iterations.
+// quickOpt keeps scenario tests fast: tiny sweeps, few iterations.
 func quickOpt() Options {
 	return Options{MaxNodes: 2, Warmup: 1, Iters: 3}
 }
 
-func TestAllGeneratorsProduceSeries(t *testing.T) {
-	for _, g := range Generators() {
-		fig := g.Run(quickOpt())
-		if fig.ID != g.ID {
-			t.Errorf("%s: figure id mismatch: %q", g.ID, fig.ID)
+// generateKind runs every registered scenario of kind k serially.
+func generateKind(t *testing.T, k Kind) []Figure {
+	t.Helper()
+	var figs []Figure
+	for _, s := range Scenarios() {
+		if s.Kind != k {
+			continue
 		}
+		fig, err := GenerateAny(s.Name, quickOpt())
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		figs = append(figs, fig)
+	}
+	if len(figs) == 0 {
+		t.Fatalf("no %s scenarios registered", k)
+	}
+	return figs
+}
+
+func TestAllGeneratorsProduceSeries(t *testing.T) {
+	for _, fig := range generateKind(t, KindFigure) {
 		if len(fig.Series) == 0 {
-			t.Errorf("%s: no series", g.ID)
+			t.Errorf("%s: no series", fig.ID)
 		}
 		for _, s := range fig.Series {
 			if len(s.Points) == 0 {
-				t.Errorf("%s/%s: no points", g.ID, s.Name)
+				t.Errorf("%s/%s: no points", fig.ID, s.Name)
 			}
 			for _, p := range s.Points {
 				if p.Value <= 0 {
-					t.Errorf("%s/%s: non-positive value at %d", g.ID, s.Name, p.Nodes)
+					t.Errorf("%s/%s: non-positive value at %d", fig.ID, s.Name, p.Nodes)
 				}
 			}
 		}
@@ -37,30 +52,26 @@ func TestAllGeneratorsProduceSeries(t *testing.T) {
 }
 
 func TestAblationGenerators(t *testing.T) {
-	for _, g := range AblationGenerators() {
-		fig := g.Run(quickOpt())
+	for _, fig := range generateKind(t, KindAblation) {
 		if len(fig.Series) != 2 {
-			t.Errorf("%s: want 2 series, got %d", g.ID, len(fig.Series))
+			t.Errorf("%s: want 2 series, got %d", fig.ID, len(fig.Series))
 		}
 	}
 }
 
 func TestGenerateUnknownID(t *testing.T) {
-	if _, err := Generate("nope", quickOpt()); err == nil {
-		t.Fatal("unknown id should error")
-	}
 	if _, err := GenerateAny("nope", quickOpt()); err == nil {
 		t.Fatal("unknown id should error via GenerateAny")
 	}
 }
 
 func TestGenerateByID(t *testing.T) {
-	fig, err := Generate("fig7b", quickOpt())
+	fig, err := GenerateAny("fig7b", quickOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("fig7b should have 4 variant series, got %d", len(fig.Series))
+	if fig.ID != "fig7b" || len(fig.Series) != 4 {
+		t.Fatalf("fig7b should have 4 variant series, got %q with %d", fig.ID, len(fig.Series))
 	}
 }
 
@@ -111,7 +122,7 @@ func TestODFCandidatesShrinkWithScale(t *testing.T) {
 }
 
 func TestTableAndCSVOutput(t *testing.T) {
-	fig, err := Generate("fig7b", quickOpt())
+	fig, err := GenerateAny("fig7b", quickOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,23 +147,24 @@ func TestTableAndCSVOutput(t *testing.T) {
 }
 
 func TestBestODFPicksMinimum(t *testing.T) {
-	cfg := quickOpt().cfg([3]int{192, 192, 192})
+	c := claimCell(quickOpt(), "test", 1)
+	global := [3]int{192, 192, 192}
 	candidates := []int{1, 2, 4}
-	best, odf := bestODF(quickOpt(), cfg, 1, 0, base().Optimized(), candidates)
-	found := false
-	for _, c := range candidates {
-		if odf == c {
-			found = true
+	best, odf := bestODFRun(c, "charm-d", global, candidates)
+	for _, cand := range candidates {
+		if r := c.Run("charm-d", app.Params{Global: global, ODF: cand}); r.TimePerIter < best.TimePerIter {
+			t.Fatalf("bestODFRun chose ODF %d (%v), but ODF %d runs faster (%v)",
+				odf, best.TimePerIter, cand, r.TimePerIter)
 		}
 	}
-	if !found {
-		t.Fatalf("bestODF returned ODF %d outside candidates", odf)
+	if !slices.Contains(candidates, odf) {
+		t.Fatalf("bestODFRun returned ODF %d outside candidates", odf)
 	}
 	// Re-running the winning ODF must reproduce its time (determinism
 	// of the selection).
-	again, odf2 := bestODF(quickOpt(), cfg, 1, 0, base().Optimized(), []int{odf})
+	again, odf2 := bestODFRun(c, "charm-d", global, []int{odf})
 	if odf2 != odf || again.TimePerIter != best.TimePerIter {
-		t.Fatalf("bestODF not reproducible: %v/%d vs %v/%d",
+		t.Fatalf("bestODFRun not reproducible: %v/%d vs %v/%d",
 			best.TimePerIter, odf, again.TimePerIter, odf2)
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"gat/internal/jacobi"
+	"gat/internal/app"
+	"gat/internal/machine"
 	"gat/internal/sim"
 )
 
@@ -41,8 +42,11 @@ func Claims() []Claim {
 	}
 }
 
-// CheckClaims runs every claim and writes a PASS/FAIL report.
+// CheckClaims runs every claim and writes a PASS/FAIL report. The
+// claims share one memo of simulation results, so a run two claims
+// need (C6 and C7 share their ODF-8 baselines) simulates once.
 func CheckClaims(opt Options, w io.Writer) bool {
+	opt = opt.WithMemo()
 	all := true
 	for _, c := range Claims() {
 		res := c.Run(opt)
@@ -68,23 +72,28 @@ func scaleNodes(hi int, opt Options) int {
 	return n
 }
 
-// runCharm and runMPI execute one variant on a fresh machine. seed
-// feeds the network jitter RNG (figure specs pass their RunSpec seed;
-// the claim checks pass 0 — they are threshold checks, not figure
-// points).
-func runCharm(opt Options, global [3]int, nodes int, seed uint64, co jacobi.CharmOpts) jacobi.Result {
-	return jacobi.RunCharm(opt.machineFor(nodes, seed), opt.cfg(global), co)
-}
-
-func runMPI(opt Options, global [3]int, nodes int, seed uint64, mo jacobi.MPIOpts) jacobi.Result {
-	return jacobi.RunMPI(opt.machineFor(nodes, seed), opt.cfg(global), mo)
+// claimCell returns the cell a claim measures in: the jacobi3d app on
+// the paper-calibrated Summit profile at nodes. Its seed is 0: the
+// claims are threshold checks, not figure points.
+func claimCell(opt Options, id string, nodes int) *Cell {
+	prof, err := machine.ProfileByName("summit")
+	if err != nil {
+		panic(err)
+	}
+	a, err := app.ByName("jacobi3d")
+	if err != nil {
+		panic(err)
+	}
+	return &Cell{X: nodes, Nodes: nodes, opt: opt, profile: prof, app: a,
+		appID: app.Identity(a), name: fmt.Sprintf("%s@%d", id, nodes)}
 }
 
 func claimC1(opt Options) ClaimResult {
 	nodes := scaleNodes(4, opt)
+	c := claimCell(opt, "C1", nodes)
 	global := weakGlobal(weakBaseLarge, nodes)
-	_, odfH := bestODF(opt, opt.cfg(global), nodes, 0, jacobi.CharmOpts{}.Optimized(), []int{1, 2, 4, 8})
-	_, odfD := bestODF(opt, opt.cfg(global), nodes, 0, jacobi.CharmOpts{GPUAware: true}.Optimized(), []int{1, 2, 4, 8})
+	_, odfH := bestODFRun(c, "charm-h", global, []int{1, 2, 4, 8})
+	_, odfD := bestODFRun(c, "charm-d", global, []int{1, 2, 4, 8})
 	return ClaimResult{ID: "C1",
 		Pass:   odfH > 1 && odfD > 1,
 		Detail: fmt.Sprintf("nodes=%d best ODF: Charm-H=%d Charm-D=%d (paper: 4 and 2)", nodes, odfH, odfD)}
@@ -92,9 +101,10 @@ func claimC1(opt Options) ClaimResult {
 
 func claimC2(opt Options) ClaimResult {
 	nodes := scaleNodes(64, opt)
+	c := claimCell(opt, "C2", nodes)
 	global := weakGlobal(weakBaseLarge, nodes)
-	base := runCharm(opt, global, nodes, 0, jacobi.CharmOpts{ODF: 1}.Optimized())
-	best, odf := bestODF(opt, opt.cfg(global), nodes, 0, jacobi.CharmOpts{GPUAware: true}.Optimized(), []int{1, 2, 4})
+	base := c.Run("charm-h", app.Params{Global: global, ODF: 1})
+	best, odf := bestODFRun(c, "charm-d", global, []int{1, 2, 4})
 	gain := float64(base.TimePerIter)/float64(best.TimePerIter) - 1
 	return ClaimResult{ID: "C2",
 		Pass: best.TimePerIter < base.TimePerIter,
@@ -107,9 +117,10 @@ func claimC3(opt Options) ClaimResult {
 	if nodes < 2 {
 		nodes = 2
 	}
-	global := weakGlobal(weakBaseLarge, nodes)
-	h := runMPI(opt, global, nodes, 0, jacobi.MPIOpts{})
-	d := runMPI(opt, global, nodes, 0, jacobi.MPIOpts{Device: true})
+	c := claimCell(opt, "C3", nodes)
+	p := app.Params{Global: weakGlobal(weakBaseLarge, nodes)}
+	h := c.Run("mpi-h", p)
+	d := c.Run("mpi-d", p)
 	ratio := float64(h.TimePerIter) / float64(d.TimePerIter)
 	return ClaimResult{ID: "C3",
 		Pass: ratio < 1.35 && ratio > 0.7,
@@ -119,13 +130,14 @@ func claimC3(opt Options) ClaimResult {
 
 func claimC4(opt Options) ClaimResult {
 	nodes := scaleNodes(8, opt)
+	c := claimCell(opt, "C4", nodes)
 	global := weakGlobal(weakBaseSmall, nodes)
-	_, odfH := bestODF(opt, opt.cfg(global), nodes, 0, jacobi.CharmOpts{}.Optimized(), []int{1, 2, 4})
-	_, odfD := bestODF(opt, opt.cfg(global), nodes, 0, jacobi.CharmOpts{GPUAware: true}.Optimized(), []int{1, 2, 4})
-	mh := runMPI(opt, global, nodes, 0, jacobi.MPIOpts{})
-	md := runMPI(opt, global, nodes, 0, jacobi.MPIOpts{Device: true})
-	ch := runCharm(opt, global, nodes, 0, jacobi.CharmOpts{ODF: 1}.Optimized())
-	cd := runCharm(opt, global, nodes, 0, jacobi.CharmOpts{ODF: 1, GPUAware: true}.Optimized())
+	_, odfH := bestODFRun(c, "charm-h", global, []int{1, 2, 4})
+	_, odfD := bestODFRun(c, "charm-d", global, []int{1, 2, 4})
+	mh := c.Run("mpi-h", app.Params{Global: global})
+	md := c.Run("mpi-d", app.Params{Global: global})
+	ch := c.Run("charm-h", app.Params{Global: global, ODF: 1})
+	cd := c.Run("charm-d", app.Params{Global: global, ODF: 1})
 	pass := odfH == 1 && odfD == 1 && md.TimePerIter < mh.TimePerIter && cd.TimePerIter < ch.TimePerIter
 	return ClaimResult{ID: "C4",
 		Pass: pass,
@@ -138,11 +150,12 @@ func claimC5(opt Options) ClaimResult {
 	if nodes < 8 {
 		nodes = 8
 	}
-	h1 := runCharm(opt, strongGlobal, nodes, 0, jacobi.CharmOpts{ODF: 1}.Optimized())
-	h2 := runCharm(opt, strongGlobal, nodes, 0, jacobi.CharmOpts{ODF: 2}.Optimized())
-	d1 := runCharm(opt, strongGlobal, nodes, 0, jacobi.CharmOpts{ODF: 1, GPUAware: true}.Optimized())
-	d2 := runCharm(opt, strongGlobal, nodes, 0, jacobi.CharmOpts{ODF: 2, GPUAware: true}.Optimized())
-	mh := runMPI(opt, strongGlobal, nodes, 0, jacobi.MPIOpts{})
+	c := claimCell(opt, "C5", nodes)
+	h1 := c.Run("charm-h", app.Params{Global: strongGlobal, ODF: 1})
+	h2 := c.Run("charm-h", app.Params{Global: strongGlobal, ODF: 2})
+	d1 := c.Run("charm-d", app.Params{Global: strongGlobal, ODF: 1})
+	d2 := c.Run("charm-d", app.Params{Global: strongGlobal, ODF: 2})
+	mh := c.Run("mpi-h", app.Params{Global: strongGlobal})
 	gainH := float64(h1.TimePerIter)/float64(h2.TimePerIter) - 1
 	gainD := float64(d1.TimePerIter)/float64(d2.TimePerIter) - 1
 	best := d2.TimePerIter
@@ -159,12 +172,12 @@ func claimC5(opt Options) ClaimResult {
 
 func claimC6(opt Options) ClaimResult {
 	nodes := scaleNodes(128, opt)
-	run := func(odf int, f jacobi.Fusion) sim.Time {
-		return runCharm(opt, fusionGlobal, nodes, 0,
-			jacobi.CharmOpts{ODF: odf, GPUAware: true, Fusion: f}.Optimized()).TimePerIter
+	c := claimCell(opt, "C6", nodes)
+	run := func(odf int, fusion string) sim.Time {
+		return c.Run("charm-d", app.Params{Global: fusionGlobal, ODF: odf, Fusion: fusion}).TimePerIter
 	}
-	b1, c1 := run(1, jacobi.FusionNone), run(1, jacobi.FusionC)
-	b8, c8 := run(8, jacobi.FusionNone), run(8, jacobi.FusionC)
+	b1, c1 := run(1, "none"), run(1, "C")
+	b8, c8 := run(8, "none"), run(8, "C")
 	gain1 := 1 - float64(c1)/float64(b1)
 	gain8 := 1 - float64(c8)/float64(b8)
 	// Fusion only pays once kernels are fine-grained enough; the
@@ -182,15 +195,15 @@ func claimC6(opt Options) ClaimResult {
 
 func claimC7(opt Options) ClaimResult {
 	nodes := scaleNodes(128, opt)
-	speedup := func(odf int, f jacobi.Fusion) float64 {
-		base := runCharm(opt, fusionGlobal, nodes, 0,
-			jacobi.CharmOpts{ODF: odf, GPUAware: true, Fusion: f}.Optimized()).TimePerIter
-		g := runCharm(opt, fusionGlobal, nodes, 0,
-			jacobi.CharmOpts{ODF: odf, GPUAware: true, Fusion: f, Graphs: true}.Optimized()).TimePerIter
-		return float64(base) / float64(g)
+	c := claimCell(opt, "C7", nodes)
+	speedup := func(odf int, fusion string) float64 {
+		p := app.Params{Global: fusionGlobal, ODF: odf, Fusion: fusion}
+		base := c.Run("charm-d", p).TimePerIter
+		p.Graphs = true
+		return float64(base) / float64(c.Run("charm-d", p).TimePerIter)
 	}
-	none8 := speedup(8, jacobi.FusionNone)
-	c8 := speedup(8, jacobi.FusionC)
+	none8 := speedup(8, "none")
+	c8 := speedup(8, "C")
 	return ClaimResult{ID: "C7",
 		Pass: none8 > 1.2 && c8 < none8 && c8 < 1.2,
 		Detail: fmt.Sprintf("nodes=%d ODF-8 graph speedup: no fusion %.2fx (paper 1.5x), fusion C %.2fx (paper ~1.0x)",

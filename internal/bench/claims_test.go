@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -50,5 +52,23 @@ func TestScaleNodes(t *testing.T) {
 	}
 	if n := scaleNodes(8, Options{MaxNodes: 3}); n != 2 {
 		t.Fatalf("scaleNodes = %d, want 2", n)
+	}
+}
+
+// TestClaimsGolden pins every claim's verdict and detail numbers at
+// reduced scale, byte for byte, so a change to how the claims measure
+// (their cells, search sets or shared memo) cannot move a number
+// unseen. Regenerate (only after an intentional cost-model change) by
+// writing CheckClaims(Options{MaxNodes: 4, Iters: 2}) to
+// testdata/golden_claims_n4i2.txt.
+func TestClaimsGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_claims_n4i2.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	CheckClaims(Options{MaxNodes: 4, Iters: 2}, &got)
+	if got.String() != string(want) {
+		t.Fatalf("claims report differs from the golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }

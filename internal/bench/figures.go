@@ -78,7 +78,7 @@ func variantScenario(id, title, ylabel string, lo int, global func(int) [3]int, 
 	}
 	charmCell := func(variant string) CellFn {
 		return func(c *Cell) Point {
-			r, odf := bestODFRun(c, variant, global(c.Nodes))
+			r, odf := bestODFRun(c, variant, global(c.Nodes), odfCandidates(c.Nodes))
 			c.Progress("t=%v (odf%d)", r.TimePerIter, odf)
 			return congested(Point{Nodes: c.Nodes, Value: conv(r.TimePerIter), Meta: fmt.Sprintf("ODF-%d", odf)}, r)
 		}
@@ -96,21 +96,21 @@ func variantScenario(id, title, ylabel string, lo int, global func(int) [3]int, 
 	}
 }
 
-// bestODFRun runs the Charm variant over the candidate ODFs for the
-// cell's scale and returns the fastest result, as the paper does for
-// every Charm data point (§IV-A: "the one with the best performance is
-// chosen"). All candidate runs share the cell's seed: they are
-// alternatives for the same data point, not separate measurements.
-func bestODFRun(c *Cell, variant string, global [3]int) (app.Metrics, int) {
+// bestODFRun runs the Charm variant over the candidate ODFs and returns
+// the fastest result and its ODF, as the paper does for every Charm
+// data point (§IV-A: "the one with the best performance is chosen").
+// All candidate runs share the cell's seed: they are alternatives for
+// the same data point, not separate measurements.
+func bestODFRun(c *Cell, variant string, global [3]int, odfs []int) (app.Metrics, int) {
 	var best app.Metrics
-	bestODF := 0
-	for _, odf := range odfCandidates(c.Nodes) {
+	pick := 0
+	for _, odf := range odfs {
 		r := c.Run(variant, app.Params{Global: global, ODF: odf})
-		if bestODF == 0 || r.TimePerIter < best.TimePerIter {
-			best, bestODF = r, odf
+		if pick == 0 || r.TimePerIter < best.TimePerIter {
+			best, pick = r, odf
 		}
 	}
-	return best, bestODF
+	return best, pick
 }
 
 // fusionStrategies is the strategy axis of Figs 8 and 9.

@@ -42,7 +42,7 @@ func (s RunSpec) Fingerprint() string {
 // every key.
 func (s RunSpec) fingerprint(salt string) string {
 	// The scenario component is versioned (Scenario.Identity): cell
-	// logic with embedded cost-model constants — NewMachineWith fabric
+	// logic with embedded cost-model constants — machine-hook fabric
 	// parameters, search sets — invalidates its own keys by bumping
 	// Scenario.Version. At version 0 the identity is the plain name,
 	// the exact bytes pre-versioned keys hashed. Specs built outside

@@ -7,10 +7,11 @@ import (
 	"gat/internal/machine"
 )
 
-// memoKey is the full input of one Cell.Run simulation: the versioned
-// app identity, the variant, the parameters after the sweep's
-// iteration overrides, and the machine configuration (machine.Key,
-// which drops a seed nothing reads).
+// memoKey is the full input of one Cell.RunWith simulation: the
+// versioned app identity, the variant, the parameters after the
+// sweep's iteration overrides, and the machine configuration after the
+// cell's hook edited it (machine.Key, which drops a seed nothing
+// reads).
 type memoKey struct {
 	app, variant string
 	params       app.Params
@@ -56,16 +57,17 @@ func (m *memo) put(k memoKey, r app.Metrics) {
 }
 
 // WithMemo returns a copy of o whose plans share one fresh memo of
-// simulation results: Cell.Run answers a simulation that repeats an
+// simulation results: Cell.RunWith answers a simulation that repeats an
 // earlier one of those plans from the memo. The memo lives as long as
-// the plans; internal/sweep gives each Sweep call its own.
+// the plans; internal/sweep gives each Sweep call its own, and
+// CheckClaims one for all claims.
 func (o Options) WithMemo() Options {
 	o.memo = &memo{runs: make(map[memoKey]app.Metrics)}
 	return o
 }
 
-// Reused returns how many Cell.Run calls o's memo has answered without
-// simulating; zero without a memo.
+// Reused returns how many Cell.RunWith calls o's memo has answered
+// without simulating; zero without a memo.
 func (o Options) Reused() int {
 	if o.memo == nil {
 		return 0

@@ -72,8 +72,7 @@ func runWaves(m *machine.Machine, flows [][2]int, bytes int64, waves int) sim.Ti
 func jacobiAdaptiveVsMinimalScenario() *Scenario {
 	cell := func(routing string) CellFn {
 		return func(c *Cell) Point {
-			m := c.NewMachineWith(routedAt(float64(c.X), routing))
-			r := c.RunOn(m, "mpi-d", c.Defaults())
+			r := c.RunWith(routedAt(float64(c.X), routing), "mpi-d", c.Defaults())
 			c.Progress("t=%v net=%.0f%% routing=%s", r.TimePerIter, 100*r.MaxLinkUtil, r.Routing)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
@@ -112,7 +111,7 @@ func hotspotFlows(nodes int) [][2]int {
 func hotspotScenario() *Scenario {
 	cell := func(routing string) CellFn {
 		return func(c *Cell) Point {
-			m := c.NewMachineWith(routedAt(float64(c.X), routing))
+			m := c.NewMachine(routedAt(float64(c.X), routing))
 			total := runWaves(m, hotspotFlows(c.Nodes), 4<<20, 4)
 			p := routedPoint(m, Point{Nodes: c.X, Value: ms(total)})
 			c.Progress("t=%v net=%.0f%% routing=%s", total, 100*p.MaxLinkUtil, p.Routing)
@@ -160,7 +159,7 @@ func adversarialFlows(nodes, groupSize int) [][2]int {
 func jacobiAdversarialMappingScenario() *Scenario {
 	cell := func(routing string) CellFn {
 		return func(c *Cell) Point {
-			m := c.NewMachineWith(routedAt(float64(c.X), routing))
+			m := c.NewMachine(routedAt(float64(c.X), routing))
 			podSize := m.Cfg.Net.PodSize
 			total := runWaves(m, adversarialFlows(c.Nodes, podSize), 4<<20, 4)
 			p := routedPoint(m, Point{Nodes: c.X, Value: ms(total)})

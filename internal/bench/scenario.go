@@ -86,12 +86,12 @@ type Scenario struct {
 	Kind Kind
 	// Version is the cache-identity version of the scenario's own cell
 	// logic: bump it when constants embedded in the cells change
-	// simulated results — a NewMachineWith fabric parameter, a search
-	// set, a fixed problem size — so content-addressed run caches are
-	// invalidated for this scenario only. Parameters owned by the app
-	// or the machine profile are covered by their own versions; zero
-	// (the common case) keeps the legacy fingerprint form, so
-	// pre-versioned cache keys survive.
+	// simulated results — a machine-hook parameter of RunWith or
+	// NewMachine, a search set, a fixed problem size — so
+	// content-addressed run caches are invalidated for this scenario
+	// only. Parameters owned by the app or the machine profile are
+	// covered by their own versions; zero (the common case) keeps the
+	// legacy fingerprint form, so pre-versioned cache keys survive.
 	Version int
 	// XLabel and YLabel are the axis captions.
 	XLabel, YLabel string
@@ -135,24 +135,13 @@ type Cell struct {
 }
 
 // NewMachine builds a fresh machine on the cell's profile at the
-// cell's node count, wired to the sweep's jitter options.
-func (c *Cell) NewMachine() *machine.Machine {
-	return c.NewMachineWith(nil)
-}
-
-// NewMachineWith is NewMachine with a configuration hook: mutate (when
-// non-nil) runs on the built profile config before the machine is
-// instantiated. It is how sweep axes that are machine properties —
-// e.g. the fabric taper ratio of the congestion scenarios — vary per
-// cell without registering one profile per axis point. The mutated
-// config is validated by machine.MustNew, so an impossible mutation
-// fails loudly at the cell, not deep in a run.
-func (c *Cell) NewMachineWith(mutate func(*machine.Config)) *machine.Machine {
-	cfg := c.Config()
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return machine.MustNew(cfg)
+// cell's node count, wired to the sweep's jitter options, for the
+// app-less scenarios that drive the machine themselves. mutate (when
+// non-nil) runs on the built profile config first, as in RunWith. The
+// mutated config is validated by machine.MustNew, so an impossible
+// mutation fails loudly at the cell, not deep in a run.
+func (c *Cell) NewMachine(mutate func(*machine.Config)) *machine.Machine {
+	return machine.MustNew(c.config(mutate))
 }
 
 // Config builds the cell's machine configuration — profile at the
@@ -160,10 +149,16 @@ func (c *Cell) NewMachineWith(mutate func(*machine.Config)) *machine.Machine {
 // Cells that consume the configuration as a cost model only (the
 // LP-level exascale runs, which never build per-node NICs and GPUs)
 // use this instead of NewMachine.
-func (c *Cell) Config() machine.Config {
+func (c *Cell) Config() machine.Config { return c.config(nil) }
+
+// config is Config with mutate (when non-nil) applied.
+func (c *Cell) config(mutate func(*machine.Config)) machine.Config {
 	cfg := c.profile.Build(c.Nodes)
 	cfg.Net.JitterFrac = c.opt.Jitter
 	cfg.Net.JitterSeed = c.Seed
+	if mutate != nil {
+		mutate(&cfg)
+	}
 	return cfg
 }
 
@@ -185,43 +180,30 @@ func (c *Cell) Iterations() (warmup, iters int) {
 	return c.opt.Warmup, c.opt.Iters
 }
 
-// App returns the resolved application, or nil for app-less scenarios.
-func (c *Cell) App() app.App { return c.app }
-
 // Defaults returns the resolved application's default parameters at
 // the cell's node count.
 func (c *Cell) Defaults() app.Params { return c.app.Defaults(c.Nodes) }
 
 // Run executes one application run of the given variant on a fresh
-// machine. Non-zero sweep options override the given Warmup/Iters
-// (so -iters/-warmup always win, even over app defaults); fields left
-// zero fall through to the app's own defaults.
+// machine: RunWith without a machine hook.
+func (c *Cell) Run(variant string, p app.Params) app.Metrics {
+	return c.RunWith(nil, variant, p)
+}
+
+// RunWith executes one application run of the given variant on a fresh
+// machine whose profile config mutate (when non-nil) edits first. It
+// is how sweep axes that are machine properties — the fabric taper and
+// routing policy of the congestion scenarios — vary per cell without
+// registering one profile per axis point. Non-zero sweep options
+// override the given Warmup/Iters (so -iters/-warmup always win, even
+// over app defaults); fields left zero fall through to the app's own
+// defaults.
 //
 // Within one sweep (Options.WithMemo), a run whose full input — app
 // identity, variant, the parameters after those overrides, and the
-// machine configuration as a machine.Key — equals an earlier run's
-// returns that run's metrics without building a machine.
-func (c *Cell) Run(variant string, p app.Params) app.Metrics {
-	p = c.params(p)
-	cfg := c.Config()
-	k := memoKey{app: c.appID, variant: variant, params: p, machine: cfg.Key()}
-	if r, ok := c.opt.memo.get(k); ok {
-		return r
-	}
-	r := c.run(machine.MustNew(cfg), variant, p)
-	c.opt.memo.put(k, r)
-	return r
-}
-
-// RunOn is Run on a caller-built machine (NewMachine/NewMachineWith),
-// for cells whose sweep axis is a machine property. It always
-// simulates.
-func (c *Cell) RunOn(m *machine.Machine, variant string, p app.Params) app.Metrics {
-	return c.run(m, variant, c.params(p))
-}
-
-// params applies the sweep's iteration overrides to p.
-func (c *Cell) params(p app.Params) app.Params {
+// mutated machine configuration as a machine.Key — equals an earlier
+// run's returns that run's metrics without building a machine.
+func (c *Cell) RunWith(mutate func(*machine.Config), variant string, p app.Params) app.Metrics {
 	if c.app == nil {
 		panic(fmt.Sprintf("bench: cell %s belongs to an app-less scenario; use NewMachine", c.name))
 	}
@@ -231,16 +213,18 @@ func (c *Cell) params(p app.Params) app.Params {
 	if c.opt.Iters != 0 {
 		p.Iters = c.opt.Iters
 	}
-	return p
-}
-
-// run simulates one run of variant with resolved parameters p on m.
-func (c *Cell) run(m *machine.Machine, variant string, p app.Params) app.Metrics {
-	run, err := c.app.BuildRun(m, variant, p)
+	cfg := c.config(mutate)
+	k := memoKey{app: c.appID, variant: variant, params: p, machine: cfg.Key()}
+	if r, ok := c.opt.memo.get(k); ok {
+		return r
+	}
+	run, err := c.app.BuildRun(machine.MustNew(cfg), variant, p)
 	if err != nil {
 		panic(fmt.Sprintf("bench: cell %s: %v", c.name, err))
 	}
-	return run()
+	r := run()
+	c.opt.memo.put(k, r)
+	return r
 }
 
 // Progress emits one progress line for this cell, prefixed with its

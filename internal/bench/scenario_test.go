@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gat/internal/app"
+	"gat/internal/machine"
 )
 
 // TestScenarioRegistryInvariants asserts what cmd/sweep -list promises:
@@ -162,4 +163,44 @@ func TestNonSummitNonJacobiEndToEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunWithMemoKeysMutatedConfig: RunWith files a run under the
+// machine configuration its hook produced. Two different mutations
+// both simulate, repeating one is answered from the memo, and Run
+// shares its key with RunWith(nil, …).
+func TestRunWithMemoKeysMutatedConfig(t *testing.T) {
+	opt := Options{Warmup: 1, Iters: 2}.WithMemo()
+	c := claimCell(opt, "memo", 2)
+	p := app.Params{Global: [3]int{96, 96, 192}}
+	scaleBW := func(f float64) func(*machine.Config) {
+		return func(cfg *machine.Config) { cfg.Net.InjectionBW *= f }
+	}
+	reused := func(want int) {
+		t.Helper()
+		if got := opt.Reused(); got != want {
+			t.Fatalf("Reused = %d, want %d", got, want)
+		}
+	}
+
+	half := c.RunWith(scaleBW(0.5), "mpi-d", p)
+	quarter := c.RunWith(scaleBW(0.25), "mpi-d", p)
+	reused(0) // a key from the unmutated config would answer the second
+	if half.TimePerIter == quarter.TimePerIter {
+		t.Fatalf("mutations did not reach the machine: both ran %v", half.TimePerIter)
+	}
+	if again := c.RunWith(scaleBW(0.25), "mpi-d", p); again != quarter {
+		t.Fatalf("repeated RunWith = %+v, want %+v", again, quarter)
+	}
+	reused(1)
+
+	plain := c.Run("mpi-d", p)
+	reused(1)
+	if plain.TimePerIter == half.TimePerIter || plain.TimePerIter == quarter.TimePerIter {
+		t.Fatalf("unmutated run matched a mutated one: %v", plain.TimePerIter)
+	}
+	if again := c.RunWith(nil, "mpi-d", p); again != plain {
+		t.Fatalf("RunWith(nil) = %+v, want Run's %+v", again, plain)
+	}
+	reused(2)
 }

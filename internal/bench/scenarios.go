@@ -81,8 +81,7 @@ func taperAxis(hi int) func(opt Options) []AxisPoint {
 func jacobiTaperScenario() *Scenario {
 	cell := func(variant string) CellFn {
 		return func(c *Cell) Point {
-			m := c.NewMachineWith(taperedAt(float64(c.X)))
-			r := c.RunOn(m, variant, c.Defaults())
+			r := c.RunWith(taperedAt(float64(c.X)), variant, c.Defaults())
 			c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
@@ -110,10 +109,9 @@ func jacobiTaperScenario() *Scenario {
 func jacobiTaperMsgScenario() *Scenario {
 	cell := func(taper float64) CellFn {
 		return func(c *Cell) Point {
-			m := c.NewMachineWith(taperedAt(taper))
 			p := c.Defaults()
 			p.Global = jacobi.WeakGlobal([3]int{c.X, c.X, c.X}, c.Nodes)
-			r := c.RunOn(m, "mpi-d", p)
+			r := c.RunWith(taperedAt(taper), "mpi-d", p)
 			c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
@@ -159,8 +157,7 @@ func minimdTaperScenario() *Scenario {
 		Axis: taperAxis(36),
 		Series: []SeriesDef{
 			{"Static", func(c *Cell) Point {
-				m := c.NewMachineWith(taperedAt(float64(c.X)))
-				r := c.RunOn(m, "charm-static", app.Params{ODF: 4})
+				r := c.RunWith(taperedAt(float64(c.X)), "charm-static", app.Params{ODF: 4})
 				c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 				return congested(Point{Nodes: c.X, Value: ms(r.TimePerIter)}, r)
 			}},

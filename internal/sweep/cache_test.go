@@ -150,8 +150,8 @@ func TestResumeFromPartialReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	prior := NewPrior(rep)
-	if prior.Len() != len(partial.Figures[0].Runs) {
-		t.Fatalf("prior indexed %d runs, want %d", prior.Len(), len(partial.Figures[0].Runs))
+	if len(prior) != len(partial.Figures[0].Runs) {
+		t.Fatalf("prior indexed %d runs, want %d", len(prior), len(partial.Figures[0].Runs))
 	}
 
 	full := []string{"fig6a", "abl-chanapi"}
@@ -168,7 +168,7 @@ func TestResumeFromPartialReport(t *testing.T) {
 	if simulated := int(bench.Executions() - before); simulated != ablRuns {
 		t.Fatalf("resumed sweep executed %d simulations, want %d (only the missing figure)", simulated, ablRuns)
 	}
-	if resumed.FromPrior != prior.Len() || resumed.Simulated != ablRuns {
+	if resumed.FromPrior != len(prior) || resumed.Simulated != ablRuns {
 		t.Fatalf("resume provenance wrong: %s", resumed.Provenance())
 	}
 	if got, wantB := renderAll(t, resumed), renderAll(t, want); !bytes.Equal(got, wantB) {
@@ -203,45 +203,9 @@ func TestResumeIgnoresMismatchedReport(t *testing.T) {
 	}
 }
 
-// TestResumeV2Report: fingerprint-less v1/v2 reports resume on the
-// metadata tuple, recovering values from the rendered series.
-func TestResumeV2Report(t *testing.T) {
-	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Strip the report down to v2: no keys, no per-run values.
-	rep.Schema = SchemaV2
-	for fi := range rep.Figures {
-		for ri := range rep.Figures[fi].Runs {
-			rep.Figures[fi].Runs[ri].Key = ""
-			rep.Figures[fi].Runs[ri].Value = 0
-			rep.Figures[fi].Runs[ri].Meta = ""
-		}
-	}
-	prior := NewPrior(rep)
-	resumed, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Prior: prior})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Simulated != 0 || resumed.FromPrior == 0 {
-		t.Fatalf("v2 resume provenance wrong: %s", resumed.Provenance())
-	}
-	if got, want := renderAll(t, resumed), renderAll(t, res); !bytes.Equal(got, want) {
-		t.Fatal("v2-resumed sweep output differs")
-	}
-}
-
-// TestResumeSkipsFailedRuns: a v3 run marked failed must be re-run
-// even though its key matches.
+// TestResumeSkipsFailedRuns: a v3 run marked failed, or stripped of
+// its key, must be re-run even though the rest of its record matches —
+// resume reuses a run only by its fingerprint.
 func TestResumeSkipsFailedRuns(t *testing.T) {
 	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
 	if err != nil {
@@ -251,17 +215,34 @@ func TestResumeSkipsFailedRuns(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Figures[0].Runs[0].Error = "simulated crash"
-	resumed, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Prior: NewPrior(rep)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Simulated != 1 || resumed.FromPrior != len(res.Figures[0].Runs)-1 {
-		t.Fatalf("failed-run resume provenance wrong: %s", resumed.Provenance())
+	for _, c := range []struct {
+		name string
+		edit func(*ReportRun)
+	}{
+		{"failed", func(r *ReportRun) { r.Error = "simulated crash" }},
+		{"keyless", func(r *ReportRun) { r.Key = "" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rep, err := ReadJSON(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.edit(&rep.Figures[0].Runs[0])
+			prior := NewPrior(rep)
+			if n := len(res.Figures[0].Runs) - 1; len(prior) != n {
+				t.Fatalf("prior indexed %d runs, want %d", len(prior), n)
+			}
+			resumed, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Prior: prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Simulated != 1 || resumed.FromPrior != len(prior) || resumed.Figures[0].Runs[0].Source != SourceSim {
+				t.Fatalf("resume provenance wrong: %s", resumed.Provenance())
+			}
+			if got, want := renderAll(t, resumed), renderAll(t, res); !bytes.Equal(got, want) {
+				t.Fatal("resumed sweep output differs")
+			}
+		})
 	}
 }
 
@@ -315,106 +296,6 @@ func TestWriteExplain(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestResumeV2RefusesUnrecordedInputs closes the metadata-tuple holes:
-// v1/v2 reports never recorded jitter (and v1 recorded no machine), so
-// a jittered sweep must refuse metadata matches entirely, and a v1
-// report must only satisfy Summit sweeps.
-func TestResumeV2RefusesUnrecordedInputs(t *testing.T) {
-	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Downgrade to v1: no keys, no per-run values, no composition.
-	rep.Schema = SchemaV1
-	for fi := range rep.Figures {
-		for ri := range rep.Figures[fi].Runs {
-			r := &rep.Figures[fi].Runs[ri]
-			r.Key, r.Scenario, r.App, r.Machine = "", "", "", ""
-			r.Value, r.Meta = 0, ""
-		}
-	}
-	prior := NewPrior(rep)
-
-	// The seed tuple is jitter-blind, so a jittered sweep over the same
-	// coordinates must not reuse the jitter-free report.
-	jopt := quickOpt()
-	jopt.Jitter = 0.05
-	jres, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: jopt, Prior: prior})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jres.FromPrior != 0 {
-		t.Fatalf("jittered sweep reused %d runs from a jitter-less v1 report", jres.FromPrior)
-	}
-
-	// v1 runs predate machine profiles: they are pinned to summit and
-	// must not satisfy a -machine override.
-	mres, err := Sweep([]string{"fig6a"}, Options{
-		Workers:   2,
-		Bench:     quickOpt(),
-		Overrides: bench.Overrides{Machine: "perlmutter"},
-		Prior:     prior,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mres.FromPrior != 0 {
-		t.Fatalf("perlmutter sweep reused %d Summit runs from a v1 report", mres.FromPrior)
-	}
-
-	// The same report still resumes the sweep it actually matches.
-	ok, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Prior: prior})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.Simulated != 0 {
-		t.Fatalf("matching sweep not fully resumed: %s", ok.Provenance())
-	}
-}
-
-// TestResumeV2DoesNotSeedStore: metadata-matched (fingerprint-less)
-// resume hits must not be written through — they were never verified
-// against the fingerprint they would be filed under.
-func TestResumeV2DoesNotSeedStore(t *testing.T) {
-	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Schema = SchemaV2
-	for fi := range rep.Figures {
-		for ri := range rep.Figures[fi].Runs {
-			rep.Figures[fi].Runs[ri].Key = ""
-		}
-	}
-	st := openStore(t)
-	first, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Cache: st, Prior: NewPrior(rep)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.FromPrior == 0 {
-		t.Fatalf("v2 resume did not hit: %s", first.Provenance())
-	}
-	if n, err := st.Len(); err != nil || n != 0 {
-		t.Fatalf("store has %d entries (err %v) after v2-metadata resume, want 0", n, err)
 	}
 }
 
@@ -512,59 +393,5 @@ func TestWarmReportKeepsSimulationCost(t *testing.T) {
 		if run.WallNS <= 0 {
 			t.Fatalf("warm report run %s has non-positive wall_ns %d", coldRun.Spec.Name(), run.WallNS)
 		}
-	}
-}
-
-// TestMetadataResumeStaysUnverified closes the laundering loop: a
-// report written from a metadata-resumed (v1/v2) sweep must not stamp
-// those values with the current fingerprint, so a second resume still
-// treats them as non-exact and keeps them out of the store.
-func TestMetadataResumeStaysUnverified(t *testing.T) {
-	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Schema = SchemaV2
-	for fi := range rep.Figures {
-		for ri := range rep.Figures[fi].Runs {
-			rep.Figures[fi].Runs[ri].Key = ""
-		}
-	}
-	resumed, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Prior: NewPrior(rep)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.FromPrior == 0 {
-		t.Fatalf("metadata resume did not hit: %s", resumed.Provenance())
-	}
-	var buf2 bytes.Buffer
-	if err := resumed.WriteJSON(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := ReadJSON(&buf2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range rep2.Figures[0].Runs {
-		if run.Key != "" {
-			t.Fatalf("metadata-resumed run %s/%s@%d was stamped with key %s", run.Figure, run.Series, run.X, run.Key)
-		}
-	}
-	// Round trip: resuming the second-generation report with a store
-	// must still not write the unverified values through.
-	st := openStore(t)
-	if _, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt(), Cache: st, Prior: NewPrior(rep2)}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := st.Len(); err != nil || n != 0 {
-		t.Fatalf("second-generation resume seeded the store with %d unverified entries (err %v)", n, err)
 	}
 }

@@ -85,7 +85,7 @@ func utilResult() Result {
 			Figure: fig,
 			Runs: []Run{{
 				Spec: spec, Point: pt, Key: "0123456789abcdef0123456789abcdef",
-				Source: SourceSim, Verified: true, SimWallNS: 10,
+				Source: SourceSim, SimWallNS: 10,
 			}},
 		}},
 	}
@@ -93,7 +93,7 @@ func utilResult() Result {
 
 // TestLinkUtilInReportAndResume proves the congestion summary survives
 // the full provenance loop: the gat-sweep-v3 writer emits it per run,
-// ReadJSON+NewPrior recover it, and a fingerprint-exact resume hit
+// ReadJSON+NewPrior recover it, and a resume hit by fingerprint
 // returns the point with its utilization intact.
 func TestLinkUtilInReportAndResume(t *testing.T) {
 	res := utilResult()
@@ -114,9 +114,9 @@ func TestLinkUtilInReportAndResume(t *testing.T) {
 	}
 	prior := NewPrior(rep)
 	run := res.Figures[0].Runs[0]
-	hit, ok := prior.Lookup(run.Spec, run.Key)
-	if !ok || !hit.Exact {
-		t.Fatalf("fingerprint-exact resume lookup failed: ok=%v exact=%v", ok, hit.Exact)
+	hit, ok := prior[run.Key]
+	if !ok {
+		t.Fatal("resume lookup by fingerprint failed")
 	}
 	if hit.Point.MaxLinkUtil != 0.83 || hit.Point.MeanLinkUtil != 0.41 {
 		t.Fatalf("resume dropped the congestion summary: %+v", hit.Point)

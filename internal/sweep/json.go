@@ -11,43 +11,23 @@ import (
 // deterministic; the wall_ns fields and the header's workers/wall_ns
 // are host-side measurements and vary run to run.
 //
-// v2 added the per-run scenario/app/machine composition fields.
-// v3 adds per-run provenance — the content-address key (fingerprint),
-// the cached flag with its source (sim/store/prior), the run's own
-// value/meta, and the jitter fraction — which makes a report
-// self-contained for exact resume (-resume) and cache audits
-// (-explain). Each version is a superset of the previous one, and
-// ReadJSON accepts all three.
+// Every per-run record carries the run's composition
+// (scenario/app/machine) and its provenance — the content-address key
+// (fingerprint), the cached flag with its source (sim/store/prior),
+// the run's own value/meta, and the jitter fraction — which makes a
+// report self-contained for exact resume (-resume) and cache audits
+// (-explain).
 
-// SchemaV1, SchemaV2 and SchemaV3 are the accepted schema tags.
-const (
-	SchemaV1 = "gat-sweep-v1"
-	SchemaV2 = "gat-sweep-v2"
-	SchemaV3 = "gat-sweep-v3"
-)
+// SchemaV3 is the schema tag WriteJSON writes and ReadJSON accepts.
+const SchemaV3 = "gat-sweep-v3"
 
 // ErrUnknownSchema marks a structurally valid JSON document whose
-// schema tag is not one ReadJSON accepts. It is distinguishable from
-// a JSON decode error so servers (sweepd) can answer a foreign-but-
-// well-formed payload with a friendly "unsupported schema" message
-// instead of a decoder trace.
+// schema tag is not SchemaV3 — a foreign document, or a gat-sweep-v1/v2
+// report from a build before per-run fingerprints. It is
+// distinguishable from a JSON decode error so servers (sweepd) can
+// answer a foreign-but-well-formed payload with a friendly
+// "unsupported schema" message instead of a decoder trace.
 var ErrUnknownSchema = errors.New("unsupported sweep report schema")
-
-// SchemaVersion maps an accepted schema tag to its ordinal (1, 2 or
-// 3). ok is false for anything else. Use it to branch on capability:
-// only version >= 3 documents carry per-run values and fingerprints.
-func SchemaVersion(schema string) (int, bool) {
-	switch schema {
-	case SchemaV1:
-		return 1, true
-	case SchemaV2:
-		return 2, true
-	case SchemaV3:
-		return 3, true
-	default:
-		return 0, false
-	}
-}
 
 // Report is the on-disk sweep document.
 type Report struct {
@@ -82,14 +62,13 @@ type ReportPoint struct {
 
 // ReportRun is the per-run record: enough to re-execute the spec in
 // isolation (figure, series, x, nodes, iteration counts, seed), the
-// scenario composition that produced it (scenario, app, machine —
-// empty in v1 documents), the v3 provenance (fingerprint key, cached
-// flag and source, the run's own value), plus WallNS — the host cost
-// of the simulation that produced the value. For cached/resumed runs
-// that is the original simulation's cost carried through the store or
-// prior report, not the microseconds the lookup took, so resuming a
-// warm-sweep report never launders lookup times into saved-cost
-// accounting.
+// scenario composition that produced it (scenario, app, machine), the
+// provenance (fingerprint key, cached flag and source, the run's own
+// value), plus WallNS — the host cost of the simulation that produced
+// the value. For cached/resumed runs that is the original simulation's
+// cost carried through the store or prior report, not the microseconds
+// the lookup took, so resuming a warm-sweep report never launders
+// lookup times into saved-cost accounting.
 type ReportRun struct {
 	Figure   string `json:"figure"`
 	Scenario string `json:"scenario,omitempty"`
@@ -103,13 +82,13 @@ type ReportRun struct {
 	Seed     uint64 `json:"seed"`
 	WallNS   int64  `json:"wall_ns"`
 
-	// v3 provenance (absent in v1/v2 documents). Key is the spec's
-	// content-address fingerprint; Cached reports whether the point was
-	// served without simulating, with Source naming where from ("sim",
-	// "store" or "prior"); Value/Meta duplicate the run's figure point
-	// so a partial report resumes exactly; Jitter is the run's network
-	// jitter fraction; Error, when non-empty, marks a run whose result
-	// must not be reused (resume re-runs it). Error is reserved: the
+	// Provenance. Key is the spec's content-address fingerprint, the
+	// only thing resume matches a run by; Cached reports whether the
+	// point was served without simulating, with Source naming where
+	// from ("sim", "store" or "prior"); Value/Meta duplicate the run's
+	// figure point so a partial report resumes exactly; Jitter is the
+	// run's network jitter fraction; Error, when non-empty, marks a run
+	// whose result must not be reused (resume re-runs it). Error is reserved: the
 	// writer never emits it today — specs cannot fail, only be absent —
 	// but readers honor it so hand-annotated or externally generated
 	// reports can force selective re-runs.
@@ -133,40 +112,24 @@ type ReportRun struct {
 	Routing string `json:"routing,omitempty"`
 }
 
-// keyIfVerified returns the run's fingerprint only when the value is
-// known to belong to it (simulated, store-served, or fingerprint-exact
-// resume); metadata-resumed values stay keyless so they remain
-// second-class on every future resume.
-func keyIfVerified(run Run) string {
-	if run.Verified {
-		return run.Key
-	}
-	return ""
-}
-
 // Record renders the run as its gat-sweep-v3 per-run record — the
 // exact shape WriteJSON embeds and sweepd's watch stream emits one
 // line of per completed cell, so report files and live streams carry
 // identical records.
 func (run Run) Record() ReportRun {
 	return ReportRun{
-		Figure:   run.Spec.FigID,
-		Scenario: run.Spec.Scenario,
-		App:      run.Spec.App,
-		Machine:  run.Spec.Machine,
-		Series:   run.Spec.Series,
-		X:        run.Spec.X,
-		Nodes:    run.Spec.Nodes,
-		Warmup:   run.Spec.Warmup,
-		Iters:    run.Spec.Iters,
-		Seed:     run.Spec.Seed,
-		WallNS:   run.SimWallNS,
-		// A key asserts "this value was verified against this
-		// fingerprint". Metadata-matched resume values weren't:
-		// stamping them with the current fingerprint would make
-		// the next resume treat them as exact and write the
-		// unverified numbers through into the run store.
-		Key:          keyIfVerified(run),
+		Figure:       run.Spec.FigID,
+		Scenario:     run.Spec.Scenario,
+		App:          run.Spec.App,
+		Machine:      run.Spec.Machine,
+		Series:       run.Spec.Series,
+		X:            run.Spec.X,
+		Nodes:        run.Spec.Nodes,
+		Warmup:       run.Spec.Warmup,
+		Iters:        run.Spec.Iters,
+		Seed:         run.Spec.Seed,
+		WallNS:       run.SimWallNS,
+		Key:          run.Key,
 		Cached:       run.Source != SourceSim,
 		Source:       run.Source.String(),
 		Value:        run.Point.Value,
@@ -209,34 +172,19 @@ func (r Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(&rep)
 }
 
-// ReadJSON parses a sweep report. The acceptance contract, one clause
-// per schema generation (each a strict superset of the last):
-//
-//   - gat-sweep-v1: figures with rendered series plus per-run
-//     coordinates (figure, series, x, nodes, warmup, iters, seed) and
-//     wall_ns. No composition, no provenance: resume matches these
-//     runs by metadata tuple only, pinned to the summit machine.
-//   - gat-sweep-v2: v1 plus per-run scenario/app/machine composition.
-//   - gat-sweep-v3: v2 plus per-run provenance — fingerprint key,
-//     cached flag and source, the run's own value/meta, jitter, and
-//     the optional error marker — making the document self-contained
-//     for exact resume and for sweepd's watch stream.
-//
-// The detected version is returned verbatim in Report.Schema (feed it
-// to SchemaVersion for the ordinal); later-version fields are simply
-// zero in earlier documents. Anything else fails: malformed JSON with
-// a decode error, and a well-formed document under a foreign schema
-// tag with an error satisfying errors.Is(err, ErrUnknownSchema) — the
-// split sweepd uses to answer 400 with a friendly message rather than
-// a decoder trace.
+// ReadJSON parses a gat-sweep-v3 report. Malformed JSON fails with a
+// decode error; a well-formed document under any other schema tag,
+// gat-sweep-v1 and v2 included, fails with an error satisfying
+// errors.Is(err, ErrUnknownSchema) — the split sweepd uses to answer
+// 400 with a friendly message rather than a decoder trace.
 func ReadJSON(r io.Reader) (*Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("sweep: invalid report JSON: %w", err)
 	}
-	if _, ok := SchemaVersion(rep.Schema); !ok {
-		return nil, fmt.Errorf("sweep: %w %q (want %s, %s or %s)",
-			ErrUnknownSchema, rep.Schema, SchemaV1, SchemaV2, SchemaV3)
+	if rep.Schema != SchemaV3 {
+		return nil, fmt.Errorf("sweep: %w %q (want %s; re-run the sweep with -json on a current build to write one)",
+			ErrUnknownSchema, rep.Schema, SchemaV3)
 	}
 	return &rep, nil
 }

@@ -3,31 +3,32 @@ package sweep
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestReadJSONVersionDetection pins the acceptance contract documented
-// on ReadJSON: each accepted schema tag is detected and surfaced
-// verbatim in Report.Schema, a well-formed document under a foreign
-// tag fails with ErrUnknownSchema (sweepd's friendly-400 split), and
-// malformed JSON fails with a plain decode error.
+// on ReadJSON: a gat-sweep-v3 document is read with its tag intact;
+// a well-formed document under any other tag — the fingerprint-less
+// gat-sweep-v1 and v2 included — fails with ErrUnknownSchema (sweepd's
+// friendly-400 split) and names the tag; malformed JSON fails with a
+// plain decode error.
 func TestReadJSONVersionDetection(t *testing.T) {
 	cases := []struct {
 		name, doc   string
-		wantSchema  string
-		wantVersion int
-		wantUnknown bool // errors.Is(err, ErrUnknownSchema)
+		tag         string // the schema tag an ErrUnknownSchema error quotes
+		wantUnknown bool   // errors.Is(err, ErrUnknownSchema)
 		wantErr     bool
 	}{
-		{"v1", `{"schema":"gat-sweep-v1","figures":[]}`, SchemaV1, 1, false, false},
-		{"v2", `{"schema":"gat-sweep-v2","figures":[]}`, SchemaV2, 2, false, false},
-		{"v3", `{"schema":"gat-sweep-v3","workers":4,"figures":[]}`, SchemaV3, 3, false, false},
-		{"future-version", `{"schema":"gat-sweep-v4","figures":[]}`, "", 0, true, true},
-		{"foreign-tag", `{"schema":"gat-cache-v1","figures":[]}`, "", 0, true, true},
-		{"missing-schema", `{"figures":[]}`, "", 0, true, true},
-		{"not-json", `schema: gat-sweep-v3`, "", 0, false, true},
-		{"truncated", `{"schema":"gat-sweep-v3","figures":[`, "", 0, false, true},
+		{"v1", `{"schema":"gat-sweep-v1","figures":[]}`, "gat-sweep-v1", true, true},
+		{"v2", `{"schema":"gat-sweep-v2","figures":[]}`, "gat-sweep-v2", true, true},
+		{"v3", `{"schema":"gat-sweep-v3","workers":4,"figures":[]}`, "", false, false},
+		{"future-version", `{"schema":"gat-sweep-v4","figures":[]}`, "gat-sweep-v4", true, true},
+		{"foreign-tag", `{"schema":"gat-cache-v1","figures":[]}`, "gat-cache-v1", true, true},
+		{"missing-schema", `{"figures":[]}`, "", true, true},
+		{"not-json", `schema: gat-sweep-v3`, "", false, true},
+		{"truncated", `{"schema":"gat-sweep-v3","figures":[`, "", false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -39,22 +40,18 @@ func TestReadJSONVersionDetection(t *testing.T) {
 				if got := errors.Is(err, ErrUnknownSchema); got != c.wantUnknown {
 					t.Fatalf("errors.Is(err, ErrUnknownSchema) = %v, want %v (err: %v)", got, c.wantUnknown, err)
 				}
+				if c.wantUnknown && !strings.Contains(err.Error(), strconv.Quote(c.tag)) {
+					t.Fatalf("error %q does not name the schema tag %q", err, c.tag)
+				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("ReadJSON: %v", err)
 			}
-			if rep.Schema != c.wantSchema {
-				t.Fatalf("detected schema %q, want %q", rep.Schema, c.wantSchema)
-			}
-			v, ok := SchemaVersion(rep.Schema)
-			if !ok || v != c.wantVersion {
-				t.Fatalf("SchemaVersion(%q) = %d, %v; want %d, true", rep.Schema, v, ok, c.wantVersion)
+			if rep.Schema != SchemaV3 {
+				t.Fatalf("detected schema %q, want %q", rep.Schema, SchemaV3)
 			}
 		})
-	}
-	if _, ok := SchemaVersion("gat-sweep-v99"); ok {
-		t.Fatal("SchemaVersion accepted an unknown tag")
 	}
 }
 

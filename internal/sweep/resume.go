@@ -4,160 +4,43 @@ import (
 	"gat/internal/bench"
 )
 
-// Sweep resume: a previous (typically partial or smaller) gat-sweep
+// Sweep resume: a previous (typically partial or smaller) gat-sweep-v3
 // report becomes a run source, so an interrupted or narrower sweep is
 // completed by simulating only the specs the report doesn't already
-// answer. v3 reports carry per-run fingerprints and values, so resume
-// matches exactly — same semantics salt, app/machine versions, jitter.
-// v1/v2 reports predate fingerprints; their runs are matched on the
-// full metadata tuple (figure, series, x, nodes, warmup, iters, seed,
-// plus the machine/app names the report records — v1 predates machine
-// profiles entirely, so its runs are pinned to "summit") and their
-// values recovered from the rendered series. That is precise for the
-// coordinates but cannot see the simulation inputs the old schemas
-// never recorded: metadata matches are refused for jittered sweeps
-// (the reports don't say what jitter they ran under), and resuming a
-// v1/v2 report asserts the engine semantics haven't moved.
+// answer. Every v3 run record carries its fingerprint and its own
+// value, so resume matches exactly — same semantics salt, app/machine
+// versions, jitter — and a resumed point is as sound as a store hit.
 
-// priorRun is one reusable result from a prior report. Runs the
-// report marks as failed are never indexed, so every entry here is
-// returnable.
-type priorRun struct {
-	pt           bench.Point
-	app, machine string // names as recorded (empty in v1 reports)
-	wallNS       int64  // host cost of the original simulation
-}
-
-// PriorHit is one reused result: the point, the host cost the reuse
-// saved (the prior report's wall_ns for the run), and whether the
-// match was fingerprint-exact (a v3 key) rather than by v1/v2
-// metadata. Only exact hits are safe to write through into a
-// fingerprint-keyed store.
+// PriorHit is one reusable result: the point and the host cost the
+// reuse saves (the prior report's wall_ns for the run).
 type PriorHit struct {
 	Point  bench.Point
 	WallNS int64
-	Exact  bool
 }
 
-// metaKey identifies a run by its v1/v2-era metadata.
-type metaKey struct {
-	figure, series          string
-	x, nodes, warmup, iters int
-	seed                    uint64
-}
+// Prior maps a prior report's run fingerprints to their results. A nil
+// Prior answers nothing.
+type Prior map[string]PriorHit
 
-// Prior is an indexed prior report.
-type Prior struct {
-	byKey  map[string]priorRun // v3: fingerprint-exact
-	byMeta map[metaKey]priorRun
-}
-
-// NewPrior indexes a parsed report for resume lookups.
-func NewPrior(rep *Report) *Prior {
-	p := &Prior{
-		byKey:  map[string]priorRun{},
-		byMeta: map[metaKey]priorRun{},
-	}
+// NewPrior indexes a parsed report for resume lookups. Runs the report
+// marks as failed, and runs without a key, are left out: resume re-runs
+// exactly the missing, failed and keyless specs.
+func NewPrior(rep *Report) Prior {
+	p := Prior{}
 	for _, f := range rep.Figures {
-		// Series points by (series, x): the value source for v1/v2
-		// runs, which recorded no per-run value.
-		type sx struct {
-			series string
-			x      int
-		}
-		points := map[sx]bench.Point{}
-		for _, s := range f.Series {
-			for _, pt := range s.Points {
-				points[sx{s.Name, pt.X}] = bench.Point{Nodes: pt.X, Value: pt.Value, Meta: pt.Meta}
-			}
-		}
 		for _, run := range f.Runs {
-			if run.Error != "" {
-				// Failed runs must be re-run; indexing them would only
-				// inflate Len and force errored checks on every path.
+			if run.Error != "" || run.Key == "" {
 				continue
 			}
-			pr := priorRun{app: run.App, machine: run.Machine, wallNS: run.WallNS}
-			if pr.machine == "" {
-				// v1 reports predate the machine registry: every run
-				// simulated the paper's Summit. Pinning them keeps a
-				// -machine override from reusing Summit numbers.
-				pr.machine = "summit"
-			}
-			if run.Key != "" {
-				// v3: the run itself carries its value (and, for fabric
-				// machines, its congestion summary).
-				pr.pt = bench.Point{
+			p[run.Key] = PriorHit{
+				Point: bench.Point{
 					Nodes: run.X, Value: run.Value, Meta: run.Meta,
 					MaxLinkUtil: run.MaxLinkUtil, MeanLinkUtil: run.MeanLinkUtil,
 					Routing: run.Routing,
-				}
-				p.byKey[run.Key] = pr
-				continue
+				},
+				WallNS: run.WallNS,
 			}
-			// Keyless metadata entries are only sound for unjittered
-			// runs (the tuple is jitter-blind; Lookup refuses jittered
-			// specs for the same reason). v1/v2 never recorded jitter,
-			// but a v3 run stripped of its key still carries it — honor
-			// it rather than serving jittered values as deterministic.
-			if run.Jitter != 0 {
-				continue
-			}
-			pt, ok := points[sx{run.Series, run.X}]
-			if !ok {
-				continue // runs with no rendered point can't be reused
-			}
-			pr.pt = pt
-			p.byMeta[metaKey{
-				figure: run.Figure, series: run.Series,
-				x: run.X, nodes: run.Nodes,
-				warmup: run.Warmup, iters: run.Iters,
-				seed: run.Seed,
-			}] = pr
 		}
 	}
 	return p
-}
-
-// Len returns the number of reusable runs indexed (failed runs are
-// excluded up front).
-func (p *Prior) Len() int { return len(p.byKey) + len(p.byMeta) }
-
-// Lookup returns the prior result for a spec, keyed first by the
-// spec's fingerprint (v3-exact), then by its metadata tuple (v1/v2).
-// Runs the prior report marked as failed are never returned: resume
-// re-runs exactly the missing and failed specs.
-func (p *Prior) Lookup(spec bench.RunSpec, key string) (PriorHit, bool) {
-	if pr, ok := p.byKey[key]; ok {
-		return PriorHit{Point: pr.pt, WallNS: pr.wallNS, Exact: true}, true
-	}
-	// Metadata matching is only sound when the inputs the v1/v2
-	// schemas never recorded are at their defaults: the seed tuple is
-	// identical between jittered and unjittered sweeps, so a jittered
-	// sweep must re-simulate rather than trust a report that doesn't
-	// say what jitter it ran under. (The converse — an old report that
-	// was itself produced with -jitter — is undetectable from the
-	// file; that risk is inherent to pre-v3 reports and is why only
-	// Exact hits reach the run store.)
-	if spec.Jitter != 0 {
-		return PriorHit{}, false
-	}
-	pr, ok := p.byMeta[metaKey{
-		figure: spec.FigID, series: spec.Series,
-		x: spec.X, nodes: spec.Nodes,
-		warmup: spec.Warmup, iters: spec.Iters,
-		seed: spec.Seed,
-	}]
-	if !ok {
-		return PriorHit{}, false
-	}
-	// The recorded composition must match ("summit" stands in for v1
-	// runs, which predate both registries).
-	if pr.app != "" && pr.app != spec.App {
-		return PriorHit{}, false
-	}
-	if pr.machine != spec.Machine {
-		return PriorHit{}, false
-	}
-	return PriorHit{Point: pr.pt, WallNS: pr.wallNS}, true
 }

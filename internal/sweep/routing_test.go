@@ -100,9 +100,9 @@ func TestRoutingInReportAndStore(t *testing.T) {
 	}
 	prior := NewPrior(rep)
 	run := res.Figures[0].Runs[0]
-	hit, ok := prior.Lookup(run.Spec, run.Key)
-	if !ok || !hit.Exact {
-		t.Fatalf("fingerprint-exact resume lookup failed: ok=%v exact=%v", ok, hit.Exact)
+	hit, ok := prior[run.Key]
+	if !ok {
+		t.Fatal("resume lookup by fingerprint failed")
 	}
 	if hit.Point.Routing != "adaptive" {
 		t.Fatalf("resume dropped the routing field: %+v", hit.Point)

@@ -40,8 +40,9 @@ type Options struct {
 	// two stacked (Tiered).
 	Cache Cache
 	// Prior, if non-nil, supplies results from a previous (possibly
-	// partial) report: matching specs are not simulated. See NewPrior.
-	Prior *Prior
+	// partial) report: specs whose fingerprint it holds are not
+	// simulated. See NewPrior.
+	Prior Prior
 	// Notify, if non-nil, is called once per completed run, as soon as
 	// its point is final — before the sweep finishes or assembles.
 	// This is the streaming hook: cmd/sweep uses it to publish per-run
@@ -104,13 +105,6 @@ type Run struct {
 	// carried over from the store entry / prior report for cached and
 	// resumed ones — what the hit saved, not what the lookup cost.
 	SimWallNS int64
-	// Verified reports that the point is known to belong to Key: it
-	// was simulated under it, served from the store by it, or resumed
-	// by fingerprint. v1/v2 metadata-matched resume values are not —
-	// they are kept out of the store, and reports must not stamp them
-	// with the current fingerprint (which would launder them into
-	// "exact" on the next resume).
-	Verified bool
 }
 
 // FigureResult is one reassembled figure plus its per-run metadata.
@@ -240,12 +234,10 @@ func Sweep(ids []string, opt Options) (Result, error) {
 		key := spec.Fingerprint()
 		t0 := time.Now() //gat:nondet-ok per-run wall_ns provenance; never enters figure values
 
-		// Lookup order: the store first — its entries are keyed on the
-		// current fingerprint, so they are always semantics-current —
-		// then the prior report (whose v1/v2 metadata matches cannot
-		// see an engine-salt bump), then the simulator.
+		// Lookup order: the store, then the prior report, then the
+		// simulator. Both sources are keyed on the fingerprint, so the
+		// order only decides which provenance a run reports.
 		pt, src := bench.Point{}, SourceSim
-		var hit PriorHit
 		var simWallNS int64
 		if opt.Cache != nil {
 			e, ok, err := opt.Cache.Get(key)
@@ -258,9 +250,9 @@ func Sweep(ids []string, opt Options) (Result, error) {
 				pt, src, simWallNS = e.Point(), SourceStore, e.WallNS
 			}
 		}
-		if src == SourceSim && opt.Prior != nil {
-			if h, ok := opt.Prior.Lookup(spec, key); ok {
-				hit, pt, src, simWallNS = h, h.Point, SourcePrior, h.WallNS
+		if src == SourceSim {
+			if h, ok := opt.Prior[key]; ok {
+				pt, src, simWallNS = h.Point, SourcePrior, h.WallNS
 			}
 		}
 		if src == SourceSim {
@@ -271,13 +263,11 @@ func Sweep(ids []string, opt Options) (Result, error) {
 			simWallNS = wall.Nanoseconds()
 		}
 		// Write-through: simulated results are memoized under their
-		// fingerprint, and fingerprint-exact resumed points propagate
-		// into the store (with the original simulation's cost) so the
-		// next sweep hits without the report. The store missed in both
-		// cases, so nothing is clobbered. Metadata-matched v1/v2 resume
-		// hits stay out of the store: they were not verified against
-		// the fingerprint they would be filed under.
-		if opt.Cache != nil && (src == SourceSim || (src == SourcePrior && hit.Exact)) {
+		// fingerprint, and resumed points propagate into the store
+		// (with the original simulation's cost) so the next sweep hits
+		// without the report. The store missed in both cases, so
+		// nothing is clobbered.
+		if opt.Cache != nil && src != SourceStore {
 			if e, err := store.NewEntry(key, spec, pt, simWallNS); err != nil {
 				complain(err)
 			} else if err := opt.Cache.Put(e); err != nil {
@@ -285,8 +275,7 @@ func Sweep(ids []string, opt Options) (Result, error) {
 			}
 		}
 
-		verified := src != SourcePrior || hit.Exact
-		run := Run{Spec: spec, Point: pt, Key: key, Source: src, Wall: wall, SimWallNS: simWallNS, Verified: verified}
+		run := Run{Spec: spec, Point: pt, Key: key, Source: src, Wall: wall, SimWallNS: simWallNS}
 		runs[fig][si] = run
 		if opt.Notify != nil {
 			opt.Notify(run)
@@ -349,13 +338,6 @@ func (r Result) WriteExplain(w io.Writer) {
 	fmt.Fprintf(w, "%-28s %-6s %-32s %-8s %s\n", "RUN", "SOURCE", "KEY", "NET", "WALL")
 	for _, f := range r.Figures {
 		for _, run := range f.Runs {
-			// Same rule as the JSON writer: a printed key asserts the
-			// value was verified against it, which metadata-resumed
-			// points never were.
-			key := run.Key
-			if !run.Verified {
-				key = "- (metadata match)"
-			}
 			// NET is the run's peak fabric-link utilization: where the
 			// sweep was network-bound ("-" on NIC-only machines).
 			net := "-"
@@ -363,7 +345,7 @@ func (r Result) WriteExplain(w io.Writer) {
 				net = fmt.Sprintf("%.0f%%", 100*run.Point.MaxLinkUtil)
 			}
 			fmt.Fprintf(w, "%-28s %-6s %-32s %-8s %v\n",
-				run.Spec.Name(), run.Source, key, net, run.Wall.Round(time.Millisecond))
+				run.Spec.Name(), run.Source, run.Key, net, run.Wall.Round(time.Millisecond))
 		}
 	}
 }

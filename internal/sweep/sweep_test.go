@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -217,10 +218,10 @@ func TestWriteJSON(t *testing.T) {
 				t.Fatalf("run under %s claims figure %s", f.ID, r.Figure)
 			}
 			if r.Scenario != f.ID || r.Machine != "summit" {
-				t.Fatalf("run under %s missing v2 composition fields: %+v", f.ID, r)
+				t.Fatalf("run under %s missing composition fields: %+v", f.ID, r)
 			}
 			if len(r.Key) != 32 || r.Cached || r.Source != "sim" {
-				t.Fatalf("run under %s missing v3 provenance (want 32-char key, cached=false, source=sim): %+v", f.ID, r)
+				t.Fatalf("run under %s missing provenance (want 32-char key, cached=false, source=sim): %+v", f.ID, r)
 			}
 		}
 	}
@@ -243,7 +244,8 @@ func TestWriteJSON(t *testing.T) {
 
 // TestReadJSONAcceptsAllVersions checks the reader side of the schema
 // bumps: v3 documents round-trip with their provenance, and v1/v2
-// documents (no fingerprints, no per-run values) still parse.
+// documents (no fingerprints, no per-run values) are refused with
+// ErrUnknownSchema.
 func TestReadJSONAcceptsAllVersions(t *testing.T) {
 	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
 	if err != nil {
@@ -268,25 +270,15 @@ func TestReadJSONAcceptsAllVersions(t *testing.T) {
 		"figures":[{"id":"fig6a","title":"t","xlabel":"nodes","ylabel":"ms",
 		"series":[{"name":"Before","points":[{"x":1,"value":2.5}]}],
 		"runs":[{"figure":"fig6a","series":"Before","x":1,"nodes":1,"warmup":3,"iters":10,"seed":7,"wall_ns":9}]}]}`
-	rep, err = ReadJSON(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Figures[0].Runs[0].Scenario != "" || rep.Figures[0].Runs[0].Seed != 7 {
-		t.Fatalf("v1 parse wrong: %+v", rep.Figures[0].Runs[0])
-	}
-
 	v2 := `{"schema":"gat-sweep-v2","workers":1,"wall_ns":5,
 		"figures":[{"id":"fig6a","title":"t","xlabel":"nodes","ylabel":"ms",
 		"series":[{"name":"Before","points":[{"x":1,"value":2.5}]}],
 		"runs":[{"figure":"fig6a","scenario":"fig6a","app":"jacobi3d","machine":"summit",
 		"series":"Before","x":1,"nodes":1,"warmup":3,"iters":10,"seed":7,"wall_ns":9}]}]}`
-	rep, err = ReadJSON(strings.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Figures[0].Runs[0].Machine != "summit" || rep.Figures[0].Runs[0].Key != "" {
-		t.Fatalf("v2 parse wrong: %+v", rep.Figures[0].Runs[0])
+	for _, doc := range []string{v1, v2} {
+		if _, err := ReadJSON(strings.NewReader(doc)); !errors.Is(err, ErrUnknownSchema) {
+			t.Fatalf("pre-v3 report: err = %v, want ErrUnknownSchema", err)
+		}
 	}
 
 	if _, err := ReadJSON(strings.NewReader(`{"schema":"gat-sweep-v9"}`)); err == nil {

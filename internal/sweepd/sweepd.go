@@ -297,11 +297,6 @@ func (s *Server) handleReportPost(w http.ResponseWriter, r *http.Request) {
 		clientError(w, http.StatusBadRequest, "body is not a gat-sweep report: %v", err)
 		return
 	}
-	if v, _ := sweep.SchemaVersion(rep.Schema); v < 3 {
-		clientError(w, http.StatusBadRequest,
-			"%s reports carry no per-run values; re-run the sweep with a current build and publish its %s report", rep.Schema, sweep.SchemaV3)
-		return
-	}
 	ss := s.sweep(id)
 	n := 0
 	for _, f := range rep.Figures {

@@ -308,7 +308,7 @@ func TestSweepSnapshot(t *testing.T) {
 
 // TestReportPost covers the bulk-publish path and its version gate:
 // v3 reports register every run; v1/v2 and foreign schemas get the
-// friendly 400 built on sweep.ErrUnknownSchema / SchemaVersion.
+// friendly 400 built on sweep.ErrUnknownSchema.
 func TestReportPost(t *testing.T) {
 	ts, _ := newServer(t)
 
@@ -329,12 +329,12 @@ func TestReportPost(t *testing.T) {
 		t.Fatalf("after report POST, snapshot = %d: %s", resp.StatusCode, msg)
 	}
 
-	// v2: well-formed, accepted by ReadJSON, but carries no per-run
-	// values — friendly 400, not a decode trace.
-	rep.Schema = sweep.SchemaV2
+	// v2: well-formed, but carries no per-run values, so ReadJSON
+	// refuses it — friendly 400 naming the schema, not a decode trace.
+	rep.Schema = "gat-sweep-v2"
 	body, _ = json.Marshal(&rep)
 	resp, msg = doJSON(t, http.MethodPost, ts.URL+"/v1/sweep/bulk/report", body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, sweep.SchemaV2) {
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "gat-sweep-v2") {
 		t.Fatalf("v2 report POST = %d (%s), want friendly 400", resp.StatusCode, msg)
 	}
 

@@ -233,10 +233,9 @@ func BenchmarkProcPingPong(b *testing.B) {
 // BenchmarkJacobiStep measures one timed Jacobi3D iteration end to end
 // (MPI-D variant, 2 Summit nodes = 12 ranks), the workload every
 // figure sweep is made of. b.N is spread over runs of jacobiBenchIters
-// iterations on one machine, with the world's requests reset between
-// runs; every other transient record recycles as it completes, so
-// record memory stays warm instead of accumulating for the lifetime of
-// the benchmark.
+// iterations on one machine and one world; every transient record,
+// requests included, recycles as it completes, so record memory stays
+// warm instead of accumulating for the lifetime of the benchmark.
 func BenchmarkJacobiStep(b *testing.B) {
 	const jacobiBenchIters = 128
 	m := machine.MustNew(machine.Summit(2))
@@ -252,7 +251,6 @@ func BenchmarkJacobiStep(b *testing.B) {
 		cfg := jacobi.Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: iters}
 		jacobi.RunMPIWorld(w, cfg, opts)
 		m.ResetTransients()
-		w.Reset()
 	}
 }
 

@@ -5,8 +5,8 @@
 // completion, SDAG-style reference-number gates, and HAPI-style
 // asynchronous GPU completion callbacks.
 //
-// PEs are event-driven rather than goroutine-backed: entry methods never
-// block, so a PE is a priority queue plus busy/blocked bookkeeping. Host
+// PEs are event-driven rather than procs: entry methods never block,
+// so a PE is a priority queue plus busy/blocked bookkeeping. Host
 // time consumed by an entry method (scheduling, kernel launches, message
 // sends) accumulates on a Ctx clock, and every side effect is scheduled
 // at its correct staggered instant, reproducing the serialization of

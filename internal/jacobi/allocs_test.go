@@ -41,47 +41,75 @@ func runCharm(opt CharmOpts) func(*machine.Machine, int) {
 	return func(m *machine.Machine, iters int) { RunCharm(m, iterConfig(iters), opt) }
 }
 
+// runMPI returns a perIter run of RunMPI under opts.
+func runMPI(opts MPIOpts) func(*machine.Machine, int) {
+	return func(m *machine.Machine, iters int) { RunMPI(m, iterConfig(iters), opts) }
+}
+
 func mallocs(ms *runtime.MemStats) uint64    { return ms.Mallocs }
 func allocBytes(ms *runtime.MemStats) uint64 { return ms.TotalAlloc }
 
-// maxAllocsPerIter bounds TestCharmIterationAllocs. An iteration of 24
-// chares (Summit(1), ODF 4) measures 0 on Go 1.24 (-0.06 to 0.06 under
-// the race detector): the records an iteration uses, signals included,
-// return to free lists as their operations complete, so the run reuses
-// them. The bound leaves room for the odd runtime allocation landing in
-// one run of a pair; one closure, task or record per iteration would
-// add 1, one per chare 24.
+// maxAllocsPerIter bounds the per-iteration allocation tests. An
+// iteration of 24 chares (Summit(1), ODF 4) or of 12 MPI ranks
+// (Summit(2)) measures 0 on Go 1.24 (-0.06 to 0.06 under the race
+// detector): the records an iteration uses, signals and MPI requests
+// included, return to free lists as their operations complete, so the
+// run reuses them. The bound leaves room for the odd runtime allocation
+// landing in one run of a pair; one closure, task or record per
+// iteration would add 1, one per chare or rank 12 or more.
 const maxAllocsPerIter = 0.25
 
-// TestCharmIterationAllocs pins the allocation-free Charm task path:
-// once a run is set up, an iteration must allocate next to nothing, in
-// GPU-aware mode with and without graphs and in host-staged mode with
-// and without the §III-C optimizations.
-func TestCharmIterationAllocs(t *testing.T) {
+// iterAllocCase is one run of the per-iteration allocation tests.
+type iterAllocCase struct {
+	name  string
+	nodes int
+	run   func(*machine.Machine, int)
+}
+
+// checkIterationAllocs fails if an iteration of any case allocates more
+// than maxAllocsPerIter times once its run is set up.
+func checkIterationAllocs(t *testing.T, cases []iterAllocCase) {
 	if !sim.Recycles {
 		t.Skip("the gatcheck build allocates every record afresh")
 	}
 	if testing.Short() {
 		t.Skip("runs a dozen simulations")
 	}
-	cases := []struct {
-		name string
-		opt  CharmOpts
-	}{
-		{"charm-d", CharmOpts{ODF: 4, GPUAware: true}.Optimized()},
-		{"charm-d-graphs", CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()},
-		{"charm-h", CharmOpts{ODF: 4}.Optimized()},
-		{"charm-h-before", CharmOpts{ODF: 4}},
-	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := perIter(1, runCharm(c.opt), 32, mallocs)
+			got := perIter(c.nodes, c.run, 32, mallocs)
 			t.Logf("%s: %.2f allocs/iteration", c.name, got)
 			if got > maxAllocsPerIter {
 				t.Fatalf("%s allocates %.2f times per iteration (marginal), want <= %.2f", c.name, got, maxAllocsPerIter)
 			}
 		})
 	}
+}
+
+// TestCharmIterationAllocs pins the allocation-free Charm task path:
+// once a run is set up, an iteration must allocate next to nothing, in
+// GPU-aware mode with and without graphs and in host-staged mode with
+// and without the §III-C optimizations.
+func TestCharmIterationAllocs(t *testing.T) {
+	checkIterationAllocs(t, []iterAllocCase{
+		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true}.Optimized())},
+		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized())},
+		{"charm-h", 1, runCharm(CharmOpts{ODF: 4}.Optimized())},
+		{"charm-h-before", 1, runCharm(CharmOpts{ODF: 4})},
+	})
+}
+
+// TestMPIIterationAllocs pins the allocation-free MPI path: requests
+// and every record below them recycle as they complete, so an iteration
+// of either transfer policy, with manual overlap or a residual
+// allreduce, allocates next to nothing once the ranks are spawned.
+func TestMPIIterationAllocs(t *testing.T) {
+	checkIterationAllocs(t, []iterAllocCase{
+		{"mpi-d", 2, runMPI(MPIOpts{Device: true})},
+		{"mpi-h", 2, runMPI(MPIOpts{})},
+		{"mpi-h-overlap", 2, runMPI(MPIOpts{Overlap: true})},
+		{"mpi-d-residual", 2, runMPI(MPIOpts{Device: true, ResidualEvery: 1})},
+	})
 }
 
 // TestCharmChannelsDrain checks that a multi-iteration Charm-D run
@@ -115,12 +143,11 @@ func TestCharmChannelsDrain(t *testing.T) {
 
 // TestIterationBytes bounds the heap bytes an iteration allocates once
 // a run is set up. Every record an iteration uses returns to a free
-// list as its operation completes — engine signals, AllOf joins, GPU
-// stream ops, transfer, pipe and match records — so the Charm variants
-// measure 0 on Go 1.24 (0 to 7 B under the race detector) and their
-// bound is a noise floor below one record per chare. What MPI-D still
-// allocates is its requests, which ranks hold until the world is reset
-// (5.8 KB).
+// list as its operation completes — engine signals, MPI requests among
+// them, AllOf joins, GPU stream ops, transfer, pipe and match records —
+// so every variant measures 0 on Go 1.24 (0 to 7 B under the race
+// detector), and the bound is a noise floor below one record per chare
+// or rank.
 func TestIterationBytes(t *testing.T) {
 	if !sim.Recycles {
 		t.Skip("the gatcheck build allocates every record afresh")
@@ -137,7 +164,7 @@ func TestIterationBytes(t *testing.T) {
 		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 512},
 		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 512},
 		{"charm-h", 1, runCharm(CharmOpts{ODF: 4}.Optimized()), 512},
-		{"mpi-d", 2, func(m *machine.Machine, iters int) { RunMPI(m, iterConfig(iters), MPIOpts{Device: true}) }, 11 << 10},
+		{"mpi-d", 2, runMPI(MPIOpts{Device: true}), 512},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -30,10 +30,10 @@ func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) Result {
 }
 
 // RunMPIWorld is RunMPI on a caller-provided world, so a benchmark can
-// reuse one world (and its request arena) across consecutive runs on
-// the same machine. Call World.Reset between runs to free the requests;
-// every other record of a run recycles as it completes, so the machine
-// needs no reset beyond the boundary check of Machine.ResetTransients.
+// reuse one world across consecutive runs on the same machine. Every
+// record of a run, requests included, recycles as it completes, so
+// neither the world nor the machine needs a reset beyond the boundary
+// check of Machine.ResetTransients.
 func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 	cfg = cfg.DefaultIterations()
 	m := w.M
@@ -70,7 +70,7 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 		packSigs := make([]sim.SignalRef, 0, len(nbrs))
 		d2hSigs := make([]sim.SignalRef, 0, len(nbrs))
 		unpackSigs := make([]sim.SignalRef, 0, len(nbrs))
-		reqs := make([]*mpi.Request, 0, 2*len(nbrs))
+		reqs := make([]mpi.Request, 0, 2*len(nbrs))
 
 		// Per-neighbor constants, computed once: the loop below runs
 		// every simulated iteration, and the geometry arithmetic is

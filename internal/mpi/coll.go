@@ -148,7 +148,7 @@ func (r *Rank) Reduce(epoch, root int, bytes int64) {
 func (r *Rank) Gather(epoch int, root int, bytes int64) {
 	base := tagGatherBase + epoch*4
 	if r.id == root {
-		reqs := make([]*Request, 0, r.Size()-1)
+		reqs := make([]Request, 0, r.Size()-1)
 		for src := 0; src < r.Size(); src++ {
 			if src == root {
 				continue

@@ -239,3 +239,90 @@ func TestComputeAdvancesClock(t *testing.T) {
 		t.Fatalf("compute ended at %v", at)
 	}
 }
+
+// TestRequestReread waits on a request twice and lists a request twice
+// in one Waitall, on both sides of a message. Each must complete without
+// hanging: a request whose signal fired reads completed however often
+// it is read.
+func TestRequestReread(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		wait func(r *Rank, req Request)
+	}{
+		{"wait-twice", func(r *Rank, req Request) { r.Wait(req); r.Wait(req) }},
+		{"waitall-duplicate", func(r *Rank, req Request) { r.Waitall(req, req) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := testWorld(1)
+			finished := 0
+			w.Run(func(r *Rank) {
+				var req Request
+				switch r.ID() {
+				case 0:
+					req = r.Isend(1, 1, 64, Host)
+				case 1:
+					req = r.Irecv(0, 1, Host)
+				default:
+					finished++
+					return
+				}
+				c.wait(r, req)
+				if !req.Fired() {
+					t.Errorf("rank %d: request reads pending after its wait", r.ID())
+				}
+				finished++
+			})
+			if finished != w.Size() {
+				t.Fatalf("%d of %d ranks finished; the rest hang", finished, w.Size())
+			}
+		})
+	}
+}
+
+// TestRequestReadAfterReuse keeps a completed request while the record
+// of its completion signal serves the next message: the old request
+// must still read completed, and waiting on it, alone or beside the
+// new one, must not hang. In the gatcheck build no record is reused,
+// and the reads must hold all the same.
+func TestRequestReadAfterReuse(t *testing.T) {
+	w := testWorld(1)
+	var first, second [2]*sim.Signal // live signals of each rank's two requests
+	finished := 0
+	w.Run(func(r *Rank) {
+		id := r.ID()
+		if id > 1 {
+			finished++
+			return
+		}
+		post := func(tag int) Request {
+			if id == 0 {
+				return r.Isend(1, tag, 64, Host)
+			}
+			return r.Irecv(0, tag, Host)
+		}
+		a := post(1)
+		first[id] = a.Signal()
+		r.Wait(a)
+		b := post(2)
+		second[id] = b.Signal()
+		if !a.Fired() || b.Fired() {
+			t.Errorf("rank %d: old request fired=%v, new fired=%v; want true, false", id, a.Fired(), b.Fired())
+		}
+		r.Wait(a)
+		r.Waitall(a, b)
+		if !a.Fired() || !b.Fired() {
+			t.Errorf("rank %d: after Waitall old fired=%v, new fired=%v; want both", id, a.Fired(), b.Fired())
+		}
+		finished++
+	})
+	if finished != w.Size() {
+		t.Fatalf("%d of %d ranks finished; the rest hang", finished, w.Size())
+	}
+	if sim.Recycles {
+		// The two completions return both records to the engine's free
+		// list, and the next two requests take them back.
+		if !(second[0] == first[0] && second[1] == first[1] || second[0] == first[1] && second[1] == first[0]) {
+			t.Fatal("the second message's requests did not reuse the first's records")
+		}
+	}
+}

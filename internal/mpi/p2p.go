@@ -11,10 +11,11 @@ import (
 // agree. The request completes when the data has been delivered to the
 // receiver's buffer (rendezvous semantics, appropriate for the halo
 // sizes Jacobi3D exchanges).
-func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) *Request {
+func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) Request {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	req := r.w.reqs.New()
 	w := r.w
+	done := w.M.Eng.NewSignal()
+	req := done.Ref()
 	key := newMatchKey(r.id, dst, tag)
 	s := w.slot(key)
 	if len(s.recvs) > 0 {
@@ -25,18 +26,19 @@ func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) *Request {
 		if n == 0 && len(s.sends) == 0 {
 			w.release(key, s)
 		}
-		w.start(key, bytes, kind, pr.kind, req, pr.req)
+		w.start(key, bytes, kind, pr.kind, done, pr.done)
 		return req
 	}
-	s.sends = append(s.sends, pendingSend{bytes: bytes, kind: kind, req: req})
+	s.sends = append(s.sends, pendingSend{bytes: bytes, kind: kind, done: done})
 	return req
 }
 
 // Irecv posts a non-blocking receive from rank src with the given tag.
-func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
+func (r *Rank) Irecv(src, tag int, kind BufKind) Request {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	req := r.w.reqs.New()
 	w := r.w
+	done := w.M.Eng.NewSignal()
+	req := done.Ref()
 	key := newMatchKey(src, r.id, tag)
 	s := w.slot(key)
 	if len(s.sends) > 0 {
@@ -47,10 +49,10 @@ func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
 		if n == 0 && len(s.recvs) == 0 {
 			w.release(key, s)
 		}
-		w.start(key, ps.bytes, ps.kind, kind, ps.req, req)
+		w.start(key, ps.bytes, ps.kind, kind, ps.done, done)
 		return req
 	}
-	s.recvs = append(s.recvs, pendingRecv{kind: kind, req: req})
+	s.recvs = append(s.recvs, pendingRecv{kind: kind, done: done})
 	return req
 }
 
@@ -59,8 +61,8 @@ func (r *Rank) Irecv(src, tag int, kind BufKind) *Request {
 // send-then-receive order — two separate completion events would give
 // an interleaving point the real sequence does not have.
 type matchDone struct {
-	w          *World
-	sreq, rreq *Request
+	w            *World
+	sdone, rdone *sim.Signal
 }
 
 // matchDoneFire is the ArgFunc completing a matched send/recv pair; the
@@ -69,24 +71,24 @@ type matchDone struct {
 //gat:hotpath
 func matchDoneFire(e *sim.Engine, arg unsafe.Pointer) {
 	md := (*matchDone)(arg)
-	sreq, rreq := md.sreq, md.rreq
+	sdone, rdone := md.sdone, md.rdone
 	md.w.links.Put(md)
-	sreq.done.Fire(e)
-	rreq.done.Fire(e)
+	sdone.Fire(e)
+	rdone.Fire(e)
 }
 
 // start launches the matched transfer on the path implied by the buffer
 // kinds.
 //
 //gat:hotpath
-func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sreq, rreq *Request) {
+func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sdone, rdone *sim.Signal) {
 	if sendKind != recvKind {
 		panic("mpi: mixed host/device buffer match not supported")
 	}
 	srcNode := w.M.NodeOf(key.src())
 	dstNode := w.M.NodeOf(key.dst())
 	md := w.links.Get()
-	md.w, md.sreq, md.rreq = w, sreq, rreq
+	md.w, md.sdone, md.rdone = w, sdone, rdone
 	var arrived *sim.Signal
 	switch {
 	case sendKind == Host:
@@ -104,18 +106,18 @@ func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sre
 }
 
 // Wait blocks until the request completes.
-func (r *Rank) Wait(req *Request) {
+//
+//gat:hotpath
+func (r *Rank) Wait(req Request) {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	r.proc.Wait(&req.done)
+	r.proc.Wait(req.Signal())
 }
 
 // Waitall blocks until every request completes, charging a single call
 // overhead (MPI_Waitall).
-func (r *Rank) Waitall(reqs ...*Request) {
+//
+//gat:hotpath
+func (r *Rank) Waitall(reqs ...Request) {
 	r.proc.Sleep(r.w.Opt.CallOverhead)
-	g := r.proc.NewWaitSet()
-	for _, req := range reqs {
-		g.Add(&req.done)
-	}
-	g.Wait()
+	r.proc.WaitAll(reqs...)
 }

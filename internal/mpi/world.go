@@ -65,11 +65,8 @@ type World struct {
 	// counter would be shared by concurrently sweeping runs.
 	collEpoch int
 
-	// reqs is the arena of the per-message requests, which ranks hold
-	// until the world is reset or dropped (see sim.Arena). The match
-	// links of matched pairs are recycled through links as soon as
-	// their pair completes.
-	reqs  sim.Arena[Request]
+	// links recycles the match links of matched pairs as their pair
+	// completes.
 	links sim.FreeList[matchDone]
 }
 
@@ -130,26 +127,25 @@ func (w *World) release(key matchKey, s *matchSlot) {
 	w.free = append(w.free, s)
 }
 
+// pendingSend and pendingRecv are unmatched operations; done is the
+// completion signal behind the operation's Request.
 type pendingSend struct {
 	bytes int64
 	kind  BufKind
-	req   *Request
+	done  *sim.Signal
 }
 
 type pendingRecv struct {
 	kind BufKind
-	req  *Request
+	done *sim.Signal
 }
 
-// Request is a non-blocking operation handle. The completion signal is
-// embedded so posting an operation costs one allocation, not two —
-// requests are made per message on the simulation's hottest path.
-type Request struct {
-	done sim.Signal
-}
-
-// Done reports whether the operation completed.
-func (r *Request) Done() bool { return r.done.Fired() }
+// Request is a non-blocking operation handle: a reference to the
+// operation's completion signal, an engine signal whose record returns
+// to the engine's free list as it fires. The reference reads fired
+// from then on, so a rank may test (Fired) or wait on a request any
+// number of times, also after its record serves a later message.
+type Request = sim.SignalRef
 
 // NewWorld creates a world over m with one rank per GPU.
 func NewWorld(m *machine.Machine, opt Options) *World {
@@ -166,17 +162,6 @@ func NewWorld(m *machine.Machine, opt Options) *World {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
-
-// Reset frees every request the world has allocated, keeping the chunk
-// memory warm for the next Run; match links need no reset, as each
-// returns to the world's free list when its pair completes, and neither
-// do the transfer and signal records below them, which recycle as they
-// fire. Reset must only be called at a run boundary — every posted
-// operation matched and completed, no Request handle from the finished
-// run used afterwards — which also means the match map is empty again.
-// A world reset this way can host a sequence of runs on one machine
-// with zero steady-state record allocation.
-func (w *World) Reset() { w.reqs.Reset() }
 
 // Run spawns every rank executing body and runs the simulation to
 // completion, returning the final virtual time.

@@ -7,10 +7,11 @@
 //
 //   - Event callbacks (Schedule/At) for passive components such as GPU
 //     engines and NICs.
-//   - Goroutine-backed processes (Spawn) for active components that need
-//     blocking semantics, such as MPI ranks calling Waitall. The engine
-//     runs at most one goroutine at a time and hands control back and
-//     forth explicitly, preserving determinism.
+//   - Coroutine processes (Spawn) for active components that need
+//     blocking semantics, such as MPI ranks calling Waitall. The event
+//     loop resumes a proc like any other event, and the proc runs until
+//     it blocks, when control returns to the loop, so execution stays
+//     deterministic.
 package sim
 
 import (
@@ -115,19 +116,6 @@ func argFnToPtr(fn ArgFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Po
 // ptrToArgFn reconstitutes an ArgFunc packed by argFnToPtr.
 func ptrToArgFn(p unsafe.Pointer) ArgFunc { return *(*ArgFunc)(unsafe.Pointer(&p)) }
 
-// dispatch executes the event's action.
-func (ev event) dispatch(e *Engine) {
-	if ev.fn == nil {
-		(*Signal)(ev.arg).Fire(e)
-		return
-	}
-	if ev.arg == nil {
-		ptrToFn(ev.fn)()
-		return
-	}
-	ptrToArgFn(ev.fn)(e, ev.arg)
-}
-
 // eventHeap is the timed-event store: a monomorphic binary min-heap
 // ordered by (at, seq), with the earliest pending event at index 0, so
 // the run loop's lane/timed interleave check and Proc.Sleep's
@@ -215,8 +203,7 @@ func (h *eventHeap) popMin() event {
 	return min
 }
 
-// Engine is a discrete-event simulator. The zero value is not usable;
-// construct with NewEngine.
+// Engine is a discrete-event simulator. Construct one with NewEngine.
 //
 // Internally the engine keeps two event stores that together implement
 // exact (time, sequence) order: a binary min-heap for timed events,
@@ -235,27 +222,21 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	nEvents uint64 // total events executed, for diagnostics
-	// limit is the bound of the RunUntil call currently executing.
-	// Proc.Sleep consults it for the direct-resume fast path: a proc may
-	// fast-forward the clock only within the active run window.
+	// limit is the bound of the RunUntil call currently executing, or
+	// maxTime under Step. Proc.Sleep consults it for the direct-resume
+	// fast path: a proc may fast-forward the clock only within the
+	// active run window.
 	limit   Time
 	stopped bool
 	// noLane routes zero-delay events through the timed queue instead
 	// of the FIFO lane. Test hook only: the ordering-equivalence test
-	// runs the same workload both ways and asserts identical order.
+	// runs the same workload with and without it and asserts identical
+	// order.
 	noLane bool
-	// inDrive marks an active RunUntil, where the event loop is driven
-	// by whichever goroutine holds the execution token (see drive): a
-	// parking proc keeps driving instead of switching back to the
-	// RunUntil caller, halving the goroutine switches per park/resume
-	// pair. Step clears it, keeping its one-event contract on the
-	// legacy handshake.
-	inDrive bool
-	lane    eventLane
-	timed   eventHeap
+	lane   eventLane
+	timed  eventHeap
 
-	handoff chan struct{} // procs signal here when they park or exit
-	tracer  *Tracer
+	tracer *Tracer
 
 	// Free lists of the records sim creates on the hot path. Each
 	// record returns to its list in the event that fires its signal (or,
@@ -269,9 +250,7 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at time zero.
-func NewEngine() *Engine {
-	return &Engine{handoff: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -328,113 +307,65 @@ func (e *Engine) Run() Time { return e.RunUntil(maxTime) }
 // to each event's time. Events left in the queue remain schedulable by a
 // later call. It returns the current virtual time when it stops.
 //
-// The run executes in token-passing mode: the caller's goroutine starts
-// driving the event loop, and when an event resumes a proc, the
-// execution token — and with it the loop — moves to that proc's
-// goroutine directly (see drive). The event order is exactly the
-// (time, seq) order an engine-driven loop would produce; only which
-// goroutine pops each event changes.
-//
 //gat:hotpath
 func (e *Engine) RunUntil(limit Time) Time {
 	e.stopped = false
 	e.limit = limit
-	e.inDrive = true
-	e.drive(nil)
-	e.inDrive = false
+	for !e.stopped && e.step() {
+	}
+	if !e.stopped && e.lane.n == 0 && len(e.timed) > 0 && e.limit > e.now {
+		// Only events past the limit remain: the window has run out.
+		e.now = e.limit
+	}
 	return e.now
 }
 
-// drive runs the event loop on the calling goroutine — the RunUntil
-// caller (self == nil) or a parking proc — until the run ends or the
-// token moves on.
+// step pops the earliest pending event with a timestamp within the run
+// window (e.limit) and executes it, reporting whether one ran. It is
+// the whole event loop: RunUntil calls it until the window is drained,
+// Step calls it once.
 //
-// The loop drains the whole same-timestamp batch from the zero-delay
-// lane before consulting the timed queue for a clock advance; timed
-// events that share the current timestamp (necessarily scheduled
-// earlier, so with smaller sequence numbers) are interleaved ahead of
-// the lane by a single peek of the heap's root, never a re-sort.
-//
-// Proc resume events are intercepted by payload identity (fn ==
-// procResumePtr) instead of dispatched: popping one's own resume means
-// the park is over (the proc returns to user code with zero goroutine
-// switches — the common Sleep shape, where the sleeper pops its own
-// wakeup); popping another proc's resume hands the token to that proc
-// in one switch. The RunUntil caller parks on the handoff channel
-// while procs hold the token, and receives it back — uniformly meaning
-// "continue driving" — when a proc exits or ends the run.
+// The zero-delay lane's whole same-timestamp batch runs before the
+// timed queue is consulted for a clock advance; timed events that share
+// the current timestamp (necessarily scheduled earlier, so with smaller
+// sequence numbers) are interleaved ahead of the lane by a single peek
+// of the heap's root, never a re-sort. A proc's resume event is an
+// ArgFunc event like any other (see procResume).
 //
 //gat:hotpath
-func (e *Engine) drive(self *Proc) {
-	for !e.stopped {
-		var fn, arg unsafe.Pointer
-		if e.lane.n > 0 {
-			// Lane entries are stamped with the current time; if even
-			// that is past the limit they must stay queued.
-			if e.now > e.limit {
-				break
-			}
-			if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
-				ev := e.timed.popMin()
-				fn, arg = ev.fn, ev.arg
-			} else {
-				le := e.lane.pop()
-				fn, arg = le.fn, le.arg
-			}
-		} else {
-			if len(e.timed) == 0 {
-				break
-			}
-			if e.timed[0].at > e.limit {
-				if e.limit > e.now {
-					e.now = e.limit
-				}
-				break
-			}
+func (e *Engine) step() bool {
+	var fn, arg unsafe.Pointer
+	if e.lane.n > 0 {
+		// Lane entries are stamped with the current time; if even that
+		// is past the limit they must stay queued.
+		if e.now > e.limit {
+			return false
+		}
+		if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
 			ev := e.timed.popMin()
-			e.now = ev.at
 			fn, arg = ev.fn, ev.arg
+		} else {
+			le := e.lane.pop()
+			fn, arg = le.fn, le.arg
 		}
-		e.nEvents++
-		if fn == procResumePtr {
-			p := (*Proc)(arg)
-			if p == self {
-				// Our own resume: the park is over and this goroutine
-				// already holds the token.
-				return
-			}
-			if p.exited {
-				//gat:alloc-ok cold panic path
-				panic("sim: resuming exited proc " + p.name)
-			}
-			p.wake <- struct{}{}
-			if self == nil {
-				// The token comes back when a proc exits or ends the
-				// run; either way, resume driving.
-				<-e.handoff
-				continue
-			}
-			// Token handed on; wait for our own resume to be dispatched
-			// by whoever drives then.
-			<-self.wake
-			return
+	} else {
+		if len(e.timed) == 0 || e.timed[0].at > e.limit {
+			return false
 		}
-		if fn == nil {
-			(*Signal)(arg).Fire(e)
-			continue
-		}
-		if arg == nil {
-			ptrToFn(fn)()
-			continue
-		}
+		ev := e.timed.popMin()
+		e.now = ev.at
+		fn, arg = ev.fn, ev.arg
+	}
+	e.nEvents++
+	switch {
+	case fn == nil:
+		(*Signal)(arg).Fire(e)
+	case arg == nil:
+		ptrToFn(fn)()
+	default:
 		ptrToArgFn(fn)(e, arg)
 	}
-	if self != nil {
-		// Run over while a proc held the token: hand it back to the
-		// RunUntil caller and park until a later run resumes us.
-		e.handoff <- struct{}{}
-		<-self.wake
-	}
+	return true
 }
 
 // InjectAt schedules a statically dispatched (fn, arg) pair at absolute
@@ -480,27 +411,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // advance the clock past the event's own timestamp.
 func (e *Engine) Step() bool {
 	e.limit = maxTime
-	e.inDrive = false
-	if e.lane.n > 0 {
-		if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
-			ev := e.timed.popMin()
-			e.nEvents++
-			ev.dispatch(e)
-			return true
-		}
-		le := e.lane.pop()
-		e.nEvents++
-		le.dispatch(e)
-		return true
-	}
-	if len(e.timed) == 0 {
-		return false
-	}
-	ev := e.timed.popMin()
-	e.now = ev.at
-	e.nEvents++
-	ev.dispatch(e)
-	return true
+	return e.step()
 }
 
 // Stop halts Run/RunUntil after the current event completes. Pending

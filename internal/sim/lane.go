@@ -14,22 +14,9 @@ type laneEvent struct {
 	arg unsafe.Pointer
 }
 
-// dispatch executes the lane event's action.
-func (le laneEvent) dispatch(e *Engine) {
-	if le.fn == nil {
-		(*Signal)(le.arg).Fire(e)
-		return
-	}
-	if le.arg == nil {
-		ptrToFn(le.fn)()
-		return
-	}
-	ptrToArgFn(le.fn)(e, le.arg)
-}
-
 // eventLane is a growable ring buffer holding zero-delay events in
 // insertion order. The bulk of a simulation's events are zero-delay —
-// signal wakeups, queue wakeups, yields, resume thunks — and for those
+// signal wakeups, queue wakeups, yields, proc resumes — and for those
 // (time, seq) order degenerates to plain FIFO, so a ring buffer
 // delivers them with one store and one load instead of a heap
 // sift-up/sift-down pair.

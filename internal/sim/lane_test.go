@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
+// driver is a way to execute a workload's events.
+type driver int
+
+const (
+	driveRun      driver = iota // Engine.Run
+	driveStep                   // Engine.Step until idle
+	driveHeapOnly               // Engine.Run with the lane off: every event through the heap
+)
+
 // runMixedWorkload drives every scheduling primitive — procs with zero
 // and positive sleeps, signal waits with fan-out, chained signals,
 // FireAt, queue pushes/pops, yields, nested zero-delay chains, and
 // duplicate-timestamp timed events — and returns the labels in
-// execution order. noLane selects the heap-only reference engine.
-func runMixedWorkload(noLane bool) []string {
+// execution order.
+func runMixedWorkload(d driver) []string {
 	e := NewEngine()
-	e.noLane = noLane
+	e.noLane = d == driveHeapOnly
 	var log []string
 	rec := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
 
@@ -60,26 +69,37 @@ func runMixedWorkload(noLane bool) []string {
 	e.FireAt(9, late)
 	late.OnFire(e, func() { rec("t9-fired") })
 
-	e.Run()
+	if d == driveStep {
+		for e.Step() {
+		}
+	} else {
+		e.Run()
+	}
 	return log
 }
 
 // TestLaneHeapOrderingEquivalence asserts the engine's central
-// invariant: the zero-delay FIFO lane is purely an optimization.
-// Running the same mixed workload with the lane disabled (every event
-// through the heap, the pre-lane engine) must execute every event in
-// the identical order.
+// invariants: the zero-delay FIFO lane is purely an optimization, and
+// Step resumes procs as Run does. Running the same mixed workload with
+// the lane disabled (every event through the heap, the pre-lane
+// engine), through Run and through a Step loop must execute every event
+// in the identical order.
 func TestLaneHeapOrderingEquivalence(t *testing.T) {
-	fast := runMixedWorkload(false)
-	ref := runMixedWorkload(true)
-	if len(fast) != len(ref) {
-		t.Fatalf("event counts differ: lane=%d heap-only=%d\nlane: %v\nheap: %v",
-			len(fast), len(ref), fast, ref)
-	}
-	for i := range ref {
-		if fast[i] != ref[i] {
-			t.Fatalf("order diverges at event %d: lane=%q heap-only=%q\nlane: %v\nheap: %v",
-				i, fast[i], ref[i], fast, ref)
+	ref := runMixedWorkload(driveHeapOnly)
+	for _, d := range []struct {
+		name  string
+		drive driver
+	}{{"run", driveRun}, {"step", driveStep}} {
+		got := runMixedWorkload(d.drive)
+		if len(got) != len(ref) {
+			t.Fatalf("event counts differ: %s=%d heap-only=%d\n%s: %v\nheap: %v",
+				d.name, len(got), len(ref), d.name, got, ref)
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("order diverges at event %d: %s=%q heap-only=%q\n%s: %v\nheap: %v",
+					i, d.name, got[i], ref[i], d.name, got, ref)
+			}
 		}
 	}
 }

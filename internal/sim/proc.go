@@ -1,11 +1,16 @@
 package sim
 
-import "unsafe"
+import (
+	"iter"
+	"unsafe"
+)
 
-// Proc is a goroutine-backed simulated process. Procs provide blocking
-// semantics (Sleep, Wait, Queue.Pop) on top of the event engine: at most
-// one proc runs at any real-time instant, and control transfers between
-// the engine and procs are explicit, so execution remains deterministic.
+// Proc is a simulated process run as a coroutine. Procs provide
+// blocking semantics (Sleep, Wait, Queue.Pop) on top of the event
+// engine: the event loop resumes a proc at its resume event, and the
+// proc runs until it blocks, when control returns to the loop. So at
+// most one proc runs at a time, and it runs at a point of the event
+// order, which keeps execution deterministic.
 //
 // Procs are used for components whose natural expression is sequential
 // blocking code — MPI ranks calling Waitall, for example. Purely reactive
@@ -13,7 +18,8 @@ import "unsafe"
 type Proc struct {
 	eng    *Engine
 	name   string
-	wake   chan struct{}
+	next   func() (struct{}, bool) // runs the coroutine until it parks or returns
+	yield  func(struct{}) bool     // parks the coroutine, returning from next
 	done   *Signal
 	exited bool
 }
@@ -29,17 +35,17 @@ func procResume(e *Engine, arg unsafe.Pointer) { e.resume((*Proc)(arg)) }
 var procResumePtr = argFnToPtr(procResume)
 
 // Spawn creates a proc running fn and schedules its first execution at
-// the current virtual time. fn runs in its own goroutine but only while
-// the engine has handed control to it.
+// the current virtual time. fn runs as a coroutine (iter.Pull) that
+// only the event loop resumes; a panic in fn propagates out of the Run
+// or Step call that resumed it.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, wake: make(chan struct{}), done: NewSignal()}
-	go func() {
-		<-p.wake
+	p := &Proc{eng: e, name: name, done: NewSignal()}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.exited = true
 		p.done.Fire(e)
-		e.handoff <- struct{}{}
-	}()
+	})
 	e.push(e.now, procResumePtr, unsafe.Pointer(p))
 	return p
 }
@@ -56,34 +62,22 @@ func (p *Proc) Done() *Signal { return p.done }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// resume hands control to p and blocks until p parks or exits. This is
-// the legacy engine-driven handshake used by Step's single-event
-// dispatch; RunUntil's token-passing loop intercepts resume events
-// before dispatch instead (see Engine.drive).
+// resume runs p from where it parked until it parks again or returns.
+//
+//gat:hotpath
 func (e *Engine) resume(p *Proc) {
 	if p.exited {
+		//gat:alloc-ok cold panic path
 		panic("sim: resuming exited proc " + p.name)
 	}
-	p.wake <- struct{}{}
-	<-e.handoff
+	p.next()
 }
 
-// park blocks the proc until resumed. Inside a RunUntil the parking
-// proc holds the execution token, so instead of switching back to the
-// engine it drives the event loop itself until its own resume event
-// comes up (see Engine.drive). Outside a run — a proc woken by Step —
-// it returns control over the legacy handoff channel. A wake received
-// while blocked here always means "your resume event was dispatched;
-// you own execution now", regardless of which mode dispatched it.
-func (p *Proc) park() {
-	e := p.eng
-	if e.inDrive {
-		e.drive(p)
-		return
-	}
-	e.handoff <- struct{}{}
-	<-p.wake
-}
+// park suspends the proc, returning control to the event loop, until
+// the loop dispatches the proc's resume event.
+//
+//gat:hotpath
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep suspends the proc for duration d of virtual time.
 //
@@ -92,7 +86,7 @@ func (p *Proc) park() {
 // than the wake time, and the wake time is within the active run window
 // — the proc fast-forwards the clock and keeps running. Parking would
 // hand control to the engine only for it to resume this proc
-// immediately, so skipping the resume event and both goroutine handoffs
+// immediately, so skipping the resume event and both coroutine switches
 // is observably identical (the engine is single-threaded: no new events
 // can appear while this proc holds control).
 //
@@ -127,22 +121,22 @@ func (p *Proc) Wait(s *Signal) {
 // waitAll is the record behind a group wait: a countdown of unfired
 // signals and the proc to resume when it reaches zero. Each member
 // signal holds a pointer to the record and decrements it at fire time
-// (see Signal.Fire).
+// (see Signal.Fire); the last one resumes the proc if it has parked.
 type waitAll struct {
-	n int
-	p *Proc
+	n      int
+	parked bool
+	p      *Proc
 }
 
 // WaitSet accumulates signals for a single group wait: Add registers any
 // number of signals, Wait parks the proc at most once until every added
 // signal has fired. It is the incremental form of WaitAll for callers
-// that would otherwise have to build a []SignalRef (MPI Waitall over
-// request records, for example). A WaitSet is a one-shot stack value:
+// that would otherwise have to build a []SignalRef; a member may fire
+// between its Add and the Wait. A WaitSet is a one-shot stack value:
 // obtain it from Proc.NewWaitSet, use it, drop it.
 type WaitSet struct {
 	p    *Proc
 	wa   *waitAll
-	n    int
 	rest []SignalRef // signals whose group slot another WaitSet already holds
 }
 
@@ -175,11 +169,13 @@ func (g *WaitSet) Add(s *Signal) {
 		return
 	}
 	s.ga = g.wa
-	g.n++
+	g.wa.n++
 }
 
 // Wait parks the proc until every signal added to the set has fired,
-// then consumes the set.
+// then consumes the set. Members that fired between Add and Wait are
+// already counted off, so a set whose members have all fired does not
+// park.
 //
 // The park resumes through a single event pushed by the chronologically
 // last signal to fire, at the same position in that fire's push order a
@@ -189,19 +185,19 @@ func (g *WaitSet) Add(s *Signal) {
 // intermediate wake-check-repark round trips (pure overhead: they run
 // no user code and schedule nothing) are elided.
 func (g *WaitSet) Wait() {
-	if g.n > 0 {
-		g.wa.n = g.n
-		g.p.park()
-	}
-	if g.wa != nil {
+	if wa := g.wa; wa != nil {
+		if wa.n > 0 {
+			wa.parked = true
+			g.p.park()
+		}
 		// Every member has fired and cleared its slot, so nothing
 		// references the countdown any more.
-		g.p.eng.waitFree.Put(g.wa)
+		g.p.eng.waitFree.Put(wa)
 	}
 	for _, r := range g.rest {
 		g.p.Wait(r.Signal())
 	}
-	g.wa, g.n, g.rest = nil, 0, nil
+	g.wa, g.rest = nil, nil
 }
 
 // WaitAll blocks until every signal refs refer to has fired, parking at

@@ -97,6 +97,56 @@ func TestSignalDoubleFireIsNoop(t *testing.T) {
 	}
 }
 
+// TestWaitSetMemberFiresBeforeWait adds two members to a group and
+// sleeps before waiting, so one member (or both) fires between Add and
+// Wait. The group must resume when the last member fires, and not park
+// at all when every member has fired.
+func TestWaitSetMemberFiresBeforeWait(t *testing.T) {
+	for _, c := range []struct{ sleep, want Time }{{10, 20}, {30, 30}} {
+		e := NewEngine()
+		early, late := NewSignal(), NewSignal()
+		e.FireAt(5, early)
+		e.FireAt(20, late)
+		resumed := Time(-1)
+		e.Spawn("w", func(p *Proc) {
+			g := p.NewWaitSet()
+			g.Add(early)
+			g.Add(late)
+			p.Sleep(c.sleep)
+			g.Wait()
+			resumed = p.Now()
+		})
+		e.Run()
+		if resumed != c.want {
+			t.Fatalf("sleep %v: group wait resumed at %v, want %v (-1: still parked)", c.sleep, resumed, c.want)
+		}
+	}
+}
+
+// TestProcPanicReachesRunCaller checks that a panic in a resumed proc
+// unwinds out of the Run call that resumed it, with its value, at the
+// time the proc panicked.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal()
+	e.FireAt(7, s)
+	e.Spawn("p", func(p *Proc) {
+		p.Wait(s)
+		panic("boom")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run's caller recovered %v, want boom", got)
+	}
+	if e.Now() != 7 {
+		t.Fatalf("clock at %v after the panic, want 7", e.Now())
+	}
+}
+
 func TestAllOf(t *testing.T) {
 	e := NewEngine()
 	a, b, c := NewSignal(), NewSignal(), NewSignal()

@@ -133,8 +133,8 @@ func (s *Signal) Fired() bool { s.live(); return s.fired }
 // once: after its first firing the record may already serve a later
 // operation, so a second Fire or FireAt fires that operation's signal.
 // Firing an already-fired signal is a no-op only for signals that are
-// never recycled: those from the package-level NewSignal, FiredSignal,
-// and MPI requests.
+// never recycled: those from the package-level NewSignal and
+// FiredSignal.
 //
 // Waiters resume through the shared procResume dispatch and callbacks
 // are re-queued in their stored payload form, so firing a signal
@@ -166,7 +166,7 @@ func (s *Signal) Fire(e *Engine) {
 		// signal to fire (see WaitSet.Wait).
 		s.ga = nil
 		g.n--
-		if g.n == 0 {
+		if g.n == 0 && g.parked {
 			e.push(e.now, procResumePtr, unsafe.Pointer(g.p))
 		}
 	}

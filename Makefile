@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke bench-queue bench bench-check
+.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke fuzz bench-queue bench bench-check
 
 all: check
 
@@ -125,7 +125,8 @@ sweepd-smoke:
 # and routing columns), a non-Summit, non-Jacobi composition must run
 # end to end, one tapered-fabric run must emit its link-utilization
 # provenance in the v3 JSON, one adaptive-routing run must emit its
-# routing provenance, and cmd/jacobi3d must run every variant.
+# routing provenance, and cmd/jacobi3d must run every variant and write
+# a non-empty -cpuprofile.
 scenario-smoke:
 	@$(GO) build -o /tmp/gat-sweep ./cmd/sweep
 	@$(GO) build -o /tmp/gat-jacobi3d ./cmd/jacobi3d
@@ -147,7 +148,11 @@ scenario-smoke:
 		grep -q '^time/iter' /tmp/gat-jacobi3d-$$v.txt || \
 			{ echo "scenario-smoke: jacobi3d -variant $$v printed no time/iter"; exit 1; }; \
 	done
-	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run; jacobi3d runs every variant"
+	@rm -f /tmp/gat-jacobi3d-cpu.pprof
+	@/tmp/gat-jacobi3d -variant charm-d -nodes 2 -iters 2 -cpuprofile /tmp/gat-jacobi3d-cpu.pprof > /dev/null
+	@test -s /tmp/gat-jacobi3d-cpu.pprof || \
+		{ echo "scenario-smoke: jacobi3d -cpuprofile wrote an empty profile"; exit 1; }
+	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run; jacobi3d runs every variant and writes a CPU profile"
 
 # Claims smoke: all seven C1-C7 checks must execute and report at
 # reduced scale; their verdicts are advisory there (-smoke exits 0).
@@ -159,6 +164,14 @@ claims-smoke:
 			{ echo "claims-smoke: claim $$c did not report"; cat /tmp/gat-claims-smoke.txt; exit 1; }; \
 	done
 	@echo "claims-smoke: all 7 claims executed and reported"
+
+# Fuzz targets, each for a bounded 20 s. FuzzTimedOrder runs random
+# programs of timed, zero-delay and nested pushes and pops on the engine
+# against a sorted-slice reference of (time, seq) order. A failing
+# input lands in internal/sim/testdata/fuzz/ and replays under plain
+# `go test` once committed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 
 bench-queue:
 	$(GO) test -run xxx -bench BenchmarkEventQueue -benchtime 1000000x .

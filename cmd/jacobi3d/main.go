@@ -7,6 +7,11 @@
 //	jacobi3d -variant charm-d -nodes 8 -odf 4 -global 1536x1536x3072
 //	jacobi3d -variant charm-d -nodes 64 -odf 8 -fusion C -graphs
 //	jacobi3d -variant mpi-h -nodes 16 -overlap
+//
+// Host profiling: -cpuprofile and -memprofile write pprof profiles of
+// the simulation (go tool pprof FILE); they change no output byte.
+//
+//	jacobi3d -variant charm-h -nodes 512 -global 3072x3072x3072 -odf 4 -iters 2 -warmup 1 -cpuprofile cpu.pprof
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 
 	"gat/internal/app"
 	"gat/internal/machine"
+	"gat/internal/profile"
 	"gat/internal/sim"
 	"gat/internal/timeline"
 )
@@ -37,6 +43,8 @@ func main() {
 	residual := flag.Int("residual", 0, "global residual check every N iterations (0 = off)")
 	trace := flag.Bool("trace", false, "record a timeline and print per-resource utilization")
 	traceCSV := flag.String("trace-csv", "", "write the raw timeline spans to this CSV file (implies -trace)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile (allocations since start, live heap at the end) of the simulation to this file")
 	flag.Parse()
 	if *traceCSV != "" {
 		*trace = true
@@ -48,6 +56,11 @@ func main() {
 		os.Exit(2)
 	}
 	mcfg, err := machine.BuildProfile(*machineName, *nodes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -82,6 +95,10 @@ func main() {
 		os.Exit(2)
 	}
 	res := run()
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("variant      %s\n", *variant)
 	fmt.Printf("machine      %s\n", *machineName)

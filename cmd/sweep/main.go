@@ -52,12 +52,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"sync"
 
 	"gat/internal/app"
 	"gat/internal/bench"
 	"gat/internal/machine"
+	"gat/internal/profile"
 	"gat/internal/sweep"
 	"gat/internal/sweep/store"
 	"gat/internal/sweep/store/remote"
@@ -190,19 +190,13 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	cpuFile, memFile := createFile("cpuprofile", *cpuProfile), createFile("memprofile", *memProfile)
-	if cpuFile != nil {
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			fatalf("-cpuprofile: %v", err)
-		}
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	res, err := sweep.Sweep(ids, opt)
-	pprof.StopCPUProfile() // a no-op without -cpuprofile
-	if memFile != nil {
-		runtime.GC() // bring the live-heap figures up to date
-		if err := pprof.WriteHeapProfile(memFile); err != nil {
-			fatalf("-memprofile: %v", err)
-		}
+	if err := stopProfiles(); err != nil {
+		fatalf("%v", err)
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -235,19 +229,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// createFile creates the file a profile flag names, or returns nil for
-// an unset flag.
-func createFile(flagName, path string) *os.File {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("-%s: %v", flagName, err)
-	}
-	return f
 }
 
 // resolveIDs maps the -fig alias and -scenario flag to scenario names.

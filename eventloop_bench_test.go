@@ -1,13 +1,19 @@
 // Event-loop benchmarks: the simulator's throughput bound is the
 // engine event loop, so these measure its hot paths.
 //
-// BenchmarkEventQueue exercises the engine's timed-event heap under the
-// classic "hold" workload (pop the earliest event, schedule a
-// replacement a random increment later, repeat) at several queue depths
-// and under three arrival distributions: uniform increments, bimodal
-// near/far (half the replacements land ~1ms out), and all-ties (every
-// event in a depth-sized cohort shares one timestamp, so ordering is
-// carried entirely by sequence numbers).
+// BenchmarkEventQueue exercises the engine's timed-event store, a heap
+// of same-instant buckets, under the classic "hold" workload (pop the
+// earliest event, schedule a replacement a random increment later,
+// repeat) at several queue depths and under three arrival
+// distributions: uniform increments, bimodal near/far (half the
+// replacements land ~1ms out), and all-ties (every event in a
+// depth-sized cohort shares one timestamp, so ordering is carried
+// entirely by sequence numbers). The distributions bracket the store's
+// cost: at depth 64 the uniform and bimodal instants rarely repeat, so
+// nearly every push opens a bucket and every pop drains one, while at
+// depth 16k uniform instants hold ~16 events each and all-ties holds
+// the whole depth in one bucket, whose pushes and pops never touch the
+// heap.
 // BenchmarkEventQueueContainerHeap runs the uniform workload against a
 // binary heap behind the container/heap interface, the engine's first
 // queue, so the cost of interface boxing stays visible at every depth.
@@ -103,8 +109,8 @@ func BenchmarkEventQueueBimodal(b *testing.B) {
 // BenchmarkEventQueueTies is the hold workload where every replacement
 // lands exactly one fixed period after the event it replaces, so the
 // whole depth-sized cohort shares a single timestamp and ordering is
-// carried purely by sequence numbers — every comparison falls through
-// to the seq tie-break.
+// carried purely by sequence numbers: the cohort is one bucket, pushed
+// at its tail and popped at its head.
 func BenchmarkEventQueueTies(b *testing.B) {
 	for _, c := range holdDepths {
 		b.Run(c.name, func(b *testing.B) {

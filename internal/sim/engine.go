@@ -17,7 +17,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"unsafe"
 )
 
@@ -83,10 +82,11 @@ func DurationOf(bytes int64, bytesPerSec float64) Time {
 // plain-callback payload form below).
 type ArgFunc func(*Engine, unsafe.Pointer)
 
-// event is one scheduled action, its payload packed into two pointer
-// words so the event stays at 32 bytes — sift and copy operations move
-// events, and a fatter event measurably slows the queue's hold
-// workload. Three payload forms share the packing:
+// event is one pending action, its payload packed into two pointer
+// words. The lane and the timed store both hold events; neither keeps a
+// time per event, since a lane event runs at the current instant and a
+// timed store bucket holds one instant's events. Three payload forms
+// share the packing:
 //
 //	fn == nil             fire (*Signal)(arg) — the completion idiom of
 //	                      every transfer model, carried without closure
@@ -94,8 +94,10 @@ type ArgFunc func(*Engine, unsafe.Pointer)
 //	fn, arg both non-nil  call the ArgFunc packed in fn with arg — the
 //	                      record-callback form behind recycled
 //	                      transfer ops and proc wakeups
+//
+// seq, the engine-wide insertion sequence, orders events that share an
+// instant.
 type event struct {
-	at  Time
 	seq uint64
 	fn  unsafe.Pointer // *funcval of a func() or ArgFunc; nil for fire-signal
 	arg unsafe.Pointer // *Signal, or the ArgFunc's record argument
@@ -116,105 +118,18 @@ func argFnToPtr(fn ArgFunc) unsafe.Pointer { return *(*unsafe.Pointer)(unsafe.Po
 // ptrToArgFn reconstitutes an ArgFunc packed by argFnToPtr.
 func ptrToArgFn(p unsafe.Pointer) ArgFunc { return *(*ArgFunc)(unsafe.Pointer(&p)) }
 
-// eventHeap is the timed-event store: a monomorphic binary min-heap
-// ordered by (at, seq), with the earliest pending event at index 0, so
-// the run loop's lane/timed interleave check and Proc.Sleep's
-// fast-forward probe peek it with one load. It deliberately avoids
-// container/heap: the interface methods box every event and defeat
-// inlining. The layout is binary because the workloads keep the heap
-// shallow — a paper-figure sweep's median depth is a few hundred
-// events — and a wider layout's per-level min-of-children scan costs
-// more there than the levels it saves.
-type eventHeap []event
-
-// before reports whether a fires before b: earlier time, then earlier
-// insertion sequence, so same-time events keep FIFO order.
-func (a event) before(b event) bool { return a.precedes(b) != 0 }
-
-// precedes is before as 0 or 1. It compares (at, seq) as one 128-bit
-// unsigned number — at is never negative, since push rejects the past
-// and the clock starts at zero — so popMin picks the earlier child with
-// arithmetic instead of a branch that random fire times mispredict half
-// the time.
-func (a event) precedes(b event) uint64 {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
-	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
-	return borrow
-}
-
-// pushEv inserts e, sifting it up toward the root. The sift holds e
-// aside and shifts displaced parents down, one copy per level instead
-// of a three-copy swap; in the common no-movement case (a new event
-// later than its parent) nothing is written beyond the append.
-//
-//gat:hotpath
-func (h *eventHeap) pushEv(e event) {
-	q := append(*h, e)
-	i := len(q) - 1
-	if i > 0 && e.before(q[(i-1)/2]) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !e.before(q[p]) {
-				break
-			}
-			q[i] = q[p]
-			i = p
-		}
-		q[i] = e
-	}
-	*h = q
-}
-
-// popMin removes and returns the earliest event. The vacated tail slot
-// is zeroed so the backing array does not retain the moved event's
-// closure; without that, a long sweep keeps every executed event's
-// captured object graph alive until the whole heap is collected.
-//
-//gat:hotpath
-func (h *eventHeap) popMin() event {
-	q := *h
-	min := q[0]
-	n := len(q) - 1
-	tail := q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return min
-	}
-	// Sift the hole at the root down, pulling the smaller child up one
-	// copy per level, until the displaced tail element fits.
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n {
-			c += int(q[c+1].precedes(q[c]))
-		}
-		if !q[c].before(tail) {
-			break
-		}
-		q[i] = q[c]
-		i = c
-	}
-	q[i] = tail
-	return min
-}
-
 // Engine is a discrete-event simulator. Construct one with NewEngine.
 //
 // Internally the engine keeps two event stores that together implement
-// exact (time, sequence) order: a binary min-heap for timed events,
-// and a FIFO lane for zero-delay events — the dominant class in a real
-// simulation (signal wakeups, queue wakeups, yields, proc resumes).
-// Because a zero-delay event both carries the current timestamp and
-// outranks, by sequence, every timed event that could still be
-// scheduled at that timestamp, FIFO order within the lane is exactly
-// (time, seq) order; only timed events already queued at the current
-// instant can outrank the lane head, and a single peek at the heap's
-// root detects that.
+// exact (time, sequence) order: a heap of same-instant FIFO buckets for
+// timed events (eventHeap), and a FIFO lane for zero-delay events — the
+// dominant class in a real simulation (signal wakeups, queue wakeups,
+// yields, proc resumes). Because a zero-delay event both carries the
+// current timestamp and outranks, by sequence, every timed event that
+// could still be scheduled at that timestamp, FIFO order within the
+// lane is exactly (time, seq) order; only timed events already queued
+// at the current instant can outrank the lane head, and a peek at the
+// front event of the heap's root bucket detects that.
 type Engine struct {
 	// Hot fields first, grouped so the run loop touches few cache
 	// lines: every dispatched event reads now/seq/nEvents and one of
@@ -293,10 +208,10 @@ func (e *Engine) push(t Time, fn, arg unsafe.Pointer) {
 	}
 	e.seq++
 	if t == e.now && !e.noLane {
-		e.lane.push(laneEvent{seq: e.seq, fn: fn, arg: arg})
+		e.lane.push(event{seq: e.seq, fn: fn, arg: arg})
 		return
 	}
-	e.timed.pushEv(event{at: t, seq: e.seq, fn: fn, arg: arg})
+	e.timed.push(t, event{seq: e.seq, fn: fn, arg: arg})
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -313,7 +228,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.limit = limit
 	for !e.stopped && e.step() {
 	}
-	if !e.stopped && e.lane.n == 0 && len(e.timed) > 0 && e.limit > e.now {
+	if !e.stopped && e.lane.n == 0 && !e.timed.empty() && e.limit > e.now {
 		// Only events past the limit remain: the window has run out.
 		e.now = e.limit
 	}
@@ -328,42 +243,38 @@ func (e *Engine) RunUntil(limit Time) Time {
 // The zero-delay lane's whole same-timestamp batch runs before the
 // timed queue is consulted for a clock advance; timed events that share
 // the current timestamp (necessarily scheduled earlier, so with smaller
-// sequence numbers) are interleaved ahead of the lane by a single peek
-// of the heap's root, never a re-sort. A proc's resume event is an
-// ArgFunc event like any other (see procResume).
+// sequence numbers) are interleaved ahead of the lane by a peek at the
+// root bucket's front event, never a re-sort. A proc's resume event is
+// an ArgFunc event like any other (see procResume).
 //
 //gat:hotpath
 func (e *Engine) step() bool {
-	var fn, arg unsafe.Pointer
+	var ev event
 	if e.lane.n > 0 {
 		// Lane entries are stamped with the current time; if even that
 		// is past the limit they must stay queued.
 		if e.now > e.limit {
 			return false
 		}
-		if len(e.timed) > 0 && e.timed[0].at == e.now && e.timed[0].seq < e.lane.peekSeq() {
-			ev := e.timed.popMin()
-			fn, arg = ev.fn, ev.arg
+		if !e.timed.empty() && e.timed.minAt() == e.now && e.timed.frontSeq() < e.lane.peekSeq() {
+			_, ev = e.timed.pop()
 		} else {
-			le := e.lane.pop()
-			fn, arg = le.fn, le.arg
+			ev = e.lane.pop()
 		}
 	} else {
-		if len(e.timed) == 0 || e.timed[0].at > e.limit {
+		if e.timed.empty() || e.timed.minAt() > e.limit {
 			return false
 		}
-		ev := e.timed.popMin()
-		e.now = ev.at
-		fn, arg = ev.fn, ev.arg
+		e.now, ev = e.timed.pop()
 	}
 	e.nEvents++
 	switch {
-	case fn == nil:
-		(*Signal)(arg).Fire(e)
-	case arg == nil:
-		ptrToFn(fn)()
+	case ev.fn == nil:
+		(*Signal)(ev.arg).Fire(e)
+	case ev.arg == nil:
+		ptrToFn(ev.fn)()
 	default:
-		ptrToArgFn(fn)(e, arg)
+		ptrToArgFn(ev.fn)(e, ev.arg)
 	}
 	return true
 }
@@ -397,8 +308,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	if e.lane.n > 0 {
 		return e.now, true
 	}
-	if len(e.timed) > 0 {
-		return e.timed[0].at, true
+	if !e.timed.empty() {
+		return e.timed.minAt(), true
 	}
 	return 0, false
 }
@@ -419,4 +330,4 @@ func (e *Engine) Step() bool {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return len(e.timed) == 0 && e.lane.n == 0 }
+func (e *Engine) Idle() bool { return e.timed.empty() && e.lane.n == 0 }

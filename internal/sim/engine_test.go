@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -196,113 +195,74 @@ func TestDurationOf(t *testing.T) {
 	DurationOf(1, 0)
 }
 
-func TestEventHeapOrdering(t *testing.T) {
-	// Push a scrambled schedule, run a hold phase (each pop pushes a
-	// replacement no earlier than the popped event, as the engine does),
-	// then drain, and verify pops come back sorted by (time, insertion
-	// order). The RNG makes heavy duplicate times so the seq tiebreak is
-	// actually exercised.
-	var h eventHeap
-	rng := NewRNG(42)
-	const n = 2000
-	var seq uint64
-	push := func(at Time) {
-		seq++
-		h.pushEv(event{at: at, seq: seq})
-	}
-	var last event
-	pop := func(i int) {
-		e := h.popMin()
-		if i > 0 && e.before(last) {
-			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", i, e.at, e.seq, last.at, last.seq)
-		}
-		last = e
-	}
-	for i := 0; i < n; i++ {
-		push(Time(rng.Intn(50)))
-	}
-	for i := 0; i < 4*n; i++ {
-		pop(i)
-		push(last.at + Time(rng.Intn(50)))
-	}
-	for i := 0; i < n; i++ {
-		pop(4*n + i)
-	}
-	if len(h) != 0 {
-		t.Fatalf("heap not drained: %d left", len(h))
-	}
-}
-
-func TestEventBefore(t *testing.T) {
-	// The (at, seq) order at the edges of both words: a later time
-	// loses whatever its seq, and equal times fall through to seq.
-	cases := []struct {
-		a, b event
-		want bool
-	}{
-		{event{at: 1, seq: 5}, event{at: 2, seq: 1}, true},
-		{event{at: 2, seq: 1}, event{at: 1, seq: 5}, false},
-		{event{at: 3, seq: 1}, event{at: 3, seq: 2}, true},
-		{event{at: 3, seq: 2}, event{at: 3, seq: 1}, false},
-		{event{at: 3, seq: 2}, event{at: 3, seq: 2}, false},
-		{event{at: 0, seq: math.MaxUint64}, event{at: 1, seq: 0}, true},
-		{event{at: 1, seq: 0}, event{at: 0, seq: math.MaxUint64}, false},
-		{event{at: maxTime, seq: 1}, event{at: maxTime, seq: 2}, true},
-		{event{at: maxTime - 1, seq: 9}, event{at: maxTime, seq: 1}, true},
-	}
-	for _, c := range cases {
-		if got := c.a.before(c.b); got != c.want {
-			t.Errorf("(%d,%d).before(%d,%d) = %v, want %v", c.a.at, c.a.seq, c.b.at, c.b.seq, got, c.want)
-		}
-	}
-}
-
-func TestEventHeapPopClearsSlot(t *testing.T) {
-	// The vacated tail slot must not retain the popped event's closure.
-	var h eventHeap
-	fn := func() {}
-	h.pushEv(event{at: 1, seq: 1, fn: fnToPtr(fn)})
-	h.pushEv(event{at: 2, seq: 2, fn: fnToPtr(fn)})
-	h.popMin()
-	tail := h[:cap(h)][len(h)]
-	if tail.fn != nil || tail.at != 0 || tail.seq != 0 {
-		t.Fatalf("vacated slot still live: %+v", tail)
-	}
-}
-
 // TestTimedHoldSteadyStateAllocs pins the timed store's steady state:
 // once a constant-depth hold workload (pop the earliest event, push its
 // replacement) has run long enough for the store to reach its working
-// size, further Steps allocate nothing. The shapes are those of
-// BenchmarkEventQueue (uniform gaps) and BenchmarkEventQueueBimodal
-// (half the gaps ~1ms longer). A store whose per-time-slot chains keep
-// regrowing as the clock advances — a calendar queue's buckets —
-// allocates megabytes over the same window.
+// size, further Steps allocate nothing — the bucket slab, the table and
+// the chunk pool stop growing. The shapes are those of
+// BenchmarkEventQueue (uniform gaps), BenchmarkEventQueueBimodal (half
+// the gaps ~1ms longer) and BenchmarkEventQueueTies (the whole depth on
+// one instant), plus bursts of k events per instant, the shape of a
+// symmetric machine whose k components finish a step together. A store
+// whose per-time-slot chains keep regrowing as the clock advances — a
+// calendar queue's buckets — allocates megabytes over the same window.
 func TestTimedHoldSteadyStateAllocs(t *testing.T) {
+	uniform := func(rng *RNG) Time { return Time(1 + rng.Intn(1000)) }
+	// perEvent seeds depth events that each reschedule themselves
+	// after their own gap.
+	perEvent := func(gap func(*RNG) Time) func(*Engine, *RNG, int) {
+		return func(e *Engine, rng *RNG, depth int) {
+			var fn func()
+			fn = func() { e.Schedule(gap(rng), fn) }
+			for i := 0; i < depth; i++ {
+				fn()
+			}
+		}
+	}
+	// burst seeds depth/k cohorts of k events on one instant each; the
+	// first of a cohort to fire draws the gap that all k take to the
+	// cohort's next instant.
+	burst := func(k int) func(*Engine, *RNG, int) {
+		return func(e *Engine, rng *RNG, depth int) {
+			for c := 0; c < depth/k; c++ {
+				last, gap := Time(-1), Time(0)
+				var fn func()
+				fn = func() {
+					if e.Now() != last {
+						last, gap = e.Now(), uniform(rng)
+					}
+					e.Schedule(gap, fn)
+				}
+				first := uniform(rng)
+				for i := 0; i < k; i++ {
+					e.Schedule(first, fn)
+				}
+			}
+		}
+	}
 	shapes := []struct {
 		name string
-		gap  func(*RNG) Time
+		fill func(*Engine, *RNG, int)
 	}{
-		{"uniform", func(rng *RNG) Time { return Time(1 + rng.Intn(1000)) }},
-		{"bimodal", func(rng *RNG) Time {
-			d := Time(1 + rng.Intn(1000))
+		{"uniform", perEvent(uniform)},
+		{"bimodal", perEvent(func(rng *RNG) Time {
+			d := uniform(rng)
 			if rng.Intn(2) == 1 {
 				d += 1_000_000
 			}
 			return d
-		}},
+		})},
+		{"ties", perEvent(func(*RNG) Time { return 1000 })},
+		{"burst1", burst(1)},
+		{"burst8", burst(8)},
+		{"burst64", burst(64)},
 	}
 	const steps = 1 << 18
 	const budget = 64 << 10 // bytes
 	for _, sh := range shapes {
 		for _, depth := range []int{1 << 10, 1 << 14} {
 			e := NewEngine()
-			rng := NewRNG(1)
-			var fn func()
-			fn = func() { e.Schedule(sh.gap(rng), fn) }
-			for i := 0; i < depth; i++ {
-				fn()
-			}
+			sh.fill(e, NewRNG(1), depth)
 			for i := 0; i < steps; i++ {
 				e.Step()
 			}

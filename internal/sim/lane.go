@@ -1,19 +1,5 @@
 package sim
 
-import "unsafe"
-
-// laneEvent is one zero-delay event: its action runs at the timestamp
-// it was scheduled at (the lane never outlives a clock instant), and
-// seq interleaves it with timed events that share that timestamp. The
-// payload packing matches event: fn == nil fires (*Signal)(arg),
-// arg == nil calls the func() in fn, both non-nil calls the ArgFunc in
-// fn with arg.
-type laneEvent struct {
-	seq uint64
-	fn  unsafe.Pointer
-	arg unsafe.Pointer
-}
-
 // eventLane is a growable ring buffer holding zero-delay events in
 // insertion order. The bulk of a simulation's events are zero-delay —
 // signal wakeups, queue wakeups, yields, proc resumes — and for those
@@ -22,20 +8,21 @@ type laneEvent struct {
 // sift-up/sift-down pair.
 //
 // Invariant: every queued entry was scheduled at the engine's current
-// time, so the lane must drain completely before the clock advances.
+// time, so the lane must drain completely before the clock advances;
+// an entry's seq interleaves it with timed events of that instant.
 // The engine's run loop maintains this by always preferring the lane
 // unless a timed event at the same timestamp has a smaller sequence
 // number.
 type eventLane struct {
-	buf  []laneEvent // len(buf) is a power of two, or nil before first use
-	head int         // index of the oldest entry
-	n    int         // live entries
+	buf  []event // len(buf) is a power of two, or nil before first use
+	head int     // index of the oldest entry
+	n    int     // live entries
 }
 
 // push appends ev at the tail, growing the ring if full.
 //
 //gat:hotpath
-func (l *eventLane) push(ev laneEvent) {
+func (l *eventLane) push(ev event) {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
@@ -49,7 +36,7 @@ func (l *eventLane) grow() {
 	if newCap == 0 {
 		newCap = 64
 	}
-	buf := make([]laneEvent, newCap)
+	buf := make([]event, newCap)
 	for i := 0; i < l.n; i++ {
 		buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
 	}
@@ -66,9 +53,9 @@ func (l *eventLane) peekSeq() uint64 { return l.buf[l.head].seq }
 // lane must be non-empty.
 //
 //gat:hotpath
-func (l *eventLane) pop() laneEvent {
+func (l *eventLane) pop() event {
 	ev := l.buf[l.head]
-	l.buf[l.head] = laneEvent{}
+	l.buf[l.head] = event{}
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	return ev

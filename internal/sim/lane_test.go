@@ -131,8 +131,8 @@ func TestLaneHeapSeqInterleave(t *testing.T) {
 func TestLaneRing(t *testing.T) {
 	var l eventLane
 	var got []int
-	mk := func(i int) laneEvent {
-		return laneEvent{seq: uint64(i), fn: fnToPtr(func() { got = append(got, i) })}
+	mk := func(i int) event {
+		return event{seq: uint64(i), fn: fnToPtr(func() { got = append(got, i) })}
 	}
 	next := 0
 	push := func(k int) {

@@ -167,11 +167,15 @@ claims-smoke:
 
 # Fuzz targets, each for a bounded 20 s. FuzzTimedOrder runs random
 # programs of timed, zero-delay and nested pushes and pops on the engine
-# against a sorted-slice reference of (time, seq) order. A failing
-# input lands in internal/sim/testdata/fuzz/ and replays under plain
-# `go test` once committed.
+# against a sorted-slice reference of (time, seq) order. FuzzPDESOrder
+# runs random LP programs on pdes at 1, 2 and 3 shards against a
+# reference that always delivers its (time, destination, source, seq)
+# minimum, and checks every LP's delivery log. A failing input lands in
+# the package's testdata/fuzz/ and replays under plain `go test` once
+# committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 
 bench-queue:
 	$(GO) test -run xxx -bench BenchmarkEventQueue -benchtime 1000000x .

@@ -45,8 +45,9 @@ type ExaResult struct {
 	TimePerIter sim.Time
 	// Total is the completion time of the last iteration on any node.
 	Total sim.Time
-	// Events is the number of delivered messages (engine events),
-	// summed over shards; partition-independent.
+	// Events is the number of delivered messages, summed over shards;
+	// partition-independent. The engine events behind them are fewer:
+	// pdes delivers all of an LP's messages at one instant in one event.
 	Events uint64
 	// NetBytes and NetMsgs count the halo traffic sent.
 	NetBytes int64
@@ -187,11 +188,7 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	nNodes := cfg.Nodes
 	d := NewDecomp(jc.Global, nNodes)
 
-	podSize := cfg.Net.PodSize
-	if podSize <= 0 {
-		podSize = 18 // netsim.New's default
-	}
-	topo, err := netsim.TopologyByName(cfg.Net.Topology, podSize, nNodes)
+	topo, err := netsim.TopologyByName(cfg.Net.Topology, cfg.Net.EffectivePodSize(), nNodes)
 	if err != nil {
 		panic(err) // Validate accepted it above
 	}
@@ -215,6 +212,8 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	launch := cfg.GPU.KernelLaunchHost
 
 	nodes := make([]exaNode, nNodes)
+	// Every node's neighbor list is carved from one slab.
+	links := make([]exaNeighbor, 0, nNodes*NumFaces)
 	totalIters := jc.Warmup + jc.Iters
 	for n := 0; n < nNodes; n++ {
 		b := d.BlockFlat(n)
@@ -229,13 +228,19 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 		s.boundaryT = launch +
 			sim.DurationOf(boundary*UpdateBytesPerCell+b.TotalFaceCells()*PackBytesPerCell, aggBW)
 		s.interiorT = launch + sim.DurationOf(interior*UpdateBytesPerCell, aggBW)
-		for _, nb := range b.Neighbors() {
-			peer := d.Flatten(nb.Idx)
-			bytes := b.FaceBytes(nb.Face)
+		first := len(links)
+		for face := 0; face < NumFaces; face++ {
+			idx, ok := b.neighbor(face)
+			if !ok {
+				continue
+			}
+			peer := d.Flatten(idx)
+			bytes := b.FaceBytes(face)
 			delay := netsim.PathLatency(cfg.Net, topo, n, peer) +
 				cfg.Net.NICOverhead + sim.DurationOf(bytes, cfg.Net.InjectionBW)
-			s.neighbors = append(s.neighbors, exaNeighbor{lp: int32(peer), bytes: bytes, delay: delay})
+			links = append(links, exaNeighbor{lp: int32(peer), bytes: bytes, delay: delay})
 		}
+		s.neighbors = links[first:len(links):len(links)]
 	}
 
 	r := pdes.MustNew(pdes.Config{

@@ -112,3 +112,19 @@ func TestExaShardsClampedToGroups(t *testing.T) {
 		t.Fatalf("single-group run sharded: %+v", r)
 	}
 }
+
+// TestExaAllocsPerNode guards RunExa against per-node allocation: the
+// inboxes and the neighbor lists are carved from slabs, so a whole run
+// (one shard, overlapped schedule) allocates fewer times than it has
+// nodes. A slice per node, or inboxes outgrowing their slots, breaks
+// the bound.
+func TestExaAllocsPerNode(t *testing.T) {
+	for _, nodes := range []int{1024, 4096} {
+		cfg := exaCfg(t, "perlmutter-dragonfly", nodes)
+		jc := Config{Global: WeakGlobal([3]int{192, 192, 192}, nodes), Warmup: 1, Iters: 5}
+		got := testing.AllocsPerRun(3, func() { RunExa(cfg, jc, ExaOpts{Shards: 1, Overlap: true}) })
+		if got >= float64(nodes) {
+			t.Errorf("%d nodes: RunExa allocated %.0f times, want fewer than one per node", nodes, got)
+		}
+	}
+}

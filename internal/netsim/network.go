@@ -66,6 +66,17 @@ type Config struct {
 	JitterSeed uint64
 }
 
+// EffectivePodSize returns the switch-group size a network built from
+// c lays its topology out with: PodSize, or 18 when it is unset.
+// Everything that derives the topology from a Config without building a
+// Network calls it too, so the two can never disagree.
+func (c Config) EffectivePodSize() int {
+	if c.PodSize > 0 {
+		return c.PodSize
+	}
+	return 18
+}
+
 // ReadsSeed reports whether a network built from c, with the detailed
 // fabric fab attached (nil for the NIC-only model), ever reads
 // c.JitterSeed. It has exactly two readers: the jitter RNG New creates
@@ -135,9 +146,7 @@ func New(e *sim.Engine, cfg Config, nodes int) *Network {
 	if nodes <= 0 {
 		panic("netsim: need at least one node")
 	}
-	if cfg.PodSize <= 0 {
-		cfg.PodSize = 18
-	}
+	cfg.PodSize = cfg.EffectivePodSize()
 	topo, err := TopologyByName(cfg.Topology, cfg.PodSize, nodes)
 	if err != nil {
 		panic(err)

@@ -6,15 +6,24 @@ import (
 	"gat/internal/sim"
 )
 
-// lpBox is one LP's inbox: a binary min-heap of undelivered messages
-// ordered by the partition-independent (At, Src, Seq) key, plus the
-// LP's send counter. A box is owned by its LP's shard while a window
-// runs; the coordinator pushes into it only between windows.
+// boxSlots is the number of message slots New carves for each inbox
+// from one shared slab. A box that must hold more at once falls back
+// to append, which moves it off the slab.
+const boxSlots = 8
+
+// lpBox is one LP's inbox: its undelivered messages, kept sorted by the
+// partition-independent (At, Src, Seq) key in msgs[head:], plus the
+// LP's send counter. For every distinct instant in the box exactly one
+// drain event is pending on the LP's shard engine, or running while
+// draining is set. A box is owned by its LP's shard while a window
+// runs; the coordinator files into it only between windows.
 type lpBox struct {
-	sh      *shard
-	lp      int32
-	sendSeq uint64
-	heap    []Message
+	sh       *shard
+	lp       int32
+	draining bool
+	head     int
+	msgs     []Message
+	sendSeq  uint64
 }
 
 // ptr returns the box as the untyped event argument drainBox receives.
@@ -35,108 +44,58 @@ func msgLess(a, b Message) bool {
 	return a.Seq < b.Seq
 }
 
-// push inserts m, sifting up.
+// push files m in (At, Src, Seq) order and schedules a drain at m.At
+// when m opens an instant the box does not hold yet. A message for the
+// instant the box is draining needs none: the running drain re-reads
+// the head after every delivery and picks it up.
 //
 //gat:hotpath
 func (b *lpBox) push(m Message) {
-	q := append(b.heap, m)
+	q := b.msgs
+	if len(q) == cap(q) && b.head > 0 {
+		// Full, with delivered slots in front: slide the pending run
+		// down instead of growing off the slab.
+		q = q[:copy(q, q[b.head:])]
+		b.head = 0
+	}
+	q = append(q, m)
 	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !msgLess(q[i], q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+	for i > b.head && msgLess(m, q[i-1]) {
+		q[i] = q[i-1]
+		i--
 	}
-	b.heap = q
+	q[i] = m
+	b.msgs = q
+	if i > b.head && q[i-1].At == m.At || i+1 < len(q) && q[i+1].At == m.At {
+		return // the instant's drain is already pending
+	}
+	if b.draining && m.At == b.sh.eng.Now() {
+		return
+	}
+	b.sh.eng.InjectAt(m.At, drainBox, b.ptr())
 }
 
-// popMin removes and returns the earliest message.
+// drainBox is the delivery event of one LP-instant: it hands the
+// handler every message the box holds for the current instant, in
+// (At, Src, Seq) order. It re-reads the head after each handler call,
+// so a zero-delay self-send made meanwhile is delivered by this same
+// drain (see the package comment).
 //
 //gat:hotpath
-func (b *lpBox) popMin() Message {
-	q := b.heap
-	min := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = Message{}
-	b.heap = q[:n]
-	siftDownMsg(b.heap, 0, n)
-	return min
-}
-
-// siftDownMsg restores the min-heap property below index i over m[:n].
-//
-//gat:hotpath
-func siftDownMsg(m []Message, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && msgLess(m[c+1], m[c]) {
-			c++
-		}
-		if !msgLess(m[c], m[i]) {
-			return
-		}
-		m[i], m[c] = m[c], m[i]
-		i = c
-	}
-}
-
-// sortMsgs orders msgs ascending by (At, Src, Seq) with an in-place
-// heapsort: no allocation, no comparator closure (this runs on the
-// barrier merge path), and determinism for free since the key is
-// total.
-//
-//gat:hotpath
-func sortMsgs(msgs []Message) {
-	n := len(msgs)
-	// Max-heapify under the inverted comparison, then repeatedly swap
-	// the maximum to the tail.
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownMsgMax(msgs, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		msgs[0], msgs[i] = msgs[i], msgs[0]
-		siftDownMsgMax(msgs, 0, i)
-	}
-}
-
-// siftDownMsgMax is siftDownMsg under the inverted order (max-heap),
-// for sortMsgs.
-//
-//gat:hotpath
-func siftDownMsgMax(m []Message, i, n int) {
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && msgLess(m[c], m[c+1]) {
-			c++
-		}
-		if !msgLess(m[i], m[c]) {
-			return
-		}
-		m[i], m[c] = m[c], m[i]
-		i = c
-	}
-}
-
-// drainBox is the anonymous delivery event: pop the inbox minimum and
-// hand it to the handler. One drain is scheduled per pushed message,
-// but a drain does not name "its" message — the pop decides, which is
-// what makes per-LP delivery order partition-independent (see the
-// package comment).
-//
-//gat:hotpath
-func drainBox(_ *sim.Engine, arg unsafe.Pointer) {
+func drainBox(eng *sim.Engine, arg unsafe.Pointer) {
 	b := (*lpBox)(arg)
-	m := b.popMin()
 	sh := b.sh
 	sh.ctx.box = b
-	sh.r.handler(&sh.ctx, m)
+	now := eng.Now()
+	b.draining = true
+	for b.head < len(b.msgs) && b.msgs[b.head].At == now {
+		m := b.msgs[b.head]
+		b.head++
+		if b.head == len(b.msgs) {
+			b.msgs, b.head = b.msgs[:0], 0
+		}
+		sh.delivered++
+		sh.r.handler(&sh.ctx, m)
+	}
+	b.draining = false
 }

@@ -27,19 +27,29 @@
 // partitions. It comes from a delivery discipline this package
 // enforces:
 //
-//   - Every message lands in the destination LP's inbox, a min-heap
-//     ordered by (At, Src, Seq) where Seq is a per-source send counter.
-//     The (Src, Seq) pair is partition-independent.
-//   - Delivery events are anonymous: each pops the inbox minimum,
-//     rather than carrying a specific message. Since inter-LP messages
-//     must be sent at least 1ns before they arrive (Send enforces it),
-//     every message for time T is in the inbox before the first
-//     delivery at T pops — so the pop sequence each LP observes depends
-//     only on the partition-independent message set, never on engine
-//     scheduling order.
-//   - Cross-shard messages are merged at the barrier in sorted
-//     (At, Src, Seq) order before injection, so even their engine
-//     sequence numbers are assigned deterministically.
+//   - Every message lands in the destination LP's inbox, a small array
+//     kept sorted on insert by (At, Src, Seq), where Seq is a
+//     per-source send counter. The (Src, Seq) pair is
+//     partition-independent.
+//   - Delivery events are per LP-instant: a push schedules a drain only
+//     when its instant is new to the inbox, and that drain delivers
+//     every message of its instant from the inbox head, re-reading the
+//     head after each handler call.
+//   - The barrier does not sort: it files every outbox message into its
+//     destination inbox as it comes, messages due in later windows
+//     included, and Post files straight into the inbox too.
+//
+// Each LP still sees exact (At, Src, Seq) order at every K. An LP's
+// handler runs only inside its own drains. A message from another LP
+// needs a delay of at least 1ns (Send enforces it), so every such
+// message for instant T is filed before T is reached: a same-shard one
+// was pushed at an earlier instant, and a cross-shard one, whose delay
+// is at least the lookahead, was filed at a barrier before the window
+// that holds T. The only message that can join T while T is being
+// delivered is the LP's own zero-delay self-send, and the running
+// drain picks it up. Only the order between different LPs' drains at
+// one instant depends on the partition, and a handler cannot observe
+// it.
 //
 // A Handler must therefore be a deterministic function of its own LP's
 // state and the delivered message: LPs on one shard run concurrently
@@ -101,6 +111,8 @@ type shard struct {
 	r      *Runner
 	eng    *sim.Engine
 	outbox []Message
+	// delivered counts the messages handed to the handler.
+	delivered uint64
 	// ctx is the reusable handler context, so delivery allocates
 	// nothing per message.
 	ctx Ctx
@@ -115,10 +127,7 @@ type Runner struct {
 	// boxes is the per-LP inbox array. Each element is owned by the
 	// shard of its LP while a window runs; the coordinator touches them
 	// only between windows.
-	boxes []lpBox
-	// pending holds cross-shard messages (and pre-run Posts) not yet
-	// deliverable: everything with At beyond the last window's bound.
-	pending   []Message
+	boxes     []lpBox
 	windows   uint64
 	crossMsgs uint64
 	started   bool
@@ -164,13 +173,15 @@ func New(cfg Config) (*Runner, error) {
 		sh := &shard{id: int32(i), r: r, eng: sim.NewEngine()}
 		r.shards = append(r.shards, sh)
 	}
+	slab := make([]Message, cfg.LPs*boxSlots)
 	for lp := 0; lp < cfg.LPs; lp++ {
 		s := shardOf(lp)
 		if s < 0 || s >= k {
 			return nil, fmt.Errorf("pdes: ShardOf(%d) = %d, want [0,%d)", lp, s, k)
 		}
 		r.lpShard[lp] = int32(s)
-		r.boxes[lp] = lpBox{sh: r.shards[s], lp: int32(lp)}
+		slots := slab[lp*boxSlots : lp*boxSlots : (lp+1)*boxSlots]
+		r.boxes[lp] = lpBox{sh: r.shards[s], lp: int32(lp), msgs: slots}
 	}
 	return r, nil
 }
@@ -184,12 +195,11 @@ func MustNew(cfg Config) *Runner {
 	return r
 }
 
-// Post enqueues an initial message for lp, delivered at absolute time
-// at. It may only be called before Run: seeding goes through the same
-// sorted merge as barrier traffic, so the injection order — and with
-// it the whole run — is independent of Post call order at equal
-// (at, lp) keys only when keys differ; equal keys order by call, like
-// consecutive sends from one source.
+// Post files an initial message for lp, delivered at absolute time at.
+// It may only be called before Run. A Post is a message from lp to
+// itself, so Posts to one LP at one time are delivered in call order,
+// like consecutive sends from one source; Posts to different LPs never
+// order against each other.
 func (r *Runner) Post(lp int, at sim.Time, kind int32, data int64) {
 	if r.started {
 		panic("pdes: Post after Run")
@@ -204,17 +214,18 @@ func (r *Runner) Post(lp int, at sim.Time, kind int32, data int64) {
 	}
 	b := &r.boxes[lp]
 	b.sendSeq++
-	r.pending = append(r.pending, Message{
+	b.push(Message{
 		At: at, Src: int32(lp), Dst: int32(lp), Kind: kind, Seq: b.sendSeq, Data: data,
 	})
+	r.crossMsgs++
 }
 
 // Run advances every shard to quiescence: repeatedly place the next
-// lookahead window at the global minimum pending time, deliver every
-// already-exchanged message falling inside it, run all shard engines
-// concurrently to the window bound, then collect the outboxes at the
-// barrier. With one shard (or zero lookahead) the single window is
-// unbounded and Run degenerates to a plain serial drain.
+// lookahead window at the global minimum pending time, run all shard
+// engines concurrently to the window bound, then file the outboxes
+// into their destination inboxes at the barrier. With one shard (or
+// zero lookahead) the single window is unbounded and Run degenerates
+// to a plain serial drain.
 func (r *Runner) Run() {
 	r.started = true
 	for {
@@ -229,15 +240,15 @@ func (r *Runner) Run() {
 			// — RunUntil is inclusive, hence the -1.
 			limit = next + r.lookahead - 1
 		}
-		r.deliver(limit)
 		r.runWindow(limit)
 		r.collect()
 		r.windows++
 	}
 }
 
-// nextTime returns the earliest pending instant across shard engines
-// and undelivered messages — the start of the next window.
+// nextTime returns the earliest pending instant across shard engines —
+// the start of the next window. Every filed message has its drain
+// pending on its shard's engine, so the engines see them all.
 func (r *Runner) nextTime() (sim.Time, bool) {
 	var min sim.Time
 	ok := false
@@ -246,44 +257,12 @@ func (r *Runner) nextTime() (sim.Time, bool) {
 			min, ok = t, true
 		}
 	}
-	for i := range r.pending {
-		if t := r.pending[i].At; !ok || t < min {
-			min, ok = t, true
-		}
-	}
 	return min, ok
-}
-
-// deliver merges every pending message with At <= limit into its
-// destination shard: sorted by the partition-independent (At, Src,
-// Seq) key, then injected in that order so destination engine sequence
-// numbers are assigned deterministically. This is the barrier merge —
-// with Send's push, the hot path of the whole layer.
-//
-//gat:hotpath
-func (r *Runner) deliver(limit sim.Time) {
-	if len(r.pending) == 0 {
-		return
-	}
-	sortMsgs(r.pending)
-	n := 0
-	for n < len(r.pending) && r.pending[n].At <= limit {
-		n++
-	}
-	for i := 0; i < n; i++ {
-		m := r.pending[i]
-		b := &r.boxes[m.Dst]
-		b.push(m)
-		b.sh.eng.InjectAt(m.At, drainBox, b.ptr())
-	}
-	r.crossMsgs += uint64(n)
-	rest := copy(r.pending, r.pending[n:])
-	r.pending = r.pending[:rest]
 }
 
 // runWindow advances every shard engine to the window bound. Shards
 // run on their own goroutines; the barrier (WaitGroup) orders their
-// memory against the coordinator's merge work on either side.
+// memory against the coordinator's filing on either side.
 func (r *Runner) runWindow(limit sim.Time) {
 	if len(r.shards) == 1 {
 		r.shards[0].eng.RunUntil(limit)
@@ -301,10 +280,18 @@ func (r *Runner) runWindow(limit sim.Time) {
 	wg.Wait()
 }
 
-// collect drains every shard outbox into pending at the barrier.
+// collect files every shard outbox into the destination inboxes at the
+// barrier, in outbox order. Each inbox sorts what it receives, so the
+// barrier needs no sort of its own; messages due in later windows are
+// filed too, their drains waiting on the destination engine.
+//
+//gat:hotpath
 func (r *Runner) collect() {
 	for _, sh := range r.shards {
-		r.pending = append(r.pending, sh.outbox...)
+		for _, m := range sh.outbox {
+			r.boxes[m.Dst].push(m)
+		}
+		r.crossMsgs += uint64(len(sh.outbox))
 		sh.outbox = sh.outbox[:0]
 	}
 }
@@ -315,11 +302,12 @@ type Stats struct {
 	Shards int
 	// Windows is the number of lookahead windows executed.
 	Windows uint64
-	// CrossMessages counts messages merged at window barriers
+	// CrossMessages counts messages filed at window barriers
 	// (cross-shard traffic plus pre-run Posts).
 	CrossMessages uint64
-	// Events is the total engine events executed across shards. It is
-	// partition-independent: one delivery event per message.
+	// Events is the number of messages delivered across shards. It is
+	// partition-independent; the engine events behind it are fewer,
+	// one drain per LP and instant.
 	Events uint64
 }
 
@@ -328,7 +316,7 @@ type Stats struct {
 func (r *Runner) Stats() Stats {
 	s := Stats{Shards: len(r.shards), Windows: r.windows, CrossMessages: r.crossMsgs}
 	for _, sh := range r.shards {
-		s.Events += sh.eng.EventsExecuted()
+		s.Events += sh.delivered
 	}
 	return s
 }
@@ -374,9 +362,7 @@ func (c *Ctx) Send(dst int, delay sim.Time, kind int32, data int64) {
 		Kind: kind, Seq: b.sendSeq, Data: data,
 	}
 	if r.lpShard[dst] == sh.id {
-		db := &r.boxes[dst]
-		db.push(m)
-		sh.eng.InjectAt(m.At, drainBox, db.ptr())
+		r.boxes[dst].push(m)
 		return
 	}
 	if r.lookahead <= 0 {

@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,7 +65,10 @@ func TestShardsClamped(t *testing.T) {
 
 // TestSelfMessageZeroDelay checks a zero-delay self-send is allowed
 // and delivered in send order at the same instant, after the message
-// that triggered it.
+// that triggered it — and, when two sources reach one LP at one
+// instant, in (At, Src, Seq) order among them: LP 3 hears from LPs 2
+// and 5 at t=10 and, handling LP 2's message, sends itself a zero-delay
+// message, which must come between the two.
 func TestSelfMessageZeroDelay(t *testing.T) {
 	var got []int64
 	r := MustNew(Config{
@@ -78,13 +82,71 @@ func TestSelfMessageZeroDelay(t *testing.T) {
 	})
 	r.Post(0, 5, 0, 0)
 	r.Run()
-	want := []int64{0, 1, 2, 3}
-	if len(got) != len(want) {
+	if want := []int64{0, 1, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("delivered %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivered %v, want %v", got, want)
+
+	for _, shards := range []int{1, 2, 3} {
+		var srcs []int32
+		r := MustNew(Config{
+			LPs: 6, Shards: shards, Lookahead: 10,
+			Handler: func(ctx *Ctx, m Message) {
+				switch ctx.LP() {
+				case 2, 5: // the Posts: both send to LP 3 for t=10
+					ctx.Send(3, 10, 0, 0)
+				case 3:
+					srcs = append(srcs, m.Src)
+					if m.Src == 2 {
+						ctx.Send(3, 0, 0, 0)
+					}
+				}
+			},
+		})
+		r.Post(5, 0, 0, 0)
+		r.Post(2, 0, 0, 0)
+		r.Run()
+		if want := []int32{2, 3, 5}; !slices.Equal(srcs, want) {
+			t.Errorf("shards=%d: LP 3 heard from %v at t=10, want %v", shards, srcs, want)
+		}
+		if st := r.Stats(); st.Events != 5 {
+			t.Errorf("shards=%d: %d messages delivered, want 5", shards, st.Events)
+		}
+	}
+}
+
+// TestCrossShardJoinsPendingInstant checks that a message filed at a
+// barrier joins an instant its destination already holds, in
+// (At, Src, Seq) order: LP 2 has t=20 pending from LP 3 on its own
+// shard when LP 1's cross-shard message for t=20, with the smaller
+// Src, arrives at the barrier. LP 1's message must be delivered first,
+// and Stats.Events must count both (plus the two Posts) although one
+// drain delivers them.
+func TestCrossShardJoinsPendingInstant(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		var srcs []int32
+		r := MustNew(Config{
+			LPs: 4, Shards: shards, Lookahead: 10,
+			ShardOf: func(lp int) int { return lp / 2 % shards },
+			Handler: func(ctx *Ctx, m Message) {
+				if ctx.LP() == 2 {
+					srcs = append(srcs, m.Src)
+					return
+				}
+				ctx.Send(2, 20-ctx.Now(), 0, 0)
+			},
+		})
+		r.Post(3, 0, 0, 0) // same-shard sender: t=20 pending from t=0
+		r.Post(1, 5, 0, 0) // cross-shard sender, filed at the barrier
+		r.Run()
+		st := r.Stats()
+		if want := []int32{1, 3}; !slices.Equal(srcs, want) {
+			t.Errorf("shards=%d: LP 2 heard from %v at t=20, want %v", shards, srcs, want)
+		}
+		if st.Events != 4 {
+			t.Errorf("shards=%d: %d messages delivered, want 4", shards, st.Events)
+		}
+		if shards == 2 && st.CrossMessages != 3 {
+			t.Errorf("%d messages crossed the barrier, want 3 (two Posts and LP 1's send)", st.CrossMessages)
 		}
 	}
 }
@@ -158,31 +220,4 @@ func TestPostAfterRun(t *testing.T) {
 		}
 	}()
 	r.Post(0, 0, 0, 0)
-}
-
-// TestSortMsgs pins the merge order on a shuffled batch with ties in
-// every key position.
-func TestSortMsgs(t *testing.T) {
-	msgs := []Message{
-		{At: 5, Src: 1, Seq: 2},
-		{At: 3, Src: 9, Seq: 1},
-		{At: 5, Src: 0, Seq: 7},
-		{At: 5, Src: 1, Seq: 1},
-		{At: 3, Src: 2, Seq: 4},
-		{At: 9, Src: 0, Seq: 1},
-	}
-	sortMsgs(msgs)
-	want := []Message{
-		{At: 3, Src: 2, Seq: 4},
-		{At: 3, Src: 9, Seq: 1},
-		{At: 5, Src: 0, Seq: 7},
-		{At: 5, Src: 1, Seq: 1},
-		{At: 5, Src: 1, Seq: 2},
-		{At: 9, Src: 0, Seq: 1},
-	}
-	for i := range want {
-		if msgs[i] != want[i] {
-			t.Fatalf("sortMsgs[%d] = %+v, want %+v", i, msgs[i], want[i])
-		}
-	}
 }

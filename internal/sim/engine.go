@@ -284,13 +284,10 @@ func (e *Engine) step() bool {
 // per-call state in a record instead of a closure (gpu stream
 // callbacks, charm's scheduled side effects): it pushes the event At
 // would push, at the same queue position; only the payload form
-// differs, and arg must be non-nil. It is also the cross-engine
-// injection seam of the conservative PDES layer (internal/pdes): a
-// coordinator that owns several parked engines
-// calls it between lookahead windows to deliver merged cross-shard
-// messages; sequence numbers are assigned in call order, so injecting a
-// batch in sorted (time, source, sequence) order makes the receiving
-// engine's execution order independent of how the batch was produced.
+// differs, and arg must be non-nil. It is also the cross-engine seam
+// of the conservative PDES layer (internal/pdes): the coordinator that
+// owns several parked engines calls it between lookahead windows to
+// schedule the delivery of the cross-shard messages it files.
 // Like every scheduling entry point it must only be called while the
 // engine is not running (or from within one of its own events), and t
 // must not be in the past.

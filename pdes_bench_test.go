@@ -2,13 +2,13 @@
 //
 // BenchmarkPDESWindowMerge measures the cross-shard machinery itself —
 // a ping chain that crosses the shard boundary every hop, so every
-// window executes the full barrier cycle: outbox collection, the
-// deterministic (time, source, seq) merge sort, sorted injection and
-// the inbox drain. BenchmarkJacobiStepSharded is the end-to-end
+// window executes the full barrier cycle: the shard goroutines, the
+// outbox filed into the destination's sorted inbox, and the drain that
+// delivers it. BenchmarkJacobiStepSharded is the end-to-end
 // counterpart of BenchmarkJacobiStep for the LP-model path: one timed
 // exascale-model iteration across 64 dragonfly nodes on 4 shards.
 //
-// make bench records both into BENCH_PR12.json alongside the engine
+// make bench records both into BENCH_PR13.json alongside the engine
 // benchmarks.
 package gat
 
@@ -24,8 +24,8 @@ import (
 // BenchmarkPDESWindowMerge drives one message back and forth between
 // two LPs pinned to different shards, with the delay exactly at the
 // lookahead so each hop lands in the next window. Per op: one window
-// barrier — collect, sort, inject, drain — the fixed cost every
-// cross-shard message pays.
+// barrier — run both shards, file the outbox, drain — the fixed cost
+// every cross-shard message pays.
 func BenchmarkPDESWindowMerge(b *testing.B) {
 	const lookahead = 100 * sim.Nanosecond
 	hops := b.N

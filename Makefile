@@ -170,12 +170,15 @@ claims-smoke:
 # against a sorted-slice reference of (time, seq) order. FuzzPDESOrder
 # runs random LP programs on pdes at 1, 2 and 3 shards against a
 # reference that always delivers its (time, destination, source, seq)
-# minimum, and checks every LP's delivery log. A failing input lands in
-# the package's testdata/fuzz/ and replays under plain `go test` once
-# committed.
+# minimum, and checks every LP's delivery log. FuzzExaSetup builds the
+# exascale LP model's static state on random grids, node counts and
+# machines, per shape and per node, and requires both to agree. A
+# failing input lands in the package's testdata/fuzz/ and replays under
+# plain `go test` once committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
+	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
 
 bench-queue:
 	$(GO) test -run xxx -bench BenchmarkEventQueue -benchtime 1000000x .

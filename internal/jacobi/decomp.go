@@ -77,18 +77,24 @@ type Block struct {
 func (d Decomp) Block(idx [3]int) Block {
 	var size [3]int
 	for ax := 0; ax < 3; ax++ {
-		per := ceilDiv(d.Global[ax], d.Dims[ax])
-		lo := idx[ax] * per
-		hi := lo + per
-		if hi > d.Global[ax] {
-			hi = d.Global[ax]
-		}
-		size[ax] = hi - lo
-		if size[ax] < 0 {
-			size[ax] = 0
-		}
+		size[ax] = d.blockSize(ax, idx[ax])
 	}
 	return Block{D: d, Idx: idx, Size: size}
+}
+
+// blockSize returns the cells along axis ax of the blocks at position i
+// on that axis.
+func (d Decomp) blockSize(ax, i int) int {
+	per := ceilDiv(d.Global[ax], d.Dims[ax])
+	lo := i * per
+	hi := lo + per
+	if hi > d.Global[ax] {
+		hi = d.Global[ax]
+	}
+	if hi < lo {
+		return 0
+	}
+	return hi - lo
 }
 
 // BlockFlat returns the block at flat index f (x-major, matching

@@ -19,6 +19,8 @@ package jacobi
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"gat/internal/machine"
 	"gat/internal/netsim"
@@ -70,109 +72,239 @@ const (
 	exaHalo
 )
 
-// exaNeighbor is one face-adjacent node: its LP id, the halo size, and
-// the full send→deliver delay under the α–β model.
-type exaNeighbor struct {
-	lp    int32
-	bytes int64
-	delay sim.Time
+// exaShape is the static cost of one block shape. A node's block has
+// a size and a minus and a plus neighbor or not on each axis; nodes
+// that agree on all three axes share one exaShape.
+type exaShape struct {
+	boundaryT sim.Time // boundary-update + pack + launch time
+	interiorT sim.Time // interior-update time
+	// inject is each existing face's halo cost beside the wire: the
+	// NIC overhead plus the halo's injection time.
+	inject    [NumFaces]sim.Time
+	haloBytes int64 // halo bytes sent per iteration, over all faces
+	degree    int32 // face neighbors
+	faces     uint8 // bit f set: face f has a neighbor
+}
+
+// exaLink is one halo route: the face-adjacent node's LP id and the
+// full send→deliver delay under the α–β model, in nanoseconds.
+type exaLink struct {
+	peer  int32
+	delay int32
 }
 
 // exaNode is one node's LP state. The slice of these is indexed by LP
 // id; during the run each element is touched only by its owner shard.
 type exaNode struct {
-	// Static after setup.
-	neighbors  []exaNeighbor
-	boundaryT  sim.Time // boundary-update + pack + launch time
-	interiorT  sim.Time // interior-update time
-	iters      int      // total iterations (warmup + timed)
-	warmupIter int
-	overlap    bool
+	shape int32 // index into exaModel.shapes; static
+	first int32 // index of the node's first link in exaModel.links; static
 
 	// Mutable per-iteration state.
-	k           int    // current iteration, 1-based
-	computeDone bool   // this iteration's update has finished
-	got         [2]int // halos received, indexed by epoch parity
+	k           int32    // current iteration, 1-based
+	got         [2]int32 // halos received, indexed by epoch parity
+	computeDone bool     // this iteration's update has finished
 	warmAt      sim.Time
 	doneAt      sim.Time
 	sentMsgs    uint64
 	sentBytes   int64
 }
 
-// exaHandler drives one node's iteration protocol. It is a
-// deterministic function of the node's state and the message, as the
-// pdes delivery contract requires.
-func exaHandler(nodes []exaNode) pdes.Handler {
-	return func(ctx *pdes.Ctx, m pdes.Message) {
-		s := &nodes[ctx.LP()]
-		switch m.Kind {
-		case exaStart:
-			exaStartIter(ctx, s, 1)
-		case exaBoundaryDone:
-			exaSendHalos(ctx, s, int(m.Data))
-			ctx.Send(ctx.LP(), s.interiorT, exaComputeDone, m.Data)
-		case exaComputeDone:
-			k := int(m.Data)
-			if !s.overlap {
-				exaSendHalos(ctx, s, k)
+// exaModel is the LP state of one RunExa: the node records, the shape
+// table they index, every node's links in one slab, and the schedule
+// all nodes share.
+type exaModel struct {
+	nodes      []exaNode
+	shapes     []exaShape
+	links      []exaLink
+	iters      int32 // total iterations (warmup + timed)
+	warmupIter int32
+	overlap    bool
+}
+
+// newExaModel builds the static state of an LP-model run on the
+// decomposition d, with one node per block. Each axis position falls
+// into a class by (block size, has a minus neighbor, has a plus
+// neighbor); a shape is one class per axis, priced once from a
+// representative Block. The links are filled walking x, y, z with flat
+// strides, each node's in face order, into a slab of exact size.
+func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warmup int, overlap bool) *exaModel {
+	nNodes := d.Count()
+	if iters > math.MaxInt32 || nNodes > math.MaxInt32/NumFaces {
+		//gat:alloc-ok cold panic path
+		panic(fmt.Sprintf("jacobi: %d iterations on %d nodes overflow the LP model's int32 state", iters, nNodes))
+	}
+	x := &exaModel{
+		nodes:      make([]exaNode, nNodes),
+		iters:      int32(iters),
+		warmupIter: int32(warmup),
+		overlap:    overlap,
+	}
+
+	// class[ax][i] is the class of position i on axis ax, and rep[ax][c]
+	// the first position of class c.
+	type axisClass struct {
+		size        int
+		minus, plus bool
+	}
+	var class [3][]int32
+	var rep [3][]int
+	nLinks := 0
+	for ax := 0; ax < 3; ax++ {
+		dim := d.Dims[ax]
+		var keys []axisClass
+		class[ax] = make([]int32, dim)
+		for i := 0; i < dim; i++ {
+			k := axisClass{size: d.blockSize(ax, i), minus: i > 0, plus: i < dim-1}
+			c := slices.Index(keys, k)
+			if c < 0 {
+				c = len(keys)
+				keys = append(keys, k)
+				rep[ax] = append(rep[ax], i)
 			}
-			s.computeDone = true
-			if k == s.warmupIter {
-				s.warmAt = ctx.Now()
+			class[ax][i] = int32(c)
+		}
+		nLinks += 2 * (dim - 1) * (nNodes / dim)
+	}
+
+	// Aggregate node roofline: all GPUs stream the update together.
+	aggBW := cfg.GPU.MemBandwidth * float64(cfg.GPUsPerNode)
+	launch := cfg.GPU.KernelLaunchHost
+	nClass := [3]int{len(rep[0]), len(rep[1]), len(rep[2])}
+	x.shapes = make([]exaShape, 0, nClass[0]*nClass[1]*nClass[2])
+	for _, cx := range rep[0] {
+		for _, cy := range rep[1] {
+			for _, cz := range rep[2] {
+				b := d.Block([3]int{cx, cy, cz})
+				interior := b.InteriorVolume()
+				boundary := b.Volume() - interior
+				// Boundary phase carries the pack traffic and the
+				// launch cost; interior is the pure streamed update.
+				sh := exaShape{
+					boundaryT: launch +
+						sim.DurationOf(boundary*UpdateBytesPerCell+b.TotalFaceCells()*PackBytesPerCell, aggBW),
+					interiorT: launch + sim.DurationOf(interior*UpdateBytesPerCell, aggBW),
+				}
+				for face := 0; face < NumFaces; face++ {
+					if _, ok := b.neighbor(face); !ok {
+						continue
+					}
+					bytes := b.FaceBytes(face)
+					sh.inject[face] = cfg.Net.NICOverhead + sim.DurationOf(bytes, cfg.Net.InjectionBW)
+					sh.haloBytes += bytes
+					sh.degree++
+					sh.faces |= 1 << face
+				}
+				x.shapes = append(x.shapes, sh)
 			}
-			if k == s.iters {
-				s.doneAt = ctx.Now()
-				return
+		}
+	}
+
+	x.links = make([]exaLink, 0, nLinks)
+	// step[f] is the flat-index distance to the neighbor across face f.
+	sy := d.Dims[2]
+	sx := d.Dims[1] * sy
+	step := [NumFaces]int{-sx, sx, -sy, sy, -1, 1}
+	n := 0
+	for i := 0; i < d.Dims[0]; i++ {
+		for j := 0; j < d.Dims[1]; j++ {
+			for k := 0; k < d.Dims[2]; k++ {
+				shape := (int(class[0][i])*nClass[1]+int(class[1][j]))*nClass[2] + int(class[2][k])
+				sh := &x.shapes[shape]
+				x.nodes[n] = exaNode{shape: int32(shape), first: int32(len(x.links))}
+				for face, st := range step {
+					if sh.faces&(1<<face) == 0 {
+						continue
+					}
+					peer := n + st
+					delay := netsim.PathLatency(cfg.Net, topo, n, peer) + sh.inject[face]
+					if delay > math.MaxInt32 {
+						//gat:alloc-ok cold panic path
+						panic(fmt.Sprintf("jacobi: halo delay %v from node %d to %d does not fit a link", delay, n, peer))
+					}
+					x.links = append(x.links, exaLink{peer: int32(peer), delay: int32(delay)})
+				}
+				n++
 			}
-			if s.got[k&1] == len(s.neighbors) {
-				exaAdvance(ctx, s)
-			}
-		case exaHalo:
-			e := int(m.Data)
-			if e != s.k && e != s.k+1 {
-				//gat:alloc-ok cold panic path
-				panic(fmt.Sprintf("jacobi: node %d got a halo for epoch %d while in %d", ctx.LP(), e, s.k))
-			}
-			s.got[e&1]++
-			if s.computeDone && e == s.k && s.got[e&1] == len(s.neighbors) {
-				exaAdvance(ctx, s)
-			}
+		}
+	}
+	return x
+}
+
+// handle drives one node's iteration protocol. It is a deterministic
+// function of the node's state and the message, as the pdes delivery
+// contract requires.
+func (x *exaModel) handle(ctx *pdes.Ctx, m pdes.Message) {
+	s := &x.nodes[ctx.LP()]
+	switch m.Kind {
+	case exaStart:
+		x.startIter(ctx, s, 1)
+	case exaBoundaryDone:
+		x.sendHalos(ctx, s, int32(m.Data))
+		ctx.Send(ctx.LP(), x.shapes[s.shape].interiorT, exaComputeDone, m.Data)
+	case exaComputeDone:
+		k := int32(m.Data)
+		if !x.overlap {
+			x.sendHalos(ctx, s, k)
+		}
+		s.computeDone = true
+		if k == x.warmupIter {
+			s.warmAt = ctx.Now()
+		}
+		if k == x.iters {
+			s.doneAt = ctx.Now()
+			return
+		}
+		if s.got[k&1] == x.shapes[s.shape].degree {
+			x.advance(ctx, s)
+		}
+	case exaHalo:
+		e := int32(m.Data)
+		if e != s.k && e != s.k+1 {
+			//gat:alloc-ok cold panic path
+			panic(fmt.Sprintf("jacobi: node %d got a halo for epoch %d while in %d", ctx.LP(), e, s.k))
+		}
+		s.got[e&1]++
+		if s.computeDone && e == s.k && s.got[e&1] == x.shapes[s.shape].degree {
+			x.advance(ctx, s)
 		}
 	}
 }
 
-// exaStartIter begins iteration k: the overlapped schedule splits the
+// startIter begins iteration k: the overlapped schedule splits the
 // update at the boundary so halos leave before the interior runs; the
 // blocking schedule is one fused delay with halos sent at the end.
-func exaStartIter(ctx *pdes.Ctx, s *exaNode, k int) {
+func (x *exaModel) startIter(ctx *pdes.Ctx, s *exaNode, k int32) {
 	s.k = k
 	s.computeDone = false
-	if s.overlap {
-		ctx.Send(ctx.LP(), s.boundaryT, exaBoundaryDone, int64(k))
+	sh := &x.shapes[s.shape]
+	if x.overlap {
+		ctx.Send(ctx.LP(), sh.boundaryT, exaBoundaryDone, int64(k))
 		return
 	}
-	ctx.Send(ctx.LP(), s.boundaryT+s.interiorT, exaComputeDone, int64(k))
+	ctx.Send(ctx.LP(), sh.boundaryT+sh.interiorT, exaComputeDone, int64(k))
 }
 
-// exaAdvance moves to the next iteration once the current update is
-// done and all of this epoch's halos arrived.
-func exaAdvance(ctx *pdes.Ctx, s *exaNode) {
+// advance moves to the next iteration once the current update is done
+// and all of this epoch's halos arrived.
+func (x *exaModel) advance(ctx *pdes.Ctx, s *exaNode) {
 	s.got[s.k&1] = 0
-	exaStartIter(ctx, s, s.k+1)
+	x.startIter(ctx, s, s.k+1)
 }
 
-// exaSendHalos emits iteration k's halo messages. The final iteration
-// sends none: nothing waits on them, and skipping them keeps NetMsgs
-// meaningful (every counted message is load-bearing).
-func exaSendHalos(ctx *pdes.Ctx, s *exaNode, k int) {
-	if k == s.iters {
+// sendHalos emits iteration k's halo messages, one per link in face
+// order. The final iteration sends none: nothing waits on them, and
+// skipping them keeps NetMsgs meaningful (every counted message is
+// load-bearing).
+func (x *exaModel) sendHalos(ctx *pdes.Ctx, s *exaNode, k int32) {
+	if k == x.iters {
 		return
 	}
-	for _, nb := range s.neighbors {
-		ctx.Send(int(nb.lp), nb.delay, exaHalo, int64(k))
-		s.sentMsgs++
-		s.sentBytes += nb.bytes
+	sh := &x.shapes[s.shape]
+	for _, l := range x.links[s.first : s.first+sh.degree] {
+		ctx.Send(int(l.peer), sim.Time(l.delay), exaHalo, int64(k))
 	}
+	s.sentMsgs += uint64(sh.degree)
+	s.sentBytes += sh.haloBytes
 }
 
 // RunExa runs the node-level LP model of Jacobi3D on the machine
@@ -180,6 +312,18 @@ func exaSendHalos(ctx *pdes.Ctx, s *exaNode, k int) {
 // no per-node pipes are instantiated). The partition is group-aligned:
 // whole switch groups per shard, so the lookahead is the cross-group
 // wire latency and every cross-shard halo legally clears it.
+//
+// A halo's delay is netsim.PathLatency plus the NIC overhead plus the
+// injection time. The model sees no fabric links, taper or routing
+// policy, so it shows no contention even on a tapered profile.
+//
+// Per-node state is kept small, since it sets the cost of a 10k-node
+// run: the static costs live once per block shape (a handful of shapes
+// per grid), a halo link is 8 bytes, a node record 56, and a pdes
+// message 32 with a 32-bit per-source Seq. A 16,384-node run on two
+// shards allocates about 570 bytes per node, inbox slots and the
+// engine's buckets included (809 with 40-byte messages, 24-byte links
+// and per-node copies of the shape constants).
 func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -207,48 +351,13 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	shardOf := func(node int) int { return topo.Group(node) / groupsPer }
 	lookahead := netsim.MinCrossLatency(cfg.Net, topo, nNodes, shardOf)
 
-	// Aggregate node roofline: all GPUs stream the update together.
-	aggBW := cfg.GPU.MemBandwidth * float64(cfg.GPUsPerNode)
-	launch := cfg.GPU.KernelLaunchHost
-
-	nodes := make([]exaNode, nNodes)
-	// Every node's neighbor list is carved from one slab.
-	links := make([]exaNeighbor, 0, nNodes*NumFaces)
-	totalIters := jc.Warmup + jc.Iters
-	for n := 0; n < nNodes; n++ {
-		b := d.BlockFlat(n)
-		s := &nodes[n]
-		s.iters = totalIters
-		s.warmupIter = jc.Warmup
-		s.overlap = opts.Overlap
-		interior := b.InteriorVolume()
-		boundary := b.Volume() - interior
-		// Boundary phase carries the pack traffic and the launch cost;
-		// interior is the pure streamed update.
-		s.boundaryT = launch +
-			sim.DurationOf(boundary*UpdateBytesPerCell+b.TotalFaceCells()*PackBytesPerCell, aggBW)
-		s.interiorT = launch + sim.DurationOf(interior*UpdateBytesPerCell, aggBW)
-		first := len(links)
-		for face := 0; face < NumFaces; face++ {
-			idx, ok := b.neighbor(face)
-			if !ok {
-				continue
-			}
-			peer := d.Flatten(idx)
-			bytes := b.FaceBytes(face)
-			delay := netsim.PathLatency(cfg.Net, topo, n, peer) +
-				cfg.Net.NICOverhead + sim.DurationOf(bytes, cfg.Net.InjectionBW)
-			links = append(links, exaNeighbor{lp: int32(peer), bytes: bytes, delay: delay})
-		}
-		s.neighbors = links[first:len(links):len(links)]
-	}
-
+	x := newExaModel(cfg, topo, d, jc.Warmup+jc.Iters, jc.Warmup, opts.Overlap)
 	r := pdes.MustNew(pdes.Config{
 		LPs:       nNodes,
 		Shards:    k,
 		Lookahead: lookahead,
 		ShardOf:   shardOf,
-		Handler:   exaHandler(nodes),
+		Handler:   x.handle,
 	})
 	for n := 0; n < nNodes; n++ {
 		r.Post(n, 0, exaStart, 0)
@@ -264,9 +373,9 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 		Lookahead:     lookahead,
 	}
 	var warmMax, doneMax sim.Time
-	for n := range nodes {
-		s := &nodes[n]
-		if s.doneAt == 0 && s.iters > 0 {
+	for n := range x.nodes {
+		s := &x.nodes[n]
+		if s.doneAt == 0 && x.iters > 0 {
 			//gat:alloc-ok cold panic path
 			panic(fmt.Sprintf("jacobi: node %d never completed (stuck at iteration %d)", n, s.k))
 		}

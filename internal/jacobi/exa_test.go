@@ -1,9 +1,11 @@
 package jacobi
 
 import (
+	"runtime"
 	"testing"
 
 	"gat/internal/machine"
+	"gat/internal/sim"
 )
 
 // exaFigure strips ExaResult to its partition-independent fields — the
@@ -126,5 +128,30 @@ func TestExaAllocsPerNode(t *testing.T) {
 		if got >= float64(nodes) {
 			t.Errorf("%d nodes: RunExa allocated %.0f times, want fewer than one per node", nodes, got)
 		}
+	}
+}
+
+// TestExaBytesPerNode guards the LP model's footprint per simulated
+// node: inbox slots, inboxes, node records, halo links and the engine's
+// buckets together. A 4,096-node run (one shard, overlapped schedule)
+// must allocate fewer than 650 bytes per node; with 40-byte messages,
+// 24-byte links and per-node copies of the shape constants it took
+// about 800.
+func TestExaBytesPerNode(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
+	const nodes = 4096
+	cfg := exaCfg(t, "perlmutter-dragonfly", nodes)
+	jc := Config{Global: WeakGlobal([3]int{192, 192, 192}, nodes), Warmup: 1, Iters: 5}
+	run := func() { RunExa(cfg, jc, ExaOpts{Shards: 1, Overlap: true}) }
+	run()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if perNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes; perNode >= 650 {
+		t.Errorf("RunExa allocated %.0f bytes per node, want fewer than 650", perNode)
 	}
 }

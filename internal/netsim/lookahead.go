@@ -51,8 +51,12 @@ func MinCrossLatency(cfg Config, topo Topology, nodes int, shardOf func(node int
 	}
 	multi := false
 	splitA, splitB := -1, -1
-	groupShard := map[int]int{}
-	groupNode := map[int]int{}
+	// Groups are dense in node order, so the last node's group bounds
+	// them. groupNode holds each group's first node plus one (0: none
+	// seen yet) and groupShard that node's shard.
+	nGroups := topo.Group(nodes-1) + 1
+	groupNode := make([]int, nGroups)
+	groupShard := make([]int, nGroups)
 	first := shardOf(0)
 	for n := 0; n < nodes; n++ {
 		s := shardOf(n)
@@ -60,13 +64,10 @@ func MinCrossLatency(cfg Config, topo Topology, nodes int, shardOf func(node int
 			multi = true
 		}
 		g := topo.Group(n)
-		if prev, ok := groupShard[g]; ok {
-			if prev != s && splitA < 0 {
-				splitA, splitB = groupNode[g], n
-			}
-		} else {
-			groupShard[g] = s
-			groupNode[g] = n
+		if groupNode[g] == 0 {
+			groupNode[g], groupShard[g] = n+1, s
+		} else if groupShard[g] != s && splitA < 0 {
+			splitA, splitB = groupNode[g]-1, n
 		}
 	}
 	if !multi {

@@ -25,6 +25,8 @@ type Topology interface {
 	Hops(a, b int) int
 	// Group returns the switch group of a node: the leaf pod of a fat
 	// tree, the router group of a dragonfly, the grid cell of a torus.
+	// Groups are numbered densely in node order (node / group size),
+	// so Group(nodes-1)+1 is the group count.
 	Group(node int) int
 	// CrossGroupHops returns the switch hop count of the minimal route
 	// between nodes in *adjacent* groups — the geometry's smallest

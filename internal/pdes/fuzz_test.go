@@ -14,7 +14,7 @@ const fuzzLookahead = 16 * sim.Nanosecond
 type fuzzEntry struct {
 	At   sim.Time
 	Src  int32
-	Seq  uint64
+	Seq  uint32
 	Kind int32
 	Data int64
 }
@@ -112,7 +112,7 @@ func (p *fuzzProgram) runPDES(shards int) ([]fuzzLP, uint64) {
 // list, from which it always delivers the (At, Dst, Src, Seq) minimum.
 func (p *fuzzProgram) runReference() ([]fuzzLP, uint64) {
 	lps := make([]fuzzLP, p.lps)
-	seqs := make([]uint64, p.lps)
+	seqs := make([]uint32, p.lps)
 	var pending []Message
 	for _, m := range p.posts {
 		seqs[m.Dst]++

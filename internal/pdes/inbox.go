@@ -1,6 +1,8 @@
 package pdes
 
 import (
+	"fmt"
+	"math"
 	"unsafe"
 
 	"gat/internal/sim"
@@ -16,14 +18,36 @@ const boxSlots = 8
 // LP's send counter. For every distinct instant in the box exactly one
 // drain event is pending on the LP's shard engine, or running while
 // draining is set. A box is owned by its LP's shard while a window
-// runs; the coordinator files into it only between windows.
+// runs; the coordinator files into it only between windows. The field
+// order packs it into 48 bytes.
 type lpBox struct {
 	sh       *shard
-	lp       int32
-	draining bool
-	head     int
 	msgs     []Message
-	sendSeq  uint64
+	lp       int32
+	head     int32
+	sendSeq  uint32
+	draining bool
+}
+
+// nextSeq advances the LP's send counter and returns the Seq of its
+// next message. It panics instead of wrapping: a wrapped Seq would
+// order the source's newest message before its older ones.
+//
+//gat:hotpath
+func (b *lpBox) nextSeq() uint32 {
+	if b.sendSeq == math.MaxUint32 {
+		seqWrapPanic(b.lp)
+	}
+	b.sendSeq++
+	return b.sendSeq
+}
+
+// seqWrapPanic is nextSeq's cold path, kept out of line so nextSeq
+// stays inlinable.
+//
+//go:noinline
+func seqWrapPanic(lp int32) {
+	panic(fmt.Sprintf("pdes: LP %d has sent %d messages; its send counter would wrap", lp, uint64(math.MaxUint32)))
 }
 
 // ptr returns the box as the untyped event argument drainBox receives.
@@ -52,21 +76,22 @@ func msgLess(a, b Message) bool {
 //gat:hotpath
 func (b *lpBox) push(m Message) {
 	q := b.msgs
-	if len(q) == cap(q) && b.head > 0 {
+	head := int(b.head)
+	if len(q) == cap(q) && head > 0 {
 		// Full, with delivered slots in front: slide the pending run
 		// down instead of growing off the slab.
-		q = q[:copy(q, q[b.head:])]
-		b.head = 0
+		q = q[:copy(q, q[head:])]
+		head, b.head = 0, 0
 	}
 	q = append(q, m)
 	i := len(q) - 1
-	for i > b.head && msgLess(m, q[i-1]) {
+	for i > head && msgLess(m, q[i-1]) {
 		q[i] = q[i-1]
 		i--
 	}
 	q[i] = m
 	b.msgs = q
-	if i > b.head && q[i-1].At == m.At || i+1 < len(q) && q[i+1].At == m.At {
+	if i > head && q[i-1].At == m.At || i+1 < len(q) && q[i+1].At == m.At {
 		return // the instant's drain is already pending
 	}
 	if b.draining && m.At == b.sh.eng.Now() {
@@ -88,10 +113,10 @@ func drainBox(eng *sim.Engine, arg unsafe.Pointer) {
 	sh.ctx.box = b
 	now := eng.Now()
 	b.draining = true
-	for b.head < len(b.msgs) && b.msgs[b.head].At == now {
+	for int(b.head) < len(b.msgs) && b.msgs[b.head].At == now {
 		m := b.msgs[b.head]
 		b.head++
-		if b.head == len(b.msgs) {
+		if int(b.head) == len(b.msgs) {
 			b.msgs, b.head = b.msgs[:0], 0
 		}
 		sh.delivered++

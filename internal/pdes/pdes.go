@@ -66,13 +66,16 @@ import (
 
 // Message is one timestamped interaction between two logical
 // processes. Kind and Data carry the payload; protocols needing more
-// than one word index LP-local state with it.
+// than one word index LP-local state with it. The field order leaves
+// no padding: a Message is 32 bytes.
 type Message struct {
 	// At is the delivery time at Dst.
 	At sim.Time
 	// Seq is the per-source send sequence — with Src, a
-	// partition-independent identity that breaks delivery ties.
-	Seq uint64
+	// partition-independent identity that breaks delivery ties. Send
+	// and Post panic before a source's counter would wrap, so it never
+	// misorders delivery.
+	Seq uint32
 	// Src and Dst are LP ids. Src == Dst for self-messages.
 	Src, Dst int32
 	// Kind discriminates the message for the handler.
@@ -213,9 +216,8 @@ func (r *Runner) Post(lp int, at sim.Time, kind int32, data int64) {
 		panic(fmt.Sprintf("pdes: Post at negative time %v", at))
 	}
 	b := &r.boxes[lp]
-	b.sendSeq++
 	b.push(Message{
-		At: at, Src: int32(lp), Dst: int32(lp), Kind: kind, Seq: b.sendSeq, Data: data,
+		At: at, Src: int32(lp), Dst: int32(lp), Kind: kind, Seq: b.nextSeq(), Data: data,
 	})
 	r.crossMsgs++
 }
@@ -356,10 +358,9 @@ func (c *Ctx) Send(dst int, delay sim.Time, kind int32, data int64) {
 		//gat:alloc-ok cold panic path
 		panic(fmt.Sprintf("pdes: zero-delay send %d->%d; inter-LP messages need delay >= 1ns", src, dst))
 	}
-	b.sendSeq++
 	m := Message{
 		At: sh.eng.Now() + delay, Src: src, Dst: int32(dst),
-		Kind: kind, Seq: b.sendSeq, Data: data,
+		Kind: kind, Seq: b.nextSeq(), Data: data,
 	}
 	if r.lpShard[dst] == sh.id {
 		r.boxes[dst].push(m)

@@ -2,9 +2,11 @@ package pdes
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"gat/internal/sim"
 )
@@ -220,4 +222,50 @@ func TestPostAfterRun(t *testing.T) {
 		}
 	}()
 	r.Post(0, 0, 0, 0)
+}
+
+// TestMessageLayout pins the sizes the per-LP state is budgeted on: a
+// 32-byte Message, eight of which New carves per inbox, and a 48-byte
+// lpBox.
+func TestMessageLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 32 {
+		t.Errorf("Message is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(lpBox{}); got != 48 {
+		t.Errorf("lpBox is %d bytes, want 48", got)
+	}
+}
+
+// panicText runs f and returns what it panicked with, or "" when it
+// returned.
+func panicText(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestSendSeqWrapPanics checks an LP whose send counter is at its
+// maximum cannot send again, since its next Seq would wrap to 0 and
+// sort before everything it sent earlier: Ctx.Send and Post both
+// panic, naming the LP.
+func TestSendSeqWrapPanics(t *testing.T) {
+	r := MustNew(Config{LPs: 2, Shards: 1, Handler: func(ctx *Ctx, m Message) {
+		if m.Kind == 0 {
+			ctx.Send(1, sim.Nanosecond, 1, 0)
+		}
+	}})
+	r.Post(0, 0, 0, 0)
+	r.boxes[0].sendSeq = math.MaxUint32
+	if msg := panicText(r.Run); !strings.Contains(msg, "LP 0 ") {
+		t.Errorf("Send from a full counter: panic %q, want one naming LP 0", msg)
+	}
+	r = MustNew(Config{LPs: 3, Handler: func(*Ctx, Message) {}})
+	r.boxes[2].sendSeq = math.MaxUint32
+	if msg := panicText(func() { r.Post(2, 0, 0, 0) }); !strings.Contains(msg, "LP 2 ") {
+		t.Errorf("Post from a full counter: panic %q, want one naming LP 2", msg)
+	}
 }

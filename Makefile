@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke fuzz bench-queue bench bench-check
+.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke fuzz traffic-cover bench-queue bench bench-check
 
 all: check
 
@@ -179,6 +179,53 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
+
+# Traffic coverage: which functions under internal/ no workload runs.
+# Builds cmd/sweep, cmd/jacobi3d and cmd/claims with plain -cover (with
+# -coverpkg=./internal/... Go 1.24 wrote no counter files), drives
+# every figure and ablation, every extra scenario, the scaling scenario
+# on every machine profile, a cached, CSV and resumed sweep, each
+# cmd/jacobi3d variant and flag, and the claims smoke with GOCOVERDIR
+# set, then prints the gat/internal/... functions that ran 0.0 % and
+# their count. Extras run at 48 nodes, the largest per-GPU smoke size
+# (three dragonfly groups, two Summit pods), jacobi-exascale at its
+# smoke size of 1,024 nodes on 2 shards, and minimd-lb at its default
+# 12 steps, since its rebalancer first runs at step 4. `sweep -remote`
+# needs a running sweepd and is not driven, so the remote client lists
+# as unrun. A tool for finding dead code, not a gate: neither `make
+# check` nor CI runs it.
+COVER_OUT := /tmp/gat-traffic-cover
+traffic-cover:
+	@rm -rf $(COVER_OUT) && mkdir -p $(COVER_OUT)/data
+	@for c in sweep jacobi3d claims; do $(GO) build -cover -o $(COVER_OUT)/$$c ./cmd/$$c || exit 1; done
+	@export GOCOVERDIR=$(COVER_OUT)/data; set -e; \
+	sw=$(COVER_OUT)/sweep; j3=$(COVER_OUT)/jacobi3d; \
+	$$sw -fig all -maxnodes 4 -iters 2 -warmup 1 > /dev/null; \
+	$$sw -fig ablations -maxnodes 4 -iters 2 -warmup 1 > /dev/null; \
+	for s in $$($$sw -list | awk '$$2 == "extra" { print $$1 }'); do \
+		$$sw -scenario $$s -maxnodes 48 -iters 2 -warmup 1 > /dev/null; \
+	done; \
+	$$sw -scenario minimd-lb -maxnodes 4 > /dev/null; \
+	$$sw -scenario jacobi-exascale -maxnodes 1024 -iters 2 -warmup 1 -shards 2 > /dev/null; \
+	for p in $$($$sw -list | awk '/^ *PROFILE/ { p = 1; next } p && NF { print $$1 }'); do \
+		$$sw -scenario scaling -machine $$p -maxnodes 48 -iters 2 -warmup 1 > /dev/null; \
+	done; \
+	$$sw -scenario scaling -app ring -machine perlmutter -maxnodes 2 -iters 4 > /dev/null; \
+	$$sw -fig fig7a -maxnodes 2 -iters 2 -cache-dir $(COVER_OUT)/cache -json > $(COVER_OUT)/report.json; \
+	$$sw -fig fig7a -maxnodes 2 -iters 2 -cache-dir $(COVER_OUT)/cache -csv -explain > /dev/null 2>&1; \
+	$$sw -fig fig7a -maxnodes 2 -iters 2 -resume $(COVER_OUT)/report.json -v > /dev/null 2>&1; \
+	for v in mpi-h mpi-d charm-h charm-d; do $$j3 -variant $$v -nodes 2 -iters 2 > /dev/null; done; \
+	for f in A B C; do $$j3 -variant charm-d -nodes 2 -iters 2 -odf 2 -fusion $$f > /dev/null; done; \
+	$$j3 -variant charm-d -nodes 2 -iters 2 -odf 2 -graphs > /dev/null; \
+	$$j3 -variant charm-d -nodes 2 -iters 2 -odf 2 -fusion C -graphs > /dev/null; \
+	for v in charm-h charm-d; do $$j3 -variant $$v -nodes 2 -iters 2 -before-opts -residual 1 > /dev/null; done; \
+	for v in mpi-h mpi-d; do $$j3 -variant $$v -nodes 2 -iters 2 -overlap -residual 1 > /dev/null; done; \
+	$$j3 -variant charm-d -nodes 2 -iters 2 -trace > /dev/null; \
+	$(COVER_OUT)/claims -maxnodes 2 -iters 2 -smoke > /dev/null
+	@$(GO) tool covdata func -i $(COVER_OUT)/data | \
+		awk '$$1 ~ /^gat\/internal\// && $$NF == "0.0%"' > $(COVER_OUT)/unrun.txt
+	@cat $(COVER_OUT)/unrun.txt
+	@echo "traffic-cover: $$(wc -l < $(COVER_OUT)/unrun.txt) functions under gat/internal/ never ran (list: $(COVER_OUT)/unrun.txt)"
 
 bench-queue:
 	$(GO) test -run xxx -bench BenchmarkEventQueue -benchtime 1000000x .

@@ -269,7 +269,7 @@ func BenchmarkJacobiStep(b *testing.B) {
 func BenchmarkJacobiStepCharm(b *testing.B) {
 	const jacobiBenchIters = 128
 	m := machine.MustNew(machine.Summit(2))
-	opts := jacobi.CharmOpts{ODF: 4, GPUAware: true}.Optimized()
+	opts := jacobi.CharmOpts{ODF: 4, GPUAware: true, Optimized: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := b.N; n > 0; n -= jacobiBenchIters {

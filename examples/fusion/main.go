@@ -25,8 +25,8 @@ func main() {
 		for _, graphs := range []bool{false, true} {
 			m := machine.MustNew(machine.Summit(nodes))
 			res := jacobi.RunCharm(m, cfg, jacobi.CharmOpts{
-				ODF: odf, GPUAware: true, Fusion: fusion, Graphs: graphs,
-			}.Optimized())
+				ODF: odf, GPUAware: true, Fusion: fusion, Graphs: graphs, Optimized: true,
+			})
 			if fusion == jacobi.FusionNone && !graphs {
 				base = res
 			}

@@ -29,10 +29,10 @@ func main() {
 			return jacobi.RunMPI(m, cfg, jacobi.MPIOpts{Device: true})
 		}},
 		{"Charm-H (tasks + host staging)", func(m *machine.Machine) jacobi.Result {
-			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 4}.Optimized())
+			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 4, Optimized: true})
 		}},
 		{"Charm-D (tasks + GPU-aware)", func(m *machine.Machine) jacobi.Result {
-			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 2, GPUAware: true}.Optimized())
+			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 		}},
 	}
 

@@ -128,7 +128,7 @@ func TestJacobiAppMatchesDirectRun(t *testing.T) {
 func directCharmD(t *testing.T, p Params) sim.Time {
 	t.Helper()
 	cfg := jacobi.Config{Global: p.Global, Warmup: p.Warmup, Iters: p.Iters}
-	co := jacobi.CharmOpts{ODF: p.ODF, GPUAware: true}.Optimized()
+	co := jacobi.CharmOpts{ODF: p.ODF, GPUAware: true, Optimized: true}
 	return jacobi.RunCharm(summitMachine(t, 1), cfg, co).TimePerIter
 }
 

@@ -60,9 +60,7 @@ func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func()
 			Graphs:        p.Graphs,
 			FlatPriority:  p.FlatPriority,
 			ResidualEvery: p.Residual,
-		}
-		if !p.Unoptimized {
-			co = co.Optimized()
+			Optimized:     !p.Unoptimized,
 		}
 		return func() Metrics { return fromResult(jacobi.RunCharm(m, cfg, co)) }, nil
 	default:

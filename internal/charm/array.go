@@ -59,8 +59,6 @@ type Array struct {
 	peOf    []int
 	entries []EntryFn
 	labels  []string // per-entry task labels, "<name>.e<entry>"
-
-	msgsSent uint64
 }
 
 // NewArray creates a dims[0]×dims[1]×dims[2] chare array with the given
@@ -85,7 +83,6 @@ func NewArray(rt *Runtime, name string, dims [3]int, entries []EntryFn, factory 
 		per := (n + numPE - 1) / numPE
 		a.peOf = append(a.peOf, flat/per)
 	}
-	rt.arrays = append(rt.arrays, a)
 	return a
 }
 
@@ -99,17 +96,8 @@ func (a *Array) entryLabel(e int) string {
 	return a.labels[e]
 }
 
-// Name returns the array name.
-func (a *Array) Name() string { return a.name }
-
-// Dims returns the array dimensions.
-func (a *Array) Dims() [3]int { return a.dims }
-
 // Len returns the number of elements.
 func (a *Array) Len() int { return len(a.elems) }
-
-// MsgsSent returns the number of entry messages sent to this array.
-func (a *Array) MsgsSent() uint64 { return a.msgsSent }
 
 // Flatten converts an index to its flat position.
 func (a *Array) Flatten(ix Index) int {
@@ -161,7 +149,6 @@ func (a *Array) deliver(el *Elem, m Msg) {
 // intra-node path, and a remote message crosses the network.
 func (ctx *Ctx) Send(a *Array, ix Index, m Msg) {
 	rt := ctx.pe.rt
-	a.msgsSent++
 	ctx.clock += rt.Opt.MsgHostOverhead + rt.payloadCost(m.Bytes)
 	c := rt.newCall()
 	c.arr, c.elem, c.msg, c.srcPE = a, a.Elem(ix), m, ctx.pe.id
@@ -204,14 +191,12 @@ func sendArriveFire(_ *sim.Engine, arg unsafe.Pointer) {
 // entry method), modelling the main-chare broadcast that starts a
 // program. No sender-side cost is charged.
 func (a *Array) Invoke(ix Index, m Msg) {
-	a.msgsSent++
 	a.deliver(a.Elem(ix), m)
 }
 
 // Broadcast invokes the entry on every element, in flat order.
 func (a *Array) Broadcast(m Msg) {
 	for _, el := range a.elems {
-		a.msgsSent++
 		a.deliver(el, m)
 	}
 }

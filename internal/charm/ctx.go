@@ -28,13 +28,6 @@ type Ctx struct {
 // PE returns the executing processing element.
 func (ctx *Ctx) PE() *PE { return ctx.pe }
 
-// Elem returns the chare element this invocation targets, or nil for
-// runtime callbacks.
-func (ctx *Ctx) Elem() *Elem { return ctx.elem }
-
-// Runtime returns the owning runtime.
-func (ctx *Ctx) Runtime() *Runtime { return ctx.pe.rt }
-
 // Engine returns the simulation engine.
 func (ctx *Ctx) Engine() *sim.Engine { return ctx.pe.rt.Engine() }
 

@@ -70,10 +70,9 @@ func DefaultOptions() Options {
 
 // Runtime is one instantiated Charm-style runtime over a machine.
 type Runtime struct {
-	M      *machine.Machine
-	Opt    Options
-	PEs    []*PE
-	arrays []*Array
+	M   *machine.Machine
+	Opt Options
+	PEs []*PE
 
 	// free holds released call records for reuse (see call).
 	free []*call
@@ -84,7 +83,7 @@ type Runtime struct {
 func NewRuntime(m *machine.Machine, opt Options) *Runtime {
 	rt := &Runtime{M: m, Opt: opt}
 	for i := 0; i < m.Procs(); i++ {
-		pe := &PE{rt: rt, id: i, node: m.NodeOf(i)}
+		pe := &PE{rt: rt, id: i}
 		pe.ctx.pe = pe
 		pe.finishFn = pe.finish
 		pe.unblockFn = pe.unblock
@@ -101,51 +100,6 @@ func (rt *Runtime) NumPEs() int { return len(rt.PEs) }
 
 // PE returns processing element i.
 func (rt *Runtime) PE(i int) *PE { return rt.PEs[i] }
-
-// Stats summarizes runtime activity for reports.
-type Stats struct {
-	// NumPEs is the number of processing elements.
-	NumPEs int
-	// Tasks is the total number of tasks executed across PEs.
-	Tasks uint64
-	// BusyTotal is the summed host busy time of all PEs.
-	BusyTotal sim.Time
-	// BusyMax and BusyMin are the busiest and idlest PE loads, whose
-	// spread measures host-side load imbalance.
-	BusyMax, BusyMin sim.Time
-	// MsgsSent is the number of entry-method messages sent to arrays.
-	MsgsSent uint64
-}
-
-// Imbalance returns the busiest PE's load over the mean PE load
-// (1.0 = perfectly balanced), or 0 before any work ran.
-func (s Stats) Imbalance() float64 {
-	if s.BusyTotal == 0 || s.NumPEs == 0 {
-		return 0
-	}
-	mean := float64(s.BusyTotal) / float64(s.NumPEs)
-	return float64(s.BusyMax) / mean
-}
-
-// Collect gathers runtime statistics.
-func (rt *Runtime) Collect() Stats {
-	st := Stats{NumPEs: rt.NumPEs()}
-	for i, pe := range rt.PEs {
-		b := pe.BusyTime()
-		st.Tasks += pe.TasksRun()
-		st.BusyTotal += b
-		if i == 0 || b > st.BusyMax {
-			st.BusyMax = b
-		}
-		if i == 0 || b < st.BusyMin {
-			st.BusyMin = b
-		}
-	}
-	for _, a := range rt.arrays {
-		st.MsgsSent += a.MsgsSent()
-	}
-	return st
-}
 
 // payloadCost is the host time one side spends handling a message
 // payload: eager messages are copied by the sending/receiving core,
@@ -254,7 +208,6 @@ func (h *taskHeap) popMin() task {
 type PE struct {
 	rt   *Runtime
 	id   int
-	node int
 	name string // tracer resource name, built on first traced task
 
 	queue   taskHeap
@@ -280,18 +233,12 @@ type PE struct {
 // ID returns the global PE id.
 func (pe *PE) ID() int { return pe.id }
 
-// Node returns the node housing this PE.
-func (pe *PE) Node() int { return pe.node }
-
 // BusyTime returns the cumulative host time this PE has spent executing
 // tasks (excluding blocked time).
 func (pe *PE) BusyTime() sim.Time { return pe.busyAccum }
 
 // TasksRun returns the number of tasks executed.
 func (pe *PE) TasksRun() uint64 { return pe.tasksRun }
-
-// QueueLen returns the number of tasks waiting in the queue.
-func (pe *PE) QueueLen() int { return len(pe.queue) }
 
 // Enqueue adds a task to the PE's queue. cost is the host time consumed
 // before the handler's side effects (scheduling + dispatch + payload

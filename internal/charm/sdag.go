@@ -27,9 +27,6 @@ type arrival struct {
 // NewGate returns a closed gate at reference number 0.
 func NewGate() *Gate { return &Gate{} }
 
-// Ref returns the gate's current reference number.
-func (g *Gate) Ref() int { return g.ref }
-
 // Pending returns the number of buffered future arrivals.
 func (g *Gate) Pending() int { return len(g.buffered) }
 

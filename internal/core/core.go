@@ -12,9 +12,6 @@
 package core
 
 import (
-	"fmt"
-	"io"
-
 	"gat/internal/charm"
 	"gat/internal/comm"
 	"gat/internal/gpu"
@@ -34,11 +31,6 @@ func NewSystem(nodes int) *System {
 	return NewSystemOn(machine.MustNew(machine.Summit(nodes)))
 }
 
-// NewSystemFrom builds a system over a custom machine configuration.
-func NewSystemFrom(cfg machine.Config) *System {
-	return NewSystemOn(machine.MustNew(cfg))
-}
-
 // NewSystemOn attaches a tasking runtime (one PE per GPU) to an
 // existing machine — the path scenario apps use, since the experiment
 // layer owns machine construction.
@@ -53,15 +45,10 @@ func (s *System) Engine() *sim.Engine { return s.M.Eng }
 // final virtual time.
 func (s *System) Run() sim.Time { return s.M.Eng.Run() }
 
-// NewTaskArray creates an overdecomposed task array with odf tasks per
-// PE, laid out dims[0]×dims[1]×dims[2] if dims is non-zero, else 1-D.
+// NewTaskArray creates a 1-D task array of count tasks, mapped onto
+// the PEs in contiguous blocks; more tasks than PEs overdecomposes.
 func (s *System) NewTaskArray(name string, count int, entries []charm.EntryFn, factory func(charm.Index) any) *charm.Array {
 	return charm.NewArray(s.RT, name, [3]int{count, 1, 1}, entries, factory)
-}
-
-// NewTaskGrid creates a 3-D task array.
-func (s *System) NewTaskGrid(name string, dims [3]int, entries []charm.EntryFn, factory func(charm.Index) any) *charm.Array {
-	return charm.NewArray(s.RT, name, dims, entries, factory)
 }
 
 // GPUFor returns the device bound to the element's current PE.
@@ -75,35 +62,4 @@ func (s *System) Channel(a, b *charm.Elem) *comm.Channel {
 	return comm.NewChannel(s.M.Net,
 		comm.Endpoint{Proc: a.Flat, Node: s.M.NodeOf(a.PE())},
 		comm.Endpoint{Proc: b.Flat, Node: s.M.NodeOf(b.PE())})
-}
-
-// Report writes a short utilization report: per-PE busy time and per-GPU
-// kernel counts and busy time.
-func (s *System) Report(w io.Writer) {
-	now := s.Engine().Now()
-	fmt.Fprintf(w, "simulated time: %v, events: %d\n", now, s.Engine().EventsExecuted())
-	var peBusy sim.Time
-	var tasks uint64
-	for i := 0; i < s.RT.NumPEs(); i++ {
-		peBusy += s.RT.PE(i).BusyTime()
-		tasks += s.RT.PE(i).TasksRun()
-	}
-	fmt.Fprintf(w, "PEs: %d, tasks run: %d, mean host utilization: %.1f%%\n",
-		s.RT.NumPEs(), tasks, pct(peBusy, now, s.RT.NumPEs()))
-	var gpuBusy sim.Time
-	var kernels uint64
-	for _, g := range s.M.GPUs {
-		gpuBusy += g.BusyTime()
-		kernels += g.KernelsLaunched()
-	}
-	fmt.Fprintf(w, "GPUs: %d, kernels: %d, mean device utilization: %.1f%%\n",
-		len(s.M.GPUs), kernels, pct(gpuBusy, now, len(s.M.GPUs)))
-	fmt.Fprintf(w, "network: %d messages, %.1f MB\n", s.M.Net.Messages(), float64(s.M.Net.BytesMoved())/1e6)
-}
-
-func pct(busy, horizon sim.Time, n int) float64 {
-	if horizon <= 0 || n == 0 {
-		return 0
-	}
-	return 100 * float64(busy) / float64(horizon) / float64(n)
 }

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"gat/internal/charm"
-	"gat/internal/gpu"
 	"gat/internal/machine"
 	"gat/internal/sim"
 )
@@ -23,7 +21,7 @@ func TestSystemAssembly(t *testing.T) {
 func TestSystemFromCustomConfig(t *testing.T) {
 	cfg := machine.Summit(1)
 	cfg.GPUsPerNode = 4
-	sys := NewSystemFrom(cfg)
+	sys := NewSystemOn(machine.MustNew(cfg))
 	if sys.RT.NumPEs() != 4 {
 		t.Fatalf("PEs = %d, want 4", sys.RT.NumPEs())
 	}
@@ -40,14 +38,6 @@ func TestTaskArrayRoundTrip(t *testing.T) {
 	sys.Run()
 	if ran != 12 {
 		t.Fatalf("ran = %d, want 12", ran)
-	}
-}
-
-func TestTaskGridDims(t *testing.T) {
-	sys := NewSystem(1)
-	arr := sys.NewTaskGrid("g", [3]int{2, 3, 2}, nil, func(ix charm.Index) any { return nil })
-	if arr.Len() != 12 {
-		t.Fatalf("len = %d, want 12", arr.Len())
 	}
 }
 
@@ -74,26 +64,5 @@ func TestGPUForFollowsElement(t *testing.T) {
 	el := arr.Elems()[3]
 	if sys.GPUFor(el) != sys.M.GPUOf(3) {
 		t.Fatal("GPUFor does not match the element's PE")
-	}
-}
-
-func TestReportContents(t *testing.T) {
-	sys := NewSystem(1)
-	entries := []charm.EntryFn{
-		func(el *charm.Elem, ctx *charm.Ctx, m charm.Msg) {
-			s := sys.GPUFor(el).NewStream("s", gpu.PriorityNormal)
-			ctx.LaunchKernelBytes(s, "k", 1<<20)
-		},
-	}
-	arr := sys.NewTaskArray("t", 6, entries, func(ix charm.Index) any { return nil })
-	arr.Broadcast(charm.Msg{Entry: 0})
-	sys.Run()
-	var sb strings.Builder
-	sys.Report(&sb)
-	out := sb.String()
-	for _, want := range []string{"simulated time", "PEs: 6", "GPUs: 6", "kernels: 6"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package gpu models a CUDA-capable accelerator on the discrete-event
 // simulator: streams with priorities, kernels with launch overheads,
-// dual DMA copy engines, CUDA-style events and host callbacks, and
-// executable graphs.
+// dual DMA copy engines, host callbacks, and executable graphs of
+// kernels.
 //
 // The compute side is modelled as a serial priority server. For the
 // memory-bandwidth-bound kernels of stencil codes this is equivalent in
@@ -131,7 +131,6 @@ type Device struct {
 
 	memCapacity int64
 	memUsed     int64
-	memPeak     int64
 }
 
 // New creates a device attached to engine e.
@@ -335,15 +334,6 @@ func (d *Device) copyPipe(dir CopyDir) *sim.Pipe {
 		return d.d2h
 	}
 	return d.h2d
-}
-
-// Utilization returns compute busy time over elapsed time.
-func (d *Device) Utilization() float64 {
-	now := d.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(d.busyAccum) / float64(now)
 }
 
 func (d *Device) String() string {

@@ -6,8 +6,8 @@ import (
 	"gat/internal/sim"
 )
 
-// Graph is an executable graph of device operations with explicit
-// dependencies — the CUDA Graphs analogue. A graph is captured once and
+// Graph is an executable graph of kernels with explicit dependencies —
+// the CUDA Graphs analogue. A graph is captured once and
 // launched many times; each launch costs Config.GraphLaunchHost on the
 // host instead of one launch overhead per kernel, and each node pays the
 // cheaper GraphNodeDispatch on the device.
@@ -25,20 +25,16 @@ type Graph struct {
 	free []*graphExec
 }
 
-// GraphNode is one operation in a graph.
+// GraphNode is one kernel in a graph.
 type GraphNode struct {
-	label string
-	kind  opKind // opKernel or opCopy
 	dur   sim.Time
-	bytes int64
-	dir   CopyDir
 	deps  []*GraphNode
 	index int
 	// children lists the indices of the nodes that depend on this one,
 	// in the order they were added.
 	children []int
-	// execLabel is the label the node's kernel runs under ("graph/" +
-	// label).
+	// execLabel is the label the node's kernel runs under: "graph/"
+	// and the label given to AddKernel.
 	execLabel string
 }
 
@@ -53,9 +49,7 @@ func (g *Graph) Len() int { return len(g.nodes) }
 func (g *Graph) TotalKernelTime() sim.Time {
 	var total sim.Time
 	for _, n := range g.nodes {
-		if n.kind == opKernel {
-			total += n.dur
-		}
+		total += n.dur
 	}
 	return total
 }
@@ -72,12 +66,7 @@ func (g *Graph) add(n *GraphNode) *GraphNode {
 
 // AddKernel adds a kernel node that runs after all deps complete.
 func (g *Graph) AddKernel(label string, dur sim.Time, deps ...*GraphNode) *GraphNode {
-	return g.add(&GraphNode{label: label, execLabel: "graph/" + label, kind: opKernel, dur: dur, deps: deps})
-}
-
-// AddCopy adds a DMA node that runs after all deps complete.
-func (g *Graph) AddCopy(dir CopyDir, bytes int64, deps ...*GraphNode) *GraphNode {
-	return g.add(&GraphNode{label: dir.String(), kind: opCopy, bytes: bytes, dir: dir, deps: deps})
+	return g.add(&GraphNode{execLabel: "graph/" + label, dur: dur, deps: deps})
 }
 
 // Launch enqueues one execution of the graph on the stream and returns
@@ -149,16 +138,7 @@ func (s *Stream) launchGraphInstance(g *Graph) {
 func (ex *graphExec) start(i int) {
 	n := ex.g.nodes[i]
 	d := ex.s.dev
-	arg := unsafe.Pointer(&ex.nodes[i])
-	switch n.kind {
-	case opKernel:
-		d.submitCompute(ex.s.prio, n.execLabel, d.cfg.GraphNodeDispatch+n.dur, graphNodeDone, arg)
-	case opCopy:
-		d.copyCount++
-		d.copyPipe(n.dir).TransferAfter(sim.FiredSignal(), n.bytes).OnFireArg(d.eng, graphNodeDone, arg)
-	default:
-		panic("gpu: unsupported graph node kind")
-	}
+	d.submitCompute(ex.s.prio, n.execLabel, d.cfg.GraphNodeDispatch+n.dur, graphNodeDone, unsafe.Pointer(&ex.nodes[i]))
 }
 
 // graphNodeDone retires one node: it releases the node's dependents in

@@ -28,15 +28,16 @@ func TestGraphDiamondDependency(t *testing.T) {
 	g := NewGraph()
 	root := g.AddKernel("root", 10)
 	l := g.AddKernel("left", 20, root)
-	r := g.AddCopy(D2H, 100, root)
+	r := g.AddKernel("right", 30, root)
 	g.AddKernel("join", 5, l, r)
 	var at sim.Time
 	s.Launch(g).OnFire(e, func() { at = e.Now() })
 	e.Run()
-	// root done 11. left (compute) 11..32; copy 11..111 overlaps.
-	// join starts at max(32, 111)=111, done 117.
-	if at != 117 {
-		t.Fatalf("diamond graph done at %v, want 117", at)
+	// Each node pays dispatch 1 on the serial compute engine. root
+	// 0..11 releases both branches: left 11..32, right 32..63. join
+	// waits for the later of the two: 63..69.
+	if at != 69 {
+		t.Fatalf("diamond graph done at %v, want 69", at)
 	}
 }
 

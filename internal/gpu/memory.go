@@ -11,24 +11,12 @@ import "fmt"
 // MemCapacityV100 is the HBM2 capacity of one V100.
 const MemCapacityV100 int64 = 16 << 30
 
-// Buffer is one device memory allocation.
-type Buffer struct {
-	dev   *Device
-	name  string
-	bytes int64
-	freed bool
-}
-
-// Bytes returns the allocation size.
-func (b *Buffer) Bytes() int64 { return b.bytes }
-
-// Name returns the allocation label.
-func (b *Buffer) Name() string { return b.name }
-
-// Alloc reserves bytes of device memory. It panics if the device would
-// exceed its capacity: an experiment that does not fit on the GPU is a
-// configuration error, not a runtime condition.
-func (d *Device) Alloc(name string, bytes int64) *Buffer {
+// Alloc reserves bytes of device memory for the rest of the run: a
+// simulated workload allocates its working set at setup and never
+// frees it. It panics if the device would exceed its capacity: an
+// experiment that does not fit on the GPU is a configuration error, not
+// a runtime condition.
+func (d *Device) Alloc(name string, bytes int64) {
 	if bytes < 0 {
 		panic("gpu: negative allocation")
 	}
@@ -37,26 +25,11 @@ func (d *Device) Alloc(name string, bytes int64) *Buffer {
 			d.name, d.memUsed, bytes, d.memCapacity, name))
 	}
 	d.memUsed += bytes
-	if d.memUsed > d.memPeak {
-		d.memPeak = d.memUsed
-	}
-	return &Buffer{dev: d, name: name, bytes: bytes}
 }
 
-// Free releases the buffer. Double frees panic.
-func (b *Buffer) Free() {
-	if b.freed {
-		panic("gpu: double free of " + b.name)
-	}
-	b.freed = true
-	b.dev.memUsed -= b.bytes
-}
-
-// MemUsed returns current device memory in use.
-func (d *Device) MemUsed() int64 { return d.memUsed }
-
-// MemPeak returns the high-water mark of device memory use.
-func (d *Device) MemPeak() int64 { return d.memPeak }
+// MemPeak returns the high-water mark of device memory use: with no
+// frees, the sum of all allocations so far.
+func (d *Device) MemPeak() int64 { return d.memUsed }
 
 // MemCapacity returns the device memory capacity.
 func (d *Device) MemCapacity() int64 { return d.memCapacity }

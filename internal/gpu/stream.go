@@ -81,9 +81,6 @@ func (d *Device) PooledStreams() int { return len(d.streamPool) }
 // Device returns the owning device.
 func (s *Stream) Device() *Device { return s.dev }
 
-// Priority returns the stream priority.
-func (s *Stream) Priority() int { return s.prio }
-
 // Pending returns the number of queued (not yet completed) operations.
 func (s *Stream) Pending() int { return len(s.ops) }
 
@@ -93,7 +90,6 @@ const (
 	opKernel opKind = iota
 	opCopy
 	opCallback
-	opEvent
 	opWait
 	opGraph
 )
@@ -111,9 +107,9 @@ type op struct {
 	done  sim.Signal     // embedded: one allocation per op, not two
 }
 
-// enqueue queues o and returns its done signal. o must be an op that
-// completes in a later event (not opEvent), so the signal is still
-// pending when the caller receives it.
+// enqueue queues o and returns its done signal. Every op completes in
+// a later event, so the signal is still pending when the caller
+// receives it.
 //
 //gat:hotpath
 func (s *Stream) enqueue(o *op) *sim.Signal {
@@ -148,8 +144,6 @@ func (s *Stream) startHead() {
 		// Host callback: runs as an event at the current time, then the
 		// stream advances.
 		d.eng.InjectAt(d.eng.Now(), streamCallback, arg)
-	case opEvent:
-		s.complete()
 	case opWait:
 		o.wait.Signal().OnFireArg(d.eng, streamComplete, arg)
 	case opGraph:
@@ -220,45 +214,14 @@ func (s *Stream) OnComplete(fn sim.ArgFunc, arg unsafe.Pointer) {
 	s.push(o)
 }
 
-// Event is a CUDA-event analogue: a marker recorded on a stream whose
-// signal fires when all prior work on that stream has completed. It
-// holds a reference, so it stays valid after the marker completes.
-type Event struct{ ref sim.SignalRef }
-
-// Done returns the completion signal, or sim.FiredSignal once the
-// marker has completed.
-func (ev *Event) Done() *sim.Signal { return ev.ref.Signal() }
-
-// RecordEvent records an event on the stream. On an idle stream the
-// marker completes at once.
-func (s *Stream) RecordEvent() *Event {
-	o := s.newOp()
-	o.kind, o.label = opEvent, "event"
-	ev := &Event{ref: o.done.Ref()}
-	s.push(o)
-	return ev
-}
-
 // WaitSignal blocks subsequent work on s until an arbitrary simulation
 // signal fires (e.g. network data arrival before an unpack kernel, or
-// another stream's Event). The gate op keeps a reference to sig until
-// it reaches the head of the stream.
+// a kernel's completion on another stream). The gate op keeps a
+// reference to sig until it reaches the head of the stream.
 //
 //gat:hotpath
 func (s *Stream) WaitSignal(sig *sim.Signal) {
 	o := s.newOp()
 	o.kind, o.label, o.wait = opWait, "waitSignal", sig.Ref()
 	s.push(o)
-}
-
-// Sync blocks the calling proc until all currently enqueued work on the
-// stream completes, charging the host synchronization overhead. This is
-// the cudaStreamSynchronize analogue used by the "before-optimization"
-// Jacobi3D variant and the MPI variants.
-func (s *Stream) Sync(p *sim.Proc) {
-	p.Sleep(s.dev.cfg.SyncOverhead)
-	if len(s.ops) == 0 {
-		return
-	}
-	p.Wait(s.RecordEvent().Done())
 }

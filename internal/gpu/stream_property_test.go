@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gat/internal/sim"
 )
@@ -46,7 +47,7 @@ func TestStreamFIFOProperty(t *testing.T) {
 	}
 }
 
-// Property: recorded events fire exactly at the completion time of the
+// Property: host callbacks fire exactly at the completion time of the
 // work preceding them, and never before.
 func TestEventOrderingProperty(t *testing.T) {
 	f := func(durs []uint8) bool {
@@ -57,17 +58,17 @@ func TestEventOrderingProperty(t *testing.T) {
 			s.Kernel("k", sim.Time(dur)).OnFire(e, func() {
 				kernelDone = append(kernelDone, e.Now())
 			})
-			ev := s.RecordEvent()
-			ev.Done().OnFire(e, func() {
-				eventDone = append(eventDone, e.Now())
-			})
+			s.OnComplete(func(e *sim.Engine, arg unsafe.Pointer) {
+				done := (*[]sim.Time)(arg)
+				*done = append(*done, e.Now())
+			}, unsafe.Pointer(&eventDone))
 		}
 		e.Run()
 		if len(kernelDone) != len(durs) || len(eventDone) != len(durs) {
 			return false
 		}
 		for i := range durs {
-			if eventDone[i] < kernelDone[i] {
+			if eventDone[i] != kernelDone[i] {
 				return false
 			}
 		}

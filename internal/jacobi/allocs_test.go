@@ -92,9 +92,9 @@ func checkIterationAllocs(t *testing.T, cases []iterAllocCase) {
 // and without the §III-C optimizations.
 func TestCharmIterationAllocs(t *testing.T) {
 	checkIterationAllocs(t, []iterAllocCase{
-		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true}.Optimized())},
-		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized())},
-		{"charm-h", 1, runCharm(CharmOpts{ODF: 4}.Optimized())},
+		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Optimized: true})},
+		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC, Optimized: true})},
+		{"charm-h", 1, runCharm(CharmOpts{ODF: 4, Optimized: true})},
 		{"charm-h-before", 1, runCharm(CharmOpts{ODF: 4})},
 	})
 }
@@ -118,7 +118,7 @@ func TestMPIIterationAllocs(t *testing.T) {
 // each channel gained an entry per iteration).
 func TestCharmChannelsDrain(t *testing.T) {
 	m := machine.MustNew(machine.Summit(1))
-	drv := newCharmDriver(m, Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: 8}, CharmOpts{ODF: 4, GPUAware: true}.Optimized())
+	drv := newCharmDriver(m, Config{Global: [3]int{96, 96, 96}, Warmup: 1, Iters: 8}, CharmOpts{ODF: 4, GPUAware: true, Optimized: true})
 	drv.run()
 	channels := 0
 	for _, el := range drv.arr.Elems() {
@@ -161,9 +161,9 @@ func TestIterationBytes(t *testing.T) {
 		run   func(*machine.Machine, int)
 		max   float64
 	}{
-		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true}.Optimized()), 512},
-		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC}.Optimized()), 512},
-		{"charm-h", 1, runCharm(CharmOpts{ODF: 4}.Optimized()), 512},
+		{"charm-d", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Optimized: true}), 512},
+		{"charm-d-graphs", 1, runCharm(CharmOpts{ODF: 4, GPUAware: true, Graphs: true, Fusion: FusionC, Optimized: true}), 512},
+		{"charm-h", 1, runCharm(CharmOpts{ODF: 4, Optimized: true}), 512},
 		{"mpi-d", 2, runMPI(MPIOpts{Device: true}), 512},
 	}
 	for _, c := range cases {

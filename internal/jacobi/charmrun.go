@@ -17,14 +17,12 @@ type CharmOpts struct {
 	// otherwise halos stage through host memory inside regular runtime
 	// messages (Charm-H).
 	GPUAware bool
-	// Async enables HAPI asynchronous completion detection instead of
-	// blocking stream synchronizations, and drops the redundant
-	// after-update synchronization (the §III-C "after" optimization).
-	Async bool
-	// SplitStreams gives D2H and H2D transfers their own high-priority
-	// streams instead of sharing the packing stream (the second §III-C
-	// optimization).
-	SplitStreams bool
+	// Optimized enables the two §III-C optimizations, the baseline for
+	// every experiment after Fig 6: HAPI asynchronous completion
+	// detection instead of blocking stream synchronizations, without the
+	// redundant after-update synchronization; and D2H and H2D transfers
+	// on their own high-priority streams instead of the packing stream.
+	Optimized bool
 	// Fusion selects the kernel fusion strategy (GPU-aware mode only,
 	// as in the paper).
 	Fusion Fusion
@@ -40,18 +38,6 @@ type CharmOpts struct {
 	// Unlike the MPI variant's allreduce this does not block: chares
 	// keep iterating while the reduction propagates (§II-A).
 	ResidualEvery int
-	// UseMessagingAPI replaces the Channel API with the older GPU
-	// Messaging API (metadata message + post entry method, §II-B) for
-	// the halo transfers — the mechanism the Channel API superseded.
-	UseMessagingAPI bool
-}
-
-// Optimized returns opts with the §III-C optimizations enabled — the
-// baseline for every experiment after Fig 6.
-func (o CharmOpts) Optimized() CharmOpts {
-	o.Async = true
-	o.SplitStreams = true
-	return o
 }
 
 // Entry method ids for the block chare array.
@@ -194,7 +180,7 @@ func (drv *charmDriver) setup() {
 		}
 		st.packS = dev.NewStream("pack", commPrio)
 		st.updS = dev.NewStream("update", gpu.PriorityNormal)
-		if drv.opt.SplitStreams {
+		if drv.opt.Optimized {
 			st.d2hS = dev.NewStream("d2h", commPrio)
 			st.h2dS = dev.NewStream("h2d", commPrio)
 		} else {
@@ -256,9 +242,6 @@ func (drv *charmDriver) bindThunks(el *charm.Elem, st *chState) {
 			if perFaceUnpack {
 				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes).Ref())
 			}
-		}
-		if drv.opt.UseMessagingAPI {
-			continue
 		}
 		st.haloFn[face] = func(ctx *charm.Ctx) { st.gate.Arrive(ctx, st.iter, st.unpackFn[face]) }
 		st.recvFn[face] = func() {
@@ -381,40 +364,12 @@ func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, pre
 	for _, nb := range st.nbrs {
 		sendDone := eng.NewSignal()
 		st.sends = append(st.sends, sendDone.Ref())
-		if drv.opt.UseMessagingAPI {
-			drv.messagingSend(el, ctx, nb, iter, ready[nb.Face], sendDone)
-			continue
-		}
 		ch := st.channels[nb.Face]
 		ctx.Charge(opt.MsgHostOverhead)
 		ch.Send(el.Flat, iter, st.blk.FaceBytes(nb.Face), ready[nb.Face], sendDone)
 		ctx.Charge(opt.MsgHostOverhead)
 		ch.Recv(el.Flat, iter, st.recvFn[nb.Face])
 	}
-}
-
-// messagingSend transfers one halo with the GPU Messaging API: the
-// metadata message invokes a post entry method on the receiver before
-// the device data can move, so the receive side needs no pre-posted
-// recv — at the cost of an extra message round (§II-B).
-func (drv *charmDriver) messagingSend(el *charm.Elem, ctx *charm.Ctx, nb Neighbor, iter int, ready, sendDone *sim.Signal) {
-	st := state(el)
-	m := drv.rt.M
-	eng := drv.rt.Engine()
-	peer := drv.arr.Elem(charm.Index(nb.Idx))
-	recvFace := Opposite(nb.Face)
-	ctx.Charge(drv.rt.Opt.MsgHostOverhead)
-	comm.MessagingSend(m.Net, comm.DefaultMessagingConfig(),
-		comm.Endpoint{Proc: el.Flat, Node: m.NodeOf(el.PE())},
-		comm.Endpoint{Proc: peer.Flat, Node: m.NodeOf(peer.PE())},
-		st.blk.FaceBytes(nb.Face), ready, func() {
-			sendDone.Fire(eng)
-			peerSt := state(peer)
-			drv.rt.PE(peer.PE()).Enqueue(charm.PrioHigh, drv.rt.Opt.SchedOverhead,
-				"haloArrived", peer, func(ctx *charm.Ctx) {
-					peerSt.gate.Arrive(ctx, iter, peerSt.unpackFn[recvFace])
-				})
-		})
 }
 
 // haloSend is one host-staged halo message waiting for its staging copy:
@@ -474,7 +429,7 @@ func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int) {
 		hs.el, hs.nb, hs.iter, hs.size = el, nb, iter, size
 		st.staged = append(st.staged, hs)
 	}
-	if drv.opt.Async {
+	if drv.opt.Optimized {
 		// After-optimization: each halo is sent as soon as its staging
 		// copy completes, with no blocking synchronization.
 		for i, hs := range st.staged {
@@ -537,7 +492,7 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 	}
 
 	st.iter++
-	if drv.opt.Async {
+	if drv.opt.Optimized {
 		ctx.HAPICallback(st.updS, "nextIter", st.startFn)
 	} else {
 		// Before-optimization: synchronize with the device before

@@ -27,7 +27,7 @@ func analyticHaloBytes(d Decomp) int64 {
 func TestCharmDNetworkBytesMatchAnalytic(t *testing.T) {
 	cfg := Config{Global: [3]int{192, 192, 192}, Warmup: 1, Iters: 4}
 	m := machine.MustNew(machine.Summit(2))
-	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true}.Optimized())
+	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Optimized: true})
 	d := NewDecomp(cfg.Global, 12)
 	perIter := analyticHaloBytes(d)
 	iters := int64(cfg.Warmup + cfg.Iters)
@@ -42,7 +42,7 @@ func TestCharmDNetworkBytesMatchAnalytic(t *testing.T) {
 func TestCharmDKernelCountMatchesFormula(t *testing.T) {
 	cfg := Config{Global: [3]int{192, 192, 192}, Warmup: 1, Iters: 4}
 	m := machine.MustNew(machine.Summit(1))
-	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true}.Optimized())
+	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Optimized: true})
 	// Per chare-iteration under FusionNone: one pack and one unpack per
 	// neighbor plus one update.
 	d := NewDecomp(cfg.Global, 6)
@@ -59,7 +59,7 @@ func TestCharmDKernelCountMatchesFormula(t *testing.T) {
 func TestFusionCKernelCountIsOnePerIterPlusInitialPack(t *testing.T) {
 	cfg := Config{Global: [3]int{192, 192, 192}, Warmup: 1, Iters: 4}
 	m := machine.MustNew(machine.Summit(1))
-	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Fusion: FusionC}.Optimized())
+	res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Fusion: FusionC, Optimized: true})
 	chares := uint64(6)
 	want := chares * uint64(cfg.Warmup+cfg.Iters+1) // +1 initial pack
 	if res.Kernels != want {
@@ -70,7 +70,7 @@ func TestFusionCKernelCountIsOnePerIterPlusInitialPack(t *testing.T) {
 func TestMemoryPeakMatchesWorkingSet(t *testing.T) {
 	cfg := Config{Global: [3]int{384, 384, 384}, Warmup: 1, Iters: 2}
 	m := machine.MustNew(machine.Summit(1))
-	RunCharm(m, cfg, CharmOpts{ODF: 2, GPUAware: true}.Optimized())
+	RunCharm(m, cfg, CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 	d := NewDecomp(cfg.Global, 12)
 	// Each GPU hosts 2 chares; working set = sum over its chares of
 	// 2*vol + 2*faces, all in ElemBytes.
@@ -93,7 +93,7 @@ func TestOverlapFractionCharmBeatsMPI(t *testing.T) {
 		return timeline.Analyze(m.Eng.Tracer(), m.Eng.Now()).OverlapFraction()
 	}
 	charm := overlapOf(func(m *machine.Machine) {
-		RunCharm(m, cfg, CharmOpts{ODF: 4}.Optimized())
+		RunCharm(m, cfg, CharmOpts{ODF: 4, Optimized: true})
 	})
 	mpi := overlapOf(func(m *machine.Machine) {
 		RunMPI(m, cfg, MPIOpts{})
@@ -114,9 +114,9 @@ func TestResidualOptionAddsTimeMPI(t *testing.T) {
 
 func TestResidualOptionCharmAsyncCheaperThanMPIBlocking(t *testing.T) {
 	cfg := Config{Global: [3]int{192, 192, 192}, Warmup: 1, Iters: 4}
-	base := RunCharm(machine.MustNew(machine.Summit(1)), cfg, CharmOpts{ODF: 1, GPUAware: true}.Optimized())
+	base := RunCharm(machine.MustNew(machine.Summit(1)), cfg, CharmOpts{ODF: 1, GPUAware: true, Optimized: true})
 	withRes := RunCharm(machine.MustNew(machine.Summit(1)), cfg,
-		CharmOpts{ODF: 1, GPUAware: true, ResidualEvery: 1}.Optimized())
+		CharmOpts{ODF: 1, GPUAware: true, ResidualEvery: 1, Optimized: true})
 	// Asynchronous contributions must not cost anywhere near a blocking
 	// allreduce; allow a modest slowdown.
 	if float64(withRes.TimePerIter) > 1.25*float64(base.TimePerIter) {
@@ -124,22 +124,11 @@ func TestResidualOptionCharmAsyncCheaperThanMPIBlocking(t *testing.T) {
 	}
 }
 
-func TestMessagingAPISlowerThanChannelAPIInApp(t *testing.T) {
-	cfg := Config{Global: [3]int{192, 192, 192}, Warmup: 1, Iters: 6}
-	ch := RunCharm(machine.MustNew(machine.Summit(2)), cfg, CharmOpts{ODF: 1, GPUAware: true}.Optimized())
-	msg := RunCharm(machine.MustNew(machine.Summit(2)), cfg,
-		CharmOpts{ODF: 1, GPUAware: true, UseMessagingAPI: true}.Optimized())
-	if msg.TimePerIter <= ch.TimePerIter {
-		t.Fatalf("messaging API (%v) should be slower than channel API (%v)",
-			msg.TimePerIter, ch.TimePerIter)
-	}
-}
-
 func TestFlatPriorityHurtsOrEqual(t *testing.T) {
 	cfg := Config{Global: [3]int{384, 384, 768}, Warmup: 1, Iters: 4}
-	prio := RunCharm(machine.MustNew(machine.Summit(2)), cfg, CharmOpts{ODF: 4, GPUAware: true}.Optimized())
+	prio := RunCharm(machine.MustNew(machine.Summit(2)), cfg, CharmOpts{ODF: 4, GPUAware: true, Optimized: true})
 	flat := RunCharm(machine.MustNew(machine.Summit(2)), cfg,
-		CharmOpts{ODF: 4, GPUAware: true, FlatPriority: true}.Optimized())
+		CharmOpts{ODF: 4, GPUAware: true, FlatPriority: true, Optimized: true})
 	if flat.TimePerIter < prio.TimePerIter {
 		t.Fatalf("flat priorities (%v) should not beat priority streams (%v)",
 			flat.TimePerIter, prio.TimePerIter)

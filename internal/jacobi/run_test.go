@@ -37,7 +37,7 @@ func TestMPIDeviceRuns(t *testing.T) {
 
 func TestCharmHostRuns(t *testing.T) {
 	m := machine.MustNew(machine.Summit(1))
-	res := RunCharm(m, smallCfg(), CharmOpts{ODF: 1}.Optimized())
+	res := RunCharm(m, smallCfg(), CharmOpts{ODF: 1, Optimized: true})
 	if res.TimePerIter <= 0 {
 		t.Fatalf("bad result: %v", res)
 	}
@@ -45,7 +45,7 @@ func TestCharmHostRuns(t *testing.T) {
 
 func TestCharmDeviceRuns(t *testing.T) {
 	m := machine.MustNew(machine.Summit(1))
-	res := RunCharm(m, smallCfg(), CharmOpts{ODF: 2, GPUAware: true}.Optimized())
+	res := RunCharm(m, smallCfg(), CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 	if res.TimePerIter <= 0 {
 		t.Fatalf("bad result: %v", res)
 	}
@@ -55,7 +55,7 @@ func TestCharmODFRunsAllVariants(t *testing.T) {
 	for _, odf := range []int{1, 2, 4} {
 		for _, aware := range []bool{false, true} {
 			m := machine.MustNew(machine.Summit(1))
-			res := RunCharm(m, smallCfg(), CharmOpts{ODF: odf, GPUAware: aware}.Optimized())
+			res := RunCharm(m, smallCfg(), CharmOpts{ODF: odf, GPUAware: aware, Optimized: true})
 			if res.TimePerIter <= 0 {
 				t.Fatalf("odf=%d aware=%v: bad result %v", odf, aware, res)
 			}
@@ -79,8 +79,8 @@ func TestCharmDBeatsCharmHSmall(t *testing.T) {
 	cfg := smallCfg()
 	mH := machine.MustNew(machine.Summit(2))
 	mD := machine.MustNew(machine.Summit(2))
-	h := RunCharm(mH, cfg, CharmOpts{ODF: 1}.Optimized())
-	d := RunCharm(mD, cfg, CharmOpts{ODF: 1, GPUAware: true}.Optimized())
+	h := RunCharm(mH, cfg, CharmOpts{ODF: 1, Optimized: true})
+	d := RunCharm(mD, cfg, CharmOpts{ODF: 1, GPUAware: true, Optimized: true})
 	if d.TimePerIter >= h.TimePerIter {
 		t.Fatalf("Charm-D (%v) should beat Charm-H (%v) on small halos", d.TimePerIter, h.TimePerIter)
 	}
@@ -93,7 +93,7 @@ func TestAfterOptimizationsBeatBefore(t *testing.T) {
 	mB := machine.MustNew(machine.Summit(1))
 	mA := machine.MustNew(machine.Summit(1))
 	before := RunCharm(mB, cfg, CharmOpts{ODF: 4})
-	after := RunCharm(mA, cfg, CharmOpts{ODF: 4}.Optimized())
+	after := RunCharm(mA, cfg, CharmOpts{ODF: 4, Optimized: true})
 	if after.TimePerIter >= before.TimePerIter {
 		t.Fatalf("after (%v) should beat before (%v)", after.TimePerIter, before.TimePerIter)
 	}
@@ -104,7 +104,7 @@ func TestFusionReducesKernelCount(t *testing.T) {
 	counts := map[Fusion]uint64{}
 	for _, f := range []Fusion{FusionNone, FusionA, FusionB, FusionC} {
 		m := machine.MustNew(machine.Summit(1))
-		res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Fusion: f}.Optimized())
+		res := RunCharm(m, cfg, CharmOpts{ODF: 1, GPUAware: true, Fusion: f, Optimized: true})
 		counts[f] = res.Kernels
 	}
 	if !(counts[FusionC] < counts[FusionB] && counts[FusionB] < counts[FusionA] && counts[FusionA] < counts[FusionNone]) {
@@ -118,7 +118,7 @@ func TestGraphsReduceHostLaunchWork(t *testing.T) {
 	cfg := smallCfg()
 	run := func(graphs bool) sim.Time {
 		m := machine.MustNew(machine.Summit(1))
-		RunCharm(m, cfg, CharmOpts{ODF: 8, GPUAware: true, Graphs: graphs}.Optimized())
+		RunCharm(m, cfg, CharmOpts{ODF: 8, GPUAware: true, Graphs: graphs, Optimized: true})
 		return m.Eng.Now()
 	}
 	plain := run(false)
@@ -160,7 +160,7 @@ func TestDeterministicResults(t *testing.T) {
 	cfg := smallCfg()
 	run := func() Result {
 		m := machine.MustNew(machine.Summit(1))
-		return RunCharm(m, cfg, CharmOpts{ODF: 2, GPUAware: true}.Optimized())
+		return RunCharm(m, cfg, CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 	}
 	a, b := run(), run()
 	if a.TimePerIter != b.TimePerIter || a.Events != b.Events {
@@ -175,5 +175,5 @@ func TestFusionRequiresGPUAware(t *testing.T) {
 		}
 	}()
 	m := machine.MustNew(machine.Summit(1))
-	RunCharm(m, smallCfg(), CharmOpts{ODF: 1, Fusion: FusionC}.Optimized())
+	RunCharm(m, smallCfg(), CharmOpts{ODF: 1, Fusion: FusionC, Optimized: true})
 }

@@ -214,6 +214,3 @@ func (m *Machine) NodeOf(p int) int { return p / m.Cfg.GPUsPerNode }
 
 // GPUOf returns the device bound to global PE/rank id p.
 func (m *Machine) GPUOf(p int) *gpu.Device { return m.GPUs[p] }
-
-// SameNode reports whether two PEs share a node.
-func (m *Machine) SameNode(a, b int) bool { return m.NodeOf(a) == m.NodeOf(b) }

@@ -14,9 +14,6 @@ func TestSummitShape(t *testing.T) {
 	if m.NodeOf(0) != 0 || m.NodeOf(5) != 0 || m.NodeOf(6) != 1 || m.NodeOf(23) != 3 {
 		t.Fatal("NodeOf mapping wrong")
 	}
-	if !m.SameNode(0, 5) || m.SameNode(5, 6) {
-		t.Fatal("SameNode wrong")
-	}
 	if m.GPUOf(7) == nil || m.GPUOf(7).Name() != "node1/gpu1" {
 		t.Fatalf("GPUOf(7) = %v", m.GPUOf(7))
 	}

@@ -7,55 +7,6 @@ import (
 	"gat/internal/sim"
 )
 
-func TestBcastReachesAllRanks(t *testing.T) {
-	for _, nodes := range []int{1, 2} {
-		for root := 0; root < 3; root++ {
-			w := testWorld(nodes)
-			epoch := w.NextEpoch()
-			done := 0
-			w.Run(func(r *Rank) {
-				r.Bcast(epoch, root, 4096)
-				done++
-			})
-			if done != w.Size() {
-				t.Fatalf("nodes=%d root=%d: %d ranks finished bcast, want %d",
-					nodes, root, done, w.Size())
-			}
-		}
-	}
-}
-
-func TestBcastRootLeavesFirst(t *testing.T) {
-	w := testWorld(2)
-	epoch := w.NextEpoch()
-	times := make([]sim.Time, 12)
-	w.Run(func(r *Rank) {
-		r.Bcast(epoch, 0, 1<<20)
-		times[r.ID()] = r.Engine().Now()
-	})
-	// Every non-root rank must finish no earlier than it could have
-	// received data from the root.
-	for i := 1; i < 12; i++ {
-		if times[i] <= 0 {
-			t.Fatalf("rank %d never finished", i)
-		}
-	}
-}
-
-func TestReduceCompletesAllRoots(t *testing.T) {
-	w := testWorld(2)
-	done := 0
-	epoch1, epoch2 := w.NextEpoch(), w.NextEpoch()
-	w.Run(func(r *Rank) {
-		r.Reduce(epoch1, 0, 8)
-		r.Reduce(epoch2, 5, 8)
-		done++
-	})
-	if done != 12 {
-		t.Fatalf("reduce finished on %d ranks, want 12", done)
-	}
-}
-
 func TestCollectivesSingleRankFastPath(t *testing.T) {
 	cfg := machine.Summit(1)
 	cfg.GPUsPerNode = 1
@@ -65,10 +16,8 @@ func TestCollectivesSingleRankFastPath(t *testing.T) {
 	}
 	done := false
 	w.Run(func(r *Rank) {
-		r.Barrier(r.w.NextEpoch())
-		r.Allreduce(r.w.NextEpoch(), 8)
-		r.Bcast(r.w.NextEpoch(), 0, 1024)
-		r.Reduce(r.w.NextEpoch(), 0, 8)
+		r.Barrier(1)
+		r.Allreduce(2, 8)
 		done = true
 	})
 	if !done {
@@ -76,30 +25,13 @@ func TestCollectivesSingleRankFastPath(t *testing.T) {
 	}
 }
 
-func TestBcastThenReducePipeline(t *testing.T) {
-	// A bcast followed by a reduce with distinct epochs must not
-	// deadlock or cross-match tags.
-	w := testWorld(1)
-	e1, e2 := w.NextEpoch(), w.NextEpoch()
-	done := 0
-	w.Run(func(r *Rank) {
-		r.Bcast(e1, 2, 1024)
-		r.Reduce(e2, 2, 1024)
-		done++
-	})
-	if done != 6 {
-		t.Fatalf("pipeline finished on %d ranks", done)
-	}
-}
-
 func TestJacobiResidualOptionRuns(t *testing.T) {
 	// The residual allreduce must add time, not hang.
 	w := testWorld(1)
-	epoch := w.NextEpoch()
 	var withAt sim.Time
 	w.Run(func(r *Rank) {
 		r.Compute(10 * sim.Microsecond)
-		r.Allreduce(epoch, 8)
+		r.Allreduce(1, 8)
 		withAt = r.Engine().Now()
 	})
 	if withAt <= 10*sim.Microsecond {

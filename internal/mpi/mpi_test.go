@@ -149,12 +149,11 @@ func TestBarrierSynchronizes(t *testing.T) {
 	w := testWorld(2) // 12 ranks
 	arrive := make([]sim.Time, 12)
 	depart := make([]sim.Time, 12)
-	epoch := w.NextEpoch() // one epoch shared by all ranks
 	w.Run(func(r *Rank) {
 		// Stagger arrivals.
 		r.Compute(sim.Time(r.ID()) * 10 * sim.Microsecond)
 		arrive[r.ID()] = r.Engine().Now()
-		r.Barrier(epoch)
+		r.Barrier(1) // one epoch shared by all ranks
 		depart[r.ID()] = r.Engine().Now()
 	})
 	var maxArrive sim.Time
@@ -171,14 +170,13 @@ func TestBarrierSynchronizes(t *testing.T) {
 }
 
 func TestBarrierSharedEpoch(t *testing.T) {
-	// All ranks must use the same epoch; NextEpoch per rank would
+	// All ranks must use the same epoch; a distinct epoch per rank would
 	// deadlock. Verify the documented usage pattern works twice in a row.
 	w := testWorld(1)
-	epoch1, epoch2 := w.NextEpoch(), w.NextEpoch()
 	finished := 0
 	w.Run(func(r *Rank) {
-		r.Barrier(epoch1)
-		r.Barrier(epoch2)
+		r.Barrier(1)
+		r.Barrier(2)
 		finished++
 	})
 	if finished != 6 {
@@ -189,28 +187,14 @@ func TestBarrierSharedEpoch(t *testing.T) {
 func TestAllreduceCompletes(t *testing.T) {
 	for _, ranks := range []int{1, 2} { // 6 and 12 ranks (non-pow2)
 		w := testWorld(ranks)
-		epoch := w.NextEpoch()
 		done := 0
 		w.Run(func(r *Rank) {
-			r.Allreduce(epoch, 8)
+			r.Allreduce(1, 8)
 			done++
 		})
 		if done != w.Size() {
 			t.Fatalf("nodes=%d: %d ranks completed, want %d", ranks, done, w.Size())
 		}
-	}
-}
-
-func TestGatherCompletes(t *testing.T) {
-	w := testWorld(1)
-	epoch := w.NextEpoch()
-	done := 0
-	w.Run(func(r *Rank) {
-		r.Gather(epoch, 0, 1024)
-		done++
-	})
-	if done != 6 {
-		t.Fatalf("gather finished on %d ranks, want 6", done)
 	}
 }
 

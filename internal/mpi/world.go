@@ -61,10 +61,6 @@ type World struct {
 	match map[matchKey]*matchSlot
 	free  []*matchSlot
 
-	// collEpoch backs NextEpoch. Per-world state: a process-global
-	// counter would be shared by concurrently sweeping runs.
-	collEpoch int
-
 	// links recycles the match links of matched pairs as their pair
 	// completes.
 	links sim.FreeList[matchDone]

@@ -111,9 +111,6 @@ func (f *Fabric) Config() FabricConfig { return f.cfg }
 // Router returns the active routing policy.
 func (f *Fabric) Router() Router { return f.router }
 
-// Groups returns the number of switch groups the fabric links.
-func (f *Fabric) Groups() int { return f.groups }
-
 // linkSet returns a group's egress or ingress link ids, ascending.
 func (f *Fabric) linkSet(group int, down bool) []int {
 	if down {

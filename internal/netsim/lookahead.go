@@ -83,9 +83,3 @@ func MinCrossLatency(cfg Config, topo Topology, nodes int, shardOf func(node int
 	h := topo.CrossGroupHops()
 	return cfg.LatencyBase + sim.Time(h-1)*cfg.LatencyPerHop
 }
-
-// MinCrossLatency is the instantiated-network form of the package-level
-// query, over this network's cost model, topology and node count.
-func (n *Network) MinCrossLatency(shardOf func(node int) int) sim.Time {
-	return MinCrossLatency(n.cfg, n.topo, len(n.nics), shardOf)
-}

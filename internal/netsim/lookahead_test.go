@@ -80,10 +80,4 @@ func TestMinCrossLatency(t *testing.T) {
 	if got := MinCrossLatency(cfg, topo, 8, split); got != inGroup {
 		t.Errorf("split group: lookahead = %v, want %v", got, inGroup)
 	}
-
-	// The instantiated-network form must agree.
-	n := New(sim.NewEngine(), cfg, 8)
-	if got := n.MinCrossLatency(aligned); got != crossGroup {
-		t.Errorf("Network.MinCrossLatency = %v, want %v", got, crossGroup)
-	}
 }

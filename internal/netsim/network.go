@@ -108,9 +108,8 @@ func Summit() Config {
 
 // NIC is one node's network interface, with independent tx and rx ports.
 type NIC struct {
-	Node int
-	TX   *sim.Pipe
-	RX   *sim.Pipe
+	TX *sim.Pipe
+	RX *sim.Pipe
 }
 
 // Network is the cluster interconnect.
@@ -157,9 +156,8 @@ func New(e *sim.Engine, cfg Config, nodes int) *Network {
 	}
 	for i := 0; i < nodes; i++ {
 		n.nics = append(n.nics, &NIC{
-			Node: i,
-			TX:   sim.NewPipe(e, fmt.Sprintf("nic%d/tx", i), cfg.InjectionBW, cfg.NICOverhead),
-			RX:   sim.NewPipe(e, fmt.Sprintf("nic%d/rx", i), cfg.InjectionBW, cfg.NICOverhead),
+			TX: sim.NewPipe(e, fmt.Sprintf("nic%d/tx", i), cfg.InjectionBW, cfg.NICOverhead),
+			RX: sim.NewPipe(e, fmt.Sprintf("nic%d/rx", i), cfg.InjectionBW, cfg.NICOverhead),
 		})
 		n.intra = append(n.intra, sim.NewPipe(e, fmt.Sprintf("node%d/intra", i), cfg.IntraNodeBW, cfg.IntraNodeLatency))
 	}
@@ -171,12 +169,6 @@ func (n *Network) Nodes() int { return len(n.nics) }
 
 // Engine returns the simulation engine the network is attached to.
 func (n *Network) Engine() *sim.Engine { return n.eng }
-
-// Config returns the interconnect cost model.
-func (n *Network) Config() Config { return n.cfg }
-
-// NIC returns node i's NIC.
-func (n *Network) NIC(i int) *NIC { return n.nics[i] }
 
 // Messages returns the number of transfers that have started moving
 // data (their ready signal fired): completed or in flight. Transfers
@@ -205,12 +197,6 @@ func (n *Network) LinkUtilization() (max, mean float64) {
 	}
 	return n.fabric.UtilizationSummary()
 }
-
-// Hops returns the switch hop count between two nodes under the
-// configured topology: 0 within a node, 2 within a switch group, and
-// the topology's cross-group distance (4 for the fat tree, 3 for the
-// dragonfly minimal route) otherwise.
-func (n *Network) Hops(a, b int) int { return n.topo.Hops(a, b) }
 
 // Latency returns the one-way wire latency between two nodes,
 // including jitter when enabled. The deterministic base is the shared

@@ -27,13 +27,13 @@ func testConfig() Config {
 func TestHops(t *testing.T) {
 	e := sim.NewEngine()
 	n := New(e, testConfig(), 8)
-	if h := n.Hops(3, 3); h != 0 {
+	if h := n.Topology().Hops(3, 3); h != 0 {
 		t.Fatalf("same-node hops = %d", h)
 	}
-	if h := n.Hops(0, 1); h != 2 { // same pod (pod size 2)
+	if h := n.Topology().Hops(0, 1); h != 2 { // same pod (pod size 2)
 		t.Fatalf("same-pod hops = %d, want 2", h)
 	}
-	if h := n.Hops(0, 5); h != 4 {
+	if h := n.Topology().Hops(0, 5); h != 4 {
 		t.Fatalf("cross-pod hops = %d, want 4", h)
 	}
 }

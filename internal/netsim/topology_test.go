@@ -33,15 +33,15 @@ func TestDragonflyHops(t *testing.T) {
 	cfg.Topology = TopoDragonfly
 	e := sim.NewEngine()
 	n := New(e, cfg, 8)
-	if h := n.Hops(3, 3); h != 0 {
+	if h := n.Topology().Hops(3, 3); h != 0 {
 		t.Fatalf("same-node hops = %d, want 0", h)
 	}
-	if h := n.Hops(0, 1); h != 2 {
+	if h := n.Topology().Hops(0, 1); h != 2 {
 		t.Fatalf("same-group hops = %d, want 2", h)
 	}
 	// Dragonfly minimal route: one global-link traversal, 3 switch
 	// hops — shorter than the fat tree's 4.
-	if h := n.Hops(0, 5); h != 3 {
+	if h := n.Topology().Hops(0, 5); h != 3 {
 		t.Fatalf("cross-group hops = %d, want 3", h)
 	}
 	ft := New(sim.NewEngine(), testConfig(), 8)

@@ -127,9 +127,9 @@ func ptrToArgFn(p unsafe.Pointer) ArgFunc { return *(*ArgFunc)(unsafe.Pointer(&p
 // yields, proc resumes). Because a zero-delay event both carries the
 // current timestamp and outranks, by sequence, every timed event that
 // could still be scheduled at that timestamp, FIFO order within the
-// lane is exactly (time, seq) order; only timed events already queued
-// at the current instant can outrank the lane head, and a peek at the
-// front event of the heap's root bucket detects that.
+// lane is exactly (time, seq) order. A timed event already queued at
+// the current instant was pushed before the clock reached it, so before
+// every lane event: it always runs first (see step).
 type Engine struct {
 	// Hot fields first, grouped so the run loop touches few cache
 	// lines: every dispatched event reads now/seq/nEvents and one of
@@ -141,8 +141,7 @@ type Engine struct {
 	// maxTime under Step. Proc.Sleep consults it for the direct-resume
 	// fast path: a proc may fast-forward the clock only within the
 	// active run window.
-	limit   Time
-	stopped bool
+	limit Time
 	// noLane routes zero-delay events through the timed queue instead
 	// of the FIFO lane. Test hook only: the ordering-equivalence test
 	// runs the same workload with and without it and asserts identical
@@ -214,8 +213,8 @@ func (e *Engine) push(t Time, fn, arg unsafe.Pointer) {
 	e.timed.push(t, event{seq: e.seq, fn: fn, arg: arg})
 }
 
-// Run executes events until the queue is empty or Stop is called.
-// It returns the final virtual time.
+// Run executes events until the queue is empty. It returns the final
+// virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(maxTime) }
 
 // RunUntil executes events with timestamps <= limit, advancing the clock
@@ -224,11 +223,10 @@ func (e *Engine) Run() Time { return e.RunUntil(maxTime) }
 //
 //gat:hotpath
 func (e *Engine) RunUntil(limit Time) Time {
-	e.stopped = false
 	e.limit = limit
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
-	if !e.stopped && e.lane.n == 0 && !e.timed.empty() && e.limit > e.now {
+	if e.lane.n == 0 && !e.timed.empty() && e.limit > e.now {
 		// Only events past the limit remain: the window has run out.
 		e.now = e.limit
 	}
@@ -241,11 +239,12 @@ func (e *Engine) RunUntil(limit Time) Time {
 // Step calls it once.
 //
 // The zero-delay lane's whole same-timestamp batch runs before the
-// timed queue is consulted for a clock advance; timed events that share
-// the current timestamp (necessarily scheduled earlier, so with smaller
-// sequence numbers) are interleaved ahead of the lane by a peek at the
-// root bucket's front event, never a re-sort. A proc's resume event is
-// an ArgFunc event like any other (see procResume).
+// timed queue is consulted for a clock advance. Timed events that share
+// the current timestamp run ahead of the whole lane: push sends every
+// event for the current instant to the lane, so a timed event at that
+// instant was pushed while the clock was still earlier, before any lane
+// event of the instant, and has the smaller sequence number. A proc's
+// resume event is an ArgFunc event like any other (see procResume).
 //
 //gat:hotpath
 func (e *Engine) step() bool {
@@ -256,7 +255,7 @@ func (e *Engine) step() bool {
 		if e.now > e.limit {
 			return false
 		}
-		if !e.timed.empty() && e.timed.minAt() == e.now && e.timed.frontSeq() < e.lane.peekSeq() {
+		if !e.timed.empty() && e.timed.minAt() == e.now {
 			_, ev = e.timed.pop()
 		} else {
 			ev = e.lane.pop()
@@ -321,10 +320,6 @@ func (e *Engine) Step() bool {
 	e.limit = maxTime
 	return e.step()
 }
-
-// Stop halts Run/RunUntil after the current event completes. Pending
-// events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Idle reports whether no events are pending.
 func (e *Engine) Idle() bool { return e.timed.empty() && e.lane.n == 0 }

@@ -72,17 +72,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1 (stopped)", ran)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(10, func() {

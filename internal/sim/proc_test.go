@@ -97,30 +97,22 @@ func TestSignalDoubleFireIsNoop(t *testing.T) {
 	}
 }
 
-// TestWaitSetMemberFiresBeforeWait adds two members to a group and
-// sleeps before waiting, so one member (or both) fires between Add and
-// Wait. The group must resume when the last member fires, and not park
-// at all when every member has fired.
-func TestWaitSetMemberFiresBeforeWait(t *testing.T) {
-	for _, c := range []struct{ sleep, want Time }{{10, 20}, {30, 30}} {
-		e := NewEngine()
-		early, late := NewSignal(), NewSignal()
-		e.FireAt(5, early)
-		e.FireAt(20, late)
-		resumed := Time(-1)
-		e.Spawn("w", func(p *Proc) {
-			g := p.NewWaitSet()
-			g.Add(early)
-			g.Add(late)
-			p.Sleep(c.sleep)
-			g.Wait()
-			resumed = p.Now()
-		})
-		e.Run()
-		if resumed != c.want {
-			t.Fatalf("sleep %v: group wait resumed at %v, want %v (-1: still parked)", c.sleep, resumed, c.want)
+// TestGroupWaitSignalInTwoGroupsPanics checks that a signal belongs to
+// one group wait at a time: a second proc's WaitAll on a pending signal
+// that the first proc's WaitAll holds panics instead of waiting.
+func TestGroupWaitSignalInTwoGroupsPanics(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal()
+	e.FireAt(10, s)
+	ref := s.Ref()
+	e.Spawn("first", func(p *Proc) { p.WaitAll(ref) })
+	e.Spawn("second", func(p *Proc) { p.WaitAll(ref) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second group wait on a held signal did not panic")
 		}
-	}
+	}()
+	e.Run()
 }
 
 // TestProcPanicReachesRunCaller checks that a panic in a resumed proc

@@ -149,13 +149,6 @@ func TestStaleSignalPanicsInCheckBuild(t *testing.T) {
 		{"Wait", func(e *sim.Engine, s *sim.Signal) bool {
 			return inProc(e, func(p *sim.Proc) { p.Wait(s) })
 		}},
-		{"WaitSet", func(e *sim.Engine, s *sim.Signal) bool {
-			return inProc(e, func(p *sim.Proc) {
-				g := p.NewWaitSet()
-				g.Add(s)
-				g.Wait()
-			})
-		}},
 	}
 	for _, u := range uses {
 		t.Run(u.name, func(t *testing.T) {

@@ -163,10 +163,10 @@ func (s *Signal) Fire(e *Engine) {
 		// Group wait: decrement at fire time, in the waiter slot of the
 		// push order, so the group's single resume is pushed at exactly
 		// the position a plain waiter's resume would occupy on the last
-		// signal to fire (see WaitSet.Wait).
+		// signal to fire (see Proc.WaitAll).
 		s.ga = nil
 		g.n--
-		if g.n == 0 && g.parked {
+		if g.n == 0 {
 			e.push(e.now, procResumePtr, unsafe.Pointer(g.p))
 		}
 	}

@@ -103,14 +103,6 @@ func (h *eventHeap) empty() bool { return len(h.keys) == 0 }
 //gat:hotpath
 func (h *eventHeap) minAt() Time { return h.keys[0].at }
 
-// frontSeq returns the seq of the earliest pending event. The store
-// must be non-empty.
-//
-//gat:hotpath
-func (h *eventHeap) frontSeq() uint64 {
-	return h.buckets[h.keys[0].seqIdx&idxMask].front.seq
-}
-
 // tableSlot maps an instant to its entry in newest by Fibonacci
 // hashing, so instants a fixed stride apart spread over the table.
 //

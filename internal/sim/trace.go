@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Span is one traced activity interval on a named resource, the
@@ -49,22 +48,4 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Summary writes per-resource busy time and utilization relative to
-// horizon, sorted by resource name.
-func (t *Tracer) Summary(w io.Writer, horizon Time) {
-	busy := t.BusyByResource()
-	names := make([]string, 0, len(busy))
-	for n := range busy {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		util := 0.0
-		if horizon > 0 {
-			util = float64(busy[n]) / float64(horizon)
-		}
-		fmt.Fprintf(w, "%-24s busy=%-12v util=%5.1f%%\n", n, busy[n], util*100)
-	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -20,61 +19,6 @@ func TestTracerWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "gpu0,kernel,10,20,0") || !strings.Contains(out, "nic0/tx,xfer,5,15,1024") {
 		t.Fatalf("rows missing: %q", out)
-	}
-}
-
-func TestTracerSummaryOutput(t *testing.T) {
-	tr := NewTracer()
-	tr.Add(Span{Resource: "a", Label: "x", Start: 0, End: 50})
-	tr.Add(Span{Resource: "b", Label: "x", Start: 0, End: 100})
-	var sb strings.Builder
-	tr.Summary(&sb, 200)
-	out := sb.String()
-	if !strings.Contains(out, "a") || !strings.Contains(out, "b") {
-		t.Fatalf("summary missing resources: %q", out)
-	}
-	// b (100/200 = 50%) must appear with its utilization.
-	if !strings.Contains(out, "50.0%") {
-		t.Fatalf("summary missing utilization: %q", out)
-	}
-}
-
-// TestTracerSummaryByteStable pins the determinism contract on the
-// human-readable summary: with enough resources that Go's randomized
-// map iteration order would show through any unsorted path, repeated
-// renderings of the same tracer must be byte-identical. Sweep goldens
-// and the run cache both hash this output.
-func TestTracerSummaryByteStable(t *testing.T) {
-	tr := NewTracer()
-	for i := 0; i < 64; i++ {
-		tr.Add(Span{
-			Resource: fmt.Sprintf("node%02d/gpu%d", i/4, i%4),
-			Label:    "kernel",
-			Start:    Time(i * 10),
-			End:      Time(i*10 + 7),
-		})
-	}
-	var first string
-	for rep := 0; rep < 20; rep++ {
-		var sb strings.Builder
-		tr.Summary(&sb, 1000)
-		if rep == 0 {
-			first = sb.String()
-			continue
-		}
-		if sb.String() != first {
-			t.Fatalf("summary not byte-stable on repetition %d:\nfirst:\n%s\nnow:\n%s", rep, first, sb.String())
-		}
-	}
-	// The sorted order itself is part of the contract: resource names
-	// must appear in ascending order, not insertion or map order.
-	lines := strings.Split(strings.TrimRight(first, "\n"), "\n")
-	for i := 1; i < len(lines); i++ {
-		prev := strings.Fields(lines[i-1])[0]
-		cur := strings.Fields(lines[i])[0]
-		if prev >= cur {
-			t.Fatalf("summary lines out of order: %q before %q", prev, cur)
-		}
 	}
 }
 

@@ -116,9 +116,6 @@ func Open(base string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Base returns the server URL the client was opened with.
-func (c *Client) Base() string { return c.base }
-
 // Down reports whether the breaker has tripped.
 func (c *Client) Down() bool {
 	c.mu.Lock()
@@ -310,21 +307,6 @@ func (c *Client) PublishRun(sweepID string, rec sweep.ReportRun) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("remote: publish run to sweep %q: %s", sweepID, errorBody(resp))
-	}
-	drainRest(resp)
-	return nil
-}
-
-// Healthz probes the server once (no retries beyond the usual policy)
-// and returns nil if it answered 200.
-func (c *Client) Healthz() error {
-	resp, err := c.do(http.MethodGet, "/healthz", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remote: healthz: %s", errorBody(resp))
 	}
 	drainRest(resp)
 	return nil

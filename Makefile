@@ -172,13 +172,17 @@ claims-smoke:
 # reference that always delivers its (time, destination, source, seq)
 # minimum, and checks every LP's delivery log. FuzzExaSetup builds the
 # exascale LP model's static state on random grids, node counts and
-# machines, per shape and per node, and requires both to agree. A
+# machines, per shape and per node, and requires both to agree.
+# FuzzChannelMatch interleaves Channel sends and receives from both
+# endpoints over a few tags, ready signals firing before or after the
+# match, against a reference of one FIFO per (destination, tag). A
 # failing input lands in the package's testdata/fuzz/ and replays under
 # plain `go test` once committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
+	$(GO) test -run '^$$' -fuzz '^FuzzChannelMatch$$' -fuzztime 20s ./internal/comm
 
 # Traffic coverage: which functions under internal/ no workload runs.
 # Builds cmd/sweep, cmd/jacobi3d and cmd/claims with plain -cover (with

@@ -49,10 +49,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
+	"text/tabwriter"
 
 	"gat/internal/app"
 	"gat/internal/bench"
@@ -189,6 +191,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+	sizeWarnings(os.Stderr, ids, opt.Bench, opt.Overrides)
 
 	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -270,10 +273,27 @@ func scenarioNames(k bench.Kind) []string {
 	return ids
 }
 
+// sizeWarnings prints one line per scenario in ids that opt runs below
+// the size its figure needs (see bench.Scenario.Undersized). The sweep
+// still runs, and its output does not change.
+func sizeWarnings(w io.Writer, ids []string, opt bench.Options, ov bench.Overrides) {
+	for _, id := range ids {
+		s, err := bench.ScenarioByName(id)
+		if err != nil {
+			continue // the sweep reports it
+		}
+		if msg := s.SizeWarning(opt, ov); msg != "" {
+			fmt.Fprintf(w, "sweep: warning: %s\n", msg)
+		}
+	}
+}
+
 // listScenarios prints the registry: scenarios with their default
-// composition, then the registered apps and machine profiles.
-func listScenarios(w *os.File) {
-	fmt.Fprintf(w, "%-22s %-9s %-10s %-11s %s\n", "SCENARIO", "KIND", "APP", "MACHINE", "TITLE")
+// composition, then the registered apps and machine profiles. Each
+// table's columns are as wide as their longest entry.
+func listScenarios(w io.Writer) {
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	fmt.Fprintln(tw, "SCENARIO\tKIND\tAPP\tMACHINE\tTITLE")
 	for _, s := range bench.Scenarios() {
 		appCol := s.App
 		if appCol == "" {
@@ -282,20 +302,23 @@ func listScenarios(w *os.File) {
 		if s.SeriesFor != nil {
 			appCol += "*"
 		}
-		fmt.Fprintf(w, "%-22s %-9s %-10s %-11s %s\n", s.Name, s.Kind, appCol, s.Machine, s.Title)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", s.Name, s.Kind, appCol, s.Machine, s.Title)
 	}
+	tw.Flush()
 	fmt.Fprintf(w, "\napps (* = overridable with -app):\n")
 	for _, a := range app.Apps() {
 		fmt.Fprintf(w, "  %-10s variants: %v\n", a.Name(), a.Variants())
 	}
 	fmt.Fprintf(w, "\nmachine profiles (-machine):\n")
-	fmt.Fprintf(w, "  %-29s %-14s %-9s %s\n", "PROFILE", "TOPOLOGY", "ROUTING", "DESCRIPTION")
+	tw = tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	fmt.Fprintln(tw, "  PROFILE\tTOPOLOGY\tROUTING\tDESCRIPTION")
 	for _, p := range machine.Profiles() {
 		// The topology/taper and routing columns come from the built
 		// config (any node count: profiles are homogeneous in geometry).
 		cfg := p.Build(2)
-		fmt.Fprintf(w, "  %-29s %-14s %-9s %s\n", p.Name, cfg.TopologySummary(), cfg.RoutingSummary(), p.Description)
+		fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\n", p.Name, cfg.TopologySummary(), cfg.RoutingSummary(), p.Description)
 	}
+	tw.Flush()
 }
 
 func fatalf(format string, args ...any) {

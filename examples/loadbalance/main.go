@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/charm"
 	"gat/internal/core"
@@ -23,55 +24,68 @@ const (
 	steps  = 5 // GPU rounds per phase
 )
 
+// stencil is what one run's tasks share.
+type stencil struct {
+	sys       *core.System
+	phaseDone *sim.Counter
+}
+
+// work is one task. Its continuation, drive, is a static function that
+// takes the task as its argument (charm.TaskFn).
 type work struct {
+	run    *stencil
+	el     *charm.Elem
 	stream *gpu.Stream
 	bytes  int64
 	step   int
 }
 
-func run(balance bool) sim.Time {
-	sys := core.NewSystem(nodes)
-	n := sys.RT.NumPEs() * odf
-
-	var arr *charm.Array
-	var phaseDone *sim.Counter
-	var drive func(el *charm.Elem, ctx *charm.Ctx)
-	entries := []charm.EntryFn{
-		func(el *charm.Elem, ctx *charm.Ctx, m charm.Msg) { drive(el, ctx) },
+// drive runs one GPU round of a task, then the next through a HAPI
+// callback, until the phase's rounds are done.
+func drive(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*work)(arg)
+	sys := st.run.sys
+	if st.stream == nil || st.stream.Device() != sys.GPUFor(st.el) {
+		// First run, or the element migrated: bind to the local GPU.
+		st.stream = sys.GPUFor(st.el).NewStream("work", gpu.PriorityNormal)
 	}
-	arr = sys.NewTaskArray("stencil", n, entries, func(ix charm.Index) any {
+	if st.step == steps {
+		st.step = 0
+		st.run.phaseDone.Add(ctx.Engine())
+		return
+	}
+	st.step++
+	ctx.LaunchKernelBytes(st.stream, "stencil", st.bytes)
+	ctx.HAPICallback(st.stream, "next", drive, arg)
+}
+
+func run(balance bool) sim.Time {
+	s := &stencil{sys: core.NewSystem(nodes)}
+	n := s.sys.RT.NumPEs() * odf
+
+	entries := []charm.EntryFn{
+		func(el *charm.Elem, ctx *charm.Ctx, m charm.Msg) { drive(ctx, unsafe.Pointer(el.State.(*work))) },
+	}
+	arr := s.sys.NewTaskArray("stencil", n, entries, func(ix charm.Index) any {
 		// Hot corner: the first eighth of the tasks carry 8x the load.
 		bytes := int64(8 << 20)
 		if ix[0] < n/8 {
 			bytes *= 8
 		}
-		return &work{bytes: bytes}
+		return &work{run: s, bytes: bytes}
 	})
-
-	drive = func(el *charm.Elem, ctx *charm.Ctx) {
-		st := el.State.(*work)
-		if st.stream == nil || st.stream.Device() != sys.GPUFor(el) {
-			// First run, or the element migrated: bind to the local GPU.
-			st.stream = sys.GPUFor(el).NewStream("work", gpu.PriorityNormal)
-		}
-		if st.step == steps {
-			st.step = 0
-			phaseDone.Add(ctx.Engine())
-			return
-		}
-		st.step++
-		ctx.LaunchKernelBytes(st.stream, "stencil", st.bytes)
-		ctx.HAPICallback(st.stream, "next", func(ctx *charm.Ctx) { drive(el, ctx) })
+	for _, el := range arr.Elems() {
+		el.State.(*work).el = el
 	}
 
-	eng := sys.Engine()
+	eng := s.sys.Engine()
 	var runPhase func(p int)
 	runPhase = func(p int) {
 		if p == phases {
 			return
 		}
-		phaseDone = sim.NewCounter(n)
-		phaseDone.Done().OnFire(eng, func() {
+		s.phaseDone = sim.NewCounter(n)
+		s.phaseDone.Done().OnFire(eng, func() {
 			if balance {
 				arr.RebalanceGreedy(8<<20).OnFire(eng, func() { runPhase(p + 1) })
 			} else {
@@ -81,7 +95,7 @@ func run(balance bool) sim.Time {
 		arr.Broadcast(charm.Msg{Entry: 0})
 	}
 	runPhase(0)
-	return sys.Run()
+	return s.sys.Run()
 }
 
 func main() {

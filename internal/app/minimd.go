@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/charm"
 	"gat/internal/comm"
@@ -35,10 +36,14 @@ const (
 	mdAtomBytesPerPatch = 2 << 20
 	mdBoundaryBytes     = 96 << 10
 	mdForceCostFactor   = 30
-	mdRebalanceEvery    = 4
 	mdDefaultSteps      = 12
 	mdDefaultODF        = 4
 )
+
+// MiniMDRebalanceEvery is the charm-lb variant's rebalancing period in
+// steps: a run rebalances after every such step but its last, so one
+// of MiniMDRebalanceEvery steps or fewer never does.
+const MiniMDRebalanceEvery = 4
 
 func (miniMD) Name() string { return "minimd" }
 
@@ -70,89 +75,138 @@ func (a miniMD) BuildRun(m *machine.Machine, variant string, p Params) (func() M
 	return func() Metrics { return runMiniMD(m, odf, steps, balance) }, nil
 }
 
-// mdPatch is one spatial patch's state.
+// mdRun is one miniMD simulation: what every patch's continuations
+// share.
+type mdRun struct {
+	sys     *core.System
+	arr     *charm.Array
+	done    *sim.Counter
+	odf     int
+	steps   int
+	balance bool
+}
+
+// mdPatch is one spatial patch's state. Its continuations are static
+// functions (charm.TaskFn, sim.ArgFunc) that take the patch as their
+// argument.
 type mdPatch struct {
+	run      *mdRun
+	el       *charm.Elem
 	stream   *gpu.Stream
 	channels []*comm.Channel
-	gate     *charm.Gate
+	gate     charm.Gate
 	step     int
 	density  float64 // relative atom density of this spatial region
+
+	// recv is the boundary receives' completion, mdBoundary; recvPE is
+	// the PE that posted them, where their arrivals queue even if the
+	// patch migrates meanwhile.
+	recv   comm.Completion
+	recvPE *charm.PE
 }
 
 func runMiniMD(m *machine.Machine, odf, steps int, balance bool) Metrics {
 	sys := core.NewSystemOn(m)
 	n := sys.RT.NumPEs() * odf
-	done := sim.NewCounter(n)
+	run := &mdRun{sys: sys, done: sim.NewCounter(n), odf: odf, steps: steps, balance: balance}
 
-	var arr *charm.Array
-	var drive func(el *charm.Elem, ctx *charm.Ctx)
 	entries := []charm.EntryFn{
-		func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drive(el, ctx) },
+		func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { mdStep(ctx, unsafe.Pointer(el.State.(*mdPatch))) },
 	}
 	// A 1-D chain of patches with a dense cluster in the middle — the
 	// solvated-protein density profile in miniature.
-	arr = sys.NewTaskArray("patch", n, entries, func(ix charm.Index) any {
+	run.arr = sys.NewTaskArray("patch", n, entries, func(ix charm.Index) any {
 		density := 1.0
 		if ix[0] >= n/3 && ix[0] < n/2 {
 			density = 6.0
 		}
-		return &mdPatch{gate: charm.NewGate(), density: density}
+		return &mdPatch{run: run, density: density}
 	})
 
-	elems := arr.Elems()
+	elems := run.arr.Elems()
 	for i, el := range elems {
+		p := el.State.(*mdPatch)
+		p.el = el
+		p.recv = comm.Completion{Fn: mdBoundary, Arg: unsafe.Pointer(p)}
 		// Channels are created once from the lower index.
 		if i+1 < n {
 			ch := sys.Channel(el, elems[i+1])
-			el.State.(*mdPatch).channels = append(el.State.(*mdPatch).channels, ch)
+			p.channels = append(p.channels, ch)
 			nxt := elems[i+1].State.(*mdPatch)
 			nxt.channels = append([]*comm.Channel{ch}, nxt.channels...)
 		}
 	}
 
-	drive = func(el *charm.Elem, ctx *charm.Ctx) {
-		p := el.State.(*mdPatch)
-		if p.stream == nil || p.stream.Device() != sys.GPUFor(el) {
-			p.stream = sys.GPUFor(el).NewStream("force", gpu.PriorityNormal)
-		}
-		if p.step == steps {
-			done.Add(ctx.Engine())
-			return
-		}
-		step := p.step
-		p.step++
-
-		// Force computation scales with local density.
-		forceBytes := int64(float64(mdAtomBytesPerPatch) * p.density * mdForceCostFactor / float64(odf))
-		force := ctx.LaunchKernelBytes(p.stream, "force", forceBytes)
-
-		// Exchange boundary atoms with spatial neighbors.
-		for _, ch := range p.channels {
-			ctx.Charge(500 * sim.Nanosecond)
-			ch.Send(el.Flat, step, mdBoundaryBytes, force, nil)
-			ctx.Charge(500 * sim.Nanosecond)
-			ch.Recv(el.Flat, step, ctx.CommCallback("boundary", func(ctx *charm.Ctx) {
-				p.gate.Arrive(ctx, step, nil)
-			}))
-		}
-		p.gate.Expect(ctx, step, len(p.channels), func(ctx *charm.Ctx) {
-			// Integrate (cheap kernel), then next step via HAPI.
-			ctx.LaunchKernelBytes(p.stream, "integrate", mdAtomBytesPerPatch/int64(odf))
-			ctx.HAPICallback(p.stream, "next", func(ctx *charm.Ctx) {
-				if balance && p.step%mdRebalanceEvery == 0 && p.step < steps && el.Flat == 0 {
-					arr.RebalanceGreedy(mdAtomBytesPerPatch).OnFire(ctx.Engine(), func() {})
-				}
-				drive(el, ctx)
-			})
-		})
-	}
-
-	arr.Broadcast(charm.Msg{Entry: 0})
+	run.arr.Broadcast(charm.Msg{Entry: 0})
 	total := sys.Run()
-	if done.Remaining() != 0 {
-		panic(fmt.Sprintf("minimd: %d patches did not finish", done.Remaining()))
+	if run.done.Remaining() != 0 {
+		panic(fmt.Sprintf("minimd: %d patches did not finish", run.done.Remaining()))
 	}
 	return systemMetrics(m, total, steps)
+}
+
+// mdStep runs one timestep of a patch: the force kernel, then the
+// boundary exchange with its neighbors.
+func mdStep(ctx *charm.Ctx, arg unsafe.Pointer) {
+	p := (*mdPatch)(arg)
+	r := p.run
+	if p.stream == nil || p.stream.Device() != r.sys.GPUFor(p.el) {
+		p.stream = r.sys.GPUFor(p.el).NewStream("force", gpu.PriorityNormal)
+	}
+	if p.step == r.steps {
+		r.done.Add(ctx.Engine())
+		return
+	}
+	step := p.step
+	p.step++
+
+	// Force computation scales with local density.
+	forceBytes := int64(float64(mdAtomBytesPerPatch) * p.density * mdForceCostFactor / float64(r.odf))
+	force := ctx.LaunchKernelBytes(p.stream, "force", forceBytes)
+
+	// Exchange boundary atoms with spatial neighbors.
+	p.recvPE = ctx.PE()
+	for _, ch := range p.channels {
+		ctx.Charge(500 * sim.Nanosecond)
+		ch.Send(p.el.Flat, step, mdBoundaryBytes, force, nil)
+		ctx.Charge(500 * sim.Nanosecond)
+		ch.Recv(p.el.Flat, step, &p.recv)
+	}
+	p.gate.Expect(ctx, step, len(p.channels), mdIntegrate, arg)
+}
+
+// mdBoundary is a boundary receive's completion: it queues the arrival
+// on the PE that posted the receive.
+func mdBoundary(_ *sim.Engine, arg unsafe.Pointer) {
+	p := (*mdPatch)(arg)
+	p.recvPE.Enqueue(charm.PrioHigh, p.run.sys.RT.Opt.SchedOverhead, "boundary", p.el, mdArrived, arg)
+}
+
+// mdArrived counts a boundary arrival for the step in flight, the one
+// before p.step: the next step's receives are posted only once the
+// gate has taken all of this step's.
+func mdArrived(ctx *charm.Ctx, arg unsafe.Pointer) {
+	p := (*mdPatch)(arg)
+	p.gate.Arrive(ctx, p.step-1, nil, nil)
+}
+
+// mdIntegrate runs once every boundary of the step has arrived: the
+// integrate kernel, then the next step via HAPI.
+func mdIntegrate(ctx *charm.Ctx, arg unsafe.Pointer) {
+	p := (*mdPatch)(arg)
+	ctx.LaunchKernelBytes(p.stream, "integrate", mdAtomBytesPerPatch/int64(p.run.odf))
+	ctx.HAPICallback(p.stream, "next", mdNext, arg)
+}
+
+// mdNext starts a rebalance from patch 0 every MiniMDRebalanceEvery steps
+// when balancing, then the patch's next step.
+func mdNext(ctx *charm.Ctx, arg unsafe.Pointer) {
+	p := (*mdPatch)(arg)
+	r := p.run
+	if r.balance && p.step%MiniMDRebalanceEvery == 0 && p.step < r.steps && p.el.Flat == 0 {
+		r.arr.RebalanceGreedy(mdAtomBytesPerPatch).OnFire(ctx.Engine(), func() {})
+	}
+	mdStep(ctx, arg)
 }
 
 // systemMetrics collects the common machine-wide counters for apps

@@ -2,6 +2,7 @@ package app
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/charm"
 	"gat/internal/comm"
@@ -56,67 +57,107 @@ func (a ring) BuildRun(m *machine.Machine, variant string, p Params) (func() Met
 	return func() Metrics { return runRing(m, odf, steps) }, nil
 }
 
-// ringTask is one ring element's state.
+// ringRun is one ring simulation: what every task's continuations
+// share.
+type ringRun struct {
+	sys         *core.System
+	done        *sim.Counter
+	steps       int
+	kernelBytes int64
+	msgBytes    int64
+}
+
+// ringTask is one ring element's state. Its continuations are static
+// functions (charm.TaskFn, sim.ArgFunc) that take the task as their
+// argument.
 type ringTask struct {
+	run    *ringRun
+	el     *charm.Elem
 	stream *gpu.Stream
-	next   *comm.Channel // channel to the partner we send to
-	prev   *comm.Channel // channel we receive from
+	next   *comm.Channel   // channel to the partner we send to
+	prev   *comm.Channel   // channel we receive from
+	recv   comm.Completion // ringReceived on this task
 	step   int
-	gate   *charm.Gate
+	gate   charm.Gate
 }
 
 func runRing(m *machine.Machine, odf, steps int) Metrics {
 	sys := core.NewSystemOn(m)
 	n := sys.RT.NumPEs() * odf
-	done := sim.NewCounter(n)
-
-	var arr *charm.Array
-	var drive func(el *charm.Elem, ctx *charm.Ctx)
-	entries := []charm.EntryFn{
-		func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drive(el, ctx) },
+	run := &ringRun{
+		sys:         sys,
+		done:        sim.NewCounter(n),
+		steps:       steps,
+		kernelBytes: int64(ringKernelBytes / odf),
+		msgBytes:    int64(ringMsgBytes / odf),
 	}
-	arr = sys.NewTaskArray("ring", n, entries, func(ix charm.Index) any {
-		return &ringTask{gate: charm.NewGate()}
+
+	entries := []charm.EntryFn{
+		func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) {
+			ringStep(ctx, unsafe.Pointer(el.State.(*ringTask)))
+		},
+	}
+	arr := sys.NewTaskArray("ring", n, entries, func(ix charm.Index) any {
+		return &ringTask{run: run}
 	})
 	// Wire a distant exchange: task i talks to task i + n/2, which the
 	// block mapping places half the machine away.
 	elems := arr.Elems()
 	for i, el := range elems {
+		st := el.State.(*ringTask)
+		st.el = el
+		st.recv = comm.Completion{Fn: ringReceived, Arg: unsafe.Pointer(st)}
 		nxt := elems[(i+n/2)%n]
 		ch := sys.Channel(el, nxt)
-		el.State.(*ringTask).next = ch
+		st.next = ch
 		nxt.State.(*ringTask).prev = ch
-		el.State.(*ringTask).stream = sys.GPUFor(el).NewStream("work", gpu.PriorityNormal)
-	}
-
-	kernelBytes := int64(ringKernelBytes / odf)
-	msgBytes := int64(ringMsgBytes / odf)
-
-	drive = func(el *charm.Elem, ctx *charm.Ctx) {
-		st := el.State.(*ringTask)
-		if st.step == steps {
-			done.Add(ctx.Engine())
-			return
-		}
-		step := st.step
-		st.step++
-		// Compute, then pass a device buffer around the ring; the next
-		// step starts when our own kernel is done AND the neighbor's
-		// buffer has arrived.
-		k := ctx.LaunchKernelBytes(st.stream, "work", kernelBytes)
-		st.next.Send(el.Flat, step, msgBytes, k, nil)
-		st.prev.Recv(el.Flat, step, ctx.CommCallback("ringRecv", func(ctx *charm.Ctx) {
-			st.gate.Arrive(ctx, step, nil)
-		}))
-		st.gate.Expect(ctx, step, 1, func(ctx *charm.Ctx) {
-			ctx.HAPICallback(st.stream, "next", func(ctx *charm.Ctx) { drive(el, ctx) })
-		})
+		st.stream = sys.GPUFor(el).NewStream("work", gpu.PriorityNormal)
 	}
 
 	arr.Broadcast(charm.Msg{Entry: 0})
 	total := sys.Run()
-	if done.Remaining() != 0 {
-		panic(fmt.Sprintf("ring: %d tasks did not finish", done.Remaining()))
+	if run.done.Remaining() != 0 {
+		panic(fmt.Sprintf("ring: %d tasks did not finish", run.done.Remaining()))
 	}
 	return systemMetrics(m, total, steps)
+}
+
+// ringStep runs one ring step of a task: compute, then pass a device
+// buffer around the ring. The next step starts when the task's own
+// kernel is done AND the neighbor's buffer has arrived.
+func ringStep(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*ringTask)(arg)
+	r := st.run
+	if st.step == r.steps {
+		r.done.Add(ctx.Engine())
+		return
+	}
+	step := st.step
+	st.step++
+	k := ctx.LaunchKernelBytes(st.stream, "work", r.kernelBytes)
+	st.next.Send(st.el.Flat, step, r.msgBytes, k, nil)
+	st.prev.Recv(st.el.Flat, step, &st.recv)
+	st.gate.Expect(ctx, step, 1, ringStepDone, arg)
+}
+
+// ringReceived is the receive's completion: it queues the arrival on
+// the task's PE.
+func ringReceived(_ *sim.Engine, arg unsafe.Pointer) {
+	st := (*ringTask)(arg)
+	rt := st.run.sys.RT
+	rt.PE(st.el.PE()).Enqueue(charm.PrioHigh, rt.Opt.SchedOverhead, "ringRecv", st.el, ringArrived, arg)
+}
+
+// ringArrived counts the arrival for the step in flight, the one before
+// st.step: the next step's receive is posted only once the gate has
+// taken this one.
+func ringArrived(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*ringTask)(arg)
+	st.gate.Arrive(ctx, st.step-1, nil, nil)
+}
+
+// ringStepDone starts the next step once the task's stream drains.
+func ringStepDone(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*ringTask)(arg)
+	ctx.HAPICallback(st.stream, "next", ringStep, arg)
 }

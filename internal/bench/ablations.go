@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/app"
 	"gat/internal/comm"
@@ -89,7 +90,7 @@ func ablChannelAPIScenario() *Scenario {
 				ch := comm.NewChannel(mc.Net,
 					comm.Endpoint{Proc: 0, Node: 0}, comm.Endpoint{Proc: 1, Node: 1})
 				var at sim.Time
-				ch.Recv(1, 0, func() { at = mc.Eng.Now() })
+				ch.Recv(1, 0, &comm.Completion{Fn: stampArrival, Arg: unsafe.Pointer(&at)})
 				ch.Send(0, 0, bytes, sim.FiredSignal(), nil)
 				mc.Eng.Run()
 				c.Progress("t=%v", at)
@@ -101,7 +102,7 @@ func ablChannelAPIScenario() *Scenario {
 				var at sim.Time
 				comm.MessagingSend(mm.Net, comm.DefaultMessagingConfig(),
 					comm.Endpoint{Proc: 0, Node: 0}, comm.Endpoint{Proc: 1, Node: 1},
-					bytes, sim.FiredSignal(), func() { at = mm.Eng.Now() })
+					bytes, sim.FiredSignal(), &comm.Completion{Fn: stampArrival, Arg: unsafe.Pointer(&at)})
 				mm.Eng.Run()
 				c.Progress("t=%v", at)
 				return Point{Nodes: c.X, Value: us(at)}
@@ -109,6 +110,10 @@ func ablChannelAPIScenario() *Scenario {
 		},
 	}
 }
+
+// stampArrival records the current time in the sim.Time at arg: the
+// receive completion of the abl-chanapi series.
+func stampArrival(eng *sim.Engine, arg unsafe.Pointer) { *(*sim.Time)(arg) = eng.Now() }
 
 // ablODFNodes picks the abl-odf machine size: the largest node count
 // <= MaxNodes up to 32, clamped to 8 because 3072^3 needs >= 8 nodes

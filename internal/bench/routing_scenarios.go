@@ -84,7 +84,8 @@ func jacobiAdaptiveVsMinimalScenario() *Scenario {
 		// Version covers the cell-embedded routing/taper parameters.
 		Version: 1,
 		XLabel:  "taper", YLabel: "time/iter (us)",
-		Axis: taperAxis(48),
+		Axis:       taperAxis(48),
+		Undersized: crossesPods(48),
 		Series: []SeriesDef{
 			{"Minimal", cell(netsim.RoutingMinimal)},
 			{"Adaptive", cell(netsim.RoutingAdaptive)},
@@ -126,7 +127,8 @@ func hotspotScenario() *Scenario {
 		// waves) and routing parameters.
 		Version: 1,
 		XLabel:  "taper", YLabel: "completion (ms)",
-		Axis: taperAxis(48),
+		Axis:       taperAxis(48),
+		Undersized: crossesPods(48),
 		Series: []SeriesDef{
 			{"Minimal", cell(netsim.RoutingMinimal)},
 			{"Valiant", cell(netsim.RoutingValiant)},
@@ -175,7 +177,8 @@ func jacobiAdversarialMappingScenario() *Scenario {
 		// parameters.
 		Version: 1,
 		XLabel:  "taper", YLabel: "completion (ms)",
-		Axis: taperAxis(48),
+		Axis:       taperAxis(48),
+		Undersized: crossesPods(48),
 		Series: []SeriesDef{
 			{"Minimal", cell(netsim.RoutingMinimal)},
 			{"Valiant", cell(netsim.RoutingValiant)},

@@ -103,6 +103,32 @@ type Scenario struct {
 	// application instead of Series — such scenarios accept an app
 	// override.
 	SeriesFor func(a app.App) []SeriesDef
+	// Undersized, when set, returns a one-line note naming the size the
+	// scenario needs when opt runs it on the resolved profile below
+	// that size — a machine inside one pod for a taper sweep, a run that
+	// ends before the first rebalance — and "" otherwise. Such a sweep
+	// still runs; its figure just reads flat.
+	Undersized func(opt Options, prof machine.Profile) string
+}
+
+// SizeWarning returns the scenario's Undersized note under opt and ov,
+// prefixed with its name, or "" when it has none.
+func (s *Scenario) SizeWarning(opt Options, ov Overrides) string {
+	if s.Undersized == nil {
+		return ""
+	}
+	name := s.Machine
+	if ov.Machine != "" {
+		name = ov.Machine
+	}
+	prof, err := machine.ProfileByName(name)
+	if err != nil {
+		return "" // Plan reports the bad profile
+	}
+	if msg := s.Undersized(opt, prof); msg != "" {
+		return s.Name + ": " + msg
+	}
+	return ""
 }
 
 // Overrides re-targets a scenario at resolve time.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"gat/internal/app"
 	"gat/internal/jacobi"
 	"gat/internal/machine"
@@ -70,6 +72,34 @@ func taperAxis(hi int) func(opt Options) []AxisPoint {
 	}
 }
 
+// crossesPods returns the Undersized check of a scenario sized for hi
+// nodes, more than one pod (switch or router group) on every profile,
+// whose axis runs at scaleNodes(hi) and whose effect needs traffic
+// between pods: on a machine inside one pod every taper ratio and
+// routing policy reads the same.
+func crossesPods(hi int) func(Options, machine.Profile) string {
+	return func(opt Options, prof machine.Profile) string {
+		nodes := scaleNodes(hi, opt)
+		pod := prof.Build(nodes).Net.EffectivePodSize()
+		if nodes > pod {
+			return ""
+		}
+		return fmt.Sprintf("%d nodes fit in one %d-node pod, so no traffic crosses the tapered links and every point reads the same; it needs -maxnodes %d",
+			nodes, pod, hi)
+	}
+}
+
+// rebalances is the Undersized check of the miniMD load-balancing
+// scenarios: a run of app.MiniMDRebalanceEvery steps or fewer ends
+// before the balancer first runs, so LoadBalanced reads as Static.
+func rebalances(opt Options, _ machine.Profile) string {
+	if opt.Iters <= 0 || opt.Iters > app.MiniMDRebalanceEvery {
+		return ""
+	}
+	return fmt.Sprintf("-iters %d ends each run before the load balancer first runs, after step %d, so LoadBalanced reads the same as Static; it needs -iters %d or more",
+		opt.Iters, app.MiniMDRebalanceEvery, app.MiniMDRebalanceEvery+1)
+}
+
 // jacobiTaperScenario sweeps the fabric taper ratio under the Jacobi3D
 // halo exchange: two Summit pods (36 nodes), host-staged MPI and the
 // GPU-aware Charm variant. At taper 1:1 the fabric is fully
@@ -94,7 +124,8 @@ func jacobiTaperScenario() *Scenario {
 		// (taperedAt's uplink count, the taper axis): bump on change.
 		Version: 1,
 		XLabel:  "taper", YLabel: "time/iter (us)",
-		Axis: taperAxis(36),
+		Axis:       taperAxis(36),
+		Undersized: crossesPods(36),
 		Series: []SeriesDef{
 			{"MPI-H", cell("mpi-h")},
 			{"Charm-D", cell("charm-d")},
@@ -132,6 +163,7 @@ func jacobiTaperMsgScenario() *Scenario {
 			}
 			return pts
 		},
+		Undersized: crossesPods(36),
 		Series: []SeriesDef{
 			{"Taper1", cell(1)},
 			{"Taper8", cell(8)},
@@ -154,7 +186,8 @@ func minimdTaperScenario() *Scenario {
 		// Version covers the cell-embedded fabric parameters.
 		Version: 1,
 		XLabel:  "taper", YLabel: "time/step (ms)",
-		Axis: taperAxis(36),
+		Axis:       taperAxis(36),
+		Undersized: crossesPods(36),
 		Series: []SeriesDef{
 			{"Static", func(c *Cell) Point {
 				r := c.RunWith(taperedAt(float64(c.X)), "charm-static", app.Params{ODF: 4})
@@ -273,7 +306,8 @@ func minimdLBScenario(name, profile string, hi int) *Scenario {
 		Title: "miniMD static vs load-balanced patches on " + profile,
 		App:   "minimd", Machine: profile, Kind: KindExtra,
 		XLabel: "nodes", YLabel: "time/step (ms)",
-		Axis: nodeAxis(1, hi),
+		Axis:       nodeAxis(1, hi),
+		Undersized: rebalances,
 		Series: []SeriesDef{
 			{"Static", cell("charm-static")},
 			{"LoadBalanced", cell("charm-lb")},

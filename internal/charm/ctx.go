@@ -78,7 +78,8 @@ type call struct {
 	pe   *PE
 	prio int
 	elem *Elem
-	run  func(*Ctx)
+	fn   TaskFn
+	arg  unsafe.Pointer
 
 	// Entry-method messages (Send).
 	arr   *Array
@@ -167,9 +168,9 @@ func hapiRegisterFire(_ *sim.Engine, arg unsafe.Pointer) {
 //gat:hotpath
 func deliverTaskFire(_ *sim.Engine, arg unsafe.Pointer) {
 	c := (*call)(arg)
-	pe, prio, label, elem, run := c.pe, c.prio, c.label, c.elem, c.run
+	pe, prio, label, elem, fn, fnArg := c.pe, c.prio, c.label, c.elem, c.fn, c.arg
 	c.release()
-	pe.Enqueue(prio, pe.rt.Opt.SchedOverhead, label, elem, run)
+	pe.Enqueue(prio, pe.rt.Opt.SchedOverhead, label, elem, fn, fnArg)
 }
 
 // LaunchKernel charges the kernel launch host overhead and enqueues the
@@ -229,36 +230,24 @@ func (ctx *Ctx) GateStream(s *gpu.Stream, sig *sim.Signal) {
 	ctx.schedule(gateStreamFire, c)
 }
 
-// HAPICallback registers fn to run as a high-priority PE task when all
-// work currently enqueued on the stream (as of the handler's staggered
-// clock) completes. This is the Hybrid API asynchronous completion
-// mechanism (§III-A): the PE keeps scheduling other chares while the
-// GPU works, and fn is delivered through the message queue like any
-// other task.
-func (ctx *Ctx) HAPICallback(s *gpu.Stream, label string, fn func(*Ctx)) {
+// HAPICallback registers fn(ctx, arg) to run as a high-priority PE task
+// when all work currently enqueued on the stream (as of the handler's
+// staggered clock) completes. This is the Hybrid API asynchronous
+// completion mechanism (§III-A): the PE keeps scheduling other chares
+// while the GPU works, and the task is delivered through the message
+// queue like any other.
+func (ctx *Ctx) HAPICallback(s *gpu.Stream, label string, fn TaskFn, arg unsafe.Pointer) {
 	rt := ctx.pe.rt
 	ctx.clock += rt.Opt.HAPIRegister
 	c := rt.newCall()
-	c.s, c.pe, c.prio, c.label, c.elem, c.run = s, ctx.pe, PrioHigh, label, ctx.elem, fn
+	c.s, c.pe, c.prio, c.label, c.elem, c.fn, c.arg = s, ctx.pe, PrioHigh, label, ctx.elem, fn, arg
 	ctx.schedule(hapiRegisterFire, c)
 }
 
-// Post enqueues fn as a task on this PE at the handler's staggered
-// clock — the self-message pattern for continuations.
-func (ctx *Ctx) Post(prio int, label string, fn func(*Ctx)) {
+// Post enqueues fn(ctx, arg) as a task on this PE at the handler's
+// staggered clock — the self-message pattern for continuations.
+func (ctx *Ctx) Post(prio int, label string, fn TaskFn, arg unsafe.Pointer) {
 	c := ctx.pe.rt.newCall()
-	c.pe, c.prio, c.label, c.elem, c.run = ctx.pe, prio, label, ctx.elem, fn
+	c.pe, c.prio, c.label, c.elem, c.fn, c.arg = ctx.pe, prio, label, ctx.elem, fn, arg
 	ctx.schedule(deliverTaskFire, c)
-}
-
-// CommCallback returns a plain closure suitable for comm.Channel
-// completion hooks: when invoked it enqueues fn as a high-priority task
-// on this chare's PE.
-func (ctx *Ctx) CommCallback(label string, fn func(*Ctx)) func() {
-	rt := ctx.pe.rt
-	pe := ctx.pe
-	elem := ctx.elem
-	return func() {
-		pe.Enqueue(PrioHigh, rt.Opt.SchedOverhead, label, elem, fn)
-	}
 }

@@ -14,11 +14,11 @@ func TestEnqueueCopyGatedOnSignal(t *testing.T) {
 	s := dev.NewStream("cp", gpu.PriorityHigh)
 	gate := sim.NewSignal()
 	var copyAt sim.Time
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.EnqueueCopy(s, gpu.D2H, 1000, gate).OnFire(ctx.Engine(), func() {
 			copyAt = ctx.Engine().Now()
 		})
-	})
+	}))
 	rt.Engine().Schedule(time500(), func() { gate.Fire(rt.Engine()) })
 	rt.Engine().Run()
 	if copyAt <= time500() {
@@ -34,11 +34,11 @@ func TestEnqueueCopyUngated(t *testing.T) {
 	dev := rt.M.GPUOf(0)
 	s := dev.NewStream("cp", gpu.PriorityHigh)
 	var copyAt sim.Time
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.EnqueueCopy(s, gpu.H2D, 1000, nil).OnFire(ctx.Engine(), func() {
 			copyAt = ctx.Engine().Now()
 		})
-	})
+	}))
 	rt.Engine().Run()
 	if copyAt <= 0 {
 		t.Fatal("ungated copy never completed")
@@ -52,14 +52,14 @@ func TestGateStreamOrdersAcrossStreams(t *testing.T) {
 	prod := dev.NewStream("prod", gpu.PriorityNormal)
 	cons := dev.NewStream("cons", gpu.PriorityNormal)
 	var prodDone, consDone sim.Time
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 		p := ctx.LaunchKernel(prod, "produce", 100*sim.Microsecond)
 		p.OnFire(ctx.Engine(), func() { prodDone = ctx.Engine().Now() })
 		ctx.GateStream(cons, p)
 		ctx.LaunchKernel(cons, "consume", sim.Microsecond).OnFire(ctx.Engine(), func() {
 			consDone = ctx.Engine().Now()
 		})
-	})
+	}))
 	rt.Engine().Run()
 	if consDone <= prodDone {
 		t.Fatalf("consumer (%v) ran before producer finished (%v)", consDone, prodDone)
@@ -70,30 +70,15 @@ func TestPostRunsAsSeparateTask(t *testing.T) {
 	rt := newTestRuntime(1)
 	pe := rt.PE(0)
 	var tasks []uint64
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.Charge(100)
-		ctx.Post(PrioNormal, "cont", func(ctx2 *Ctx) {
+		ctx.Post(PrioNormal, "cont", callTask, closure(func(ctx2 *Ctx) {
 			tasks = append(tasks, pe.TasksRun())
-		})
-	})
+		}))
+	}))
 	rt.Engine().Run()
 	if len(tasks) != 1 || tasks[0] != 2 {
 		t.Fatalf("continuation should be the PE's 2nd task: %v", tasks)
-	}
-}
-
-func TestCommCallbackRunsOnOwnPE(t *testing.T) {
-	rt := newTestRuntime(2)
-	pe := rt.PE(3)
-	var ranOn int = -1
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
-		cb := ctx.CommCallback("recv", func(ctx2 *Ctx) { ranOn = ctx2.PE().ID() })
-		// Simulate a comm-layer completion from event context elsewhere.
-		ctx.Engine().Schedule(50, cb)
-	})
-	rt.Engine().Run()
-	if ranOn != 3 {
-		t.Fatalf("callback ran on PE %d, want 3", ranOn)
 	}
 }
 
@@ -128,17 +113,17 @@ func TestHAPIIsHighPriority(t *testing.T) {
 	dev := rt.M.GPUOf(0)
 	s := dev.NewStream("s", gpu.PriorityNormal)
 	var order []string
-	pe.Enqueue(PrioNormal, 0, "launcher", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "launcher", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.LaunchKernel(s, "k", sim.Microsecond)
-		ctx.HAPICallback(s, "done", func(*Ctx) { order = append(order, "hapi") })
+		ctx.HAPICallback(s, "done", callTask, closure(func(*Ctx) { order = append(order, "hapi") }))
 		// Stuff the queue with slow normal tasks; they outlast the
 		// kernel, so the HAPI callback lands while they are queued.
 		for i := 0; i < 3; i++ {
-			pe.Enqueue(PrioNormal, 20*sim.Microsecond, "slow", nil, func(*Ctx) {
+			pe.Enqueue(PrioNormal, 20*sim.Microsecond, "slow", nil, callTask, closure(func(*Ctx) {
 				order = append(order, "slow")
-			})
+			}))
 		}
-	})
+	}))
 	rt.Engine().Run()
 	if len(order) != 4 {
 		t.Fatalf("order = %v", order)

@@ -1,6 +1,8 @@
 package charm
 
 import (
+	"unsafe"
+
 	"gat/internal/sim"
 )
 
@@ -21,8 +23,16 @@ type Reduction struct {
 type reduceEpoch struct {
 	localLeft map[int]int // PE -> outstanding local contributions
 	kidsLeft  map[int]int // PE -> outstanding child-tree messages
-	done      func(*Ctx)
+	done      TaskFn
+	doneArg   unsafe.Pointer
 	fired     bool
+}
+
+// reduceMsg is one PE's partial result on its way to its parent.
+type reduceMsg struct {
+	r   *Reduction
+	st  *reduceEpoch
+	src int
 }
 
 // NewReduction creates a reduction context over the array with the
@@ -61,12 +71,12 @@ func (r *Reduction) epochState(epoch int) *reduceEpoch {
 	return st
 }
 
-// Expect registers the root callback for an epoch. It must be called
-// before (or in the same event cascade as) the epoch's contributions
-// complete.
-func (r *Reduction) Expect(epoch int, done func(*Ctx)) {
+// Expect registers the root callback done(ctx, arg) for an epoch. It
+// must be called before (or in the same event cascade as) the epoch's
+// contributions complete.
+func (r *Reduction) Expect(epoch int, done TaskFn, arg unsafe.Pointer) {
 	st := r.epochState(epoch)
-	st.done = done
+	st.done, st.doneArg = done, arg
 }
 
 // Contribute records one element's contribution for the epoch from
@@ -101,31 +111,39 @@ func (r *Reduction) maybeForward(ctx *Ctx, st *reduceEpoch, pe int) {
 		}
 		st.fired = true
 		if st.done != nil {
-			st.done(ctx)
+			st.done(ctx, st.doneArg)
 		}
 		return
 	}
 	// Forward the partial result to the parent PE as a small
 	// high-priority runtime message.
-	parent := reduceParent(pe)
 	ctx.Charge(rt.Opt.MsgHostOverhead)
-	eng := rt.Engine()
-	at := ctx.Clock()
-	eng.At(at, func() {
-		srcNode := rt.M.NodeOf(pe)
-		dstNode := rt.M.NodeOf(parent)
-		size := r.payload + rt.Opt.Envelope
-		deliver := func() {
-			rt.PE(parent).Enqueue(PrioHigh, rt.Opt.SchedOverhead, "reduce", nil, func(ctx *Ctx) {
-				r.arriveFromChild(ctx, st, parent)
-			})
-		}
-		if srcNode == dstNode && pe == parent {
-			deliver()
-			return
-		}
-		rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).OnFire(eng, func() { deliver() })
-	})
+	m := &reduceMsg{r: r, st: st, src: pe}
+	rt.Engine().InjectAt(ctx.Clock(), reduceSendFire, unsafe.Pointer(m))
+}
+
+// reduceSendFire sends a partial result toward the parent PE at the
+// sender's staggered clock.
+func reduceSendFire(eng *sim.Engine, arg unsafe.Pointer) {
+	m := (*reduceMsg)(arg)
+	rt := m.r.arr.rt
+	srcNode := rt.M.NodeOf(m.src)
+	dstNode := rt.M.NodeOf(reduceParent(m.src))
+	size := m.r.payload + rt.Opt.Envelope
+	rt.M.Net.Transfer(srcNode, dstNode, size, sim.FiredSignal()).OnFireArg(eng, reduceDeliverFire, arg)
+}
+
+// reduceDeliverFire queues an arrived partial result on the parent PE.
+func reduceDeliverFire(_ *sim.Engine, arg unsafe.Pointer) {
+	m := (*reduceMsg)(arg)
+	rt := m.r.arr.rt
+	rt.PE(reduceParent(m.src)).Enqueue(PrioHigh, rt.Opt.SchedOverhead, "reduce", nil, reduceArriveTask, arg)
+}
+
+// reduceArriveTask folds a child's partial result into its parent PE's.
+func reduceArriveTask(ctx *Ctx, arg unsafe.Pointer) {
+	m := (*reduceMsg)(arg)
+	m.r.arriveFromChild(ctx, m.st, reduceParent(m.src))
 }
 
 // Done reports whether the epoch's reduction has completed at the root.

@@ -22,7 +22,7 @@ func reductionFixture(t *testing.T, nodes, elems int) (*Runtime, *Array, *Reduct
 func TestReductionFiresOnceAllContribute(t *testing.T) {
 	rt, a, red := reductionFixture(t, 2, 24)
 	var firedAt sim.Time = -1
-	red.Expect(0, func(ctx *Ctx) { firedAt = ctx.Engine().Now() })
+	red.Expect(0, callTask, closure(func(ctx *Ctx) { firedAt = ctx.Engine().Now() }))
 	a.Broadcast(Msg{Entry: 0, Ref: 0})
 	rt.Engine().Run()
 	if firedAt < 0 {
@@ -36,7 +36,7 @@ func TestReductionFiresOnceAllContribute(t *testing.T) {
 func TestReductionWaitsForLastContribution(t *testing.T) {
 	rt, a, red := reductionFixture(t, 1, 6)
 	fired := false
-	red.Expect(0, func(ctx *Ctx) { fired = true })
+	red.Expect(0, callTask, closure(func(ctx *Ctx) { fired = true }))
 	// All but one element contribute.
 	for _, el := range a.Elems()[:5] {
 		a.Invoke(el.Idx, Msg{Entry: 0, Ref: 0})
@@ -55,8 +55,8 @@ func TestReductionWaitsForLastContribution(t *testing.T) {
 func TestReductionSeparateEpochs(t *testing.T) {
 	rt, a, red := reductionFixture(t, 1, 6)
 	order := make([]int, 0, 2)
-	red.Expect(0, func(ctx *Ctx) { order = append(order, 0) })
-	red.Expect(1, func(ctx *Ctx) { order = append(order, 1) })
+	red.Expect(0, callTask, closure(func(ctx *Ctx) { order = append(order, 0) }))
+	red.Expect(1, callTask, closure(func(ctx *Ctx) { order = append(order, 1) }))
 	a.Broadcast(Msg{Entry: 0, Ref: 0})
 	a.Broadcast(Msg{Entry: 0, Ref: 1})
 	rt.Engine().Run()
@@ -81,7 +81,7 @@ func TestReductionTakesTimeAcrossNodes(t *testing.T) {
 	// A cross-node reduction must consume virtual time (tree messages).
 	rt, a, red := reductionFixture(t, 4, 24)
 	var firedAt sim.Time
-	red.Expect(0, func(ctx *Ctx) { firedAt = ctx.Engine().Now() })
+	red.Expect(0, callTask, closure(func(ctx *Ctx) { firedAt = ctx.Engine().Now() }))
 	a.Broadcast(Msg{Entry: 0, Ref: 0})
 	rt.Engine().Run()
 	if firedAt <= 0 {

@@ -16,6 +16,7 @@ package charm
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gat/internal/machine"
 	"gat/internal/sim"
@@ -116,17 +117,26 @@ func (rt *Runtime) payloadCost(bytes int64) sim.Time {
 	}
 }
 
+// TaskFn is a task body in record form: a statically defined function
+// that receives its state as an untyped pointer, the charm counterpart
+// of sim.ArgFunc. Every continuation a handler hands the runtime — a
+// queued task, a HAPI callback, a self-post, a gate's arrival action or
+// completion — is such an (fn, arg) pair, so a long-lived record (a
+// chare's state, one of its faces) is dispatched through one shared
+// function instead of a closure bound to it. arg may be nil.
+type TaskFn func(ctx *Ctx, arg unsafe.Pointer)
+
 // task is one unit of PE work: an entry-method invocation or a runtime
-// callback. An entry invocation carries its array and message (run ==
-// nil) instead of a closure binding them.
+// callback. An entry invocation carries its message (fn == nil), and
+// its element's array dispatches it, instead of a closure binding them.
 type task struct {
 	prio  int
 	seq   uint64
 	cost  sim.Time // host time consumed before handler side effects
 	label string
 	elem  *Elem // owning chare element, if any (for load accounting)
-	run   func(*Ctx)
-	arr   *Array
+	fn    TaskFn
+	arg   unsafe.Pointer
 	msg   Msg
 }
 
@@ -242,9 +252,10 @@ func (pe *PE) TasksRun() uint64 { return pe.tasksRun }
 
 // Enqueue adds a task to the PE's queue. cost is the host time consumed
 // before the handler's side effects (scheduling + dispatch + payload
-// handling); run executes with a Ctx whose clock starts after cost.
-func (pe *PE) Enqueue(prio int, cost sim.Time, label string, elem *Elem, run func(*Ctx)) {
-	pe.enqueue(task{prio: prio, cost: cost, label: label, elem: elem, run: run})
+// handling); fn(ctx, arg) executes with a Ctx whose clock starts after
+// cost.
+func (pe *PE) Enqueue(prio int, cost sim.Time, label string, elem *Elem, fn TaskFn, arg unsafe.Pointer) {
+	pe.enqueue(task{prio: prio, cost: cost, label: label, elem: elem, fn: fn, arg: arg})
 }
 
 // enqueue stamps t with the PE's submission sequence, queues it and
@@ -274,10 +285,10 @@ func (pe *PE) startNext() {
 	start := eng.Now()
 	ctx := &pe.ctx
 	ctx.elem, ctx.clock, ctx.blockOn = t.elem, start+t.cost, sim.SignalRef{}
-	if t.run != nil {
-		t.run(ctx)
+	if t.fn != nil {
+		t.fn(ctx, t.arg)
 	} else {
-		t.arr.entries[t.msg.Entry](t.elem, ctx, t.msg)
+		t.elem.Arr.entries[t.msg.Entry](t.elem, ctx, t.msg)
 	}
 	pe.curStart, pe.curLabel, pe.curElem = start, t.label, t.elem
 	eng.At(ctx.clock, pe.finishFn)

@@ -2,10 +2,18 @@ package charm
 
 import (
 	"testing"
+	"unsafe"
 
 	"gat/internal/machine"
 	"gat/internal/sim"
 )
+
+// callTask runs the func(*Ctx) that closure packed into arg, so a test
+// can hand the runtime a closure where it takes a record-form task.
+func callTask(ctx *Ctx, arg unsafe.Pointer) { (*(*func(*Ctx))(arg))(ctx) }
+
+// closure packs fn as callTask's arg.
+func closure(fn func(*Ctx)) unsafe.Pointer { return unsafe.Pointer(&fn) }
 
 // testOptions uses round numbers for exact assertions.
 func testOptions() Options {
@@ -36,9 +44,9 @@ func TestPERunsTasksInPriorityOrder(t *testing.T) {
 	pe := rt.PE(0)
 	var order []string
 	// Occupy the PE so subsequent enqueues pile up in the queue.
-	pe.Enqueue(PrioNormal, 100, "first", nil, func(ctx *Ctx) {})
-	pe.Enqueue(PrioNormal, 1, "normal", nil, func(ctx *Ctx) { order = append(order, "normal") })
-	pe.Enqueue(PrioHigh, 1, "high", nil, func(ctx *Ctx) { order = append(order, "high") })
+	pe.Enqueue(PrioNormal, 100, "first", nil, callTask, closure(func(ctx *Ctx) {}))
+	pe.Enqueue(PrioNormal, 1, "normal", nil, callTask, closure(func(ctx *Ctx) { order = append(order, "normal") }))
+	pe.Enqueue(PrioHigh, 1, "high", nil, callTask, closure(func(ctx *Ctx) { order = append(order, "high") }))
 	rt.Engine().Run()
 	if len(order) != 2 || order[0] != "high" || order[1] != "normal" {
 		t.Fatalf("order = %v, want [high normal]", order)
@@ -50,10 +58,10 @@ func TestPESerializesTasks(t *testing.T) {
 	pe := rt.PE(0)
 	var ends []sim.Time
 	for i := 0; i < 3; i++ {
-		pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+		pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 			ctx.Charge(100)
 			ctx.Do(func() { ends = append(ends, ctx.Engine().Now()) })
-		})
+		}))
 	}
 	rt.Engine().Run()
 	want := []sim.Time{100, 200, 300}
@@ -74,12 +82,12 @@ func TestCtxChargeStaggersEffects(t *testing.T) {
 	rt := newTestRuntime(1)
 	pe := rt.PE(0)
 	var at1, at2 sim.Time
-	pe.Enqueue(PrioNormal, 0, "t", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "t", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.Charge(50)
 		ctx.Do(func() { at1 = ctx.Engine().Now() })
 		ctx.Charge(25)
 		ctx.Do(func() { at2 = ctx.Engine().Now() })
-	})
+	}))
 	rt.Engine().Run()
 	if at1 != 50 || at2 != 75 {
 		t.Fatalf("effects at %v/%v, want 50/75", at1, at2)
@@ -91,13 +99,13 @@ func TestCtxBlockStallsPE(t *testing.T) {
 	pe := rt.PE(0)
 	sig := sim.NewSignal()
 	var secondAt sim.Time
-	pe.Enqueue(PrioNormal, 0, "sync", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "sync", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.Charge(10)
 		ctx.Block(sig) // models cudaStreamSynchronize
-	})
-	pe.Enqueue(PrioNormal, 0, "later", nil, func(ctx *Ctx) {
+	}))
+	pe.Enqueue(PrioNormal, 0, "later", nil, callTask, closure(func(ctx *Ctx) {
 		secondAt = ctx.Engine().Now()
-	})
+	}))
 	rt.Engine().Schedule(500, func() { sig.Fire(rt.Engine()) })
 	rt.Engine().Run()
 	if secondAt != 500 {
@@ -109,13 +117,13 @@ func TestCtxBlockAlreadyFiredDoesNotStall(t *testing.T) {
 	rt := newTestRuntime(1)
 	pe := rt.PE(0)
 	var secondAt sim.Time
-	pe.Enqueue(PrioNormal, 0, "sync", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "sync", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.Charge(10)
 		ctx.Block(sim.FiredSignal())
-	})
-	pe.Enqueue(PrioNormal, 0, "later", nil, func(ctx *Ctx) {
+	}))
+	pe.Enqueue(PrioNormal, 0, "later", nil, callTask, closure(func(ctx *Ctx) {
 		secondAt = ctx.Engine().Now()
-	})
+	}))
 	rt.Engine().Run()
 	if secondAt != 10 {
 		t.Fatalf("task after no-op sync ran at %v, want 10", secondAt)
@@ -130,14 +138,14 @@ func TestLaunchKernelChargesHostAndRuns(t *testing.T) {
 	launchHost := dev.Config().KernelLaunchHost
 	dispatch := dev.Config().KernelDispatch
 	var kernelDone, peFree sim.Time
-	pe.Enqueue(PrioNormal, 0, "launcher", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "launcher", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.LaunchKernel(stream, "k", 1000).OnFire(ctx.Engine(), func() {
 			kernelDone = ctx.Engine().Now()
 		})
-	})
-	pe.Enqueue(PrioNormal, 0, "next", nil, func(ctx *Ctx) {
+	}))
+	pe.Enqueue(PrioNormal, 0, "next", nil, callTask, closure(func(ctx *Ctx) {
 		peFree = ctx.Engine().Now()
-	})
+	}))
 	rt.Engine().Run()
 	if want := sim.Time(launchHost) + dispatch + 1000; kernelDone != want {
 		t.Fatalf("kernel done at %v, want %v", kernelDone, want)
@@ -155,12 +163,12 @@ func TestHAPICallbackDeliveredThroughQueue(t *testing.T) {
 	dev := rt.M.GPUOf(0)
 	stream := dev.NewStream("s", 1)
 	var cbAt sim.Time
-	pe.Enqueue(PrioNormal, 0, "launcher", nil, func(ctx *Ctx) {
+	pe.Enqueue(PrioNormal, 0, "launcher", nil, callTask, closure(func(ctx *Ctx) {
 		ctx.LaunchKernel(stream, "k", 1000)
-		ctx.HAPICallback(stream, "done", func(ctx2 *Ctx) {
+		ctx.HAPICallback(stream, "done", callTask, closure(func(ctx2 *Ctx) {
 			cbAt = ctx2.Engine().Now()
-		})
-	})
+		}))
+	}))
 	rt.Engine().Run()
 	cfg := dev.Config()
 	// Kernel ends at launchHost + dispatch + 1000; callback is enqueued

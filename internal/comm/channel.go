@@ -25,43 +25,53 @@ type Endpoint struct {
 	Node int
 }
 
-// pending is one posted, not yet matched send or receive, queued FIFO
-// per match key through next. Once both sides have posted, the send's
-// record carries the matched transfer until its data arrives. Records
-// are recycled through the channel's free list, also linked through
-// next. A send's ready signal may fire while the send waits for its
-// receive, so the record keeps a reference to it.
+// Completion is a receive's completion callback in record form: Fn(eng,
+// Arg) runs as its own event once the matching send's data has fully
+// arrived. A caller keeps one inside a long-lived record — a chare's
+// face, a task — and posts receives with a pointer to it, so posting a
+// receive binds no closure. Arg must be non-nil (see sim.ArgFunc).
+type Completion struct {
+	Fn  sim.ArgFunc
+	Arg unsafe.Pointer
+}
+
+// pending is one posted, not yet matched send or receive, queued in its
+// channel's send or receive FIFO through next. Its match key is the
+// destination endpoint, held as toB, and the tag. Once both sides have
+// posted, the send's record carries the matched transfer until its
+// data arrives. Records are recycled through the channel's free list,
+// also linked through next. A send's ready signal may fire while the
+// send waits for its receive, so the record keeps a reference to it.
 type pending struct {
 	c        *Channel
 	bytes    int64
 	ready    sim.SignalRef
 	sendDone *sim.Signal
-	recvDone func()
+	recvDone *Completion
 	next     *pending
-}
-
-type matchKey struct {
-	dstProc int
-	tag     int
+	tag      int32
+	toB      bool // the data moves to endpoint b (else to a)
 }
 
 // Channel is a point-to-point GPU-aware communication channel between
-// two endpoints. Sends and receives are matched by (destination, tag);
-// tags carry the iteration number in Jacobi3D, providing the same
-// ordering guarantee as SDAG reference numbers.
+// two endpoints. Sends and receives are matched by (destination, tag),
+// oldest first; tags carry the iteration number in Jacobi3D, providing
+// the same ordering guarantee as SDAG reference numbers.
 //
-// Each match map holds only keys with posts waiting: a key is deleted
-// when its last post is matched, so a channel's maps stay as small as
-// the posts in flight however many iterations it carries.
+// The unmatched posts wait in two FIFOs, one of sends and one of
+// receives, each holding both directions' posts in posting order. A
+// post is matched against the oldest post of the other kind under its
+// key, found by a scan: a channel holds the posts of an iteration or
+// two in flight, so its lists stay a few entries long, and it keeps no
+// per-key index that would outlive them.
 type Channel struct {
 	net  *netsim.Network
 	a, b Endpoint
 
-	sends map[matchKey]*pending
-	recvs map[matchKey]*pending
-	free  *pending
+	sends, recvs *pending // FIFO heads, linked through next
+	free         *pending
 
-	sent, received uint64
+	completed uint64
 }
 
 // NewChannel creates a channel between endpoints a and b.
@@ -69,31 +79,29 @@ func NewChannel(net *netsim.Network, a, b Endpoint) *Channel {
 	if a.Proc == b.Proc {
 		panic("comm: channel endpoints must differ")
 	}
-	return &Channel{
-		net:   net,
-		a:     a,
-		b:     b,
-		sends: make(map[matchKey]*pending),
-		recvs: make(map[matchKey]*pending),
-	}
+	return &Channel{net: net, a: a, b: b}
 }
 
-func (c *Channel) peer(proc int) Endpoint {
+// tagKey returns tag as stored in a post. Tags must fit in 32 bits, the
+// bound MPI implementations also place on theirs.
+func tagKey(tag int) int32 {
+	if int(int32(tag)) != tag {
+		panic(fmt.Sprintf("comm: tag %d does not fit in 32 bits", tag))
+	}
+	return int32(tag)
+}
+
+// isB reports whether proc is endpoint b, panicking if it is neither
+// endpoint.
+func (c *Channel) isB(proc int) bool {
 	switch proc {
 	case c.a.Proc:
-		return c.b
+		return false
 	case c.b.Proc:
-		return c.a
+		return true
 	default:
 		panic(fmt.Sprintf("comm: proc %d is not an endpoint of this channel", proc))
 	}
-}
-
-func (c *Channel) endpoint(proc int) Endpoint {
-	if proc == c.a.Proc {
-		return c.a
-	}
-	return c.b
 }
 
 // newPending returns a zeroed record from the free list.
@@ -116,33 +124,26 @@ func (c *Channel) release(p *pending) {
 	c.free = p
 }
 
-// popFirst removes and returns the oldest post under key, deleting the
-// key once it has none left, or returns nil.
-func popFirst(m map[matchKey]*pending, key matchKey) *pending {
-	p := m[key]
-	if p == nil {
-		return nil
+// take removes and returns the oldest post in the FIFO at *head whose
+// data moves toward toB under tag, or returns nil.
+func take(head **pending, toB bool, tag int32) *pending {
+	for link := head; *link != nil; link = &(*link).next {
+		if p := *link; p.toB == toB && p.tag == tag {
+			*link = p.next
+			p.next = nil
+			return p
+		}
 	}
-	if p.next == nil {
-		delete(m, key)
-	} else {
-		m[key] = p.next
-		p.next = nil
-	}
-	return p
+	return nil
 }
 
-// appendPost queues p behind any earlier posts under key.
-func appendPost(m map[matchKey]*pending, key matchKey, p *pending) {
-	head := m[key]
-	if head == nil {
-		m[key] = p
-		return
+// queue appends p at the tail of the FIFO at *head.
+func queue(head **pending, p *pending) {
+	link := head
+	for *link != nil {
+		link = &(*link).next
 	}
-	for head.next != nil {
-		head = head.next
-	}
-	head.next = p
+	*link = p
 }
 
 // Send posts a send of bytes from endpoint proc. The data is on the
@@ -150,37 +151,41 @@ func appendPost(m map[matchKey]*pending, key matchKey, p *pending) {
 // kernel). done, if non-nil, fires (as its own event) when the transfer
 // completes at the receiver, at which point the send buffer is reusable.
 func (c *Channel) Send(proc, tag int, bytes int64, ready *sim.Signal, done *sim.Signal) {
-	dst := c.peer(proc)
-	key := matchKey{dstProc: dst.Proc, tag: tag}
+	toB, key := !c.isB(proc), tagKey(tag)
 	p := c.newPending()
-	p.bytes, p.ready, p.sendDone = bytes, ready.Ref(), done
-	if r := popFirst(c.recvs, key); r != nil {
+	p.bytes, p.ready, p.sendDone, p.toB = bytes, ready.Ref(), done, toB
+	if r := take(&c.recvs, toB, key); r != nil {
 		p.recvDone = r.recvDone
 		c.release(r)
-		c.start(proc, dst.Proc, p)
+		c.start(p)
 		return
 	}
-	appendPost(c.sends, key, p)
+	p.tag = key
+	queue(&c.sends, p)
 }
 
-// Recv posts a receive at endpoint proc. done runs when the matching
-// send's data has fully arrived in the destination device buffer.
-func (c *Channel) Recv(proc, tag int, done func()) {
-	key := matchKey{dstProc: c.endpoint(proc).Proc, tag: tag}
-	if s := popFirst(c.sends, key); s != nil {
+// Recv posts a receive at endpoint proc. done, if non-nil, runs (as its
+// own event) when the matching send's data has fully arrived in the
+// destination device buffer.
+func (c *Channel) Recv(proc, tag int, done *Completion) {
+	toB, key := c.isB(proc), tagKey(tag)
+	if s := take(&c.sends, toB, key); s != nil {
 		s.recvDone = done
-		c.start(c.peer(proc).Proc, proc, s)
+		c.start(s)
 		return
 	}
 	p := c.newPending()
-	p.recvDone = done
-	appendPost(c.recvs, key, p)
+	p.recvDone, p.tag, p.toB = done, key, toB
+	queue(&c.recvs, p)
 }
 
 // start moves the data once both sides have posted; p carries the
 // matched transfer until it arrives.
-func (c *Channel) start(srcProc, dstProc int, p *pending) {
-	src, dst := c.endpoint(srcProc), c.endpoint(dstProc)
+func (c *Channel) start(p *pending) {
+	src, dst := c.a, c.b
+	if !p.toB {
+		src, dst = dst, src
+	}
 	c.net.TransferGPUDirect(src.Node, dst.Node, p.bytes, p.ready.Signal()).
 		OnFireArg(c.net.Engine(), transferArrived, unsafe.Pointer(p))
 }
@@ -192,35 +197,51 @@ func (c *Channel) start(srcProc, dstProc int, p *pending) {
 func transferArrived(eng *sim.Engine, arg unsafe.Pointer) {
 	p := (*pending)(arg)
 	c := p.c
-	c.sent++
-	c.received++
+	c.completed++
 	if p.sendDone != nil {
 		eng.FireAt(eng.Now(), p.sendDone)
 	}
-	if p.recvDone != nil {
-		eng.Schedule(0, p.recvDone)
+	if d := p.recvDone; d != nil {
+		eng.InjectAt(eng.Now(), d.Fn, d.Arg)
 	}
 	c.release(p)
 }
 
 // Completed returns the number of completed sends over this channel.
-func (c *Channel) Completed() uint64 { return c.sent }
+func (c *Channel) Completed() uint64 { return c.completed }
 
 // PendingSends returns the number of unmatched sends (for tests and
 // quiescence checks).
-func (c *Channel) PendingSends() int { return countPosts(c.sends) }
+func (c *Channel) PendingSends() int { return count(c.sends) }
 
 // PendingRecvs returns the number of unmatched receives.
-func (c *Channel) PendingRecvs() int { return countPosts(c.recvs) }
+func (c *Channel) PendingRecvs() int { return count(c.recvs) }
 
-// MatchKeys returns the number of match keys the channel currently
-// holds across both directions' maps (for leak checks).
-func (c *Channel) MatchKeys() int { return len(c.sends) + len(c.recvs) }
+// MatchKeys returns the number of distinct match keys among the
+// unmatched posts, counted in each FIFO (for leak checks).
+func (c *Channel) MatchKeys() int { return keys(c.sends) + keys(c.recvs) }
 
-func countPosts(m map[matchKey]*pending) int {
+func count(p *pending) int {
 	n := 0
-	for _, p := range m { //gat:nondet-ok a count is independent of iteration order
-		for ; p != nil; p = p.next {
+	for ; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// keys counts the posts in the FIFO from p that are the oldest of their
+// key.
+func keys(p *pending) int {
+	n := 0
+	for q := p; q != nil; q = q.next {
+		first := true
+		for r := p; r != q; r = r.next {
+			if r.toB == q.toB && r.tag == q.tag {
+				first = false
+				break
+			}
+		}
+		if first {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gat/internal/netsim"
 	"gat/internal/sim"
@@ -23,6 +24,14 @@ func testNet(e *sim.Engine, nodes int) *netsim.Network {
 	return netsim.New(e, cfg, nodes)
 }
 
+// call wraps fn as a receive completion, so a test can record what
+// happens with a closure.
+func call(fn func()) *Completion {
+	return &Completion{Fn: callFn, Arg: unsafe.Pointer(&fn)}
+}
+
+func callFn(_ *sim.Engine, arg unsafe.Pointer) { (*(*func())(arg))() }
+
 func TestChannelSendThenRecv(t *testing.T) {
 	e := sim.NewEngine()
 	n := testNet(e, 2)
@@ -32,7 +41,7 @@ func TestChannelSendThenRecv(t *testing.T) {
 	sent.OnFire(e, func() { sendAt = e.Now() })
 	ch.Send(0, 7, 500, sim.FiredSignal(), sent)
 	e.Schedule(50, func() {
-		ch.Recv(1, 7, func() { recvAt = e.Now() })
+		ch.Recv(1, 7, call(func() { recvAt = e.Now() }))
 	})
 	e.Run()
 	// Matched at 50; eager (500 < 1000): overhead 5, tx 55..555,
@@ -47,7 +56,7 @@ func TestChannelRecvThenSend(t *testing.T) {
 	n := testNet(e, 2)
 	ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 	var recvAt sim.Time = -1
-	ch.Recv(1, 3, func() { recvAt = e.Now() })
+	ch.Recv(1, 3, call(func() { recvAt = e.Now() }))
 	if ch.PendingRecvs() != 1 {
 		t.Fatalf("pending recvs = %d, want 1", ch.PendingRecvs())
 	}
@@ -68,8 +77,8 @@ func TestChannelTagMatching(t *testing.T) {
 	n := testNet(e, 2)
 	ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 	var got []int
-	ch.Recv(1, 2, func() { got = append(got, 2) })
-	ch.Recv(1, 1, func() { got = append(got, 1) })
+	ch.Recv(1, 2, call(func() { got = append(got, 2) }))
+	ch.Recv(1, 1, call(func() { got = append(got, 1) }))
 	// Send tag 1 first: only the tag-1 recv completes first even though
 	// the tag-2 recv was posted earlier.
 	ch.Send(0, 1, 100, sim.FiredSignal(), nil)
@@ -86,9 +95,9 @@ func TestChannelBidirectional(t *testing.T) {
 	ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 	done := 0
 	ch.Send(0, 1, 100, sim.FiredSignal(), nil)
-	ch.Recv(1, 1, func() { done++ })
+	ch.Recv(1, 1, call(func() { done++ }))
 	ch.Send(1, 1, 100, sim.FiredSignal(), nil)
-	ch.Recv(0, 1, func() { done++ })
+	ch.Recv(0, 1, call(func() { done++ }))
 	e.Run()
 	if done != 2 {
 		t.Fatalf("bidirectional completions = %d, want 2", done)
@@ -104,7 +113,7 @@ func TestChannelDataGatedOnReady(t *testing.T) {
 	ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 	packed := sim.NewSignal()
 	var recvAt sim.Time
-	ch.Recv(1, 0, func() { recvAt = e.Now() })
+	ch.Recv(1, 0, call(func() { recvAt = e.Now() }))
 	ch.Send(0, 0, 100, packed, nil)
 	e.Schedule(1000, func() { packed.Fire(e) })
 	e.Run()
@@ -142,7 +151,7 @@ func TestMessagingAPISlowerThanChannel(t *testing.T) {
 		n := testNet(e, 2)
 		ch := NewChannel(n, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1})
 		var at sim.Time
-		ch.Recv(1, 0, func() { at = e.Now() })
+		ch.Recv(1, 0, call(func() { at = e.Now() }))
 		ch.Send(0, 0, 500, sim.FiredSignal(), nil)
 		e.Run()
 		return at
@@ -153,7 +162,7 @@ func TestMessagingAPISlowerThanChannel(t *testing.T) {
 		var at sim.Time
 		MessagingSend(n, DefaultMessagingConfig(),
 			Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1},
-			500, sim.FiredSignal(), func() { at = e.Now() })
+			500, sim.FiredSignal(), call(func() { at = e.Now() }))
 		e.Run()
 		return at
 	}()
@@ -181,7 +190,7 @@ func TestChannelMatchingProperty(t *testing.T) {
 				sends++
 			} else if recvs < count {
 				tag := recvs
-				ch.Recv(1, tag, func() { completed[tag]++ })
+				ch.Recv(1, tag, call(func() { completed[tag]++ }))
 				recvs++
 			}
 		}
@@ -235,7 +244,7 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 			a := Endpoint{Proc: 0, Node: 0}
 			ch := NewChannel(testNet(e, 2), a, c.b)
 			received := 0
-			recvDone := func() { received++ }
+			recvDone := call(func() { received++ })
 			batch := func() {
 				for tag := 0; tag < perBatch; tag++ {
 					ch.Send(a.Proc, tag, c.bytes, sim.FiredSignal(), nil)

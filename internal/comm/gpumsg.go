@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"unsafe"
+
 	"gat/internal/netsim"
 	"gat/internal/sim"
 )
@@ -24,18 +26,23 @@ func DefaultMessagingConfig() MessagingConfig {
 
 // MessagingSend transfers a device buffer using the GPU Messaging API:
 // metadata message, post entry method at the receiver, then the GPU data
-// transfer. done runs when the data has arrived at the receiver. The
-// extra metadata round makes this measurably slower than the Channel
-// API for latency-sensitive messages — the gap that motivated the
-// Channel API's development.
-func MessagingSend(net *netsim.Network, cfg MessagingConfig, src, dst Endpoint, bytes int64, ready *sim.Signal, done func()) {
+// transfer. done, if non-nil, runs (as its own event, scheduled by the
+// arrival's) when the data has arrived at the receiver. The extra
+// metadata round makes this measurably slower than the Channel API for
+// latency-sensitive messages — the gap that motivated the Channel API's
+// development.
+func MessagingSend(net *netsim.Network, cfg MessagingConfig, src, dst Endpoint, bytes int64, ready *sim.Signal, done *Completion) {
 	eng := net.Engine()
 	meta := net.Transfer(src.Node, dst.Node, cfg.MetadataBytes, ready)
 	posted := eng.AfterSignal(meta, cfg.PostCost)
 	arrived := net.TransferGPUDirect(src.Node, dst.Node, bytes, posted)
-	arrived.OnFire(eng, func() {
-		if done != nil {
-			eng.Schedule(0, done)
-		}
-	})
+	if done != nil {
+		arrived.OnFireArg(eng, messagingArrived, unsafe.Pointer(done))
+	}
+}
+
+// messagingArrived schedules a Messaging-API send's completion.
+func messagingArrived(eng *sim.Engine, arg unsafe.Pointer) {
+	d := (*Completion)(arg)
+	eng.InjectAt(eng.Now(), d.Fn, d.Arg)
 }

@@ -12,7 +12,7 @@ func TestMessagingSendDelivers(t *testing.T) {
 	var at sim.Time
 	MessagingSend(n, DefaultMessagingConfig(),
 		Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1},
-		4096, sim.FiredSignal(), func() { at = e.Now() })
+		4096, sim.FiredSignal(), call(func() { at = e.Now() }))
 	e.Run()
 	if at <= 0 {
 		t.Fatal("messaging send never delivered")
@@ -26,7 +26,7 @@ func TestMessagingSendGatedOnReady(t *testing.T) {
 	var at sim.Time
 	MessagingSend(n, DefaultMessagingConfig(),
 		Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1},
-		4096, ready, func() { at = e.Now() })
+		4096, ready, call(func() { at = e.Now() }))
 	e.Schedule(10000, func() { ready.Fire(e) })
 	e.Run()
 	if at <= 10000 {
@@ -43,7 +43,7 @@ func TestMessagingPostCostAddsLatency(t *testing.T) {
 		var at sim.Time
 		MessagingSend(n, cfg,
 			Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1},
-			4096, sim.FiredSignal(), func() { at = e.Now() })
+			4096, sim.FiredSignal(), call(func() { at = e.Now() }))
 		e.Run()
 		return at
 	}

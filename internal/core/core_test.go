@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"gat/internal/charm"
+	"gat/internal/comm"
 	"gat/internal/machine"
 	"gat/internal/sim"
 )
@@ -41,6 +43,9 @@ func TestTaskArrayRoundTrip(t *testing.T) {
 	}
 }
 
+// setTrue sets the bool at arg: a receive completion in record form.
+func setTrue(_ *sim.Engine, arg unsafe.Pointer) { *(*bool)(arg) = true }
+
 func TestChannelBetweenElements(t *testing.T) {
 	sys := NewSystem(2)
 	var got bool
@@ -50,7 +55,7 @@ func TestChannelBetweenElements(t *testing.T) {
 	arr := sys.NewTaskArray("t", 12, entries, func(ix charm.Index) any { return nil })
 	a, b := arr.Elems()[0], arr.Elems()[11] // different nodes
 	ch := sys.Channel(a, b)
-	ch.Recv(b.Flat, 0, func() { got = true })
+	ch.Recv(b.Flat, 0, &comm.Completion{Fn: setTrue, Arg: unsafe.Pointer(&got)})
 	ch.Send(a.Flat, 0, 1<<20, sim.FiredSignal(), nil)
 	sys.Run()
 	if !got {

@@ -1,6 +1,8 @@
 package jacobi
 
 import (
+	"unsafe"
+
 	"gat/internal/charm"
 	"gat/internal/comm"
 	"gat/internal/gpu"
@@ -46,49 +48,66 @@ const (
 	entryRecvHalo
 )
 
-// chState is the per-chare state of a Jacobi3D block.
+// chState is the per-chare state of a Jacobi3D block. A run's chares
+// live in one slab, and everything a chare hands the runtime or a
+// channel to call back later is a record inside it — the chare itself,
+// or one of its faces — dispatched through a static function, so the
+// chare binds no closure.
 type chState struct {
-	blk  Block
-	nbrs []Neighbor
+	drv *charmDriver
+	el  *charm.Elem
+	blk Block
 
 	packS, d2hS, h2dS, updS *gpu.Stream
+	graphs                  [2]*gpu.Graph
 
-	// produced, sends and unpacks outlive the handler that issued them,
-	// and their signals recycle as they fire, so the chare keeps
-	// references.
-	gate     *charm.Gate
-	iter     int
-	produced sim.SignalRef   // input data ready to pack (prev update/graph)
-	sends    []sim.SignalRef // this iteration's send completions
-	unpacks  []sim.SignalRef
-
-	channels [NumFaces]*comm.Channel
-	graphs   [2]*gpu.Graph
-
+	gate         charm.Gate
+	iter         int
 	warmReported bool
+	nf           int // faces with a neighbor: faces[:nf]
+	nUnpacks     int // unpacks[:nUnpacks]
 
-	// Continuations bound once per chare at setup, so an iteration
-	// schedules no fresh closure: startFn and afterFn run the iteration
-	// phases; recvFn[f] is face f's channel receive completion, which
-	// enqueues haloFn[f]; unpackFn[f] and recvHFn[f] are the gate actions
-	// of a GPU-aware and a host-staged arrival on face f. A face's
-	// arrivals all belong to the chare's current iteration (GPU-aware:
-	// the receive is posted by that iteration) or carry equal byte counts
-	// (host-staged: recvBytes[f]), so the thunks need no per-call state.
-	startFn, afterFn func(*charm.Ctx)
-	recvFn           [NumFaces]func()
-	haloFn           [NumFaces]func(*charm.Ctx)
-	unpackFn         [NumFaces]func(*charm.Ctx)
-	recvHFn          [NumFaces]func(*charm.Ctx)
-	recvBytes        [NumFaces]int64
+	// produced, sent and unpacks outlive the handler that issued them,
+	// and their signals recycle as they fire, so the chare keeps
+	// references. produced is the input data ready to pack (the previous
+	// update or graph); sent holds each face's latest send completion
+	// (GPU-aware), in faces order, and reads fired before the first send
+	// phase; unpacks holds the iteration's unpack kernels in arrival
+	// order.
+	produced sim.SignalRef
+	sent     [NumFaces]sim.SignalRef
+	unpacks  [NumFaces]sim.SignalRef
 
-	// spareSends is the previous iteration's send-reference slice,
-	// reused for the next iteration's; scratch backs AllOf argument
-	// lists.
-	spareSends []sim.SignalRef
-	scratch    []*sim.Signal
-	// staged collects a host-staged send phase's halo records.
-	staged []*haloSend
+	faces [NumFaces]face
+}
+
+// face is one face of a chare that has a neighbor across it. A face's
+// arrivals all belong to the chare's current iteration (GPU-aware: the
+// receive is posted by that iteration) or carry equal byte counts
+// (host-staged: recvBytes), so its continuations need no per-call
+// state.
+type face struct {
+	st        *chState
+	id        int             // FaceXMinus..FaceZPlus
+	ch        *comm.Channel   // GPU-aware: the channel to the neighbor
+	recv      comm.Completion // GPU-aware: haloReceived on this face
+	recvBytes int64           // host-staged: the size of the face's halos
+}
+
+// peer returns the index of the neighbor across f.
+func (f *face) peer() [3]int {
+	ni, _ := f.st.blk.neighbor(f.id)
+	return ni
+}
+
+// face returns the record of face id, which must have a neighbor.
+func (st *chState) face(id int) *face {
+	for i := range st.faces[:st.nf] {
+		if st.faces[i].id == id {
+			return &st.faces[i]
+		}
+	}
+	panic("jacobi: no neighbor across the face")
 }
 
 type charmDriver struct {
@@ -105,6 +124,15 @@ type charmDriver struct {
 
 	// freeSends recycles host-staged halo send records.
 	freeSends []*haloSend
+}
+
+// perFaceUnpack reports whether each halo arrival launches its face's
+// unpack kernel at once, overlapping with other arrivals: FusionNone and
+// FusionA, which fuses only the packs. Fused-unpack and graph modes only
+// count the arrival, since their unpack cannot start until every halo
+// is present (§III-D1).
+func (drv *charmDriver) perFaceUnpack() bool {
+	return (drv.opt.Fusion == FusionNone || drv.opt.Fusion == FusionA) && !drv.opt.Graphs
 }
 
 // RunCharm executes Jacobi3D with the Charm-style runtime on machine m.
@@ -137,11 +165,12 @@ func newCharmDriver(m *machine.Machine, cfg Config, opt CharmOpts) *charmDriver 
 	drv.doneC.Done().OnFire(m.Eng, func() { drv.tEnd = m.Eng.Now() })
 
 	entries := []charm.EntryFn{
-		entryStart:    func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drv.startIter(el, ctx) },
-		entryRecvHalo: func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drv.recvHaloH(el, ctx, msg) },
+		entryStart:    func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drv.startIter(state(el), ctx) },
+		entryRecvHalo: func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { recvHaloH(state(el), ctx, msg) },
 	}
+	states := make([]chState, nChares)
 	drv.arr = charm.NewArray(rt, "block", [3]int{drv.d.Dims[0], drv.d.Dims[1], drv.d.Dims[2]},
-		entries, func(ix charm.Index) any { return &chState{} })
+		entries, func(ix charm.Index) any { return &states[drv.d.Flatten(ix)] })
 	if opt.ResidualEvery > 0 {
 		drv.resid = charm.NewReduction(drv.arr, 8)
 	}
@@ -159,15 +188,25 @@ func (drv *charmDriver) run() Result {
 
 func state(el *charm.Elem) *chState { return el.State.(*chState) }
 
-// setup initializes per-chare streams, geometry, channels, and graphs.
+// setup initializes per-chare streams, geometry, faces, channels, and
+// graphs.
 func (drv *charmDriver) setup() {
 	m := drv.rt.M
 	for _, el := range drv.arr.Elems() {
 		st := state(el)
+		st.drv, st.el = drv, el
 		st.blk = drv.d.Block([3]int(el.Idx))
-		st.nbrs = st.blk.Neighbors()
-		st.gate = charm.NewGate()
 		st.produced = sim.FiredSignal().Ref()
+		for id := 0; id < NumFaces; id++ {
+			if _, ok := st.blk.neighbor(id); !ok {
+				continue
+			}
+			f := &st.faces[st.nf]
+			f.st, f.id = st, id
+			f.recv = comm.Completion{Fn: haloReceived, Arg: unsafe.Pointer(f)}
+			st.sent[st.nf] = sim.FiredSignal().Ref()
+			st.nf++
+		}
 		dev := m.GPUOf(el.PE())
 		dev.Alloc("jacobi/grids", 2*st.blk.Volume()*ElemBytes)
 		dev.Alloc("jacobi/halos", 2*st.blk.TotalFaceCells()*ElemBytes)
@@ -193,61 +232,80 @@ func (drv *charmDriver) setup() {
 			st.graphs[0] = drv.buildGraph(dev, st.blk)
 			st.graphs[1] = drv.buildGraph(dev, st.blk) // swapped-pointer twin
 		}
-		drv.bindThunks(el, st)
 	}
 	if drv.opt.GPUAware {
 		// One channel per adjacent chare pair, created from the
 		// lower-indexed side.
 		for _, el := range drv.arr.Elems() {
 			st := state(el)
-			for _, nb := range st.nbrs {
-				peerFlat := drv.d.Flatten(nb.Idx)
-				if peerFlat < el.Flat {
+			for i := range st.faces[:st.nf] {
+				f := &st.faces[i]
+				peer := drv.arr.Elem(charm.Index(f.peer()))
+				if peer.Flat < el.Flat {
 					continue
 				}
-				peer := drv.arr.Elem(charm.Index(nb.Idx))
-				ch := comm.NewChannel(m.Net,
+				f.ch = comm.NewChannel(m.Net,
 					comm.Endpoint{Proc: el.Flat, Node: m.NodeOf(el.PE())},
-					comm.Endpoint{Proc: peerFlat, Node: m.NodeOf(peer.PE())})
-				st.channels[nb.Face] = ch
-				state(peer).channels[Opposite(nb.Face)] = ch
+					comm.Endpoint{Proc: peer.Flat, Node: m.NodeOf(peer.PE())})
+				state(peer).face(Opposite(f.id)).ch = f.ch
 			}
 		}
 	}
 }
 
-// bindThunks builds the chare's per-iteration continuations (see
-// chState).
-func (drv *charmDriver) bindThunks(el *charm.Elem, st *chState) {
-	st.startFn = func(ctx *charm.Ctx) { drv.startIter(el, ctx) }
-	st.afterFn = func(ctx *charm.Ctx) { drv.afterHalos(el, ctx) }
-	perFaceUnpack := (drv.opt.Fusion == FusionNone || drv.opt.Fusion == FusionA) && !drv.opt.Graphs
-	for _, nb := range st.nbrs {
-		face := nb.Face
-		unpackBytes := packKernelBytes(st.blk.FaceCells(face / 2))
-		if !drv.opt.GPUAware {
-			st.recvHFn[face] = func(ctx *charm.Ctx) {
-				h2d := ctx.EnqueueCopy(st.h2dS, gpu.H2D, st.recvBytes[face], nil)
-				ctx.GateStream(st.packS, h2d)
-				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes).Ref())
-			}
-			continue
-		}
-		// With per-face unpacking (FusionNone and FusionA, which fuses
-		// only the packs) the face's unpack kernel launches immediately,
-		// overlapping with other arrivals; fused-unpack and graph modes
-		// only count the arrival, since their unpack cannot start until
-		// every halo is present (§III-D1).
-		st.unpackFn[face] = func(ctx *charm.Ctx) {
-			if perFaceUnpack {
-				st.unpacks = append(st.unpacks, ctx.LaunchKernelBytes(st.packS, "unpack", unpackBytes).Ref())
-			}
-		}
-		st.haloFn[face] = func(ctx *charm.Ctx) { st.gate.Arrive(ctx, st.iter, st.unpackFn[face]) }
-		st.recvFn[face] = func() {
-			drv.rt.PE(el.PE()).Enqueue(charm.PrioHigh, drv.rt.Opt.SchedOverhead, "haloArrived", el, st.haloFn[face])
-		}
+// startTask, afterTask and the face functions below are the chare's
+// continuations in record form (charm.TaskFn, sim.ArgFunc): arg is the
+// chState or the face.
+
+// startTask starts the chare's next iteration.
+func startTask(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*chState)(arg)
+	st.drv.startIter(st, ctx)
+}
+
+// afterTask runs once all halos of the iteration have arrived.
+func afterTask(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*chState)(arg)
+	st.drv.afterHalos(st, ctx)
+}
+
+// haloReceived is a face's channel receive completion: it queues
+// haloArrived on the chare's PE.
+func haloReceived(_ *sim.Engine, arg unsafe.Pointer) {
+	st := (*face)(arg).st
+	rt := st.drv.rt
+	rt.PE(st.el.PE()).Enqueue(charm.PrioHigh, rt.Opt.SchedOverhead, "haloArrived", st.el, haloArrived, arg)
+}
+
+// haloArrived delivers a GPU-aware halo arrival to the chare's gate.
+func haloArrived(ctx *charm.Ctx, arg unsafe.Pointer) {
+	st := (*face)(arg).st
+	st.gate.Arrive(ctx, st.iter, unpackDevice, arg)
+}
+
+// unpackDevice is the gate action of a GPU-aware arrival: the face's
+// unpack kernel when arrivals unpack one by one.
+func unpackDevice(ctx *charm.Ctx, arg unsafe.Pointer) {
+	f := (*face)(arg)
+	if st := f.st; st.drv.perFaceUnpack() {
+		st.addUnpack(ctx.LaunchKernelBytes(st.packS, "unpack", packKernelBytes(st.blk.FaceCells(f.id/2))))
 	}
+}
+
+// unpackStaged is the gate action of a host-staged arrival: the H2D
+// copy, then the face's unpack kernel behind it.
+func unpackStaged(ctx *charm.Ctx, arg unsafe.Pointer) {
+	f := (*face)(arg)
+	st := f.st
+	h2d := ctx.EnqueueCopy(st.h2dS, gpu.H2D, f.recvBytes, nil)
+	ctx.GateStream(st.packS, h2d)
+	st.addUnpack(ctx.LaunchKernelBytes(st.packS, "unpack", packKernelBytes(st.blk.FaceCells(f.id/2))))
+}
+
+// addUnpack records one of the iteration's unpack kernels.
+func (st *chState) addUnpack(sig *sim.Signal) {
+	st.unpacks[st.nUnpacks] = sig.Ref()
+	st.nUnpacks++
 }
 
 // buildGraph captures one iteration's kernel DAG for a block under the
@@ -288,8 +346,7 @@ func (drv *charmDriver) buildGraph(dev *gpu.Device, blk Block) *gpu.Graph {
 
 // startIter begins one iteration of a block chare: buffer swap, halo
 // send phase, and the SDAG gate for incoming halos.
-func (drv *charmDriver) startIter(el *charm.Elem, ctx *charm.Ctx) {
-	st := state(el)
+func (drv *charmDriver) startIter(st *chState, ctx *charm.Ctx) {
 	if st.iter == drv.cfg.Warmup && !st.warmReported {
 		st.warmReported = true
 		drv.warmC.Add(drv.rt.Engine())
@@ -299,92 +356,78 @@ func (drv *charmDriver) startIter(el *charm.Elem, ctx *charm.Ctx) {
 		return
 	}
 	iter := st.iter
-	// The previous iteration's send signals feed this send phase's
-	// input gate; its slice is reused for the next iteration's.
-	prevSends := st.sends
-	st.sends = st.spareSends[:0]
-	st.spareSends = prevSends
-	st.unpacks = st.unpacks[:0]
+	st.nUnpacks = 0
 
 	if drv.opt.GPUAware {
-		drv.sendPhaseD(el, ctx, iter, prevSends)
+		drv.sendPhaseD(st, ctx, iter)
 	} else {
-		drv.sendPhaseH(el, ctx, iter)
+		drv.sendPhaseH(st, ctx, iter)
 	}
 
-	st.gate.Expect(ctx, iter, len(st.nbrs), st.afterFn)
+	st.gate.Expect(ctx, iter, st.nf, afterTask, unsafe.Pointer(st))
 }
 
-// allOf joins first and the signals refs refer to into one, building
-// the argument list in the chare's scratch slice.
-func (drv *charmDriver) allOf(st *chState, first *sim.Signal, refs []sim.SignalRef) *sim.Signal {
-	st.scratch = append(st.scratch[:0], first)
+// allOf joins first and the signals refs refer to into one.
+func (drv *charmDriver) allOf(first *sim.Signal, refs []sim.SignalRef) *sim.Signal {
+	var sigs [NumFaces + 1]*sim.Signal
+	list := append(sigs[:0], first)
 	for _, r := range refs {
-		st.scratch = append(st.scratch, r.Signal())
+		list = append(list, r.Signal())
 	}
-	sig := sim.AllOf(drv.rt.Engine(), st.scratch...)
-	clear(st.scratch)
-	st.scratch = st.scratch[:0]
-	return sig
+	return sim.AllOf(drv.rt.Engine(), list...)
 }
 
 // sendPhaseD packs and sends halos over GPU-aware channels.
-func (drv *charmDriver) sendPhaseD(el *charm.Elem, ctx *charm.Ctx, iter int, prevSends []sim.SignalRef) {
-	st := state(el)
+func (drv *charmDriver) sendPhaseD(st *chState, ctx *charm.Ctx, iter int) {
 	opt := drv.rt.Opt
 	eng := drv.rt.Engine()
+	faces := st.faces[:st.nf]
 
-	// Per-face data-ready signals for the sends.
+	// Per-face data-ready signals for the sends. The previous
+	// iteration's send completions feed this send phase's input gate.
 	var ready [NumFaces]*sim.Signal
-	inputReady := drv.allOf(st, st.produced.Signal(), prevSends)
+	inputReady := drv.allOf(st.produced.Signal(), st.sent[:st.nf])
 	switch {
 	case drv.opt.Graphs && iter > 0, drv.opt.Fusion == FusionC && iter > 0:
 		// Packing already happened inside the previous graph / fused
 		// kernel.
 		produced := st.produced.Signal()
-		for _, nb := range st.nbrs {
-			ready[nb.Face] = produced
+		for i := range faces {
+			ready[i] = produced
 		}
 	case drv.opt.Fusion == FusionA || drv.opt.Fusion == FusionB ||
 		(drv.opt.Fusion == FusionC && iter == 0) ||
 		(drv.opt.Graphs && iter == 0 && drv.opt.Fusion != FusionNone):
 		ctx.GateStream(st.packS, inputReady)
 		one := ctx.LaunchKernelBytes(st.packS, "packAll", fusedPackBytes(st.blk.TotalFaceCells()))
-		for _, nb := range st.nbrs {
-			ready[nb.Face] = one
+		for i := range faces {
+			ready[i] = one
 		}
 	default:
 		ctx.GateStream(st.packS, inputReady)
-		for _, nb := range st.nbrs {
-			ready[nb.Face] = ctx.LaunchKernelBytes(st.packS, "pack",
-				packKernelBytes(st.blk.FaceCells(nb.Face/2)))
+		for i, f := range faces {
+			ready[i] = ctx.LaunchKernelBytes(st.packS, "pack",
+				packKernelBytes(st.blk.FaceCells(f.id/2)))
 		}
 	}
 
-	for _, nb := range st.nbrs {
+	for i := range faces {
+		f := &faces[i]
 		sendDone := eng.NewSignal()
-		st.sends = append(st.sends, sendDone.Ref())
-		ch := st.channels[nb.Face]
+		st.sent[i] = sendDone.Ref()
 		ctx.Charge(opt.MsgHostOverhead)
-		ch.Send(el.Flat, iter, st.blk.FaceBytes(nb.Face), ready[nb.Face], sendDone)
+		f.ch.Send(st.el.Flat, iter, st.blk.FaceBytes(f.id), ready[i], sendDone)
 		ctx.Charge(opt.MsgHostOverhead)
-		ch.Recv(el.Flat, iter, st.recvFn[nb.Face])
+		f.ch.Recv(st.el.Flat, iter, &f.recv)
 	}
 }
 
-// haloSend is one host-staged halo message waiting for its staging copy:
-// the iteration it belongs to and its face. Records are recycled through
-// the driver, and each binds its two continuations once, when it is
-// first built.
+// haloSend is one host-staged halo message waiting for its staging
+// copy: its face and the iteration it belongs to. Records are recycled
+// through the driver.
 type haloSend struct {
-	drv  *charmDriver
-	el   *charm.Elem
-	nb   Neighbor
+	f    *face
 	iter int
-	size int64
-
-	enqueueFn func()           // the staging copy landed: queue sendFn
-	sendFn    func(*charm.Ctx) // send the message, then recycle
 }
 
 func (drv *charmDriver) newHaloSend() *haloSend {
@@ -394,76 +437,78 @@ func (drv *charmDriver) newHaloSend() *haloSend {
 		drv.freeSends = drv.freeSends[:k-1]
 		return hs
 	}
-	hs := &haloSend{drv: drv}
-	hs.enqueueFn = func() {
-		hs.drv.rt.PE(hs.el.PE()).Enqueue(charm.PrioHigh, hs.drv.rt.Opt.SchedOverhead, "sendHalo", hs.el, hs.sendFn)
-	}
-	hs.sendFn = func(ctx *charm.Ctx) {
-		d := hs.drv
-		ctx.Send(d.arr, charm.Index(hs.nb.Idx), charm.Msg{
-			Entry: entryRecvHalo,
-			Ref:   hs.iter,
-			Bytes: hs.size,
-			Data:  Opposite(hs.nb.Face),
-		})
-		hs.el = nil
-		d.freeSends = append(d.freeSends, hs)
-	}
-	return hs
+	return &haloSend{}
+}
+
+// haloStaged runs when a halo's staging copy has landed: it queues
+// sendHalo on the chare's PE.
+func haloStaged(_ *sim.Engine, arg unsafe.Pointer) {
+	st := (*haloSend)(arg).f.st
+	rt := st.drv.rt
+	rt.PE(st.el.PE()).Enqueue(charm.PrioHigh, rt.Opt.SchedOverhead, "sendHalo", st.el, sendHalo, arg)
+}
+
+// sendHalo sends a staged halo to the neighbor as a runtime message,
+// then recycles its record.
+func sendHalo(ctx *charm.Ctx, arg unsafe.Pointer) {
+	hs := (*haloSend)(arg)
+	f := hs.f
+	drv := f.st.drv
+	ctx.Send(drv.arr, charm.Index(f.peer()), charm.Msg{
+		Entry: entryRecvHalo,
+		Ref:   hs.iter,
+		Bytes: f.st.blk.FaceBytes(f.id),
+		Data:  Opposite(f.id),
+	})
+	*hs = haloSend{}
+	drv.freeSends = append(drv.freeSends, hs)
 }
 
 // sendPhaseH packs halos, stages them to the host, and sends them as
 // regular runtime messages (Charm-H).
-func (drv *charmDriver) sendPhaseH(el *charm.Elem, ctx *charm.Ctx, iter int) {
-	st := state(el)
+func (drv *charmDriver) sendPhaseH(st *chState, ctx *charm.Ctx, iter int) {
 	eng := drv.rt.Engine()
 	ctx.GateStream(st.packS, st.produced.Signal())
 
-	d2hSigs := st.scratch[:0]
-	for _, nb := range st.nbrs {
-		size := st.blk.FaceBytes(nb.Face)
-		pack := ctx.LaunchKernelBytes(st.packS, "pack", packKernelBytes(st.blk.FaceCells(nb.Face/2)))
-		d2h := ctx.EnqueueCopy(st.d2hS, gpu.D2H, size, pack)
-		d2hSigs = append(d2hSigs, d2h)
+	var sigs [NumFaces]*sim.Signal
+	var staged [NumFaces]*haloSend
+	faces := st.faces[:st.nf]
+	for i := range faces {
+		f := &faces[i]
+		pack := ctx.LaunchKernelBytes(st.packS, "pack", packKernelBytes(st.blk.FaceCells(f.id/2)))
+		sigs[i] = ctx.EnqueueCopy(st.d2hS, gpu.D2H, st.blk.FaceBytes(f.id), pack)
 		hs := drv.newHaloSend()
-		hs.el, hs.nb, hs.iter, hs.size = el, nb, iter, size
-		st.staged = append(st.staged, hs)
+		hs.f, hs.iter = f, iter
+		staged[i] = hs
 	}
 	if drv.opt.Optimized {
 		// After-optimization: each halo is sent as soon as its staging
 		// copy completes, with no blocking synchronization.
-		for i, hs := range st.staged {
-			d2hSigs[i].OnFire(eng, hs.enqueueFn)
+		for i, hs := range staged[:len(faces)] {
+			sigs[i].OnFireArg(eng, haloStaged, unsafe.Pointer(hs))
 		}
 	} else {
 		// Before-optimization: block the PE until all staging copies
 		// finish, then send everything (the §III-C redundant sync).
-		ctx.Block(sim.AllOf(eng, d2hSigs...))
-		for _, hs := range st.staged {
-			ctx.Post(charm.PrioHigh, "sendHalo", hs.sendFn)
+		ctx.Block(sim.AllOf(eng, sigs[:len(faces)]...))
+		for _, hs := range staged[:len(faces)] {
+			ctx.Post(charm.PrioHigh, "sendHalo", sendHalo, unsafe.Pointer(hs))
 		}
 	}
-	clear(d2hSigs)
-	st.scratch = d2hSigs[:0]
-	clear(st.staged)
-	st.staged = st.staged[:0]
 }
 
-// recvHaloH handles a host-staged halo message: H2D transfer, then the
-// face's unpack kernel.
-func (drv *charmDriver) recvHaloH(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) {
-	st := state(el)
-	face := msg.Data.(int)
-	st.recvBytes[face] = msg.Bytes
-	st.gate.Arrive(ctx, msg.Ref, st.recvHFn[face])
+// recvHaloH handles a host-staged halo message: its face's H2D transfer
+// and unpack kernel run as the gate consumes it.
+func recvHaloH(st *chState, ctx *charm.Ctx, msg charm.Msg) {
+	f := st.face(msg.Data.(int))
+	f.recvBytes = msg.Bytes
+	st.gate.Arrive(ctx, msg.Ref, unpackStaged, unsafe.Pointer(f))
 }
 
 // afterHalos runs once all halos of the iteration have arrived: it
 // launches the remaining kernels (per fusion/graph strategy) and
 // advances to the next iteration.
-func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
-	st := state(el)
-
+func (drv *charmDriver) afterHalos(st *chState, ctx *charm.Ctx) {
 	var produced *sim.Signal
 	switch {
 	case drv.opt.Graphs:
@@ -472,7 +517,7 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 		// Single kernel: unpack + update + pack for the next iteration.
 		// The pack portion writes the send buffers, so it must wait for
 		// the previous sends to drain.
-		ctx.GateStream(st.updS, drv.allOf(st, sim.FiredSignal(), st.sends))
+		ctx.GateStream(st.updS, drv.allOf(sim.FiredSignal(), st.sent[:st.nf]))
 		produced = ctx.LaunchKernelBytes(st.updS, "fusedAll",
 			fusedAllBytes(st.blk.Volume(), st.blk.TotalFaceCells()))
 	case drv.opt.Fusion == FusionB:
@@ -480,7 +525,7 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 		ctx.GateStream(st.updS, unp)
 		produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
 	default:
-		ctx.GateStream(st.updS, drv.allOf(st, sim.FiredSignal(), st.unpacks))
+		ctx.GateStream(st.updS, drv.allOf(sim.FiredSignal(), st.unpacks[:st.nUnpacks]))
 		produced = ctx.LaunchKernelBytes(st.updS, "update", updateKernelBytes(st.blk.Volume()))
 	}
 	st.produced = produced.Ref()
@@ -493,11 +538,11 @@ func (drv *charmDriver) afterHalos(el *charm.Elem, ctx *charm.Ctx) {
 
 	st.iter++
 	if drv.opt.Optimized {
-		ctx.HAPICallback(st.updS, "nextIter", st.startFn)
+		ctx.HAPICallback(st.updS, "nextIter", startTask, unsafe.Pointer(st))
 	} else {
 		// Before-optimization: synchronize with the device before
 		// starting the next iteration.
 		ctx.Block(produced)
-		ctx.Post(charm.PrioHigh, "nextIter", st.startFn)
+		ctx.Post(charm.PrioHigh, "nextIter", startTask, unsafe.Pointer(st))
 	}
 }

@@ -95,10 +95,12 @@ type ArgFunc func(*Engine, unsafe.Pointer)
 //	                      record-callback form behind recycled
 //	                      transfer ops and proc wakeups
 //
-// seq, the engine-wide insertion sequence, orders events that share an
-// instant.
+// An event carries no sequence number: the lane and each bucket are
+// FIFOs, so their order is push order, and the timed store keys a
+// bucket by the engine-wide sequence of the push that opens it (see
+// eventHeap.push). Two pointer words keep the lane ring's and the timed
+// chunks' slots at 16 bytes.
 type event struct {
-	seq uint64
 	fn  unsafe.Pointer // *funcval of a func() or ArgFunc; nil for fire-signal
 	arg unsafe.Pointer // *Signal, or the ArgFunc's record argument
 }
@@ -207,10 +209,10 @@ func (e *Engine) push(t Time, fn, arg unsafe.Pointer) {
 	}
 	e.seq++
 	if t == e.now && !e.noLane {
-		e.lane.push(event{seq: e.seq, fn: fn, arg: arg})
+		e.lane.push(event{fn: fn, arg: arg})
 		return
 	}
-	e.timed.push(t, event{seq: e.seq, fn: fn, arg: arg})
+	e.timed.push(t, e.seq, event{fn: fn, arg: arg})
 }
 
 // Run executes events until the queue is empty. It returns the final

@@ -299,6 +299,16 @@ func TestSignalSize(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the stored event at two pointer words: every lane
+// ring slot and timed chunk slot holds one, and the order they need
+// comes from the stores' FIFO order and the bucket key, not from a
+// per-event sequence number.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 16 {
+		t.Fatalf("sizeof(event) = %d bytes, want 16", got)
+	}
+}
+
 // TestSignalOverflowOrder checks that waiters and callbacks beyond the
 // inline slots still run in registration order.
 func TestSignalOverflowOrder(t *testing.T) {

@@ -132,7 +132,7 @@ func TestLaneRing(t *testing.T) {
 	var l eventLane
 	var got []int
 	mk := func(i int) event {
-		return event{seq: uint64(i), fn: fnToPtr(func() { got = append(got, i) })}
+		return event{fn: fnToPtr(func() { got = append(got, i) })}
 	}
 	next := 0
 	push := func(k int) {

@@ -109,8 +109,9 @@ func (h *eventHeap) minAt() Time { return h.keys[0].at }
 //gat:hotpath
 func tableSlot(t Time) uint64 { return uint64(t) * 0x9E3779B97F4A7C15 >> (64 - tableBits) }
 
-// push adds ev at instant t. Its seq must exceed every pending event's.
-// A miss in newest opens a bucket, makes it the slot's newest and sifts
+// push adds ev at instant t; seq is the engine-wide sequence of the
+// push and must exceed every pending event's. A miss in newest opens a
+// bucket keyed by seq, makes it the slot's newest and sifts
 // its key up toward the root. The sift holds the key aside and shifts
 // displaced parents down, one copy per level instead of a three-copy
 // swap; in the common no-movement case (a new bucket later than its
@@ -121,13 +122,13 @@ func tableSlot(t Time) uint64 { return uint64(t) * 0x9E3779B97F4A7C15 >> (64 - t
 // per window.
 //
 //gat:hotpath
-func (h *eventHeap) push(t Time, ev event) {
+func (h *eventHeap) push(t Time, seq uint64, ev event) {
 	s := tableSlot(t)
 	if i := h.newest[s]; int(i) < len(h.buckets) && h.buckets[i].at == t {
 		h.appendTo(&h.buckets[i], ev)
 		return
 	}
-	if ev.seq > maxKeySeq {
+	if seq > maxKeySeq {
 		//gat:alloc-ok cold panic path
 		panic("sim: event sequence number overflows the timed store's bucket key")
 	}
@@ -146,7 +147,7 @@ func (h *eventHeap) push(t Time, ev event) {
 	b := &h.buckets[i]
 	b.at, b.front = t, ev
 	h.newest[s] = i
-	k := bucketKey{at: t, seqIdx: ev.seq<<idxBits | uint64(i)}
+	k := bucketKey{at: t, seqIdx: seq<<idxBits | uint64(i)}
 	q := append(h.keys, k)
 	j := len(q) - 1
 	if j > 0 && k.before(q[(j-1)/2]) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // TestEventHeapOrdering pushes a scrambled schedule, runs a hold phase
@@ -11,24 +12,28 @@ import (
 // the engine does), then drains, and checks that pops come back sorted
 // by (time, insertion order). The times are drawn from a narrow range,
 // so most instants hold many events across several chunks and the seq
-// tie-break is carried by the buckets' FIFO order.
+// tie-break is carried by the buckets' FIFO order. Events carry no seq,
+// so each one's arg points at its seq in a side slab.
 func TestEventHeapOrdering(t *testing.T) {
 	var h eventHeap
 	rng := NewRNG(42)
 	const n = 2000
+	seqs := make([]uint64, 6*n+1)
 	var seq uint64
 	push := func(at Time) {
 		seq++
-		h.push(at, event{seq: seq})
+		seqs[seq] = seq
+		h.push(at, seq, event{arg: unsafe.Pointer(&seqs[seq])})
 	}
 	var lastAt Time
 	var lastSeq uint64
 	pop := func(i int) {
 		at, e := h.pop()
-		if i > 0 && (at < lastAt || at == lastAt && e.seq < lastSeq) {
-			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", i, at, e.seq, lastAt, lastSeq)
+		got := *(*uint64)(e.arg)
+		if i > 0 && (at < lastAt || at == lastAt && got < lastSeq) {
+			t.Fatalf("pop %d out of order: (%v,%d) after (%v,%d)", i, at, got, lastAt, lastSeq)
 		}
-		lastAt, lastSeq = at, e.seq
+		lastAt, lastSeq = at, got
 	}
 	for i := 0; i < n; i++ {
 		push(Time(rng.Intn(50)))
@@ -80,15 +85,15 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 	fn := fnToPtr(func() {})
 	const n = 1 + 2*chunkLen + 3 // the inline front, two full chunks and part of a third
 	for i := 1; i <= n; i++ {
-		h.push(7, event{seq: uint64(i), fn: fn})
+		h.push(7, uint64(i), event{fn: fn})
 	}
-	h.push(9, event{seq: n + 1, fn: fn})
+	h.push(9, n+1, event{fn: fn})
 	for i := 0; i < 1+chunkLen+2; i++ {
 		h.pop()
 	}
 	b := &h.buckets[h.keys[0].seqIdx&idxMask]
 	for r := int32(0); r < b.r; r++ {
-		if s := b.head.ev[r]; s.fn != nil || s.seq != 0 {
+		if s := b.head.ev[r]; s != (event{}) {
 			t.Fatalf("popped chunk slot %d still live: %+v", r, s)
 		}
 	}
@@ -97,7 +102,7 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 	}
 	for c := h.spare; c != nil; c = c.next {
 		for j, s := range c.ev {
-			if s.fn != nil || s.seq != 0 {
+			if s != (event{}) {
 				t.Fatalf("pooled chunk slot %d still live: %+v", j, s)
 			}
 		}
@@ -117,16 +122,17 @@ func TestEventHeapPopClearsSlot(t *testing.T) {
 // than wrap into the slab index bits.
 func TestTimedKeySeqBound(t *testing.T) {
 	var h eventHeap
-	h.push(1, event{seq: maxKeySeq})
-	if at, ev := h.pop(); at != 1 || ev.seq != maxKeySeq {
-		t.Fatalf("popped (%v,%d), want (1,%d)", at, ev.seq, uint64(maxKeySeq))
+	fn := fnToPtr(func() {})
+	h.push(1, maxKeySeq, event{fn: fn})
+	if at, ev := h.pop(); at != 1 || ev.fn != fn {
+		t.Fatalf("popped (%v,%+v), want the event pushed at 1", at, ev)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a seq past the bucket key's bound did not panic")
 		}
 	}()
-	h.push(2, event{seq: maxKeySeq + 1})
+	h.push(2, maxKeySeq+1, event{fn: fn})
 }
 
 // sameSlotAfter returns the first instant after from that shares

@@ -6,7 +6,7 @@ GO ?= go
 # points this at a workspace directory and uploads it as an artifact.
 SMOKE_OUT ?= /tmp
 
-.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke fuzz traffic-cover bench-queue bench bench-check
+.PHONY: all build test vet fmt-check lint benchmark-check check sweep-smoke sweepd-smoke scenario-smoke claims-smoke fuzz traffic-cover traffic-cover-check traffic-cover-baseline bench-queue bench bench-check
 
 all: check
 
@@ -123,7 +123,9 @@ sweepd-smoke:
 
 # Scenario registry smoke: the registry must list (with the topology
 # and routing columns), a non-Summit, non-Jacobi composition must run
-# end to end, one tapered-fabric run must emit its link-utilization
+# end to end one step past the load balancer's first run, without a
+# size warning and with LoadBalanced differing from Static at both node
+# counts, one tapered-fabric run must emit its link-utilization
 # provenance in the v3 JSON, one adaptive-routing run must emit its
 # routing provenance, and cmd/jacobi3d must run every variant and write
 # a non-empty -cpuprofile.
@@ -134,7 +136,15 @@ scenario-smoke:
 	@/tmp/gat-sweep -list | grep -q "dragonfly 2:1"
 	@/tmp/gat-sweep -list | grep -q adaptive
 	@/tmp/gat-sweep -list | grep -q slimfly
-	@/tmp/gat-sweep -scenario minimd-frontier -maxnodes 2 -iters 4 -j 2 -json > $(SMOKE_OUT)/scenario-smoke.json
+	@/tmp/gat-sweep -scenario minimd-frontier -maxnodes 2 -iters 5 -j 2 -json \
+		> $(SMOKE_OUT)/scenario-smoke.json 2> /tmp/gat-minimd-smoke-log.txt
+	@! grep "sweep: warning:" /tmp/gat-minimd-smoke-log.txt || \
+		{ echo "scenario-smoke: minimd-frontier ran undersized"; exit 1; }
+	@/tmp/gat-sweep -scenario minimd-frontier -maxnodes 2 -iters 5 -j 2 -csv > /tmp/gat-minimd-smoke.csv
+	@awk -F, '$$2 == "Static" { s[$$3] = $$4 } $$2 == "LoadBalanced" { lb[$$3] = $$4 } \
+		END { for (x in s) { n++; if (s[x] == lb[x]) same = 1 } exit !(n == 2 && !same) }' /tmp/gat-minimd-smoke.csv || \
+		{ echo "scenario-smoke: minimd-frontier LoadBalanced does not differ from Static at both node counts:"; \
+		cat /tmp/gat-minimd-smoke.csv; exit 1; }
 	@/tmp/gat-sweep -scenario scaling -app ring -machine perlmutter -maxnodes 2 -iters 4 > /dev/null
 	@/tmp/gat-sweep -scenario jacobi-taper -maxnodes 36 -iters 2 -warmup 1 -j 4 -json > $(SMOKE_OUT)/taper-smoke.json
 	@grep -q max_link_util $(SMOKE_OUT)/taper-smoke.json || \
@@ -152,7 +162,7 @@ scenario-smoke:
 	@/tmp/gat-jacobi3d -variant charm-d -nodes 2 -iters 2 -cpuprofile /tmp/gat-jacobi3d-cpu.pprof > /dev/null
 	@test -s /tmp/gat-jacobi3d-cpu.pprof || \
 		{ echo "scenario-smoke: jacobi3d -cpuprofile wrote an empty profile"; exit 1; }
-	@echo "scenario-smoke: registry lists; non-Summit, tapered-fabric and adaptive-routing scenarios run; jacobi3d runs every variant and writes a CPU profile"
+	@echo "scenario-smoke: registry lists; non-Summit (load balancing differs from static), tapered-fabric and adaptive-routing scenarios run; jacobi3d runs every variant and writes a CPU profile"
 
 # Claims smoke: all seven C1-C7 checks must execute and report at
 # reduced scale; their verdicts are advisory there (-smoke exits 0).
@@ -196,8 +206,8 @@ fuzz:
 # smoke size of 1,024 nodes on 2 shards, and minimd-lb at its default
 # 12 steps, since its rebalancer first runs at step 4. `sweep -remote`
 # needs a running sweepd and is not driven, so the remote client lists
-# as unrun. A tool for finding dead code, not a gate: neither `make
-# check` nor CI runs it.
+# as unrun. `make traffic-cover-check` gates the list against a
+# committed baseline.
 COVER_OUT := /tmp/gat-traffic-cover
 traffic-cover:
 	@rm -rf $(COVER_OUT) && mkdir -p $(COVER_OUT)/data
@@ -230,6 +240,30 @@ traffic-cover:
 		awk '$$1 ~ /^gat\/internal\// && $$NF == "0.0%"' > $(COVER_OUT)/unrun.txt
 	@cat $(COVER_OUT)/unrun.txt
 	@echo "traffic-cover: $$(wc -l < $(COVER_OUT)/unrun.txt) functions under gat/internal/ never ran (list: $(COVER_OUT)/unrun.txt)"
+
+# Dead-code ratchet: traffic-cover's list as "file function" lines, line
+# numbers and percentages dropped, must equal the committed baseline. A
+# function that joins the list is code that no workload runs, so the
+# check fails with the diff. One that leaves it (now run, or deleted)
+# fails too, naming the command that rewrites the baseline, so the file
+# always lists today's unrun functions.
+COVER_BASELINE := traffic-cover-baseline.txt
+COVER_NAMES = awk '{ sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' $(COVER_OUT)/unrun.txt | LC_ALL=C sort
+traffic-cover-check: traffic-cover
+	@$(COVER_NAMES) > $(COVER_OUT)/unrun-names.txt
+	@LC_ALL=C comm -13 $(COVER_BASELINE) $(COVER_OUT)/unrun-names.txt > $(COVER_OUT)/joined.txt
+	@if [ -s $(COVER_OUT)/joined.txt ]; then \
+		echo "traffic-cover-check: no workload runs these functions, which $(COVER_BASELINE) does not list:"; \
+		diff -u $(COVER_BASELINE) $(COVER_OUT)/unrun-names.txt; exit 1; fi
+	@if ! cmp -s $(COVER_BASELINE) $(COVER_OUT)/unrun-names.txt; then \
+		echo "traffic-cover-check: these functions left the list of unrun code:"; \
+		diff -u $(COVER_BASELINE) $(COVER_OUT)/unrun-names.txt; \
+		echo "rewrite the baseline with: make traffic-cover-baseline"; exit 1; fi
+	@echo "traffic-cover-check: the $$(wc -l < $(COVER_BASELINE)) unrun functions match $(COVER_BASELINE)"
+
+traffic-cover-baseline: traffic-cover
+	@$(COVER_NAMES) > $(COVER_BASELINE)
+	@echo "traffic-cover-baseline: wrote $$(wc -l < $(COVER_BASELINE)) functions to $(COVER_BASELINE)"
 
 bench-queue:
 	$(GO) test -run xxx -bench BenchmarkEventQueue -benchtime 1000000x .

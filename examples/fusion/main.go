@@ -20,7 +20,7 @@ func main() {
 		nodes, odf, nodes*6*odf)
 	fmt.Printf("%-12s %-8s %14s %10s %12s\n", "fusion", "graphs", "time/iter", "kernels", "vs baseline")
 
-	var base jacobi.Result
+	var base machine.Metrics
 	for _, fusion := range []jacobi.Fusion{jacobi.FusionNone, jacobi.FusionA, jacobi.FusionB, jacobi.FusionC} {
 		for _, graphs := range []bool{false, true} {
 			m := machine.MustNew(machine.Summit(nodes))

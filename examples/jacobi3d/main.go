@@ -19,24 +19,24 @@ func main() {
 
 	type row struct {
 		name string
-		run  func(m *machine.Machine) jacobi.Result
+		run  func(m *machine.Machine) machine.Metrics
 	}
 	rows := []row{
-		{"MPI-H   (host staging)", func(m *machine.Machine) jacobi.Result {
+		{"MPI-H   (host staging)", func(m *machine.Machine) machine.Metrics {
 			return jacobi.RunMPI(m, cfg, jacobi.MPIOpts{})
 		}},
-		{"MPI-D   (CUDA-aware)", func(m *machine.Machine) jacobi.Result {
+		{"MPI-D   (CUDA-aware)", func(m *machine.Machine) machine.Metrics {
 			return jacobi.RunMPI(m, cfg, jacobi.MPIOpts{Device: true})
 		}},
-		{"Charm-H (tasks + host staging)", func(m *machine.Machine) jacobi.Result {
+		{"Charm-H (tasks + host staging)", func(m *machine.Machine) machine.Metrics {
 			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 4, Optimized: true})
 		}},
-		{"Charm-D (tasks + GPU-aware)", func(m *machine.Machine) jacobi.Result {
+		{"Charm-D (tasks + GPU-aware)", func(m *machine.Machine) machine.Metrics {
 			return jacobi.RunCharm(m, cfg, jacobi.CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 		}},
 	}
 
-	var base jacobi.Result
+	var base machine.Metrics
 	for i, r := range rows {
 		m := machine.MustNew(machine.Summit(nodes))
 		res := r.run(m)

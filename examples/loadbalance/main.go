@@ -12,8 +12,8 @@ import (
 	"unsafe"
 
 	"gat/internal/charm"
-	"gat/internal/core"
 	"gat/internal/gpu"
+	"gat/internal/machine"
 	"gat/internal/sim"
 )
 
@@ -26,7 +26,7 @@ const (
 
 // stencil is what one run's tasks share.
 type stencil struct {
-	sys       *core.System
+	m         *machine.Machine
 	phaseDone *sim.Counter
 }
 
@@ -44,10 +44,9 @@ type work struct {
 // callback, until the phase's rounds are done.
 func drive(ctx *charm.Ctx, arg unsafe.Pointer) {
 	st := (*work)(arg)
-	sys := st.run.sys
-	if st.stream == nil || st.stream.Device() != sys.GPUFor(st.el) {
+	if dev := st.run.m.GPUOf(st.el.PE()); st.stream == nil || st.stream.Device() != dev {
 		// First run, or the element migrated: bind to the local GPU.
-		st.stream = sys.GPUFor(st.el).NewStream("work", gpu.PriorityNormal)
+		st.stream = dev.NewStream("work", gpu.PriorityNormal)
 	}
 	if st.step == steps {
 		st.step = 0
@@ -60,13 +59,14 @@ func drive(ctx *charm.Ctx, arg unsafe.Pointer) {
 }
 
 func run(balance bool) sim.Time {
-	s := &stencil{sys: core.NewSystem(nodes)}
-	n := s.sys.RT.NumPEs() * odf
+	s := &stencil{m: machine.MustNew(machine.Summit(nodes))}
+	rt := charm.NewRuntime(s.m, charm.DefaultOptions())
+	n := rt.NumPEs() * odf
 
 	entries := []charm.EntryFn{
 		func(el *charm.Elem, ctx *charm.Ctx, m charm.Msg) { drive(ctx, unsafe.Pointer(el.State.(*work))) },
 	}
-	arr := s.sys.NewTaskArray("stencil", n, entries, func(ix charm.Index) any {
+	arr := charm.NewArray(rt, "stencil", [3]int{n, 1, 1}, entries, func(ix charm.Index) any {
 		// Hot corner: the first eighth of the tasks carry 8x the load.
 		bytes := int64(8 << 20)
 		if ix[0] < n/8 {
@@ -78,7 +78,7 @@ func run(balance bool) sim.Time {
 		el.State.(*work).el = el
 	}
 
-	eng := s.sys.Engine()
+	eng := s.m.Eng
 	var runPhase func(p int)
 	runPhase = func(p int) {
 		if p == phases {
@@ -95,7 +95,7 @@ func run(balance bool) sim.Time {
 		arr.Broadcast(charm.Msg{Entry: 0})
 	}
 	runPhase(0)
-	return s.sys.Run()
+	return eng.Run()
 }
 
 func main() {

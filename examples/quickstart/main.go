@@ -17,16 +17,17 @@ import (
 	"fmt"
 	"os"
 
-	"gat/internal/bench"
+	"gat/internal/sweep"
 )
 
 func main() {
 	fmt.Println("scenario ring-odf: ring of GPU tasks, 2 nodes, halo-like messages")
-	fig, err := bench.GenerateAny("ring-odf", bench.Options{})
+	res, err := sweep.Sweep([]string{"ring-odf"}, sweep.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	fig := res.Figures[0].Figure
 	fig.WriteTable(os.Stdout)
 
 	at := func(odf int) float64 {

@@ -46,7 +46,6 @@ var Analyzer = &analysis.Analyzer{
 		"gat/internal/app",
 		"gat/internal/machine",
 		"gat/internal/bench",
-		"gat/internal/core",
 		"gat/internal/comm",
 		"gat/internal/timeline",
 		"gat/internal/sweep/...",

@@ -21,7 +21,7 @@ func TestScope(t *testing.T) {
 		"gat/internal/sim", "gat/internal/netsim", "gat/internal/gpu",
 		"gat/internal/mpi", "gat/internal/charm", "gat/internal/jacobi",
 		"gat/internal/jacobi/compute", "gat/internal/app", "gat/internal/machine",
-		"gat/internal/bench", "gat/internal/core", "gat/internal/comm",
+		"gat/internal/bench", "gat/internal/comm",
 		"gat/internal/timeline", "gat/internal/sweep", "gat/internal/sweep/store",
 	} {
 		if !wallclock.Analyzer.AppliesTo(pkg) {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"gat/internal/machine"
-	"gat/internal/sim"
 )
 
 // Params carries the per-run knobs shared across applications. Apps
@@ -49,37 +48,18 @@ type Params struct {
 	Residual int
 }
 
-// Metrics is the outcome of one application run.
-type Metrics struct {
-	// TimePerIter is the average wall time per timed iteration.
-	TimePerIter sim.Time
-	// Total is the full simulated run time including warm-up.
-	Total sim.Time
-	// Events is the number of simulation events executed.
-	Events uint64
-	// Kernels is the total number of GPU kernels launched.
-	Kernels uint64
-	// NetBytes is the total bytes moved on the network.
-	NetBytes int64
-	// NetMsgs is the number of network transfers.
-	NetMsgs uint64
-	// MaxLinkUtil and MeanLinkUtil are the max/mean utilization of the
-	// machine's detailed fabric links over the run (netsim
-	// Fabric.Utilizations), zero on NIC-only machines. They say where a
-	// run is network-bound: a taper sweep whose time grows with taper
-	// shows MaxLinkUtil approaching 1 on the shared links.
-	MaxLinkUtil, MeanLinkUtil float64
-	// Routing names the fabric's route-choice policy ("minimal",
-	// "valiant", "adaptive"; netsim.Network.RoutingName), empty on
-	// NIC-only machines. Provenance for congestion studies: which
-	// policy produced these utilization numbers.
-	Routing string
-}
+// Metrics is the outcome of one application run (machine.Metrics).
+type Metrics = machine.Metrics
 
 // App is one registered workload.
 type App interface {
 	// Name is the registry key (lower-case, stable).
 	Name() string
+	// Version is the cache-identity version: an app whose simulated
+	// behavior changes (cost model, decomp rules, default workload
+	// shape) bumps it, so fingerprints keyed on its identity stop
+	// matching stale cache entries.
+	Version() int
 	// Variants lists the runtime/communication variants, in canonical
 	// order.
 	Variants() []string
@@ -93,24 +73,11 @@ type App interface {
 	BuildRun(m *machine.Machine, variant string, p Params) (func() Metrics, error)
 }
 
-// Versioner is an optional App extension for content-addressed run
-// caching: an app whose simulated behavior changes (cost model, decomp
-// rules, default workload shape) bumps Version so fingerprints keyed
-// on its identity stop matching stale cache entries. Apps without it
-// are treated as version 0.
-type Versioner interface {
-	Version() int
-}
-
 // Identity returns the app's stable identity string, "name@vN" — the
 // application component of a run fingerprint. It changes exactly when
 // the app's simulated results may change.
 func Identity(a App) string {
-	v := 0
-	if vv, ok := a.(Versioner); ok {
-		v = vv.Version()
-	}
-	return fmt.Sprintf("%s@v%d", a.Name(), v)
+	return fmt.Sprintf("%s@v%d", a.Name(), a.Version())
 }
 
 var apps []App

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -194,14 +193,10 @@ func TestMetricsCarryLinkUtilization(t *testing.T) {
 }
 
 // TestAppIdentity pins the versioned identity strings that enter run
-// fingerprints: all registered apps implement Versioner, identities
-// are distinct, and an unversioned app falls back to @v0.
+// fingerprints: identities are distinct, and jacobi3d's is at v1.
 func TestAppIdentity(t *testing.T) {
 	seen := map[string]bool{}
 	for _, a := range Apps() {
-		if _, ok := a.(Versioner); !ok {
-			t.Errorf("app %s does not implement Versioner; its cached runs can never be invalidated independently", a.Name())
-		}
 		id := Identity(a)
 		if id == "" || seen[id] {
 			t.Errorf("app %s has empty or duplicate identity %q", a.Name(), id)
@@ -215,19 +210,4 @@ func TestAppIdentity(t *testing.T) {
 	if got := Identity(j); got != "jacobi3d@v1" {
 		t.Errorf("jacobi3d identity = %q, want jacobi3d@v1 (bumping it invalidates all cached jacobi3d runs)", got)
 	}
-	if got := Identity(unversionedApp{}); got != "legacy@v0" {
-		t.Errorf("unversioned app identity = %q, want legacy@v0", got)
-	}
-}
-
-// unversionedApp is a minimal App without Versioner, for the fallback.
-type unversionedApp struct{}
-
-func (unversionedApp) Name() string       { return "legacy" }
-func (unversionedApp) Variants() []string { return []string{"only"} }
-func (unversionedApp) Defaults(int) Params {
-	return Params{}
-}
-func (unversionedApp) BuildRun(*machine.Machine, string, Params) (func() Metrics, error) {
-	return nil, fmt.Errorf("not runnable")
 }

@@ -51,7 +51,7 @@ func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func()
 			Overlap:       p.Overlap,
 			ResidualEvery: p.Residual,
 		}
-		return func() Metrics { return fromResult(jacobi.RunMPI(m, cfg, mo)) }, nil
+		return func() Metrics { return jacobi.RunMPI(m, cfg, mo) }, nil
 	case "charm-h", "charm-d":
 		co := jacobi.CharmOpts{
 			ODF:           p.ODF,
@@ -62,22 +62,8 @@ func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func()
 			ResidualEvery: p.Residual,
 			Optimized:     !p.Unoptimized,
 		}
-		return func() Metrics { return fromResult(jacobi.RunCharm(m, cfg, co)) }, nil
+		return func() Metrics { return jacobi.RunCharm(m, cfg, co) }, nil
 	default:
 		return nil, badVariant(a, variant)
-	}
-}
-
-func fromResult(r jacobi.Result) Metrics {
-	return Metrics{
-		TimePerIter:  r.TimePerIter,
-		Total:        r.Total,
-		Events:       r.Events,
-		Kernels:      r.Kernels,
-		NetBytes:     r.NetBytes,
-		NetMsgs:      r.NetMsgs,
-		MaxLinkUtil:  r.MaxLinkUtil,
-		MeanLinkUtil: r.MeanLinkUtil,
-		Routing:      r.Routing,
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"gat/internal/charm"
 	"gat/internal/comm"
-	"gat/internal/core"
 	"gat/internal/gpu"
 	"gat/internal/machine"
 	"gat/internal/sim"
@@ -78,7 +77,7 @@ func (a miniMD) BuildRun(m *machine.Machine, variant string, p Params) (func() M
 // mdRun is one miniMD simulation: what every patch's continuations
 // share.
 type mdRun struct {
-	sys     *core.System
+	rt      *charm.Runtime
 	arr     *charm.Array
 	done    *sim.Counter
 	odf     int
@@ -106,16 +105,16 @@ type mdPatch struct {
 }
 
 func runMiniMD(m *machine.Machine, odf, steps int, balance bool) Metrics {
-	sys := core.NewSystemOn(m)
-	n := sys.RT.NumPEs() * odf
-	run := &mdRun{sys: sys, done: sim.NewCounter(n), odf: odf, steps: steps, balance: balance}
+	rt := charm.NewRuntime(m, charm.DefaultOptions())
+	n := rt.NumPEs() * odf
+	run := &mdRun{rt: rt, done: sim.NewCounter(n), odf: odf, steps: steps, balance: balance}
 
 	entries := []charm.EntryFn{
 		func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { mdStep(ctx, unsafe.Pointer(el.State.(*mdPatch))) },
 	}
 	// A 1-D chain of patches with a dense cluster in the middle — the
 	// solvated-protein density profile in miniature.
-	run.arr = sys.NewTaskArray("patch", n, entries, func(ix charm.Index) any {
+	run.arr = charm.NewArray(rt, "patch", [3]int{n, 1, 1}, entries, func(ix charm.Index) any {
 		density := 1.0
 		if ix[0] >= n/3 && ix[0] < n/2 {
 			density = 6.0
@@ -130,7 +129,7 @@ func runMiniMD(m *machine.Machine, odf, steps int, balance bool) Metrics {
 		p.recv = comm.Completion{Fn: mdBoundary, Arg: unsafe.Pointer(p)}
 		// Channels are created once from the lower index.
 		if i+1 < n {
-			ch := sys.Channel(el, elems[i+1])
+			ch := rt.Channel(el, elems[i+1])
 			p.channels = append(p.channels, ch)
 			nxt := elems[i+1].State.(*mdPatch)
 			nxt.channels = append([]*comm.Channel{ch}, nxt.channels...)
@@ -138,11 +137,11 @@ func runMiniMD(m *machine.Machine, odf, steps int, balance bool) Metrics {
 	}
 
 	run.arr.Broadcast(charm.Msg{Entry: 0})
-	total := sys.Run()
+	total := m.Eng.Run()
 	if run.done.Remaining() != 0 {
 		panic(fmt.Sprintf("minimd: %d patches did not finish", run.done.Remaining()))
 	}
-	return systemMetrics(m, total, steps)
+	return m.Metrics(total / sim.Time(steps))
 }
 
 // mdStep runs one timestep of a patch: the force kernel, then the
@@ -150,8 +149,8 @@ func runMiniMD(m *machine.Machine, odf, steps int, balance bool) Metrics {
 func mdStep(ctx *charm.Ctx, arg unsafe.Pointer) {
 	p := (*mdPatch)(arg)
 	r := p.run
-	if p.stream == nil || p.stream.Device() != r.sys.GPUFor(p.el) {
-		p.stream = r.sys.GPUFor(p.el).NewStream("force", gpu.PriorityNormal)
+	if dev := r.rt.M.GPUOf(p.el.PE()); p.stream == nil || p.stream.Device() != dev {
+		p.stream = dev.NewStream("force", gpu.PriorityNormal)
 	}
 	if p.step == r.steps {
 		r.done.Add(ctx.Engine())
@@ -179,7 +178,7 @@ func mdStep(ctx *charm.Ctx, arg unsafe.Pointer) {
 // on the PE that posted the receive.
 func mdBoundary(_ *sim.Engine, arg unsafe.Pointer) {
 	p := (*mdPatch)(arg)
-	p.recvPE.Enqueue(charm.PrioHigh, p.run.sys.RT.Opt.SchedOverhead, "boundary", p.el, mdArrived, arg)
+	p.recvPE.Enqueue(charm.PrioHigh, p.run.rt.Opt.SchedOverhead, "boundary", p.el, mdArrived, arg)
 }
 
 // mdArrived counts a boundary arrival for the step in flight, the one
@@ -207,25 +206,4 @@ func mdNext(ctx *charm.Ctx, arg unsafe.Pointer) {
 		r.arr.RebalanceGreedy(mdAtomBytesPerPatch).OnFire(ctx.Engine(), func() {})
 	}
 	mdStep(ctx, arg)
-}
-
-// systemMetrics collects the common machine-wide counters for apps
-// whose timestep loop runs from virtual time zero.
-func systemMetrics(m *machine.Machine, total sim.Time, steps int) Metrics {
-	var kernels uint64
-	for _, g := range m.GPUs {
-		kernels += g.KernelsLaunched()
-	}
-	maxU, meanU := m.Net.LinkUtilization()
-	return Metrics{
-		TimePerIter:  total / sim.Time(steps),
-		Total:        total,
-		Events:       m.Eng.EventsExecuted(),
-		Kernels:      kernels,
-		NetBytes:     m.Net.BytesMoved(),
-		NetMsgs:      m.Net.Messages(),
-		MaxLinkUtil:  maxU,
-		MeanLinkUtil: meanU,
-		Routing:      m.Net.RoutingName(),
-	}
 }

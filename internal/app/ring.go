@@ -6,7 +6,6 @@ import (
 
 	"gat/internal/charm"
 	"gat/internal/comm"
-	"gat/internal/core"
 	"gat/internal/gpu"
 	"gat/internal/machine"
 	"gat/internal/sim"
@@ -60,7 +59,7 @@ func (a ring) BuildRun(m *machine.Machine, variant string, p Params) (func() Met
 // ringRun is one ring simulation: what every task's continuations
 // share.
 type ringRun struct {
-	sys         *core.System
+	rt          *charm.Runtime
 	done        *sim.Counter
 	steps       int
 	kernelBytes int64
@@ -82,10 +81,10 @@ type ringTask struct {
 }
 
 func runRing(m *machine.Machine, odf, steps int) Metrics {
-	sys := core.NewSystemOn(m)
-	n := sys.RT.NumPEs() * odf
+	rt := charm.NewRuntime(m, charm.DefaultOptions())
+	n := rt.NumPEs() * odf
 	run := &ringRun{
-		sys:         sys,
+		rt:          rt,
 		done:        sim.NewCounter(n),
 		steps:       steps,
 		kernelBytes: int64(ringKernelBytes / odf),
@@ -97,7 +96,7 @@ func runRing(m *machine.Machine, odf, steps int) Metrics {
 			ringStep(ctx, unsafe.Pointer(el.State.(*ringTask)))
 		},
 	}
-	arr := sys.NewTaskArray("ring", n, entries, func(ix charm.Index) any {
+	arr := charm.NewArray(rt, "ring", [3]int{n, 1, 1}, entries, func(ix charm.Index) any {
 		return &ringTask{run: run}
 	})
 	// Wire a distant exchange: task i talks to task i + n/2, which the
@@ -108,18 +107,18 @@ func runRing(m *machine.Machine, odf, steps int) Metrics {
 		st.el = el
 		st.recv = comm.Completion{Fn: ringReceived, Arg: unsafe.Pointer(st)}
 		nxt := elems[(i+n/2)%n]
-		ch := sys.Channel(el, nxt)
+		ch := rt.Channel(el, nxt)
 		st.next = ch
 		nxt.State.(*ringTask).prev = ch
-		st.stream = sys.GPUFor(el).NewStream("work", gpu.PriorityNormal)
+		st.stream = m.GPUOf(el.PE()).NewStream("work", gpu.PriorityNormal)
 	}
 
 	arr.Broadcast(charm.Msg{Entry: 0})
-	total := sys.Run()
+	total := m.Eng.Run()
 	if run.done.Remaining() != 0 {
 		panic(fmt.Sprintf("ring: %d tasks did not finish", run.done.Remaining()))
 	}
-	return systemMetrics(m, total, steps)
+	return m.Metrics(total / sim.Time(steps))
 }
 
 // ringStep runs one ring step of a task: compute, then pass a device
@@ -144,7 +143,7 @@ func ringStep(ctx *charm.Ctx, arg unsafe.Pointer) {
 // the task's PE.
 func ringReceived(_ *sim.Engine, arg unsafe.Pointer) {
 	st := (*ringTask)(arg)
-	rt := st.run.sys.RT
+	rt := st.run.rt
 	rt.PE(st.el.PE()).Enqueue(charm.PrioHigh, rt.Opt.SchedOverhead, "ringRecv", st.el, ringArrived, arg)
 }
 

@@ -28,7 +28,6 @@ func ablPriorityScenario() *Scenario {
 	cell := func(flat bool) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run("charm-d", app.Params{Global: fusionGlobal, ODF: 4, FlatPriority: flat})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.Nodes, Value: us(r.TimePerIter)}
 		}
 	}
@@ -51,7 +50,6 @@ func ablOverlapScenario() *Scenario {
 	cell := func(overlap bool) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run("mpi-h", app.Params{Global: weakGlobal(weakBaseLarge, c.Nodes), Overlap: overlap})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.Nodes, Value: ms(r.TimePerIter)}
 		}
 	}
@@ -93,7 +91,6 @@ func ablChannelAPIScenario() *Scenario {
 				ch.Recv(1, 0, &comm.Completion{Fn: stampArrival, Arg: unsafe.Pointer(&at)})
 				ch.Send(0, 0, bytes, sim.FiredSignal(), nil)
 				mc.Eng.Run()
-				c.Progress("t=%v", at)
 				return Point{Nodes: c.X, Value: us(at)}
 			}},
 			{"MessagingAPI", func(c *Cell) Point {
@@ -104,7 +101,6 @@ func ablChannelAPIScenario() *Scenario {
 					comm.Endpoint{Proc: 0, Node: 0}, comm.Endpoint{Proc: 1, Node: 1},
 					bytes, sim.FiredSignal(), &comm.Completion{Fn: stampArrival, Arg: unsafe.Pointer(&at)})
 				mm.Eng.Run()
-				c.Progress("t=%v", at)
 				return Point{Nodes: c.X, Value: us(at)}
 			}},
 		},
@@ -135,7 +131,6 @@ func ablODFScenario() *Scenario {
 	cell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run(variant, app.Params{Global: strongGlobal, ODF: c.X})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.X, Value: ms(r.TimePerIter)}
 		}
 	}
@@ -158,14 +153,4 @@ func ablODFScenario() *Scenario {
 			{"Charm-D", cell("charm-d")},
 		},
 	}
-}
-
-// GenerateAny resolves any scenario — paper figure, ablation or extra
-// — and runs it serially.
-func GenerateAny(id string, opt Options) (Figure, error) {
-	p, err := PlanScenario(id, opt, Overrides{})
-	if err != nil {
-		return Figure{}, err
-	}
-	return p.Run(), nil
 }

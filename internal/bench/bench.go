@@ -5,9 +5,9 @@
 //
 // A scenario does not run anything itself: it compiles to a Plan, a
 // flat list of self-contained RunSpecs (one simulation point each) plus
-// a deterministic assembly step. Plan.Run executes serially; the
-// internal/sweep orchestrator executes the same specs on a worker pool
-// with byte-identical output.
+// a deterministic assembly step. The internal/sweep orchestrator
+// executes the specs on a worker pool and assembles them in spec
+// order, so the output is byte-identical at any worker count.
 package bench
 
 import (
@@ -36,18 +36,10 @@ type Options struct {
 	// value, so Shards is a runtime knob, not a result parameter — it
 	// deliberately stays out of RunSpec and the run fingerprint.
 	Shards int
-	// Verbose, if non-nil, receives progress lines.
-	Verbose io.Writer
 
 	// memo, when set (WithMemo), is shared by every cell planned with
 	// these options.
 	memo *memo
-}
-
-func (o Options) progress(format string, args ...any) {
-	if o.Verbose != nil {
-		fmt.Fprintf(o.Verbose, format+"\n", args...)
-	}
 }
 
 // Point is one measured value in a series.

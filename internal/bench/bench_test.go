@@ -13,6 +13,20 @@ func quickOpt() Options {
 	return Options{MaxNodes: 2, Warmup: 1, Iters: 3}
 }
 
+// generate plans scenario id and runs its specs serially, in spec
+// order, with no memo.
+func generate(id string, opt Options, ov Overrides) (Figure, error) {
+	p, err := PlanScenario(id, opt, ov)
+	if err != nil {
+		return Figure{}, err
+	}
+	pts := make([]Point, len(p.Specs))
+	for i, s := range p.Specs {
+		pts[i] = s.Execute()
+	}
+	return p.Assemble(pts), nil
+}
+
 // generateKind runs every registered scenario of kind k serially.
 func generateKind(t *testing.T, k Kind) []Figure {
 	t.Helper()
@@ -21,7 +35,7 @@ func generateKind(t *testing.T, k Kind) []Figure {
 		if s.Kind != k {
 			continue
 		}
-		fig, err := GenerateAny(s.Name, quickOpt())
+		fig, err := generate(s.Name, quickOpt(), Overrides{})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -60,13 +74,13 @@ func TestAblationGenerators(t *testing.T) {
 }
 
 func TestGenerateUnknownID(t *testing.T) {
-	if _, err := GenerateAny("nope", quickOpt()); err == nil {
-		t.Fatal("unknown id should error via GenerateAny")
+	if _, err := PlanScenario("nope", quickOpt(), Overrides{}); err == nil {
+		t.Fatal("unknown id should error via PlanScenario")
 	}
 }
 
 func TestGenerateByID(t *testing.T) {
-	fig, err := GenerateAny("fig7b", quickOpt())
+	fig, err := generate("fig7b", quickOpt(), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +136,7 @@ func TestODFCandidatesShrinkWithScale(t *testing.T) {
 }
 
 func TestTableAndCSVOutput(t *testing.T) {
-	fig, err := GenerateAny("fig7b", quickOpt())
+	fig, err := generate("fig7b", quickOpt(), Overrides{})
 	if err != nil {
 		t.Fatal(err)
 	}

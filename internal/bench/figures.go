@@ -45,7 +45,6 @@ func fig6Scenario(weak bool) *Scenario {
 				global = weakGlobal(weakBaseLarge, c.Nodes)
 			}
 			r := c.Run("charm-h", app.Params{Global: global, ODF: 4, Unoptimized: unoptimized})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.Nodes, Value: ms(r.TimePerIter)}
 		}
 	}
@@ -72,14 +71,12 @@ func variantScenario(id, title, ylabel string, lo int, global func(int) [3]int, 
 	mpiCell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run(variant, app.Params{Global: global(c.Nodes)})
-			c.Progress("t=%v", r.TimePerIter)
 			return congested(Point{Nodes: c.Nodes, Value: conv(r.TimePerIter)}, r)
 		}
 	}
 	charmCell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r, odf := bestODFRun(c, variant, global(c.Nodes), odfCandidates(c.Nodes))
-			c.Progress("t=%v (odf%d)", r.TimePerIter, odf)
 			return congested(Point{Nodes: c.Nodes, Value: conv(r.TimePerIter), Meta: fmt.Sprintf("ODF-%d", odf)}, r)
 		}
 	}
@@ -122,7 +119,6 @@ func fig8Scenario(id string, odf int) *Scenario {
 	cell := func(fusion string) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run("charm-d", app.Params{Global: fusionGlobal, ODF: odf, Fusion: fusion})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.Nodes, Value: ms(r.TimePerIter)}
 		}
 	}
@@ -154,8 +150,6 @@ func fig9Scenario(id string, odf int) *Scenario {
 			p.Graphs = true
 			graphed := c.Run("charm-d", p)
 			speedup := float64(base.TimePerIter) / float64(graphed.TimePerIter)
-			c.Progress("base=%v graphed=%v speedup=%.2f",
-				base.TimePerIter, graphed.TimePerIter, speedup)
 			return Point{Nodes: c.Nodes, Value: speedup}
 		}
 	}

@@ -35,14 +35,6 @@ func routedAt(taper float64, routing string) func(*machine.Config) {
 	}
 }
 
-// routedPoint is the app-less analogue of congested: it stamps the
-// machine's own congestion summary and routing policy onto the point.
-func routedPoint(m *machine.Machine, p Point) Point {
-	p.MaxLinkUtil, p.MeanLinkUtil = m.Net.LinkUtilization()
-	p.Routing = m.Net.RoutingName()
-	return p
-}
-
 // runWaves drives a synthetic flow set over the machine's network:
 // each wave sends bytes along every flow, and the next wave starts
 // once the previous one has fully arrived — so later waves see the
@@ -73,7 +65,6 @@ func jacobiAdaptiveVsMinimalScenario() *Scenario {
 	cell := func(routing string) CellFn {
 		return func(c *Cell) Point {
 			r := c.RunWith(routedAt(float64(c.X), routing), "mpi-d", c.Defaults())
-			c.Progress("t=%v net=%.0f%% routing=%s", r.TimePerIter, 100*r.MaxLinkUtil, r.Routing)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
 	}
@@ -114,9 +105,7 @@ func hotspotScenario() *Scenario {
 		return func(c *Cell) Point {
 			m := c.NewMachine(routedAt(float64(c.X), routing))
 			total := runWaves(m, hotspotFlows(c.Nodes), 4<<20, 4)
-			p := routedPoint(m, Point{Nodes: c.X, Value: ms(total)})
-			c.Progress("t=%v net=%.0f%% routing=%s", total, 100*p.MaxLinkUtil, p.Routing)
-			return p
+			return congested(Point{Nodes: c.X, Value: ms(total)}, m.Metrics(0))
 		}
 	}
 	return &Scenario{
@@ -164,9 +153,7 @@ func jacobiAdversarialMappingScenario() *Scenario {
 			m := c.NewMachine(routedAt(float64(c.X), routing))
 			podSize := m.Cfg.Net.PodSize
 			total := runWaves(m, adversarialFlows(c.Nodes, podSize), 4<<20, 4)
-			p := routedPoint(m, Point{Nodes: c.X, Value: ms(total)})
-			c.Progress("t=%v net=%.0f%% routing=%s", total, 100*p.MaxLinkUtil, p.Routing)
-			return p
+			return congested(Point{Nodes: c.X, Value: ms(total)}, m.Metrics(0))
 		}
 	}
 	return &Scenario{

@@ -157,7 +157,7 @@ type Cell struct {
 	profile machine.Profile
 	app     app.App
 	appID   string // app.Identity(app), for memo keys
-	name    string // FigID/Series@X, for progress lines
+	name    string // FigID/Series@X, for error messages
 }
 
 // NewMachine builds a fresh machine on the cell's profile at the
@@ -251,12 +251,6 @@ func (c *Cell) RunWith(mutate func(*machine.Config), variant string, p app.Param
 	r := run()
 	c.opt.memo.put(k, r)
 	return r
-}
-
-// Progress emits one progress line for this cell, prefixed with its
-// stable name.
-func (c *Cell) Progress(format string, args ...any) {
-	c.opt.progress("%s "+format, append([]any{c.name}, args...)...)
 }
 
 // Plan compiles the scenario into a flat run plan under the given

@@ -148,11 +148,10 @@ func TestIterationResolution(t *testing.T) {
 // TestNonSummitNonJacobiEndToEnd is the acceptance combination: a
 // minimd scenario on the frontier profile, run through the plan path.
 func TestNonSummitNonJacobiEndToEnd(t *testing.T) {
-	p, err := PlanScenario("minimd-lb", Options{MaxNodes: 1, Iters: 4}, Overrides{Machine: "frontier"})
+	fig, err := generate("minimd-lb", Options{MaxNodes: 1, Iters: 4}, Overrides{Machine: "frontier"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig := p.Run()
 	if len(fig.Series) != 2 {
 		t.Fatalf("want 2 series, got %d", len(fig.Series))
 	}

@@ -112,7 +112,6 @@ func jacobiTaperScenario() *Scenario {
 	cell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r := c.RunWith(taperedAt(float64(c.X)), variant, c.Defaults())
-			c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
 	}
@@ -143,7 +142,6 @@ func jacobiTaperMsgScenario() *Scenario {
 			p := c.Defaults()
 			p.Global = jacobi.WeakGlobal([3]int{c.X, c.X, c.X}, c.Nodes)
 			r := c.RunWith(taperedAt(taper), "mpi-d", p)
-			c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 			return congested(Point{Nodes: c.X, Value: us(r.TimePerIter)}, r)
 		}
 	}
@@ -191,7 +189,6 @@ func minimdTaperScenario() *Scenario {
 		Series: []SeriesDef{
 			{"Static", func(c *Cell) Point {
 				r := c.RunWith(taperedAt(float64(c.X)), "charm-static", app.Params{ODF: 4})
-				c.Progress("t=%v net=%.0f%%", r.TimePerIter, 100*r.MaxLinkUtil)
 				return congested(Point{Nodes: c.X, Value: ms(r.TimePerIter)}, r)
 			}},
 		},
@@ -205,7 +202,7 @@ func minimdTaperScenario() *Scenario {
 // model only, and the cell honors the sweep's -shards knob, running
 // the point on the conservative parallel-in-run engine with
 // byte-identical output at any shard count (the pdes guarantee; the
-// partition diagnostics go to progress lines, never into the point).
+// partition diagnostics stay in jacobi.ExaResult, never in the point).
 func jacobiExascaleScenario() *Scenario {
 	cell := func(overlap bool) CellFn {
 		return func(c *Cell) Point {
@@ -214,8 +211,6 @@ func jacobiExascaleScenario() *Scenario {
 				Global: jacobi.WeakGlobal([3]int{192, 192, 192}, c.Nodes),
 				Warmup: wu, Iters: it,
 			}, jacobi.ExaOpts{Shards: c.Shards(), Overlap: overlap})
-			c.Progress("t=%v shards=%d windows=%d cross=%d",
-				r.TimePerIter, r.Shards, r.Windows, r.CrossMessages)
 			return Point{Nodes: c.Nodes, Value: us(r.TimePerIter)}
 		}
 	}
@@ -253,7 +248,6 @@ func scalingScenario() *Scenario {
 				v := v
 				out = append(out, SeriesDef{v, func(c *Cell) Point {
 					r := c.Run(v, c.Defaults())
-					c.Progress("t=%v", r.TimePerIter)
 					return congested(Point{Nodes: c.Nodes, Value: ms(r.TimePerIter)}, r)
 				}})
 			}
@@ -271,7 +265,6 @@ func jacobiMachineScenario(name, profile string) *Scenario {
 		return func(c *Cell) Point {
 			p := c.Defaults() // weak-scaled 192^3/node, ODF-4
 			r := c.Run(variant, p)
-			c.Progress("t=%v", r.TimePerIter)
 			return congested(Point{Nodes: c.Nodes, Value: us(r.TimePerIter)}, r)
 		}
 	}
@@ -297,7 +290,6 @@ func minimdLBScenario(name, profile string, hi int) *Scenario {
 	cell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run(variant, app.Params{ODF: 4})
-			c.Progress("t=%v", r.TimePerIter)
 			return congested(Point{Nodes: c.Nodes, Value: ms(r.TimePerIter)}, r)
 		}
 	}
@@ -321,7 +313,6 @@ func minimdODFScenario() *Scenario {
 	cell := func(variant string) CellFn {
 		return func(c *Cell) Point {
 			r := c.Run(variant, app.Params{ODF: c.X})
-			c.Progress("t=%v", r.TimePerIter)
 			return Point{Nodes: c.X, Value: ms(r.TimePerIter)}
 		}
 	}
@@ -364,7 +355,6 @@ func ringODFScenario(name, profile string) *Scenario {
 		Series: []SeriesDef{
 			{"Ring", func(c *Cell) Point {
 				r := c.Run("ring", app.Params{ODF: c.X})
-				c.Progress("t=%v", r.TimePerIter)
 				return Point{Nodes: c.X, Value: ms(r.TimePerIter)}
 			}},
 		},

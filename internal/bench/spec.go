@@ -88,17 +88,6 @@ func (p Plan) Assemble(results []Point) Figure {
 	return fig
 }
 
-// Run executes the plan serially in spec order. It is the reference
-// path: the parallel orchestrator in internal/sweep must match its
-// output byte for byte.
-func (p Plan) Run() Figure {
-	results := make([]Point, len(p.Specs))
-	for i, s := range p.Specs {
-		results[i] = s.Execute()
-	}
-	return p.Assemble(results)
-}
-
 // specSeed derives the deterministic per-run seed.
 func specSeed(figID, series string, x int) uint64 {
 	h := fnv.New64a()

@@ -59,8 +59,8 @@ func (ctx *Ctx) Block(sig *sim.Signal) {
 // send. It carries the operation's arguments from the handler to the
 // event that performs it, which dispatches through a static function
 // (sim.Engine.InjectAt) instead of a closure. Records are recycled through
-// the runtime's free list once their event has run, so the steady state
-// allocates none.
+// the runtime's sim.FreeList once their event has run, so the steady
+// state allocates none.
 type call struct {
 	rt *Runtime
 
@@ -91,23 +91,15 @@ type call struct {
 //
 //gat:hotpath
 func (rt *Runtime) newCall() *call {
-	if k := len(rt.free); k > 0 {
-		c := rt.free[k-1]
-		rt.free[k-1] = nil
-		rt.free = rt.free[:k-1]
-		return c
-	}
-	return &call{rt: rt}
+	c := rt.calls.Get()
+	c.rt = rt
+	return c
 }
 
-// release returns c to the free list, dropping its references.
+// release returns c to the runtime's free list, dropping its references.
 //
 //gat:hotpath
-func (c *call) release() {
-	rt := c.rt
-	*c = call{rt: rt}
-	rt.free = append(rt.free, c)
-}
+func (c *call) release() { c.rt.calls.Put(c) }
 
 // schedule queues fn(c) at the handler's current clock.
 func (ctx *Ctx) schedule(fn sim.ArgFunc, c *call) {

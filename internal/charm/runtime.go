@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"unsafe"
 
+	"gat/internal/comm"
 	"gat/internal/machine"
 	"gat/internal/sim"
 )
@@ -75,8 +76,7 @@ type Runtime struct {
 	Opt Options
 	PEs []*PE
 
-	// free holds released call records for reuse (see call).
-	free []*call
+	calls sim.FreeList[call] // recycled side-effect records (see call)
 }
 
 // NewRuntime creates a runtime with one PE per GPU (the paper's non-SMP
@@ -101,6 +101,15 @@ func (rt *Runtime) NumPEs() int { return len(rt.PEs) }
 
 // PE returns processing element i.
 func (rt *Runtime) PE(i int) *PE { return rt.PEs[i] }
+
+// Channel opens a GPU-aware communication channel between two chare
+// elements (Channel API, §II-B), each endpoint on the node of the
+// element's current PE.
+func (rt *Runtime) Channel(a, b *Elem) *comm.Channel {
+	return comm.NewChannel(rt.M.Net,
+		comm.Endpoint{Proc: a.Flat, Node: rt.M.NodeOf(a.PE())},
+		comm.Endpoint{Proc: b.Flat, Node: rt.M.NodeOf(b.PE())})
+}
 
 // payloadCost is the host time one side spends handling a message
 // payload: eager messages are copied by the sending/receiving core,

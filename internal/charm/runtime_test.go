@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"gat/internal/comm"
 	"gat/internal/machine"
 	"gat/internal/sim"
 )
@@ -182,6 +183,44 @@ func TestHAPICallbackDeliveredThroughQueue(t *testing.T) {
 	}
 }
 
+// TestRuntimeAssembly: a runtime on 2 Summit nodes has one PE per GPU
+// and runs on its machine's engine.
+func TestRuntimeAssembly(t *testing.T) {
+	m := testMachine(2)
+	rt := NewRuntime(m, DefaultOptions())
+	if got := rt.NumPEs(); got != 12 {
+		t.Fatalf("2 Summit nodes: %d PEs, want 12", got)
+	}
+	if rt.M != m || rt.Engine() != m.Eng {
+		t.Fatal("runtime not attached to its machine's engine")
+	}
+}
+
+// TestRuntimeFromCustomConfig: a custom 4-GPU node gets 4 PEs.
+func TestRuntimeFromCustomConfig(t *testing.T) {
+	cfg := machine.Summit(1)
+	cfg.GPUsPerNode = 4
+	if got := NewRuntime(machine.MustNew(cfg), DefaultOptions()).NumPEs(); got != 4 {
+		t.Fatalf("one 4-GPU node: %d PEs, want 4", got)
+	}
+}
+
+// TestTaskArrayRoundTrip: a 1-D array overdecomposed 2:1 onto one
+// Summit node's 6 PEs runs a broadcast entry once per element.
+func TestTaskArrayRoundTrip(t *testing.T) {
+	rt := NewRuntime(testMachine(1), DefaultOptions())
+	ran := 0
+	entries := []EntryFn{
+		func(el *Elem, ctx *Ctx, m Msg) { ran++ },
+	}
+	a := NewArray(rt, "t", [3]int{12, 1, 1}, entries, func(ix Index) any { return nil })
+	a.Broadcast(Msg{Entry: 0})
+	rt.Engine().Run()
+	if ran != 12 {
+		t.Fatalf("ran = %d, want 12", ran)
+	}
+}
+
 func TestArrayBlockMapping(t *testing.T) {
 	rt := newTestRuntime(2) // 12 PEs
 	a := NewArray(rt, "blk", [3]int{4, 3, 2}, nil, func(ix Index) any { return nil })
@@ -273,5 +312,25 @@ func TestPayloadCostScalesWithBytes(t *testing.T) {
 	rt.Engine().Run()
 	if big <= small {
 		t.Fatalf("large payload send cost (%v) should exceed small (%v)", big, small)
+	}
+}
+
+// setTrue sets the bool at arg: a receive completion in record form.
+func setTrue(_ *sim.Engine, arg unsafe.Pointer) { *(*bool)(arg) = true }
+
+func TestChannelBetweenElements(t *testing.T) {
+	rt := NewRuntime(testMachine(2), DefaultOptions())
+	a := NewArray(rt, "t", [3]int{12, 1, 1}, nil, func(ix Index) any { return nil })
+	x, y := a.Elems()[0], a.Elems()[11] // different nodes
+	if rt.M.NodeOf(x.PE()) == rt.M.NodeOf(y.PE()) {
+		t.Fatal("test elements share a node")
+	}
+	var got bool
+	ch := rt.Channel(x, y)
+	ch.Recv(y.Flat, 0, &comm.Completion{Fn: setTrue, Arg: unsafe.Pointer(&got)})
+	ch.Send(x.Flat, 0, 1<<20, sim.FiredSignal(), nil)
+	rt.Engine().Run()
+	if !got {
+		t.Fatal("channel transfer did not complete")
 	}
 }

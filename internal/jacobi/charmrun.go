@@ -122,8 +122,7 @@ type charmDriver struct {
 	warmC, doneC *sim.Counter
 	tWarm, tEnd  sim.Time
 
-	// freeSends recycles host-staged halo send records.
-	freeSends []*haloSend
+	sends sim.FreeList[haloSend] // recycled host-staged halo sends
 }
 
 // perFaceUnpack reports whether each halo arrival launches its face's
@@ -136,7 +135,7 @@ func (drv *charmDriver) perFaceUnpack() bool {
 }
 
 // RunCharm executes Jacobi3D with the Charm-style runtime on machine m.
-func RunCharm(m *machine.Machine, cfg Config, opt CharmOpts) Result {
+func RunCharm(m *machine.Machine, cfg Config, opt CharmOpts) machine.Metrics {
 	return newCharmDriver(m, cfg, opt).run()
 }
 
@@ -179,11 +178,11 @@ func newCharmDriver(m *machine.Machine, cfg Config, opt CharmOpts) *charmDriver 
 }
 
 // run executes the driver's iterations to completion.
-func (drv *charmDriver) run() Result {
+func (drv *charmDriver) run() machine.Metrics {
 	m := drv.rt.M
 	drv.arr.Broadcast(charm.Msg{Entry: entryStart})
 	m.Eng.Run()
-	return result(m, (drv.tEnd-drv.tWarm)/sim.Time(drv.cfg.Iters))
+	return m.Metrics((drv.tEnd - drv.tWarm) / sim.Time(drv.cfg.Iters))
 }
 
 func state(el *charm.Elem) *chState { return el.State.(*chState) }
@@ -244,9 +243,7 @@ func (drv *charmDriver) setup() {
 				if peer.Flat < el.Flat {
 					continue
 				}
-				f.ch = comm.NewChannel(m.Net,
-					comm.Endpoint{Proc: el.Flat, Node: m.NodeOf(el.PE())},
-					comm.Endpoint{Proc: peer.Flat, Node: m.NodeOf(peer.PE())})
+				f.ch = drv.rt.Channel(el, peer)
 				state(peer).face(Opposite(f.id)).ch = f.ch
 			}
 		}
@@ -424,20 +421,10 @@ func (drv *charmDriver) sendPhaseD(st *chState, ctx *charm.Ctx, iter int) {
 
 // haloSend is one host-staged halo message waiting for its staging
 // copy: its face and the iteration it belongs to. Records are recycled
-// through the driver.
+// through the driver's free list once the message is sent.
 type haloSend struct {
 	f    *face
 	iter int
-}
-
-func (drv *charmDriver) newHaloSend() *haloSend {
-	if k := len(drv.freeSends); k > 0 {
-		hs := drv.freeSends[k-1]
-		drv.freeSends[k-1] = nil
-		drv.freeSends = drv.freeSends[:k-1]
-		return hs
-	}
-	return &haloSend{}
 }
 
 // haloStaged runs when a halo's staging copy has landed: it queues
@@ -460,8 +447,7 @@ func sendHalo(ctx *charm.Ctx, arg unsafe.Pointer) {
 		Bytes: f.st.blk.FaceBytes(f.id),
 		Data:  Opposite(f.id),
 	})
-	*hs = haloSend{}
-	drv.freeSends = append(drv.freeSends, hs)
+	drv.sends.Put(hs)
 }
 
 // sendPhaseH packs halos, stages them to the host, and sends them as
@@ -477,7 +463,7 @@ func (drv *charmDriver) sendPhaseH(st *chState, ctx *charm.Ctx, iter int) {
 		f := &faces[i]
 		pack := ctx.LaunchKernelBytes(st.packS, "pack", packKernelBytes(st.blk.FaceCells(f.id/2)))
 		sigs[i] = ctx.EnqueueCopy(st.d2hS, gpu.D2H, st.blk.FaceBytes(f.id), pack)
-		hs := drv.newHaloSend()
+		hs := drv.sends.Get()
 		hs.f, hs.iter = f, iter
 		staged[i] = hs
 	}

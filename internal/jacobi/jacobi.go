@@ -15,8 +15,6 @@ package jacobi
 import (
 	"fmt"
 	"strings"
-
-	"gat/internal/sim"
 )
 
 // Cost-model constants for the memory-bound kernels (bytes of device
@@ -125,34 +123,6 @@ func (c Config) DefaultIterations() Config {
 		c.Iters = 10
 	}
 	return c
-}
-
-// Result is the outcome of one run.
-type Result struct {
-	// TimePerIter is the average wall time per timed iteration.
-	TimePerIter sim.Time
-	// Total is the full simulated run time including warm-up.
-	Total sim.Time
-	// Events is the number of simulation events executed.
-	Events uint64
-	// Kernels is the total number of GPU kernels launched.
-	Kernels uint64
-	// NetBytes is the total bytes moved on the network.
-	NetBytes int64
-	// NetMsgs is the number of network transfers.
-	NetMsgs uint64
-	// MaxLinkUtil and MeanLinkUtil summarize the detailed fabric's
-	// link utilization over the run (zero on NIC-only machines) — the
-	// congestion signal of taper studies.
-	MaxLinkUtil, MeanLinkUtil float64
-	// Routing names the fabric's routing policy (empty on NIC-only
-	// machines) — provenance for the utilization numbers above.
-	Routing string
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("%v/iter (total %v, %d kernels, %d msgs, %.1f MB moved)",
-		r.TimePerIter, r.Total, r.Kernels, r.NetMsgs, float64(r.NetBytes)/1e6)
 }
 
 // updateKernelBytes is the device traffic of a full-block update.

@@ -25,7 +25,7 @@ type MPIOpts struct {
 // RunMPI executes Jacobi3D with the MPI runtime on machine m and
 // returns the measured result. One rank per GPU; the global grid is
 // decomposed over all ranks with minimal surface area.
-func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) Result {
+func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) machine.Metrics {
 	return RunMPIWorld(mpi.NewWorld(m, mpi.DefaultOptions()), cfg, opts)
 }
 
@@ -34,7 +34,7 @@ func RunMPI(m *machine.Machine, cfg Config, opts MPIOpts) Result {
 // record of a run, requests included, recycles as it completes, so
 // neither the world nor the machine needs a reset beyond the boundary
 // check of Machine.ResetTransients.
-func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
+func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) machine.Metrics {
 	cfg = cfg.DefaultIterations()
 	m := w.M
 	d := NewDecomp(cfg.Global, w.Size())
@@ -186,29 +186,5 @@ func RunMPIWorld(w *mpi.World, cfg Config, opts MPIOpts) Result {
 		}
 	})
 
-	return result(m, (tEnd-tWarm)/sim.Time(cfg.Iters))
-}
-
-// result assembles the machine-wide counters shared by both runtimes.
-func result(m *machine.Machine, perIter sim.Time) Result {
-	maxU, meanU := m.Net.LinkUtilization()
-	return Result{
-		TimePerIter:  perIter,
-		Total:        m.Eng.Now(),
-		Events:       m.Eng.EventsExecuted(),
-		Kernels:      totalKernels(m),
-		NetBytes:     m.Net.BytesMoved(),
-		NetMsgs:      m.Net.Messages(),
-		MaxLinkUtil:  maxU,
-		MeanLinkUtil: meanU,
-		Routing:      m.Net.RoutingName(),
-	}
-}
-
-func totalKernels(m *machine.Machine) uint64 {
-	var k uint64
-	for _, g := range m.GPUs {
-		k += g.KernelsLaunched()
-	}
-	return k
+	return m.Metrics((tEnd - tWarm) / sim.Time(cfg.Iters))
 }

@@ -158,7 +158,7 @@ func TestOverlapFlagHelpsMPI(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	cfg := smallCfg()
-	run := func() Result {
+	run := func() machine.Metrics {
 		m := machine.MustNew(machine.Summit(1))
 		return RunCharm(m, cfg, CharmOpts{ODF: 2, GPUAware: true, Optimized: true})
 	}

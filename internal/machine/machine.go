@@ -205,6 +205,56 @@ func (m *Machine) ResetTransients() {
 	}
 }
 
+// Metrics is the outcome of one run on a machine: its time per
+// iteration and the counters behind it.
+type Metrics struct {
+	// TimePerIter is the average wall time per timed iteration.
+	TimePerIter sim.Time
+	// Total is the full simulated run time including warm-up.
+	Total sim.Time
+	// Events is the number of simulation events executed.
+	Events uint64
+	// Kernels is the total number of GPU kernels launched.
+	Kernels uint64
+	// NetBytes is the total bytes moved on the network.
+	NetBytes int64
+	// NetMsgs is the number of network transfers.
+	NetMsgs uint64
+	// MaxLinkUtil and MeanLinkUtil are the max/mean utilization of the
+	// machine's detailed fabric links over the run (netsim
+	// Fabric.Utilizations), zero on NIC-only machines. They say where a
+	// run is network-bound: a taper sweep whose time grows with taper
+	// shows MaxLinkUtil approaching 1 on the shared links.
+	MaxLinkUtil, MeanLinkUtil float64
+	// Routing names the fabric's route-choice policy ("minimal",
+	// "valiant", "adaptive"; netsim.Network.RoutingName), empty on
+	// NIC-only machines. Provenance for congestion studies: which
+	// policy produced these utilization numbers.
+	Routing string
+}
+
+// Metrics reads the engine, GPU and network counters of a finished run
+// into its result, with perIter as the time per iteration and the
+// current virtual time as the total.
+func (m *Machine) Metrics(perIter sim.Time) Metrics {
+	var kernels uint64
+	for _, g := range m.GPUs {
+		kernels += g.KernelsLaunched()
+	}
+	maxU, meanU := m.Net.LinkUtilization()
+	return Metrics{
+		TimePerIter:  perIter,
+		Total:        m.Eng.Now(),
+		Events:       m.Eng.EventsExecuted(),
+		Kernels:      kernels,
+		NetBytes:     m.Net.BytesMoved(),
+		NetMsgs:      m.Net.Messages(),
+		MaxLinkUtil:  maxU,
+		MeanLinkUtil: meanU,
+		Routing:      m.Net.RoutingName(),
+	}
+}
+
 // Procs returns the total number of PEs/ranks (one per GPU, matching the
 // paper's one-process-one-GPU mapping).
 func (m *Machine) Procs() int { return m.Cfg.Nodes * m.Cfg.GPUsPerNode }

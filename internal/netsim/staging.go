@@ -18,9 +18,13 @@ import (
 // Staging streams come from the devices' acquire pools rather than
 // being created per message: an idle pooled stream is behaviorally
 // identical to a fresh one (empty queue, same gating via the ready/
-// arrived signals), so reuse preserves the transfer timeline while
-// keeping the per-message hot path allocation-free — every MPI-H halo
-// message lands here via mpi.World.start.
+// arrived signals), so reuse preserves the transfer timeline and keeps
+// the path allocation-free.
+//
+// No Jacobi variant stages through here: MPI-H sends host buffers
+// through Network.Transfer, after the application's own D2H copies.
+// cmd/microbench calls it, and PipelinedStagedTransfer falls back to
+// it for a message no larger than one chunk.
 func (n *Network) StagedTransfer(srcDev, dstDev *gpu.Device, src, dst int, bytes int64, ready *sim.Signal) *sim.Signal {
 	srcStream := srcDev.AcquireStream("stage/d2h", gpu.PriorityHigh)
 	srcStream.WaitSignal(ready)

@@ -4,9 +4,9 @@
 // private sim.Engine, and the only state runs share is the sweep's
 // memo of simulation results, whose entries are identical whichever
 // worker stores them — and reassembles the results in deterministic
-// spec order. Table and CSV output is therefore byte-identical to the
-// serial path regardless of worker count or scheduling; only the
-// per-run wall-clock metadata in the JSON report varies between hosts.
+// spec order. Table and CSV output is therefore byte-identical at any
+// worker count and under any scheduling; only the per-run wall-clock
+// metadata in the JSON report varies between hosts.
 package sweep
 
 import (
@@ -179,11 +179,6 @@ type job struct {
 // Sweep generates every figure in ids concurrently and reassembles
 // them in the order given. Unknown ids fail before any run starts.
 func Sweep(ids []string, opt Options) (Result, error) {
-	// Serialize the bench progress writer: run closures log from
-	// worker goroutines.
-	if opt.Bench.Verbose != nil {
-		opt.Bench.Verbose = &lockedWriter{w: opt.Bench.Verbose}
-	}
 	// One memo of simulation results for this call's plans: the
 	// figures share data points, and a repeated simulation returns the
 	// earlier one's metrics.
@@ -351,7 +346,7 @@ func (r Result) WriteExplain(w io.Writer) {
 }
 
 // WriteTables renders every figure as an aligned text table, blank
-// line separated — the same bytes the serial path prints.
+// line separated — the same bytes at any worker count.
 func (r Result) WriteTables(w io.Writer) {
 	for _, f := range r.Figures {
 		f.Figure.WriteTable(w)
@@ -360,7 +355,7 @@ func (r Result) WriteTables(w io.Writer) {
 }
 
 // WriteCSV renders every figure as CSV, each with its own header row —
-// the same bytes the serial path prints.
+// the same bytes at any worker count.
 func (r Result) WriteCSV(w io.Writer) error {
 	for _, f := range r.Figures {
 		if err := f.Figure.WriteCSV(w); err != nil {
@@ -368,16 +363,4 @@ func (r Result) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// lockedWriter serializes whole Write calls from concurrent runs.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }

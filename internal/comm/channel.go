@@ -39,9 +39,9 @@ type Completion struct {
 // channel's send or receive FIFO through next. Its match key is the
 // destination endpoint, held as toB, and the tag. Once both sides have
 // posted, the send's record carries the matched transfer until its
-// data arrives. Records are recycled through the channel's free list,
-// also linked through next. A send's ready signal may fire while the
-// send waits for its receive, so the record keeps a reference to it.
+// data arrives. Records are recycled through the channel's Posts. A
+// send's ready signal may fire while the send waits for its receive,
+// so the record keeps a reference to it.
 type pending struct {
 	c        *Channel
 	bytes    int64
@@ -52,6 +52,11 @@ type pending struct {
 	tag      int32
 	toB      bool // the data moves to endpoint b (else to a)
 }
+
+// Posts recycles the post records of every channel made from it, so
+// their records are bounded by the posts live at once across all of
+// them. The zero value is ready to use.
+type Posts struct{ free sim.FreeList[pending] }
 
 // Channel is a point-to-point GPU-aware communication channel between
 // two endpoints. Sends and receives are matched by (destination, tag),
@@ -69,17 +74,24 @@ type Channel struct {
 	a, b Endpoint
 
 	sends, recvs *pending // FIFO heads, linked through next
-	free         *pending
+	posts        *Posts
 
 	completed uint64
 }
 
-// NewChannel creates a channel between endpoints a and b.
+// NewChannel creates a channel between endpoints a and b, with Posts of
+// its own.
 func NewChannel(net *netsim.Network, a, b Endpoint) *Channel {
+	return new(Posts).NewChannel(net, a, b)
+}
+
+// NewChannel creates a channel between endpoints a and b whose post
+// records ps recycles.
+func (ps *Posts) NewChannel(net *netsim.Network, a, b Endpoint) *Channel {
 	if a.Proc == b.Proc {
 		panic("comm: channel endpoints must differ")
 	}
-	return &Channel{net: net, a: a, b: b}
+	return &Channel{net: net, a: a, b: b, posts: ps}
 }
 
 // tagKey returns tag as stored in a post. Tags must fit in 32 bits, the
@@ -104,25 +116,19 @@ func (c *Channel) isB(proc int) bool {
 	}
 }
 
-// newPending returns a zeroed record from the free list.
+// newPending returns a record of c's, zeroed but for c.
 //
 //gat:hotpath
 func (c *Channel) newPending() *pending {
-	if p := c.free; p != nil {
-		c.free = p.next
-		p.next = nil
-		return p
-	}
-	return &pending{c: c}
+	p := c.posts.free.Get()
+	p.c = c
+	return p
 }
 
-// release returns p to the free list, dropping its references.
+// release returns p to the channel's Posts, dropping its references.
 //
 //gat:hotpath
-func (c *Channel) release(p *pending) {
-	*p = pending{c: c, next: c.free}
-	c.free = p
-}
+func (c *Channel) release(p *pending) { c.posts.free.Put(p) }
 
 // take removes and returns the oldest post in the FIFO at *head whose
 // data moves toward toB under tag, or returns nil.

@@ -270,3 +270,40 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPostsShared checks that channels made from one Posts recycle each
+// other's records: the sends a batch on one channel left banked are the
+// records the same batch on a second channel takes.
+func TestPostsShared(t *testing.T) {
+	if !sim.Recycles {
+		t.Skip("the gatcheck build allocates every record afresh")
+	}
+	const n = 8
+	e := sim.NewEngine()
+	net := testNet(e, 2)
+	var ps Posts
+	received := 0
+	done := call(func() { received++ })
+	for i, ch := range []*Channel{
+		ps.NewChannel(net, Endpoint{Proc: 0, Node: 0}, Endpoint{Proc: 1, Node: 1}),
+		ps.NewChannel(net, Endpoint{Proc: 2, Node: 0}, Endpoint{Proc: 3, Node: 1}),
+	} {
+		src := 2 * i
+		for tag := 0; tag < n; tag++ {
+			ch.Send(src, tag, 64, sim.FiredSignal(), nil)
+		}
+		if i > 0 && ps.free.Len() != 0 {
+			t.Fatalf("channel %d's %d sends left %d of the first channel's records banked, want 0", i, n, ps.free.Len())
+		}
+		for tag := 0; tag < n; tag++ {
+			ch.Recv(src+1, tag, done)
+		}
+		e.Run()
+		if ps.free.Len() != n {
+			t.Fatalf("channel %d: %d records banked after %d matched messages, want %d", i, ps.free.Len(), n, n)
+		}
+	}
+	if received != 2*n {
+		t.Fatalf("received %d messages, want %d", received, 2*n)
+	}
+}

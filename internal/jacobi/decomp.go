@@ -67,19 +67,26 @@ func (d Decomp) Count() int { return d.Dims[0] * d.Dims[1] * d.Dims[2] }
 
 // Block is one block of the decomposition.
 type Block struct {
-	D    Decomp
 	Idx  [3]int
 	Size [3]int // cells per axis
+	// faces has bit f set when a block lies across face f.
+	faces uint8
 }
 
 // Block returns the block at position idx. Boundary blocks absorb the
 // remainder when the global size does not divide evenly.
 func (d Decomp) Block(idx [3]int) Block {
-	var size [3]int
+	b := Block{Idx: idx}
 	for ax := 0; ax < 3; ax++ {
-		size[ax] = d.blockSize(ax, idx[ax])
+		b.Size[ax] = d.blockSize(ax, idx[ax])
+		if idx[ax] > 0 {
+			b.faces |= 1 << (2 * ax)
+		}
+		if idx[ax] < d.Dims[ax]-1 {
+			b.faces |= 1 << (2*ax + 1)
+		}
 	}
-	return Block{D: d, Idx: idx, Size: size}
+	return b
 }
 
 // blockSize returns the cells along axis ax of the blocks at position i
@@ -169,14 +176,9 @@ func (b Block) Neighbors() []Neighbor {
 // neighbor returns the index of the block across face, and whether that
 // block exists.
 func (b Block) neighbor(face int) ([3]int, bool) {
-	ax := face / 2
-	delta := -1
-	if face%2 == 1 {
-		delta = 1
-	}
 	ni := b.Idx
-	ni[ax] += delta
-	return ni, ni[ax] >= 0 && ni[ax] < b.D.Dims[ax]
+	ni[face/2] += 2*(face%2) - 1
+	return ni, b.faces&(1<<face) != 0
 }
 
 // TotalFaceCells returns the sum of halo cells over the block's

@@ -39,7 +39,8 @@ type ExaOpts struct {
 }
 
 // ExaResult is the outcome of one LP-model run. All fields except the
-// partition diagnostics (Shards, Windows) are independent of ExaOpts.Shards.
+// partition diagnostics (Shards, Windows, CrossMessages, Lookahead) are
+// independent of ExaOpts.Shards.
 type ExaResult struct {
 	// TimePerIter is the average time per timed iteration, measured
 	// between the global completions of the warmup boundary and the
@@ -51,7 +52,8 @@ type ExaResult struct {
 	// partition-independent. The engine events behind them are fewer:
 	// pdes delivers all of an LP's messages at one instant in one event.
 	Events uint64
-	// NetBytes and NetMsgs count the halo traffic sent.
+	// NetBytes and NetMsgs count the halo traffic sent: each node's
+	// halo bytes and face neighbors, once per iteration but the last.
 	NetBytes int64
 	NetMsgs  uint64
 	// Shards is the effective shard count (groups bound it); Windows
@@ -86,13 +88,6 @@ type exaShape struct {
 	faces     uint8 // bit f set: face f has a neighbor
 }
 
-// exaLink is one halo route: the face-adjacent node's LP id and the
-// full send→deliver delay under the α–β model, in nanoseconds.
-type exaLink struct {
-	peer  int32
-	delay int32
-}
-
 // exaNode is one node's LP state. The slice of these is indexed by LP
 // id; during the run each element is touched only by its owner shard.
 type exaNode struct {
@@ -105,18 +100,19 @@ type exaNode struct {
 	computeDone bool     // this iteration's update has finished
 	warmAt      sim.Time
 	doneAt      sim.Time
-	sentMsgs    uint64
-	sentBytes   int64
 }
 
 // exaModel is the LP state of one RunExa: the node records, the shape
-// table they index, every node's links in one slab, and the schedule
-// all nodes share.
+// table they index, every node's halo links in one slab, and the
+// schedule all nodes share. A halo link is its full send→deliver delay
+// under the α–β model, in nanoseconds; its peer is the node's LP id
+// plus the face's stride.
 type exaModel struct {
 	nodes      []exaNode
 	shapes     []exaShape
-	links      []exaLink
-	iters      int32 // total iterations (warmup + timed)
+	links      []int32
+	step       [NumFaces]int // LP-id distance to the neighbor across each face
+	iters      int32         // total iterations (warmup + timed)
 	warmupIter int32
 	overlap    bool
 }
@@ -199,11 +195,10 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 		}
 	}
 
-	x.links = make([]exaLink, 0, nLinks)
-	// step[f] is the flat-index distance to the neighbor across face f.
+	x.links = make([]int32, 0, nLinks)
 	sy := d.Dims[2]
 	sx := d.Dims[1] * sy
-	step := [NumFaces]int{-sx, sx, -sy, sy, -1, 1}
+	x.step = [NumFaces]int{-sx, sx, -sy, sy, -1, 1}
 	n := 0
 	for i := 0; i < d.Dims[0]; i++ {
 		for j := 0; j < d.Dims[1]; j++ {
@@ -211,7 +206,7 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 				shape := (int(class[0][i])*nClass[1]+int(class[1][j]))*nClass[2] + int(class[2][k])
 				sh := &x.shapes[shape]
 				x.nodes[n] = exaNode{shape: int32(shape), first: int32(len(x.links))}
-				for face, st := range step {
+				for face, st := range x.step {
 					if sh.faces&(1<<face) == 0 {
 						continue
 					}
@@ -221,7 +216,7 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 						//gat:alloc-ok cold panic path
 						panic(fmt.Sprintf("jacobi: halo delay %v from node %d to %d does not fit a link", delay, n, peer))
 					}
-					x.links = append(x.links, exaLink{peer: int32(peer), delay: int32(delay)})
+					x.links = append(x.links, int32(delay))
 				}
 				n++
 			}
@@ -299,12 +294,14 @@ func (x *exaModel) sendHalos(ctx *pdes.Ctx, s *exaNode, k int32) {
 	if k == x.iters {
 		return
 	}
-	sh := &x.shapes[s.shape]
-	for _, l := range x.links[s.first : s.first+sh.degree] {
-		ctx.Send(int(l.peer), sim.Time(l.delay), exaHalo, int64(k))
+	faces := x.shapes[s.shape].faces
+	lp, l := ctx.LP(), s.first
+	for face, st := range x.step {
+		if faces&(1<<face) != 0 {
+			ctx.Send(lp+st, sim.Time(x.links[l]), exaHalo, int64(k))
+			l++
+		}
 	}
-	s.sentMsgs += uint64(sh.degree)
-	s.sentBytes += sh.haloBytes
 }
 
 // RunExa runs the node-level LP model of Jacobi3D on the machine
@@ -319,11 +316,12 @@ func (x *exaModel) sendHalos(ctx *pdes.Ctx, s *exaNode, k int32) {
 //
 // Per-node state is kept small, since it sets the cost of a 10k-node
 // run: the static costs live once per block shape (a handful of shapes
-// per grid), a halo link is 8 bytes, a node record 56, and a pdes
-// message 32 with a 32-bit per-source Seq. A 16,384-node run on two
-// shards allocates about 570 bytes per node, inbox slots and the
-// engine's buckets included (809 with 40-byte messages, 24-byte links
-// and per-node copies of the shape constants).
+// per grid), a halo link is its 4-byte delay, a node record 40 bytes,
+// and its pdes inbox 232, eight 24-byte message slots included. A
+// 16,384-node run on two shards allocates about 407 bytes per node,
+// the engine's buckets included (518 with 32-byte slots in a separate
+// slab, 8-byte links and per-node traffic counters; 809 with 40-byte
+// messages, 24-byte links and per-node copies of the shape constants).
 func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -373,6 +371,7 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 		Lookahead:     lookahead,
 	}
 	var warmMax, doneMax sim.Time
+	sends := int64(x.iters) - 1 // sendHalos skips the final iteration
 	for n := range x.nodes {
 		s := &x.nodes[n]
 		if s.doneAt == 0 && x.iters > 0 {
@@ -385,8 +384,9 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 		if s.doneAt > doneMax {
 			doneMax = s.doneAt
 		}
-		res.NetMsgs += s.sentMsgs
-		res.NetBytes += s.sentBytes
+		sh := &x.shapes[s.shape]
+		res.NetMsgs += uint64(int64(sh.degree) * sends)
+		res.NetBytes += sh.haloBytes * sends
 	}
 	res.Total = doneMax
 	res.TimePerIter = (doneMax - warmMax) / sim.Time(jc.Iters)

@@ -13,6 +13,7 @@ import (
 // per-node reference computes it: the node's own Block, its face
 // neighbors in face order, and the halo cost of each.
 type exaRefNeighbor struct {
+	face  int
 	lp    int32
 	bytes int64
 	delay sim.Time
@@ -47,7 +48,7 @@ func exaReference(cfg machine.Config, topo netsim.Topology, d Decomp) []exaRefNo
 			bytes := b.FaceBytes(face)
 			delay := netsim.PathLatency(cfg.Net, topo, n, peer) +
 				cfg.Net.NICOverhead + sim.DurationOf(bytes, cfg.Net.InjectionBW)
-			s.neighbors = append(s.neighbors, exaRefNeighbor{lp: int32(peer), bytes: bytes, delay: delay})
+			s.neighbors = append(s.neighbors, exaRefNeighbor{face: face, lp: int32(peer), bytes: bytes, delay: delay})
 		}
 	}
 	return nodes
@@ -56,7 +57,9 @@ func exaReference(cfg machine.Config, topo netsim.Topology, d Decomp) []exaRefNo
 // checkExaSetup builds the LP model of cfg's machine on the global grid
 // with the shape builder and with the per-node reference, and fails
 // unless every node gets the same compute times, the same ordered
-// (peer, delay) links, the same halo bytes and neighbor count.
+// (peer, delay) links, the same halo bytes and neighbor count. A link's
+// peer is derived as sendHalos derives it: the node's id plus the
+// stride of the shape's next face.
 func checkExaSetup(t *testing.T, cfg machine.Config, global [3]int) {
 	t.Helper()
 	topo, err := netsim.TopologyByName(cfg.Net.Topology, cfg.Net.EffectivePodSize(), cfg.Nodes)
@@ -81,12 +84,21 @@ func checkExaSetup(t *testing.T, cfg machine.Config, global [3]int) {
 			t.Fatalf("%v on %d nodes, node %d: %d links from %d, want %d from %d",
 				global, cfg.Nodes, n, sh.degree, s.first, len(want.neighbors), links)
 		}
+		var faces []int
+		for face := range x.step {
+			if sh.faces&(1<<face) != 0 {
+				faces = append(faces, face)
+			}
+		}
+		if len(faces) != len(want.neighbors) {
+			t.Fatalf("%v on %d nodes, node %d: faces %v, want %d neighbors", global, cfg.Nodes, n, faces, len(want.neighbors))
+		}
 		var bytes int64
 		for i, nb := range want.neighbors {
-			l := x.links[links+i]
-			if l.peer != nb.lp || sim.Time(l.delay) != nb.delay {
-				t.Fatalf("%v on %d nodes, node %d, link %d: (%d, %d ns), want (%d, %d ns)",
-					global, cfg.Nodes, n, i, l.peer, l.delay, nb.lp, nb.delay)
+			face, delay := faces[i], x.links[links+i]
+			if peer := n + x.step[face]; face != nb.face || peer != int(nb.lp) || sim.Time(delay) != nb.delay {
+				t.Fatalf("%v on %d nodes, node %d, link %d: face %d to %d in %d ns, want face %d to %d in %d ns",
+					global, cfg.Nodes, n, i, face, peer, delay, nb.face, nb.lp, nb.delay)
 			}
 			bytes += nb.bytes
 		}

@@ -10,13 +10,15 @@ import (
 // fuzzLookahead is the window bound of FuzzPDESOrder's sharded runs.
 const fuzzLookahead = 16 * sim.Nanosecond
 
-// fuzzEntry is one line of an LP's delivery log.
+// fuzzEntry is one line of an LP's delivery log: every field of the
+// delivered Message, and the time it was delivered at.
 type fuzzEntry struct {
-	At   sim.Time
-	Src  int32
-	Seq  uint32
-	Kind int32
-	Data int64
+	Now      sim.Time
+	At       sim.Time
+	Src, Dst int32
+	Seq      uint32
+	Kind     int32
+	Data     int64
 }
 
 // fuzzLP is one LP's state: its read position on the program's tape
@@ -36,9 +38,9 @@ type fuzzProgram struct {
 }
 
 // decodeFuzzProgram reads prog as: the LP count (2–6), the Post count
-// (1–8), three bytes per Post (LP, time 0–3 ns, hop budget 0–5 with the
-// kind in the top bits), then the tape. It reports false when prog is
-// too short.
+// (1–8), three bytes per Post (LP, time 0–3 ns, and a byte that is the
+// kind, 0–255, and modulo 6 the hop budget), then the tape. It reports
+// false when prog is too short.
 func decodeFuzzProgram(prog []byte) (fuzzProgram, bool) {
 	if len(prog) < 2 {
 		return fuzzProgram{}, false
@@ -53,7 +55,7 @@ func decodeFuzzProgram(prog []byte) (fuzzProgram, bool) {
 		b := rest[3*i : 3*i+3]
 		p.posts = append(p.posts, Message{
 			Dst: int32(int(b[0]) % p.lps), At: sim.Time(b[1] % 4),
-			Kind: int32(b[2] >> 6), Data: int64(b[2] % 6),
+			Kind: int32(b[2]), Data: int64(b[2] % 6),
 		})
 	}
 	p.tape = rest[3*n:]
@@ -69,17 +71,18 @@ func (p *fuzzProgram) next(st *fuzzLP) byte {
 
 // deliver logs m at LP lp and makes the sends the tape asks for: one or
 // two, each a zero-delay self-send, a self-send 1–8 ns out, or a send
-// to any LP at the lookahead plus 0–8 ns. Every send carries one hop
-// less of m's budget, so a program terminates.
+// to any LP at the lookahead plus 0–8 ns, its kind the tape byte that
+// chose it (0–255). Every send carries one hop less of m's budget, so a
+// program terminates.
 func (p *fuzzProgram) deliver(lp int, st *fuzzLP, now sim.Time, m Message, send func(dst int, delay sim.Time, kind int32, data int64)) {
-	st.log = append(st.log, fuzzEntry{At: now, Src: m.Src, Seq: m.Seq, Kind: m.Kind, Data: m.Data})
+	st.log = append(st.log, fuzzEntry{Now: now, At: m.At, Src: m.Src, Dst: m.Dst, Seq: m.Seq, Kind: m.Kind, Data: m.Data})
 	if m.Data <= 0 {
 		return
 	}
 	n := 1 + int(p.next(st)%2)
 	for i := 0; i < n; i++ {
 		c := p.next(st)
-		kind := int32(c >> 6)
+		kind := int32(c)
 		switch c % 3 {
 		case 0:
 			send(lp, 0, kind, m.Data-1)
@@ -158,9 +161,11 @@ func refBefore(a, b Message) bool {
 }
 
 // FuzzPDESOrder runs random LP programs — Posts at colliding instants;
-// zero-delay, timed and cross-LP sends per delivery — at 1, 2 and 3
-// shards and on a reference model, and checks that every LP's delivery
-// log and the delivered-message count agree across all four.
+// zero-delay, timed and cross-LP sends of kinds 0–255 per delivery — at
+// 1, 2 and 3 shards and on a reference model, and checks that every
+// LP's delivery log (each message's At, Src, Dst, Seq, Kind and Data,
+// and the time it came) and the delivered-message count agree across
+// all four.
 func FuzzPDESOrder(f *testing.F) {
 	// all ties: six LPs posted at t=0 send to LP 0 at exactly the
 	// lookahead and to themselves with zero delay

@@ -8,25 +8,75 @@ import (
 	"gat/internal/sim"
 )
 
-// boxSlots is the number of message slots New carves for each inbox
-// from one shared slab. A box that must hold more at once falls back
-// to append, which moves it off the slab.
+// boxSlots is the number of messages an inbox holds inside its own
+// record. A box that must hold more at once moves them to a spill
+// array on the heap and keeps using it.
 const boxSlots = 8
 
+// maxLPs is the largest LP count New accepts: an inbox keeps a
+// message's Src in 24 bits.
+const maxLPs = 1 << 24
+
+// maxKind is the largest Message.Kind Send and Post accept: an inbox
+// keeps it in the 8 bits beside Src.
+const maxKind = 1<<8 - 1
+
+// boxMsg is a Message as an inbox holds it, in 24 bytes: Dst is the
+// box's LP, and Kind shares a word with Src. drainBox unpacks it.
+type boxMsg struct {
+	At   sim.Time
+	Seq  uint32
+	src  uint32 // srcKind(Src, Kind)
+	Data int64
+}
+
+// srcKind packs a message's Src and Kind into boxMsg.src.
+func srcKind(src, kind int32) uint32 { return uint32(src)<<8 | uint32(kind) }
+
+// boxed returns m as its destination's inbox holds it.
+func boxed(m Message) boxMsg {
+	return boxMsg{At: m.At, Seq: m.Seq, src: srcKind(m.Src, m.Kind), Data: m.Data}
+}
+
 // lpBox is one LP's inbox: its undelivered messages, kept sorted by the
-// partition-independent (At, Src, Seq) key in msgs[head:], plus the
-// LP's send counter. For every distinct instant in the box exactly one
-// drain event is pending on the LP's shard engine, or running while
+// partition-independent (At, Src, Seq) key in buf()[head:head+n], plus
+// the LP's send counter. For every distinct instant in the box exactly
+// one drain event is pending on the LP's shard engine, or running while
 // draining is set. A box is owned by its LP's shard while a window
 // runs; the coordinator files into it only between windows. The field
-// order packs it into 48 bytes.
+// order packs it into 232 bytes, 192 of them slots.
 type lpBox struct {
-	sh       *shard
-	msgs     []Message
+	sh *shard
+	// spill holds the messages instead of slots once more than
+	// boxSlots were pending at once; nil until then.
+	spill    *[]boxMsg
 	lp       int32
-	head     int32
+	head, n  int32
 	sendSeq  uint32
 	draining bool
+	slots    [boxSlots]boxMsg
+}
+
+// buf returns the array the box's messages live in.
+//
+//gat:hotpath
+func (b *lpBox) buf() []boxMsg {
+	if b.spill != nil {
+		return *b.spill
+	}
+	return b.slots[:]
+}
+
+// grow moves the box's messages, which fill its array from the front,
+// to a spill array twice the size, and returns it.
+//
+//go:noinline
+func (b *lpBox) grow() []boxMsg {
+	q := b.buf()
+	s := make([]boxMsg, 2*len(q))
+	copy(s, q)
+	b.spill = &s
+	return s
 }
 
 // nextSeq advances the LP's send counter and returns the Seq of its
@@ -58,12 +108,12 @@ func (b *lpBox) ptr() unsafe.Pointer { return unsafe.Pointer(b) }
 // source collide, and distinct sources differ in Src.
 //
 //gat:hotpath
-func msgLess(a, b Message) bool {
+func msgLess(a, b *boxMsg) bool {
 	if a.At != b.At {
 		return a.At < b.At
 	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
+	if a.src>>8 != b.src>>8 {
+		return a.src < b.src
 	}
 	return a.Seq < b.Seq
 }
@@ -74,24 +124,28 @@ func msgLess(a, b Message) bool {
 // the head after every delivery and picks it up.
 //
 //gat:hotpath
-func (b *lpBox) push(m Message) {
-	q := b.msgs
+func (b *lpBox) push(m boxMsg) {
+	q := b.buf()
 	head := int(b.head)
-	if len(q) == cap(q) && head > 0 {
-		// Full, with delivered slots in front: slide the pending run
-		// down instead of growing off the slab.
-		q = q[:copy(q, q[head:])]
-		head, b.head = 0, 0
+	end := head + int(b.n)
+	if end == len(q) {
+		if head > 0 {
+			// Full, with delivered slots in front: slide the pending
+			// run down instead of growing.
+			end = copy(q, q[head:end])
+			head, b.head = 0, 0
+		} else {
+			q = b.grow()
+		}
 	}
-	q = append(q, m)
-	i := len(q) - 1
-	for i > head && msgLess(m, q[i-1]) {
+	i := end
+	for i > head && msgLess(&m, &q[i-1]) {
 		q[i] = q[i-1]
 		i--
 	}
 	q[i] = m
-	b.msgs = q
-	if i > head && q[i-1].At == m.At || i+1 < len(q) && q[i+1].At == m.At {
+	b.n++
+	if i > head && q[i-1].At == m.At || i < end && q[i+1].At == m.At {
 		return // the instant's drain is already pending
 	}
 	if b.draining && m.At == b.sh.eng.Now() {
@@ -104,7 +158,9 @@ func (b *lpBox) push(m Message) {
 // handler every message the box holds for the current instant, in
 // (At, Src, Seq) order. It re-reads the head after each handler call,
 // so a zero-delay self-send made meanwhile is delivered by this same
-// drain (see the package comment).
+// drain (see the package comment). The Message is built field by field
+// in place: copied whole out of an inlined helper, its narrow stores
+// stall the wide loads of the copy.
 //
 //gat:hotpath
 func drainBox(eng *sim.Engine, arg unsafe.Pointer) {
@@ -113,11 +169,19 @@ func drainBox(eng *sim.Engine, arg unsafe.Pointer) {
 	sh.ctx.box = b
 	now := eng.Now()
 	b.draining = true
-	for int(b.head) < len(b.msgs) && b.msgs[b.head].At == now {
-		m := b.msgs[b.head]
+	for b.n > 0 {
+		p := &b.buf()[b.head]
+		if p.At != now {
+			break
+		}
+		m := Message{
+			At: p.At, Seq: p.Seq, Src: int32(p.src >> 8), Dst: b.lp,
+			Kind: int32(p.src & maxKind), Data: p.Data,
+		}
 		b.head++
-		if int(b.head) == len(b.msgs) {
-			b.msgs, b.head = b.msgs[:0], 0
+		b.n--
+		if b.n == 0 {
+			b.head = 0
 		}
 		sh.delivered++
 		sh.r.handler(&sh.ctx, m)

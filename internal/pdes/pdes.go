@@ -28,8 +28,8 @@
 // enforces:
 //
 //   - Every message lands in the destination LP's inbox, a small array
-//     kept sorted on insert by (At, Src, Seq), where Seq is a
-//     per-source send counter. The (Src, Seq) pair is
+//     inside the LP's record kept sorted on insert by (At, Src, Seq),
+//     where Seq is a per-source send counter. The (Src, Seq) pair is
 //     partition-independent.
 //   - Delivery events are per LP-instant: a push schedules a drain only
 //     when its instant is new to the inbox, and that drain delivers
@@ -67,7 +67,8 @@ import (
 // Message is one timestamped interaction between two logical
 // processes. Kind and Data carry the payload; protocols needing more
 // than one word index LP-local state with it. The field order leaves
-// no padding: a Message is 32 bytes.
+// no padding: a Message is 32 bytes. An inbox holds it in 24, without
+// Dst and with Kind in 8 bits.
 type Message struct {
 	// At is the delivery time at Dst.
 	At sim.Time
@@ -78,7 +79,8 @@ type Message struct {
 	Seq uint32
 	// Src and Dst are LP ids. Src == Dst for self-messages.
 	Src, Dst int32
-	// Kind discriminates the message for the handler.
+	// Kind discriminates the message for the handler. Send and Post
+	// accept 0..255.
 	Kind int32
 	// Data is one payload word.
 	Data int64
@@ -91,7 +93,8 @@ type Handler func(ctx *Ctx, m Message)
 
 // Config describes a partitioned run.
 type Config struct {
-	// LPs is the number of logical processes, ids 0..LPs-1.
+	// LPs is the number of logical processes, ids 0..LPs-1, at most
+	// 2^24.
 	LPs int
 	// Shards is the requested shard count; it is clamped to [1, LPs].
 	Shards int
@@ -127,9 +130,9 @@ type Runner struct {
 	lookahead sim.Time
 	shards    []*shard
 	lpShard   []int32
-	// boxes is the per-LP inbox array. Each element is owned by the
-	// shard of its LP while a window runs; the coordinator touches them
-	// only between windows.
+	// boxes is the per-LP inbox array, message slots included. Each
+	// element is owned by the shard of its LP while a window runs; the
+	// coordinator touches them only between windows.
 	boxes     []lpBox
 	windows   uint64
 	crossMsgs uint64
@@ -145,8 +148,8 @@ const unboundedLimit = sim.Time(1<<62 - 1)
 // programming error at the call site, not something to discover deep
 // into a window.
 func New(cfg Config) (*Runner, error) {
-	if cfg.LPs <= 0 {
-		return nil, fmt.Errorf("pdes: need at least one LP, got %d", cfg.LPs)
+	if cfg.LPs <= 0 || cfg.LPs > maxLPs {
+		return nil, fmt.Errorf("pdes: need 1 to %d LPs, got %d", maxLPs, cfg.LPs)
 	}
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("pdes: Config.Handler must be set")
@@ -176,15 +179,16 @@ func New(cfg Config) (*Runner, error) {
 		sh := &shard{id: int32(i), r: r, eng: sim.NewEngine()}
 		r.shards = append(r.shards, sh)
 	}
-	slab := make([]Message, cfg.LPs*boxSlots)
 	for lp := 0; lp < cfg.LPs; lp++ {
 		s := shardOf(lp)
 		if s < 0 || s >= k {
 			return nil, fmt.Errorf("pdes: ShardOf(%d) = %d, want [0,%d)", lp, s, k)
 		}
 		r.lpShard[lp] = int32(s)
-		slots := slab[lp*boxSlots : lp*boxSlots : (lp+1)*boxSlots]
-		r.boxes[lp] = lpBox{sh: r.shards[s], lp: int32(lp), msgs: slots}
+		// Set the two fields alone: the rest of the box, its slots
+		// included, is already zero.
+		b := &r.boxes[lp]
+		b.sh, b.lp = r.shards[s], int32(lp)
 	}
 	return r, nil
 }
@@ -202,7 +206,7 @@ func MustNew(cfg Config) *Runner {
 // It may only be called before Run. A Post is a message from lp to
 // itself, so Posts to one LP at one time are delivered in call order,
 // like consecutive sends from one source; Posts to different LPs never
-// order against each other.
+// order against each other. kind must be in 0..255, as for Send.
 func (r *Runner) Post(lp int, at sim.Time, kind int32, data int64) {
 	if r.started {
 		panic("pdes: Post after Run")
@@ -215,10 +219,12 @@ func (r *Runner) Post(lp int, at sim.Time, kind int32, data int64) {
 		//gat:alloc-ok cold panic path
 		panic(fmt.Sprintf("pdes: Post at negative time %v", at))
 	}
+	if uint32(kind) > maxKind {
+		//gat:alloc-ok cold panic path
+		panic(fmt.Sprintf("pdes: Post of kind %d, outside 0..%d", kind, maxKind))
+	}
 	b := &r.boxes[lp]
-	b.push(Message{
-		At: at, Src: int32(lp), Dst: int32(lp), Kind: kind, Seq: b.nextSeq(), Data: data,
-	})
+	b.push(boxMsg{At: at, Seq: b.nextSeq(), src: srcKind(int32(lp), kind), Data: data})
 	r.crossMsgs++
 }
 
@@ -291,7 +297,7 @@ func (r *Runner) runWindow(limit sim.Time) {
 func (r *Runner) collect() {
 	for _, sh := range r.shards {
 		for _, m := range sh.outbox {
-			r.boxes[m.Dst].push(m)
+			r.boxes[m.Dst].push(boxed(m))
 		}
 		r.crossMsgs += uint64(len(sh.outbox))
 		sh.outbox = sh.outbox[:0]
@@ -338,7 +344,7 @@ func (c *Ctx) LP() int { return int(c.box.lp) }
 // Self-messages (dst == the current LP) may use any delay >= 0; a
 // message to another LP must use delay >= 1ns — that gap is what makes
 // delivery order partition-independent — and a message to another
-// shard must respect the configured lookahead.
+// shard must respect the configured lookahead. kind must be in 0..255.
 //
 //gat:hotpath
 func (c *Ctx) Send(dst int, delay sim.Time, kind int32, data int64) {
@@ -358,12 +364,16 @@ func (c *Ctx) Send(dst int, delay sim.Time, kind int32, data int64) {
 		//gat:alloc-ok cold panic path
 		panic(fmt.Sprintf("pdes: zero-delay send %d->%d; inter-LP messages need delay >= 1ns", src, dst))
 	}
-	m := Message{
-		At: sh.eng.Now() + delay, Src: src, Dst: int32(dst),
-		Kind: kind, Seq: b.nextSeq(), Data: data,
+	if uint32(kind) > maxKind {
+		//gat:alloc-ok cold panic path
+		panic(fmt.Sprintf("pdes: send of kind %d, outside 0..%d", kind, maxKind))
 	}
+	at, seq := sh.eng.Now()+delay, b.nextSeq()
 	if r.lpShard[dst] == sh.id {
-		r.boxes[dst].push(m)
+		// A boxMsg literal, not boxed(Message{...}): a Message is
+		// built in memory, and boxed's copy of it would stall on its
+		// fresh stores.
+		r.boxes[dst].push(boxMsg{At: at, Seq: seq, src: srcKind(src, kind), Data: data})
 		return
 	}
 	if r.lookahead <= 0 {
@@ -374,5 +384,5 @@ func (c *Ctx) Send(dst int, delay sim.Time, kind int32, data int64) {
 		//gat:alloc-ok cold panic path
 		panic(fmt.Sprintf("pdes: cross-shard send %d->%d with delay %v < lookahead %v", src, dst, delay, r.lookahead))
 	}
-	sh.outbox = append(sh.outbox, m)
+	sh.outbox = append(sh.outbox, Message{At: at, Seq: seq, Src: src, Dst: int32(dst), Kind: kind, Data: data})
 }

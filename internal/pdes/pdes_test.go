@@ -177,7 +177,8 @@ func sendPanics(cfg Config, send func(ctx *Ctx)) (panicked bool) {
 
 // TestSendContracts checks the delivery-order preconditions fail
 // loudly: zero-delay inter-LP sends, cross-shard sends under the
-// lookahead, and cross-shard sends with no lookahead at all.
+// lookahead, cross-shard sends with no lookahead at all, and kinds an
+// inbox cannot hold, sent or posted.
 func TestSendContracts(t *testing.T) {
 	if !sendPanics(Config{LPs: 2, Shards: 1, Lookahead: 10},
 		func(ctx *Ctx) { ctx.Send(1, 0, 1, 0) }) {
@@ -195,6 +196,20 @@ func TestSendContracts(t *testing.T) {
 		func(ctx *Ctx) { ctx.Send(1, 10, 1, 0) }) {
 		t.Error("legal cross-shard send at exactly the lookahead panicked")
 	}
+	for _, kind := range []int32{-1, maxKind + 1} {
+		if !sendPanics(Config{LPs: 2, Shards: 1},
+			func(ctx *Ctx) { ctx.Send(1, 1, kind, 0) }) {
+			t.Errorf("send of kind %d did not panic", kind)
+		}
+		r := MustNew(Config{LPs: 1, Handler: func(*Ctx, Message) {}})
+		if msg := panicText(func() { r.Post(0, 0, kind, 0) }); !strings.Contains(msg, "kind") {
+			t.Errorf("Post of kind %d: panic %q, want one naming the kind", kind, msg)
+		}
+	}
+	if sendPanics(Config{LPs: 2, Shards: 1},
+		func(ctx *Ctx) { ctx.Send(1, 1, maxKind, 0) }) {
+		t.Errorf("send of kind %d panicked", maxKind)
+	}
 }
 
 // TestConfigErrors checks New's validation.
@@ -205,6 +220,7 @@ func TestConfigErrors(t *testing.T) {
 		{LPs: 4},
 		{LPs: 4, Handler: h, Lookahead: -1},
 		{LPs: 4, Shards: 2, Handler: h, ShardOf: func(int) int { return 7 }},
+		{LPs: maxLPs + 1, Handler: h},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v) succeeded, want error", cfg)
@@ -225,14 +241,77 @@ func TestPostAfterRun(t *testing.T) {
 }
 
 // TestMessageLayout pins the sizes the per-LP state is budgeted on: a
-// 32-byte Message, eight of which New carves per inbox, and a 48-byte
-// lpBox.
+// 32-byte Message, as handlers and outboxes see it, a 24-byte in-box
+// message, and a 232-byte lpBox holding eight of them; and checks that
+// a message with the largest Src and Kind is delivered from its inbox
+// as filed.
 func TestMessageLayout(t *testing.T) {
+	var got Message
+	r := MustNew(Config{LPs: 1, Handler: func(_ *Ctx, m Message) { got = m }})
+	want := Message{At: 1 << 40, Seq: math.MaxUint32, Src: maxLPs - 1, Kind: maxKind, Data: -1}
+	r.boxes[0].push(boxed(want))
+	r.Run()
+	if got != want {
+		t.Errorf("%+v comes out of an inbox as %+v", want, got)
+	}
 	if got := unsafe.Sizeof(Message{}); got != 32 {
 		t.Errorf("Message is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(lpBox{}); got != 48 {
-		t.Errorf("lpBox is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(boxMsg{}); got != 24 {
+		t.Errorf("boxMsg is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(lpBox{}); got != 232 {
+		t.Errorf("lpBox is %d bytes, want 232", got)
+	}
+}
+
+// TestInboxSpill checks an inbox that must hold more messages than its
+// slots: LP 0 is posted three times its slot count, latest first, with
+// kinds up to 255, and each delivery at t=2 sends itself a zero-delay
+// message while the box is spilled. Delivery must follow (At, Seq)
+// order with every field intact, at one shard and at two.
+func TestInboxSpill(t *testing.T) {
+	const posts = 3 * boxSlots
+	for _, shards := range []int{1, 2} {
+		var got []Message
+		r := MustNew(Config{
+			LPs: 2, Shards: shards, Lookahead: 1,
+			Handler: func(ctx *Ctx, m Message) {
+				if ctx.LP() != 0 {
+					return
+				}
+				got = append(got, m)
+				if m.At == 2 && m.Kind != 0 {
+					ctx.Send(0, 0, 0, m.Data)
+				}
+			},
+		})
+		for i := posts - 1; i >= 0; i-- {
+			r.Post(0, sim.Time(i%3), int32(255-i), int64(i))
+		}
+		if r.boxes[0].spill == nil {
+			t.Fatalf("shards=%d: %d pending messages did not spill", shards, posts)
+		}
+		r.Run()
+		var want []Message
+		for at := sim.Time(0); at < 3; at++ {
+			for i := posts - 1; i >= 0; i-- {
+				if sim.Time(i%3) != at {
+					continue
+				}
+				want = append(want, Message{At: at, Seq: uint32(posts - i), Kind: int32(255 - i), Data: int64(i)})
+			}
+			if at == 2 {
+				// The self-sends, in send order after the Posts of t=2.
+				n := len(want)
+				for _, m := range want[n-posts/3 : n] {
+					want = append(want, Message{At: 2, Seq: uint32(posts + len(want) - n + 1), Data: m.Data})
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("shards=%d: delivered\n%v\nwant\n%v", shards, got, want)
+		}
 	}
 }
 

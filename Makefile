@@ -186,14 +186,19 @@ claims-smoke:
 # machines, per shape and per node, and requires both to agree.
 # FuzzChannelMatch interleaves Channel sends and receives from both
 # endpoints over a few tags, ready signals firing before or after the
-# match, against a reference of one FIFO per (destination, tag). A
-# failing input lands in the package's testdata/fuzz/ and replays under
-# plain `go test` once committed.
+# match, against a reference of one FIFO per (destination, tag).
+# FuzzCharmBound runs Charm-H and Charm-D at 1-2 nodes and ODF 1-4 to
+# completion and again bounded near the full TimePerIter, and requires
+# the bounded run to stop exactly when it cannot beat its bound and
+# otherwise to return the full run's metrics. A failing input lands in
+# the package's testdata/fuzz/ and replays under plain `go test` once
+# committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelMatch$$' -fuzztime 20s ./internal/comm
+	$(GO) test -run '^$$' -fuzz '^FuzzCharmBound$$' -fuzztime 20s ./internal/jacobi
 
 # Traffic coverage: which functions under internal/ no workload runs.
 # Builds cmd/sweep, cmd/jacobi3d and cmd/claims with plain -cover (with

@@ -207,7 +207,8 @@ func main() {
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "sweep: %d figures in %v with %d workers (%s)\n",
 			len(res.Figures), res.Wall.Round(1e6), res.Workers, res.Provenance())
-		fmt.Fprintf(os.Stderr, "sweep: %d repeated simulations answered by the sweep's memo\n", res.Reused)
+		fmt.Fprintf(os.Stderr, "sweep: %d repeated simulations answered by the sweep's memo, %d stopped at their ODF-search bound\n",
+			res.Reused, res.Stopped)
 	}
 	if res.CacheErrors > 0 {
 		// Never silent, -v or not: a full disk or rotting cache dir

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"gat/internal/machine"
+	"gat/internal/sim"
 )
 
 // Params carries the per-run knobs shared across applications. Apps
@@ -71,6 +72,29 @@ type App interface {
 	// a run owns its engine. Unknown variants and unusable parameters
 	// return an error.
 	BuildRun(m *machine.Machine, variant string, p Params) (func() Metrics, error)
+}
+
+// Bounded is an App whose runs can stop early: an ODF search needs a
+// candidate's metrics only if its TimePerIter beats the best so far.
+type Bounded interface {
+	App
+	// BuildBoundedRun is BuildRun for a run that matters only if its
+	// TimePerIter comes out below bound (> 0). The closure stops the
+	// simulation once the run cannot and then returns false with no
+	// metrics; a run that finishes below bound returns BuildRun's
+	// metrics, event count included, and true. A variant that cannot
+	// stop early returns an error.
+	BuildBoundedRun(m *machine.Machine, variant string, p Params, bound sim.Time) (func() (Metrics, bool), error)
+}
+
+// BuildBoundedRun binds one bounded run of a (see Bounded). An app
+// that cannot stop its runs early refuses the bound with an error.
+func BuildBoundedRun(a App, m *machine.Machine, variant string, p Params, bound sim.Time) (func() (Metrics, bool), error) {
+	b, ok := a.(Bounded)
+	if !ok {
+		return nil, fmt.Errorf("app: %s cannot stop a run at a bound", a.Name())
+	}
+	return b.BuildBoundedRun(m, variant, p, bound)
 }
 
 // Identity returns the app's stable identity string, "name@vN" — the

@@ -124,6 +124,57 @@ func TestJacobiAppMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestBoundedRuns: a bounded charm-* run of jacobi3d returns BuildRun's
+// metrics when it beats its bound and stops otherwise; the MPI
+// variants, an unknown variant and the apps that cannot stop a run
+// refuse a bound.
+func TestBoundedRuns(t *testing.T) {
+	a, err := ByName("jacobi3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		variant string
+		p       Params
+	}{
+		{"charm-h", Params{Global: [3]int{192, 192, 192}, ODF: 2, Warmup: 1, Iters: 2, Unoptimized: true}},
+		{"charm-d", Params{Global: [3]int{192, 192, 192}, ODF: 2, Warmup: 1, Iters: 2, Fusion: "B"}},
+	} {
+		run, err := a.BuildRun(summitMachine(t, 1), c.variant, c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := run()
+		for _, bound := range []sim.Time{full.TimePerIter, full.TimePerIter + 1} {
+			bounded, err := BuildBoundedRun(a, summitMachine(t, 1), c.variant, c.p, bound)
+			if err != nil {
+				t.Fatalf("%s: %v", c.variant, err)
+			}
+			r, ok := bounded()
+			if want := bound > full.TimePerIter; ok != want || (ok && r != full) {
+				t.Fatalf("%s bound %v: (%+v, %v), want full run %+v finished = %v", c.variant, bound, r, ok, full, want)
+			}
+		}
+	}
+	refuse := func(a App, variant string, p Params) {
+		t.Helper()
+		if _, err := BuildBoundedRun(a, summitMachine(t, 1), variant, p, sim.Millisecond); err == nil {
+			t.Fatalf("%s %s accepted a bound", a.Name(), variant)
+		}
+	}
+	for _, v := range []string{"mpi-h", "mpi-d", "nope"} {
+		refuse(a, v, Params{Global: [3]int{192, 192, 192}})
+	}
+	refuse(a, "charm-d", Params{Global: [3]int{192, 192, 192}, Fusion: "Z"})
+	for _, name := range []string{"minimd", "ring"} {
+		other, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refuse(other, other.Variants()[0], other.Defaults(1))
+	}
+}
+
 func directCharmD(t *testing.T, p Params) sim.Time {
 	t.Helper()
 	cfg := jacobi.Config{Global: p.Global, Warmup: p.Warmup, Iters: p.Iters}

@@ -1,8 +1,11 @@
 package app
 
 import (
+	"fmt"
+
 	"gat/internal/jacobi"
 	"gat/internal/machine"
+	"gat/internal/sim"
 )
 
 // jacobi3D adapts the paper's Jacobi3D proxy (internal/jacobi) to the
@@ -53,17 +56,41 @@ func (a jacobi3D) BuildRun(m *machine.Machine, variant string, p Params) (func()
 		}
 		return func() Metrics { return jacobi.RunMPI(m, cfg, mo) }, nil
 	case "charm-h", "charm-d":
-		co := jacobi.CharmOpts{
-			ODF:           p.ODF,
-			GPUAware:      variant == "charm-d",
-			Fusion:        fusion,
-			Graphs:        p.Graphs,
-			FlatPriority:  p.FlatPriority,
-			ResidualEvery: p.Residual,
-			Optimized:     !p.Unoptimized,
-		}
+		co := charmOpts(variant, p, fusion)
 		return func() Metrics { return jacobi.RunCharm(m, cfg, co) }, nil
 	default:
 		return nil, badVariant(a, variant)
+	}
+}
+
+// BuildBoundedRun binds a charm-* run that stops once it cannot beat
+// bound (jacobi.RunCharmBounded). The MPI variants refuse a bound.
+func (a jacobi3D) BuildBoundedRun(m *machine.Machine, variant string, p Params, bound sim.Time) (func() (Metrics, bool), error) {
+	fusion, err := jacobi.ParseFusion(p.Fusion)
+	if err != nil {
+		return nil, err
+	}
+	switch variant {
+	case "charm-h", "charm-d":
+	case "mpi-h", "mpi-d":
+		return nil, fmt.Errorf("app: %s %s runs cannot stop at a bound", a.Name(), variant)
+	default:
+		return nil, badVariant(a, variant)
+	}
+	cfg := jacobi.Config{Global: p.Global, Warmup: p.Warmup, Iters: p.Iters}
+	co := charmOpts(variant, p, fusion)
+	return func() (Metrics, bool) { return jacobi.RunCharmBounded(m, cfg, co, bound) }, nil
+}
+
+// charmOpts maps p onto the options of a charm-* variant's run.
+func charmOpts(variant string, p Params, fusion jacobi.Fusion) jacobi.CharmOpts {
+	return jacobi.CharmOpts{
+		ODF:           p.ODF,
+		GPUAware:      variant == "charm-d",
+		Fusion:        fusion,
+		Graphs:        p.Graphs,
+		FlatPriority:  p.FlatPriority,
+		ResidualEvery: p.Residual,
+		Optimized:     !p.Unoptimized,
 	}
 }

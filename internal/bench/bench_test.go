@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"gat/internal/app"
+	"gat/internal/sim"
 )
 
 // quickOpt keeps scenario tests fast: tiny sweeps, few iterations.
@@ -163,22 +165,77 @@ func TestTableAndCSVOutput(t *testing.T) {
 func TestBestODFPicksMinimum(t *testing.T) {
 	c := claimCell(quickOpt(), "test", 1)
 	global := [3]int{192, 192, 192}
-	candidates := []int{1, 2, 4}
-	best, odf := bestODFRun(c, "charm-d", global, candidates)
-	for _, cand := range candidates {
-		if r := c.Run("charm-d", app.Params{Global: global, ODF: cand}); r.TimePerIter < best.TimePerIter {
-			t.Fatalf("bestODFRun chose ODF %d (%v), but ODF %d runs faster (%v)",
-				odf, best.TimePerIter, cand, r.TimePerIter)
+	// The second order puts the winner last, so every candidate before
+	// it runs bounded by a best that later loses.
+	for i, candidates := range [][]int{{1, 2, 4}, {4, 2, 1}} {
+		best, odf := bestODFRun(c, "charm-d", global, candidates)
+		for _, cand := range candidates {
+			if r := c.Run("charm-d", app.Params{Global: global, ODF: cand}); r.TimePerIter < best.TimePerIter {
+				t.Fatalf("bestODFRun chose ODF %d (%v), but ODF %d runs faster (%v)",
+					odf, best.TimePerIter, cand, r.TimePerIter)
+			}
+		}
+		if !slices.Contains(candidates, odf) {
+			t.Fatalf("bestODFRun returned ODF %d outside candidates", odf)
+		}
+		if i == 1 && odf == candidates[0] {
+			t.Fatalf("candidates %v: ODF %d won; the case needs a winner after the first", candidates, odf)
+		}
+		// Re-running the winning ODF must reproduce its metrics
+		// (determinism of the selection).
+		again, odf2 := bestODFRun(c, "charm-d", global, []int{odf})
+		if odf2 != odf || again != best {
+			t.Fatalf("bestODFRun not reproducible: %+v/%d vs %+v/%d", best, odf, again, odf2)
 		}
 	}
-	if !slices.Contains(candidates, odf) {
-		t.Fatalf("bestODFRun returned ODF %d outside candidates", odf)
+}
+
+// TestODFSearchMatchesFullSearch: at MaxNodes 4, Iters 2, every Charm
+// cell of Figs 7a–c gives the point — value, ODF label and congestion
+// fields — of a search that runs every candidate to completion, while
+// the bounded search stops some candidates.
+func TestODFSearchMatchesFullSearch(t *testing.T) {
+	opt := Options{MaxNodes: 4, Iters: 2}.WithMemo()
+	for _, fig := range []struct {
+		id     string
+		global func(nodes int) [3]int
+		conv   func(sim.Time) float64
+	}{
+		{"fig7a", func(n int) [3]int { return weakGlobal(weakBaseLarge, n) }, ms},
+		{"fig7b", func(n int) [3]int { return weakGlobal(weakBaseSmall, n) }, us},
+		{"fig7c", func(int) [3]int { return strongGlobal }, ms},
+	} {
+		plan, err := PlanScenario(fig.id, opt, Overrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := 0
+		for _, spec := range plan.Specs {
+			variant := strings.ToLower(spec.Series)
+			if !strings.HasPrefix(variant, "charm-") {
+				continue
+			}
+			cells++
+			got := spec.Execute()
+			c := claimCell(Options{Iters: 2}, "reference", spec.Nodes)
+			var best app.Metrics
+			pick := 0
+			for _, odf := range odfCandidates(spec.Nodes) {
+				r := c.Run(variant, app.Params{Global: fig.global(spec.Nodes), ODF: odf})
+				if pick == 0 || r.TimePerIter < best.TimePerIter {
+					best, pick = r, odf
+				}
+			}
+			want := congested(Point{Nodes: spec.Nodes, Value: fig.conv(best.TimePerIter), Meta: fmt.Sprintf("ODF-%d", pick)}, best)
+			if got != want {
+				t.Errorf("%s: bounded search %+v, full search %+v", spec.Name(), got, want)
+			}
+		}
+		if cells == 0 {
+			t.Fatalf("%s has no Charm cells", fig.id)
+		}
 	}
-	// Re-running the winning ODF must reproduce its time (determinism
-	// of the selection).
-	again, odf2 := bestODFRun(c, "charm-d", global, []int{odf})
-	if odf2 != odf || again.TimePerIter != best.TimePerIter {
-		t.Fatalf("bestODFRun not reproducible: %v/%d vs %v/%d",
-			best.TimePerIter, odf, again.TimePerIter, odf2)
+	if opt.Stopped() == 0 {
+		t.Fatal("no ODF candidate stopped at its bound")
 	}
 }

@@ -98,12 +98,18 @@ func variantScenario(id, title, ylabel string, lo int, global func(int) [3]int, 
 // data point (§IV-A: "the one with the best performance is chosen").
 // All candidate runs share the cell's seed: they are alternatives for
 // the same data point, not separate measurements.
+//
+// A candidate replaces the best only when strictly faster, so each
+// candidate after the first runs bounded by the best TimePerIter so
+// far and stops as soon as it cannot beat it (Cell.runBounded). The
+// choice and the winner's metrics are those of running every
+// candidate to completion.
 func bestODFRun(c *Cell, variant string, global [3]int, odfs []int) (app.Metrics, int) {
-	var best app.Metrics
-	pick := 0
-	for _, odf := range odfs {
-		r := c.Run(variant, app.Params{Global: global, ODF: odf})
-		if pick == 0 || r.TimePerIter < best.TimePerIter {
+	best := c.Run(variant, app.Params{Global: global, ODF: odfs[0]})
+	pick := odfs[0]
+	for _, odf := range odfs[1:] {
+		r, ok := c.runBounded(variant, app.Params{Global: global, ODF: odf}, best.TimePerIter)
+		if ok && r.TimePerIter < best.TimePerIter {
 			best, pick = r, odf
 		}
 	}

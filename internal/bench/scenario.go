@@ -7,6 +7,7 @@ import (
 
 	"gat/internal/app"
 	"gat/internal/machine"
+	"gat/internal/sim"
 )
 
 // This file is the experiment layer's composition seam: a Scenario
@@ -230,6 +231,23 @@ func (c *Cell) Run(variant string, p app.Params) app.Metrics {
 // mutated machine configuration as a machine.Key — equals an earlier
 // run's returns that run's metrics without building a machine.
 func (c *Cell) RunWith(mutate func(*machine.Config), variant string, p app.Params) app.Metrics {
+	r, _ := c.run(mutate, variant, p, 0)
+	return r
+}
+
+// runBounded is Run for a run that matters only if its TimePerIter
+// comes out below bound (> 0), as an ODF candidate that must beat the
+// best so far (app.Bounded). It reports false when the run cannot: the
+// simulation stopped at its deadline, or the memo holds a run of the
+// same input stopped at a bound of at least bound. A true result
+// carries full metrics, which may still not beat bound when they come
+// from the memo.
+func (c *Cell) runBounded(variant string, p app.Params, bound sim.Time) (app.Metrics, bool) {
+	return c.run(nil, variant, p, bound)
+}
+
+// run is RunWith under an optional bound (runBounded; 0 for none).
+func (c *Cell) run(mutate func(*machine.Config), variant string, p app.Params, bound sim.Time) (app.Metrics, bool) {
 	if c.app == nil {
 		panic(fmt.Sprintf("bench: cell %s belongs to an app-less scenario; use NewMachine", c.name))
 	}
@@ -241,16 +259,28 @@ func (c *Cell) RunWith(mutate func(*machine.Config), variant string, p app.Param
 	}
 	cfg := c.config(mutate)
 	k := memoKey{app: c.appID, variant: variant, params: p, machine: cfg.Key()}
-	if r, ok := c.opt.memo.get(k); ok {
-		return r
+	if r, ok, hit := c.opt.memo.get(k, bound); hit {
+		return r, ok
 	}
-	run, err := c.app.BuildRun(machine.MustNew(cfg), variant, p)
+	run, err := c.build(machine.MustNew(cfg), variant, p, bound)
 	if err != nil {
 		panic(fmt.Sprintf("bench: cell %s: %v", c.name, err))
 	}
-	r := run()
-	c.opt.memo.put(k, r)
-	return r
+	r, ok := run()
+	c.opt.memo.put(k, r, ok, bound)
+	return r, ok
+}
+
+// build binds one run of the cell's app on m, bounded when bound > 0.
+func (c *Cell) build(m *machine.Machine, variant string, p app.Params, bound sim.Time) (func() (app.Metrics, bool), error) {
+	if bound > 0 {
+		return app.BuildBoundedRun(c.app, m, variant, p, bound)
+	}
+	run, err := c.app.BuildRun(m, variant, p)
+	if err != nil {
+		return nil, err
+	}
+	return func() (app.Metrics, bool) { return run(), true }, nil
 }
 
 // Plan compiles the scenario into a flat run plan under the given

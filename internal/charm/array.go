@@ -139,7 +139,7 @@ func (a *Array) deliver(el *Elem, m Msg) {
 	rt := a.rt
 	pe := rt.PE(a.peOf[el.Flat])
 	cost := rt.Opt.SchedOverhead + rt.Opt.EntryOverhead + rt.payloadCost(m.Bytes)
-	pe.enqueue(task{prio: PrioNormal, cost: cost, label: a.entryLabel(m.Entry), elem: el, msg: m})
+	pe.enqueue(PrioNormal, task{cost: cost, label: a.entryLabel(m.Entry), elem: el, msg: m})
 }
 
 // Send invokes entry m.Entry on element ix from within a running entry

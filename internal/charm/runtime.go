@@ -141,8 +141,6 @@ type TaskFn func(ctx *Ctx, arg unsafe.Pointer)
 // callback. An entry invocation carries its message (fn == nil), and
 // its element's array dispatches it, instead of a closure binding them.
 type task struct {
-	prio  int
-	seq   uint64
 	cost  sim.Time // host time consumed before handler side effects
 	label string
 	elem  *Elem // owning chare element, if any (for load accounting)
@@ -151,88 +149,16 @@ type task struct {
 	msg   Msg
 }
 
-// before reports whether a runs before b: higher priority (lower value)
-// first, then submission order.
-func (a *task) before(b *task) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
-}
-
-// taskHeap is a monomorphic 4-ary min-heap of task values ordered by
-// (prio, seq), the shape of gpu's ready heap: container/heap would box
-// a *task per Push, and every entry delivery goes through here.
-type taskHeap []task
-
-// push inserts t, holding it aside and shifting displaced parents down.
-//
-//gat:hotpath
-func (h *taskHeap) push(t task) {
-	q := append(*h, t)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !t.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = t
-	*h = q
-}
-
-// popMin removes and returns the next task to run, zeroing the vacated
-// tail slot so the queue does not retain the task's closure or message.
-//
-//gat:hotpath
-func (h *taskHeap) popMin() task {
-	q := *h
-	min := q[0]
-	n := len(q) - 1
-	tail := q[n]
-	q[n] = task{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if q[j].before(&q[best]) {
-				best = j
-			}
-		}
-		if !q[best].before(&tail) {
-			break
-		}
-		q[i] = q[best]
-		i = best
-	}
-	q[i] = tail
-	return min
-}
-
 // PE is one processing element: a scheduler draining a prioritized
-// message queue, bound to one host core and one GPU.
+// message queue, bound to one host core and one GPU. The queue is one
+// FIFO per priority: a PE runs its high-priority tasks first, then its
+// normal ones, each class in submission order.
 type PE struct {
 	rt   *Runtime
 	id   int
 	name string // tracer resource name, built on first traced task
 
-	queue   taskHeap
-	seq     uint64
+	queue   [2]sim.FIFO[task] // indexed by PrioHigh, PrioNormal
 	busy    bool
 	blocked bool
 
@@ -261,35 +187,45 @@ func (pe *PE) BusyTime() sim.Time { return pe.busyAccum }
 // TasksRun returns the number of tasks executed.
 func (pe *PE) TasksRun() uint64 { return pe.tasksRun }
 
-// Enqueue adds a task to the PE's queue. cost is the host time consumed
+// Enqueue adds a task at priority prio (PrioHigh or PrioNormal; any
+// other value panics) to the PE's queue. cost is the host time consumed
 // before the handler's side effects (scheduling + dispatch + payload
 // handling); fn(ctx, arg) executes with a Ctx whose clock starts after
 // cost.
 func (pe *PE) Enqueue(prio int, cost sim.Time, label string, elem *Elem, fn TaskFn, arg unsafe.Pointer) {
-	pe.enqueue(task{prio: prio, cost: cost, label: label, elem: elem, fn: fn, arg: arg})
+	pe.enqueue(prio, task{cost: cost, label: label, elem: elem, fn: fn, arg: arg})
 }
 
-// enqueue stamps t with the PE's submission sequence, queues it and
-// starts it if the PE is idle.
+// enqueue queues t in its priority's FIFO and starts it if the PE is
+// idle.
 //
 //gat:hotpath
-func (pe *PE) enqueue(t task) {
-	pe.seq++
-	t.seq = pe.seq
-	pe.queue.push(t)
+func (pe *PE) enqueue(prio int, t task) {
+	if prio != PrioHigh && prio != PrioNormal {
+		panic("charm: task priority is neither PrioHigh nor PrioNormal")
+	}
+	pe.queue[prio].Push(t)
 	pe.startNext()
 }
 
-// startNext pops and executes the next task if the PE is idle. The
-// handler runs on the PE's one Ctx, reset for the task; the PE stays
-// busy until the finish event at the handler's final clock.
+// startNext pops and executes the next task if the PE is idle: the
+// oldest high-priority task, else the oldest normal one. The handler
+// runs on the PE's one Ctx, reset for the task; the PE stays busy until
+// the finish event at the handler's final clock.
 //
 //gat:hotpath
 func (pe *PE) startNext() {
-	if pe.busy || pe.blocked || len(pe.queue) == 0 {
+	if pe.busy || pe.blocked {
 		return
 	}
-	t := pe.queue.popMin()
+	q := &pe.queue[PrioHigh]
+	if q.Len() == 0 {
+		q = &pe.queue[PrioNormal]
+		if q.Len() == 0 {
+			return
+		}
+	}
+	t := q.Pop()
 	pe.busy = true
 	pe.tasksRun++
 	eng := pe.rt.Engine()

@@ -94,10 +94,12 @@ type Device struct {
 	cfg  Config
 	name string
 
-	ready     readyHeap
+	// ready holds the compute work waiting for the engine, one FIFO
+	// per stream priority: the engine takes the oldest high-priority
+	// item, else the oldest normal one.
+	ready     [2]sim.FIFO[readyItem] // indexed by PriorityHigh, PriorityNormal
 	busy      bool
 	busyAccum sim.Time
-	seq       uint64
 
 	// The compute engine is a serial server, so at most one item is in
 	// flight; its bookkeeping lives on the device and the completion
@@ -198,115 +200,53 @@ type durEntry struct {
 }
 
 // Stream priorities. Lower values run first when the compute engine
-// picks among eligible work, mirroring CUDA stream priorities.
+// picks among eligible work, mirroring CUDA stream priorities. A stream
+// takes one of these two; NewStream and AcquireStream panic on any
+// other value.
 const (
 	PriorityHigh   = 0
 	PriorityNormal = 1
 )
+
+// checkPriority panics unless prio is PriorityHigh or PriorityNormal.
+func checkPriority(prio int) {
+	if prio != PriorityHigh && prio != PriorityNormal {
+		panic(fmt.Sprintf("gpu: stream priority %d is neither PriorityHigh nor PriorityNormal", prio))
+	}
+}
 
 // readyItem is a unit of compute work eligible for dispatch. Its
 // completion action is a static function with a record argument (the
 // stream, or one graph node of a launched instance), so queueing
 // compute work creates no closure.
 type readyItem struct {
-	prio    int
-	seq     uint64
 	service sim.Time
 	label   string
 	fn      sim.ArgFunc
 	arg     unsafe.Pointer
 }
 
-// readyHeap is a monomorphic 4-ary min-heap ordered by (prio, seq):
-// the container/heap interface would box every readyItem on Push and
-// Pop, and kernel dispatch sits on the per-iteration hot path of every
-// simulation.
-type readyHeap []readyItem
-
-// before reports whether a dispatches before b: higher priority (lower
-// value) first, then submission order.
-func (a readyItem) before(b readyItem) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.seq < b.seq
-}
-
-// push inserts it, holding it aside and shifting displaced parents
-// down — one copy per level instead of a swap.
-//
-//gat:hotpath
-func (h *readyHeap) push(it readyItem) {
-	q := append(*h, it)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !it.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = it
-	*h = q
-}
-
-// popMin removes and returns the first item to dispatch, zeroing the
-// vacated tail slot so it does not retain the item's record.
-//
-//gat:hotpath
-func (h *readyHeap) popMin() readyItem {
-	q := *h
-	min := q[0]
-	n := len(q) - 1
-	tail := q[n]
-	q[n] = readyItem{}
-	q = q[:n]
-	*h = q
-	if n == 0 {
-		return min
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		best := c
-		hi := c + 4
-		if hi > n {
-			hi = n
-		}
-		for j := c + 1; j < hi; j++ {
-			if q[j].before(q[best]) {
-				best = j
-			}
-		}
-		if !q[best].before(tail) {
-			break
-		}
-		q[i] = q[best]
-		i = best
-	}
-	q[i] = tail
-	return min
-}
-
-// submitCompute queues work for the serial compute engine; fn(arg)
-// runs when it completes.
+// submitCompute queues work for the serial compute engine at the
+// priority of the submitting stream; fn(arg) runs when it completes.
 //
 //gat:hotpath
 func (d *Device) submitCompute(prio int, label string, service sim.Time, fn sim.ArgFunc, arg unsafe.Pointer) {
-	d.seq++
-	d.ready.push(readyItem{prio: prio, seq: d.seq, service: service, label: label, fn: fn, arg: arg})
+	d.ready[prio].Push(readyItem{service: service, label: label, fn: fn, arg: arg})
 	d.tryDispatch()
 }
 
 func (d *Device) tryDispatch() {
-	if d.busy || len(d.ready) == 0 {
+	if d.busy {
 		return
 	}
-	it := d.ready.popMin()
+	q := &d.ready[PriorityHigh]
+	if q.Len() == 0 {
+		q = &d.ready[PriorityNormal]
+		if q.Len() == 0 {
+			return
+		}
+	}
+	it := q.Pop()
 	d.busy = true
 	d.kernelCount++
 	d.curService, d.curStart, d.curLabel = it.service, d.eng.Now(), it.label

@@ -10,10 +10,10 @@ import (
 // analogue. Operations on one stream execute in FIFO order; operations
 // on different streams may interleave subject to engine availability.
 type Stream struct {
-	dev  *Device
-	name string
-	prio int
-	ops  []*op // pending; ops[0] is the in-flight head
+	dev        *Device
+	name       string
+	prio       int
+	head, tail *op // pending ops, linked through op.next; head is in flight
 }
 
 // streamComplete finishes the stream's in-flight head op. A stream
@@ -30,7 +30,7 @@ func streamComplete(_ *sim.Engine, arg unsafe.Pointer) { (*Stream)(arg).complete
 //gat:hotpath
 func streamCallback(e *sim.Engine, arg unsafe.Pointer) {
 	s := (*Stream)(arg)
-	o := s.ops[0]
+	o := s.head
 	o.cbFn(e, o.cbArg)
 	s.complete()
 }
@@ -44,8 +44,9 @@ func streamCallback(e *sim.Engine, arg unsafe.Pointer) {
 func (s *Stream) newOp() *op { return s.dev.freeOps.Get() }
 
 // NewStream creates a stream with the given priority (PriorityHigh or
-// PriorityNormal).
+// PriorityNormal; any other value panics).
 func (d *Device) NewStream(name string, prio int) *Stream {
+	checkPriority(prio)
 	return &Stream{dev: d, name: name, prio: prio}
 }
 
@@ -63,8 +64,9 @@ func (d *Device) NewStream(name string, prio int) *Stream {
 // again until they complete. There is no release call: a stream
 // returns to circulation by draining.
 func (d *Device) AcquireStream(name string, prio int) *Stream {
+	checkPriority(prio)
 	for _, s := range d.streamPool {
-		if len(s.ops) == 0 {
+		if s.head == nil {
 			s.name, s.prio = name, prio
 			return s
 		}
@@ -80,9 +82,6 @@ func (d *Device) PooledStreams() int { return len(d.streamPool) }
 
 // Device returns the owning device.
 func (s *Stream) Device() *Device { return s.dev }
-
-// Pending returns the number of queued (not yet completed) operations.
-func (s *Stream) Pending() int { return len(s.ops) }
 
 type opKind int
 
@@ -104,6 +103,7 @@ type op struct {
 	cbArg unsafe.Pointer // callback record
 	wait  sim.SignalRef  // gate for opWait
 	graph *Graph         // for opGraph
+	next  *op            // the op queued behind this one on its stream
 	done  sim.Signal     // embedded: one allocation per op, not two
 }
 
@@ -121,17 +121,20 @@ func (s *Stream) enqueue(o *op) *sim.Signal {
 //
 //gat:hotpath
 func (s *Stream) push(o *op) {
-	s.ops = append(s.ops, o)
-	if len(s.ops) == 1 {
+	if s.head == nil {
+		s.head, s.tail = o, o
 		s.startHead()
+		return
 	}
+	s.tail.next = o
+	s.tail = o
 }
 
 // startHead begins executing the op at the head of the stream.
 //
 //gat:hotpath
 func (s *Stream) startHead() {
-	o := s.ops[0]
+	o := s.head
 	d := s.dev
 	arg := unsafe.Pointer(s)
 	switch o.kind {
@@ -153,20 +156,20 @@ func (s *Stream) startHead() {
 	}
 }
 
-// complete finishes the head op: fire its signal, dequeue it
-// (capacity-preserving, so a steady enqueue/complete cycle never
-// reallocates), recycle it, and start the next.
+// complete finishes the head op: fire its signal, unlink it, recycle
+// it, and start the next.
 //
 //gat:hotpath
 func (s *Stream) complete() {
-	o := s.ops[0]
+	o := s.head
 	d := s.dev
 	o.done.Fire(d.eng)
-	n := copy(s.ops, s.ops[1:])
-	s.ops[n] = nil
-	s.ops = s.ops[:n]
+	s.head = o.next
+	if s.head == nil {
+		s.tail = nil
+	}
 	d.freeOps.Recycle(o, &o.done)
-	if len(s.ops) > 0 {
+	if s.head != nil {
 		s.startHead()
 	}
 }

@@ -121,6 +121,12 @@ type charmDriver struct {
 
 	warmC, doneC *sim.Counter
 	tWarm, tEnd  sim.Time
+	finished     bool // doneC has fired
+
+	// bound, when positive, is the TimePerIter the run must beat to
+	// matter (RunCharmBounded); limit is the engine's run window that
+	// the bound's deadline replaced.
+	bound, limit sim.Time
 
 	sends sim.FreeList[haloSend] // recycled host-staged halo sends
 }
@@ -136,7 +142,22 @@ func (drv *charmDriver) perFaceUnpack() bool {
 
 // RunCharm executes Jacobi3D with the Charm-style runtime on machine m.
 func RunCharm(m *machine.Machine, cfg Config, opt CharmOpts) machine.Metrics {
-	return newCharmDriver(m, cfg, opt).run()
+	r, _ := newCharmDriver(m, cfg, opt).run(0)
+	return r
+}
+
+// RunCharmBounded is RunCharm for a run that matters only if its
+// TimePerIter comes out below bound (> 0), as an ODF candidate that
+// must beat the best so far. It stops the simulation at the last
+// instant at which that is still possible and then reports false with
+// no metrics. A run that finishes in time returns RunCharm's metrics,
+// event count included, and true: stopping adds no event and moves
+// none.
+func RunCharmBounded(m *machine.Machine, cfg Config, opt CharmOpts, bound sim.Time) (machine.Metrics, bool) {
+	if bound <= 0 {
+		panic("jacobi: RunCharmBounded needs a positive bound")
+	}
+	return newCharmDriver(m, cfg, opt).run(bound)
 }
 
 // newCharmDriver builds the runtime, chare array, streams, channels and
@@ -160,8 +181,8 @@ func newCharmDriver(m *machine.Machine, cfg Config, opt CharmOpts) *charmDriver 
 		warmC: sim.NewCounter(nChares),
 		doneC: sim.NewCounter(nChares),
 	}
-	drv.warmC.Done().OnFire(m.Eng, func() { drv.tWarm = m.Eng.Now() })
-	drv.doneC.Done().OnFire(m.Eng, func() { drv.tEnd = m.Eng.Now() })
+	drv.warmC.Done().OnFire(m.Eng, drv.warmedUp)
+	drv.doneC.Done().OnFire(m.Eng, drv.timedDone)
 
 	entries := []charm.EntryFn{
 		entryStart:    func(el *charm.Elem, ctx *charm.Ctx, msg charm.Msg) { drv.startIter(state(el), ctx) },
@@ -177,12 +198,43 @@ func newCharmDriver(m *machine.Machine, cfg Config, opt CharmOpts) *charmDriver 
 	return drv
 }
 
-// run executes the driver's iterations to completion.
-func (drv *charmDriver) run() machine.Metrics {
+// run executes the driver's iterations to completion, or, under a
+// positive bound, until the run can no longer beat it, reporting false
+// then.
+func (drv *charmDriver) run(bound sim.Time) (machine.Metrics, bool) {
 	m := drv.rt.M
+	drv.bound = bound
 	drv.arr.Broadcast(charm.Msg{Entry: entryStart})
 	m.Eng.Run()
-	return m.Metrics((drv.tEnd - drv.tWarm) / sim.Time(drv.cfg.Iters))
+	if !drv.finished {
+		return machine.Metrics{}, false
+	}
+	return m.Metrics((drv.tEnd - drv.tWarm) / sim.Time(drv.cfg.Iters)), true
+}
+
+// warmedUp records the end of warm-up. Under a bound it also ends the
+// engine's run window at the run's deadline: TimePerIter is
+// (tEnd − tWarm) / Iters in integer division, so it is below bound
+// exactly when tEnd ≤ tWarm + bound·Iters − 1. No event after that
+// instant runs, and a run whose timed iterations end later stops
+// unfinished.
+func (drv *charmDriver) warmedUp() {
+	eng := drv.rt.Engine()
+	drv.tWarm = eng.Now()
+	if drv.bound > 0 {
+		drv.limit = eng.SetLimit(drv.tWarm + drv.bound*sim.Time(drv.cfg.Iters) - 1)
+	}
+}
+
+// timedDone records the end of the timed iterations and reopens the
+// run window a bound closed, so the events left after the last
+// iteration run as they would unbounded.
+func (drv *charmDriver) timedDone() {
+	eng := drv.rt.Engine()
+	drv.tEnd, drv.finished = eng.Now(), true
+	if drv.bound > 0 {
+		eng.SetLimit(drv.limit)
+	}
 }
 
 func state(el *charm.Elem) *chState { return el.State.(*chState) }

@@ -235,6 +235,21 @@ func (e *Engine) RunUntil(limit Time) Time {
 	return e.now
 }
 
+// SetLimit moves the end of the running window to t and returns the
+// previous end. Called from an event of a RunUntil (or Run), it lets a
+// model stop its own run at an instant it learns only while running:
+// RunUntil returns once no pending event is at or before t. Calling it
+// again with the returned value reopens the original window. The end
+// also bounds Proc.Sleep's fast-forward, so a lowered limit can turn a
+// sleeping proc's fast-forward into an event; a model that relies on
+// unchanged event counts must not run sleeping procs under it. Step
+// resets the window for each event.
+func (e *Engine) SetLimit(t Time) Time {
+	old := e.limit
+	e.limit = t
+	return old
+}
+
 // step pops the earliest pending event with a timestamp within the run
 // window (e.limit) and executes it, reporting whether one ran. It is
 // the whole event loop: RunUntil calls it until the window is drained,

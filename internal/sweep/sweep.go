@@ -128,6 +128,10 @@ type Result struct {
 	// sweep had the same input. A simulated run may reuse some of its
 	// simulations, so Reused is not a run count.
 	Reused int
+	// Stopped counts the simulations that stopped at their bound: ODF
+	// candidates that could no longer beat the best so far
+	// (bench.Options.Stopped). Like Reused it is not a run count.
+	Stopped int
 	// CacheErrors counts non-fatal run-store failures (corrupt entries
 	// discarded, write-through errors); each is also reported on the
 	// Progress writer. The sweep's figures are unaffected: failed
@@ -294,7 +298,8 @@ func Sweep(ids []string, opt Options) (Result, error) {
 	})
 
 	//gat:nondet-ok host-side sweep wall time; never enters figure values
-	res := Result{Wall: time.Since(start), Workers: opt.workers(), CacheErrors: cacheErrs, Reused: opt.Bench.Reused()}
+	res := Result{Wall: time.Since(start), Workers: opt.workers(), CacheErrors: cacheErrs,
+		Reused: opt.Bench.Reused(), Stopped: opt.Bench.Stopped()}
 	for i, p := range plans {
 		points := make([]bench.Point, len(p.Specs))
 		for s, r := range runs[i] {

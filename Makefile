@@ -190,15 +190,24 @@ claims-smoke:
 # FuzzCharmBound runs Charm-H and Charm-D at 1-2 nodes and ODF 1-4 to
 # completion and again bounded near the full TimePerIter, and requires
 # the bounded run to stop exactly when it cannot beat its bound and
-# otherwise to return the full run's metrics. A failing input lands in
-# the package's testdata/fuzz/ and replays under plain `go test` once
-# committed.
+# otherwise to return the full run's metrics. FuzzConfigValidate edits
+# every registered machine profile's float fields with arbitrary bits,
+# NaN and Inf included, and requires any configuration Validate passes
+# to build, move 1 MiB and run a kernel without panicking.
+# FuzzStoreGet reads arbitrary bytes filed under a run key and requires
+# a hit to carry the cache schema and that key; FuzzReadJSON parses
+# arbitrary sweep reports and indexes them for -resume, neither of
+# which may panic. A failing input lands in the package's
+# testdata/fuzz/ and replays under plain `go test` once committed.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTimedOrder$$' -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelMatch$$' -fuzztime 20s ./internal/comm
 	$(GO) test -run '^$$' -fuzz '^FuzzCharmBound$$' -fuzztime 20s ./internal/jacobi
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 20s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreGet$$' -fuzztime 20s ./internal/sweep/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 20s ./internal/sweep
 
 # Traffic coverage: which functions under internal/ no workload runs.
 # Builds cmd/sweep, cmd/jacobi3d and cmd/claims with plain -cover (with

@@ -27,6 +27,10 @@ func main() {
 	iters := flag.Int("iters", 0, "timed iterations per run (0 = default 10)")
 	smoke := flag.Bool("smoke", false, "report every claim but exit 0 even on FAIL (for reduced-scale CI runs)")
 	flag.Parse()
+	if err := checkFlags(*maxNodes, *iters); err != nil {
+		fmt.Fprintf(os.Stderr, "claims: %v\n", err)
+		os.Exit(2)
+	}
 	opt := bench.Options{MaxNodes: *maxNodes, Iters: *iters}
 	ok := bench.CheckClaims(opt, os.Stdout)
 	switch {
@@ -38,4 +42,16 @@ func main() {
 		fmt.Println("\nsome claims FAILED")
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses a negative -maxnodes or -iters (0 picks the
+// default), naming the flag.
+func checkFlags(maxNodes, iters int) error {
+	if maxNodes < 0 {
+		return fmt.Errorf("bad -maxnodes %d: want 0 (paper scale) or more", maxNodes)
+	}
+	if iters < 0 {
+		return fmt.Errorf("bad -iters %d: want 0 (the default) or more", iters)
+	}
+	return nil
 }

@@ -49,6 +49,10 @@ func main() {
 	if *traceCSV != "" {
 		*trace = true
 	}
+	if err := checkFlags(*iters, *warmup, *odf, *residual); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	global, err := parseGlobal(*globalStr)
 	if err != nil {
@@ -179,6 +183,24 @@ func printTopResources(tr *sim.Tracer, horizon sim.Time, n int) {
 		util := 100 * float64(r.t) / float64(horizon)
 		fmt.Printf("  %-24s busy %-12v %5.1f%%\n", r.name, r.t, util)
 	}
+}
+
+// checkFlags refuses iteration counts and an ODF below 1 and a
+// negative residual period, naming the flag. The app reads a zero count
+// as its default, so -warmup 0 could not mean no warm-up.
+func checkFlags(iters, warmup, odf, residual int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"iters", iters}, {"warmup", warmup}, {"odf", odf}} {
+		if f.v < 1 {
+			return fmt.Errorf("bad -%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	if residual < 0 {
+		return fmt.Errorf("bad -residual %d: want 0 (off) or more", residual)
+	}
+	return nil
 }
 
 func parseGlobal(s string) ([3]int, error) {

@@ -18,9 +18,9 @@
 //	sweep -fig all -json                    # gat-sweep-v3 JSON report
 //
 // Incremental sweeps: every run is content-addressed (a fingerprint
-// over scenario, series, x, nodes, iteration counts, seed, jitter and
-// the engine/app/machine versions), so identical runs need never be
-// simulated twice.
+// over scenario, app, machine, series, x, nodes, iteration counts,
+// seed, jitter and sim.EngineVersion, the one model salt), so identical
+// runs need never be simulated twice.
 //
 //	sweep -fig all -cache                   # memoize runs on disk
 //	sweep -fig all -cache -explain          # ...and say what was cached
@@ -95,25 +95,18 @@ func main() {
 		listScenarios(os.Stdout)
 		return
 	}
-	if *jitter < 0 || *jitter >= 1 {
-		fatalf("bad -jitter %g: want a fraction in [0,1)", *jitter)
+	opt := sweep.Options{
+		Workers:   *jobs,
+		Bench:     bench.Options{MaxNodes: *maxNodes, Iters: *iters, Warmup: *warmup, Jitter: *jitter, Shards: *shards},
+		Overrides: bench.Overrides{Machine: *machineName, App: *appName},
 	}
-	if *shards < 1 {
-		fatalf("bad -shards %d: want at least 1", *shards)
-	}
-	if *shards > 1 && *jitter > 0 {
-		fatalf("-shards %d is incompatible with -jitter: the jitter RNG stream is not partitioned across shards, so sharded jittered runs would not reproduce serial ones; drop one of the two flags", *shards)
+	if err := checkFlags(opt.Bench); err != nil {
+		fatalf("%v", err)
 	}
 	if *machineName != "" {
 		if _, err := machine.ProfileByName(*machineName); err != nil {
 			fatalf("%v", err)
 		}
-	}
-
-	opt := sweep.Options{
-		Workers:   *jobs,
-		Bench:     bench.Options{MaxNodes: *maxNodes, Iters: *iters, Warmup: *warmup, Jitter: *jitter, Shards: *shards},
-		Overrides: bench.Overrides{Machine: *machineName, App: *appName},
 	}
 	if *verbose {
 		opt.Progress = os.Stderr
@@ -233,6 +226,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses the sweep options no run can honor, naming the
+// flag: a negative node cap or iteration count (0 picks the default), a
+// jitter fraction outside [0,1) or NaN, fewer than one shard, and
+// shards with jitter.
+func checkFlags(o bench.Options) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"maxnodes", o.MaxNodes}, {"iters", o.Iters}, {"warmup", o.Warmup}} {
+		if f.v < 0 {
+			return fmt.Errorf("bad -%s %d: want 0 (the default) or more", f.name, f.v)
+		}
+	}
+	switch {
+	case !(o.Jitter >= 0 && o.Jitter < 1):
+		return fmt.Errorf("bad -jitter %g: want a fraction in [0,1)", o.Jitter)
+	case o.Shards < 1:
+		return fmt.Errorf("bad -shards %d: want at least 1", o.Shards)
+	case o.Shards > 1 && o.Jitter > 0:
+		return fmt.Errorf("-shards %d is incompatible with -jitter: the jitter RNG stream is not partitioned across shards, so sharded jittered runs would not reproduce serial ones; drop one of the two flags", o.Shards)
+	}
+	return nil
 }
 
 // resolveIDs maps the -fig alias and -scenario flag to scenario names.

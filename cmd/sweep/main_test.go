@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -87,6 +88,36 @@ func TestSizeWarnings(t *testing.T) {
 		}
 		if strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, "sweep: warning: ") || !strings.Contains(got, c.want) {
 			t.Errorf("%s %+v: warned %q, want one line containing %q", c.id, c.opt, got, c.want)
+		}
+	}
+}
+
+// TestCheckFlags covers the options no sweep can honor: each is refused
+// with an error naming its flag, and the defaults pass.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		opt  bench.Options
+		want string // substring of the error, or "" for none
+	}{
+		{bench.Options{Shards: 1}, ""},
+		{bench.Options{MaxNodes: 16, Iters: 3, Warmup: 1, Jitter: 0.05, Shards: 1}, ""},
+		{bench.Options{Iters: -1, Shards: 1}, "bad -iters -1"},
+		{bench.Options{Warmup: -2, Shards: 1}, "bad -warmup -2"},
+		{bench.Options{MaxNodes: -1, Shards: 1}, "bad -maxnodes -1"},
+		{bench.Options{Jitter: math.NaN(), Shards: 1}, "bad -jitter NaN"},
+		{bench.Options{Jitter: math.Inf(1), Shards: 1}, "bad -jitter +Inf"},
+		{bench.Options{Jitter: -0.1, Shards: 1}, "bad -jitter -0.1"},
+		{bench.Options{Jitter: 1, Shards: 1}, "bad -jitter 1"},
+		{bench.Options{Shards: 0}, "bad -shards 0"},
+		{bench.Options{Jitter: 0.1, Shards: 2}, "-shards 2 is incompatible with -jitter"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.opt)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: refused with %v", c.opt, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: got %v, want an error containing %q", c.opt, err, c.want)
 		}
 	}
 }

@@ -56,11 +56,6 @@ type Metrics = machine.Metrics
 type App interface {
 	// Name is the registry key (lower-case, stable).
 	Name() string
-	// Version is the cache-identity version: an app whose simulated
-	// behavior changes (cost model, decomp rules, default workload
-	// shape) bumps it, so fingerprints keyed on its identity stop
-	// matching stale cache entries.
-	Version() int
 	// Variants lists the runtime/communication variants, in canonical
 	// order.
 	Variants() []string
@@ -95,13 +90,6 @@ func BuildBoundedRun(a App, m *machine.Machine, variant string, p Params, bound 
 		return nil, fmt.Errorf("app: %s cannot stop a run at a bound", a.Name())
 	}
 	return b.BuildBoundedRun(m, variant, p, bound)
-}
-
-// Identity returns the app's stable identity string, "name@vN" — the
-// application component of a run fingerprint. It changes exactly when
-// the app's simulated results may change.
-func Identity(a App) string {
-	return fmt.Sprintf("%s@v%d", a.Name(), a.Version())
 }
 
 var apps []App

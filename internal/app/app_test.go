@@ -242,23 +242,3 @@ func TestMetricsCarryLinkUtilization(t *testing.T) {
 		}
 	}
 }
-
-// TestAppIdentity pins the versioned identity strings that enter run
-// fingerprints: identities are distinct, and jacobi3d's is at v1.
-func TestAppIdentity(t *testing.T) {
-	seen := map[string]bool{}
-	for _, a := range Apps() {
-		id := Identity(a)
-		if id == "" || seen[id] {
-			t.Errorf("app %s has empty or duplicate identity %q", a.Name(), id)
-		}
-		seen[id] = true
-	}
-	j, err := ByName("jacobi3d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Identity(j); got != "jacobi3d@v1" {
-		t.Errorf("jacobi3d identity = %q, want jacobi3d@v1 (bumping it invalidates all cached jacobi3d runs)", got)
-	}
-}

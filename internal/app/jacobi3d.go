@@ -19,10 +19,6 @@ func init() { Register(jacobi3D{}) }
 
 func (jacobi3D) Name() string { return "jacobi3d" }
 
-// Version is the cache-identity version: bump when the Jacobi cost
-// model or decomposition changes simulated results.
-func (jacobi3D) Version() int { return 1 }
-
 func (jacobi3D) Variants() []string {
 	return []string{"mpi-h", "mpi-d", "charm-h", "charm-d"}
 }

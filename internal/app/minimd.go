@@ -46,10 +46,6 @@ const MiniMDRebalanceEvery = 4
 
 func (miniMD) Name() string { return "minimd" }
 
-// Version is the cache-identity version: bump when the MD proxy's
-// patch densities, force cost model or balancer change results.
-func (miniMD) Version() int { return 1 }
-
 func (miniMD) Variants() []string { return []string{"charm-static", "charm-lb"} }
 
 func (miniMD) Defaults(int) Params { return Params{ODF: mdDefaultODF, Iters: mdDefaultSteps} }

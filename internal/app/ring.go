@@ -33,10 +33,6 @@ const (
 
 func (ring) Name() string { return "ring" }
 
-// Version is the cache-identity version: bump when the ring workload's
-// simulated results change.
-func (ring) Version() int { return 1 }
-
 func (ring) Variants() []string { return []string{"ring"} }
 
 func (ring) Defaults(int) Params { return Params{ODF: 1, Iters: ringDefaultSteps} }

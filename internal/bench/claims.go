@@ -85,7 +85,7 @@ func claimCell(opt Options, id string, nodes int) *Cell {
 		panic(err)
 	}
 	return &Cell{X: nodes, Nodes: nodes, opt: opt, profile: prof, app: a,
-		appID: app.Identity(a), name: fmt.Sprintf("%s@%d", id, nodes)}
+		name: fmt.Sprintf("%s@%d", id, nodes)}
 }
 
 func claimC1(opt Options) ClaimResult {

@@ -18,12 +18,10 @@ import (
 // The canonical input covers everything that determines a run's
 // simulated output:
 //
-//   - the engine-semantics salt (sim.EngineVersion) — bumped when the
-//     simulator's timelines change;
-//   - the versioned app and machine identities (app.Identity,
-//     machine.Profile.Identity) — bumped when a workload or cost model
-//     changes independent of the engine;
-//   - the experiment coordinates: figure, scenario, series, x, nodes;
+//   - the model salt (sim.EngineVersion), the one version value in the
+//     key, bumped by every change to what any run simulates;
+//   - the experiment coordinates: scenario, app, machine profile,
+//     series, x, nodes;
 //   - the resolved iteration counts, the per-run seed, and the jitter
 //     fraction.
 //
@@ -41,32 +39,14 @@ func (s RunSpec) Fingerprint() string {
 // salt; split out so tests can prove that bumping the salt invalidates
 // every key.
 func (s RunSpec) fingerprint(salt string) string {
-	// The scenario component is versioned (Scenario.Identity): cell
-	// logic with embedded cost-model constants — machine-hook fabric
-	// parameters, search sets — invalidates its own keys by bumping
-	// Scenario.Version. At version 0 the identity is the plain name,
-	// the exact bytes pre-versioned keys hashed. Specs built outside
-	// Scenario.Plan (tests) fall back to the name.
-	sid := s.scenarioID
-	if sid == "" {
-		sid = s.Scenario
-	}
 	h := sha256.New()
-	fmt.Fprintf(h, "gat-run|engine=%s|fig=%s|scenario=%s|app=%s|machine=%s|series=%s|x=%d|nodes=%d|warmup=%d|iters=%d|seed=%d|jitter=%s",
-		salt, s.FigID, sid, s.appID, s.machineID, s.Series,
+	fmt.Fprintf(h, "gat-run|engine=%s|scenario=%s|app=%s|machine=%s|series=%s|x=%d|nodes=%d|warmup=%d|iters=%d|seed=%d|jitter=%s",
+		salt, s.Scenario, s.App, s.Machine, s.Series,
 		s.X, s.Nodes, s.Warmup, s.Iters, s.Seed,
 		strconv.FormatFloat(s.Jitter, 'g', -1, 64))
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
-
-// AppIdentity and MachineIdentity expose the versioned identity
-// strings hashed into the fingerprint (empty app identity for
-// machine-level scenarios), for provenance displays and cache entries.
-func (s RunSpec) AppIdentity() string { return s.appID }
-
-// MachineIdentity returns the versioned machine-profile identity.
-func (s RunSpec) MachineIdentity() string { return s.machineID }
 
 // executions counts RunSpec.Execute calls process-wide. It is the
 // run-counter hook behind Executions, letting tests and smoke checks

@@ -9,15 +9,8 @@ import (
 // to NOT influence the fingerprint, with the reason why. Everything
 // else must change the content address when mutated — otherwise two
 // different experiments could collide in the run cache and a stale
-// figure point would be served as fresh.
-var fingerprintExempt = map[string]string{
-	// App and Machine are display names; the fingerprint hashes their
-	// versioned identities (appID, machineID) instead, so that bumping
-	// app.Identity or machine.Profile.Identity invalidates cached runs
-	// even when the human-readable name is unchanged.
-	"App":     "hashed via the versioned appID identity",
-	"Machine": "hashed via the versioned machineID identity",
-}
+// figure point would be served as fresh. Every field is hashed today.
+var fingerprintExempt = map[string]string{}
 
 // mutate returns a copy of the field value changed to a different,
 // same-typed value. Extend the switch when RunSpec grows a field of a
@@ -46,7 +39,7 @@ func mutate(t *testing.T, v reflect.Value, name string) {
 // share a cache key.
 func TestFingerprintCoversEveryExportedField(t *testing.T) {
 	baseline := RunSpec{
-		FigID:    "fig7a",
+		Scenario: "fig7a",
 		Series:   "gat",
 		X:        8,
 		Nodes:    8,
@@ -54,14 +47,8 @@ func TestFingerprintCoversEveryExportedField(t *testing.T) {
 		Iters:    16,
 		Seed:     42,
 		Jitter:   0.05,
-		Scenario: "fig7a",
 		App:      "jacobi3d",
 		Machine:  "summit-ish",
-		// scenarioID is deliberately left empty so the Scenario
-		// fallback path is the one under test; the versioned
-		// identities stand in for App/Machine as documented.
-		appID:     "jacobi3d@v1",
-		machineID: "summit-ish@v1",
 	}
 	const salt = "exhaustive-test-salt"
 	base := baseline.fingerprint(salt)
@@ -92,27 +79,5 @@ func TestFingerprintCoversEveryExportedField(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("fingerprintExempt names %q, which is not an exported RunSpec field", name)
 		}
-	}
-}
-
-// TestFingerprintExemptFieldsHaveVersionedStandIns pins the documented
-// reason the exemptions are safe: the versioned identity strings that
-// replace App and Machine in the hash do change the fingerprint.
-func TestFingerprintExemptFieldsHaveVersionedStandIns(t *testing.T) {
-	spec := RunSpec{FigID: "f", appID: "a@1", machineID: "m@1"}
-	const salt = "standin-salt"
-	base := spec.fingerprint(salt)
-	for name, bump := range map[string]func(*RunSpec){
-		"appID":     func(s *RunSpec) { s.appID = "a@2" },
-		"machineID": func(s *RunSpec) { s.machineID = "m@2" },
-	} {
-		s := spec
-		bump(&s)
-		if s.fingerprint(salt) == base {
-			t.Errorf("bumping %s did not change the fingerprint; the App/Machine exemptions in fingerprintExempt are no longer justified", name)
-		}
-	}
-	if len(fingerprintExempt) != 2 {
-		t.Fatalf("fingerprintExempt grew beyond App/Machine (%d entries); add a matching stand-in check here", len(fingerprintExempt))
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"gat/internal/sim"
 )
 
-// memoKey is the full input of one Cell.RunWith simulation: the
-// versioned app identity, the variant, the parameters after the
-// sweep's iteration overrides, and the machine configuration after the
-// cell's hook edited it (machine.Key, which drops a seed nothing
-// reads). A bounded run's bound is not part of it: the bound decides
-// only how far the simulation goes, never what it computes.
+// memoKey is the full input of one Cell.RunWith simulation: the app
+// name, the variant, the parameters after the sweep's iteration
+// overrides, and the machine configuration after the cell's hook
+// edited it (machine.Key, which drops a seed nothing reads). A
+// bounded run's bound is not part of it: the bound decides only how
+// far the simulation goes, never what it computes.
 type memoKey struct {
 	app, variant string
 	params       app.Params

@@ -72,9 +72,7 @@ func jacobiAdaptiveVsMinimalScenario() *Scenario {
 		Name:  "jacobi-adaptive-vs-minimal",
 		Title: "Jacobi3D halo exchange vs dragonfly taper, minimal vs adaptive routing",
 		App:   "jacobi3d", Machine: "perlmutter-dragonfly", Kind: KindExtra,
-		// Version covers the cell-embedded routing/taper parameters.
-		Version: 1,
-		XLabel:  "taper", YLabel: "time/iter (us)",
+		XLabel: "taper", YLabel: "time/iter (us)",
 		Axis:       taperAxis(48),
 		Undersized: crossesPods(48),
 		Series: []SeriesDef{
@@ -112,10 +110,7 @@ func hotspotScenario() *Scenario {
 		Name:  "hotspot",
 		Title: "Incast hotspot at node 0 vs dragonfly taper, by routing policy",
 		App:   "", Machine: "perlmutter-dragonfly", Kind: KindExtra,
-		// Version covers the cell-embedded traffic shape (4 MB x 4
-		// waves) and routing parameters.
-		Version: 1,
-		XLabel:  "taper", YLabel: "completion (ms)",
+		XLabel: "taper", YLabel: "completion (ms)",
 		Axis:       taperAxis(48),
 		Undersized: crossesPods(48),
 		Series: []SeriesDef{
@@ -160,10 +155,7 @@ func jacobiAdversarialMappingScenario() *Scenario {
 		Name:  "jacobi-adversarial-mapping",
 		Title: "Adversarial halo mapping (partner = next group) vs taper, by routing policy",
 		App:   "", Machine: "perlmutter-dragonfly", Kind: KindExtra,
-		// Version covers the cell-embedded traffic shape and routing
-		// parameters.
-		Version: 1,
-		XLabel:  "taper", YLabel: "completion (ms)",
+		XLabel: "taper", YLabel: "completion (ms)",
 		Axis:       taperAxis(48),
 		Undersized: crossesPods(48),
 		Series: []SeriesDef{

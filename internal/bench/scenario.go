@@ -85,15 +85,6 @@ type Scenario struct {
 	Machine string
 	// Kind groups the scenario for listings and -fig aliases.
 	Kind Kind
-	// Version is the cache-identity version of the scenario's own cell
-	// logic: bump it when constants embedded in the cells change
-	// simulated results — a machine-hook parameter of RunWith or
-	// NewMachine, a search set, a fixed problem size — so
-	// content-addressed run caches are invalidated for this scenario
-	// only. Parameters owned by the app or the machine profile are
-	// covered by their own versions; zero (the common case) keeps the
-	// legacy fingerprint form, so pre-versioned cache keys survive.
-	Version int
 	// XLabel and YLabel are the axis captions.
 	XLabel, YLabel string
 	// Axis returns the sweep positions, honoring opt.MaxNodes.
@@ -157,8 +148,7 @@ type Cell struct {
 	opt     Options
 	profile machine.Profile
 	app     app.App
-	appID   string // app.Identity(app), for memo keys
-	name    string // FigID/Series@X, for error messages
+	name    string // Scenario/Series@X, for error messages
 }
 
 // NewMachine builds a fresh machine on the cell's profile at the
@@ -227,7 +217,7 @@ func (c *Cell) Run(variant string, p app.Params) app.Metrics {
 // defaults.
 //
 // Within one sweep (Options.WithMemo), a run whose full input — app
-// identity, variant, the parameters after those overrides, and the
+// name, variant, the parameters after those overrides, and the
 // mutated machine configuration as a machine.Key — equals an earlier
 // run's returns that run's metrics without building a machine.
 func (c *Cell) RunWith(mutate func(*machine.Config), variant string, p app.Params) app.Metrics {
@@ -258,7 +248,7 @@ func (c *Cell) run(mutate func(*machine.Config), variant string, p app.Params, b
 		p.Iters = c.opt.Iters
 	}
 	cfg := c.config(mutate)
-	k := memoKey{app: c.appID, variant: variant, params: p, machine: cfg.Key()}
+	k := memoKey{app: c.app.Name(), variant: variant, params: p, machine: cfg.Key()}
 	if r, ok, hit := c.opt.memo.get(k, bound); hit {
 		return r, ok
 	}
@@ -317,52 +307,50 @@ func (s *Scenario) Plan(opt Options, ov Overrides) (Plan, error) {
 	if len(series) == 0 {
 		return Plan{}, fmt.Errorf("scenario %q: no series", s.Name)
 	}
-	names := make([]string, len(series))
-	for i, sd := range series {
-		names[i] = sd.Name
-	}
-
 	title := s.Title
 	if s.TitleFor != nil {
 		title = s.TitleFor(opt)
 	}
-	b := newPlan(opt, s.Name, title, s.XLabel, s.YLabel, names...)
-	b.scenario, b.app, b.machine = s.Name, appName, profName
-	b.scenarioID = s.Identity()
-	b.machineID = prof.Identity()
-	if a != nil {
-		b.appID = app.Identity(a)
+	skel := Figure{ID: s.Name, Title: title, XLabel: s.XLabel, YLabel: s.YLabel, Series: make([]Series, len(series))}
+	for i, sd := range series {
+		skel.Series[i] = Series{Name: sd.Name}
 	}
-	b.appRef = a
+	var specs []RunSpec
 	for _, ap := range s.Axis(opt) {
+		// Resolved per-run iteration counts: sweep options win, then the
+		// app's defaults (zero for app-less scenarios, which run none).
+		warmup, iters := opt.Warmup, opt.Iters
+		if a != nil {
+			d := a.Defaults(ap.Nodes)
+			if warmup == 0 {
+				warmup = d.Warmup
+			}
+			if iters == 0 {
+				iters = d.Iters
+			}
+		}
 		for si, sd := range series {
-			ap, sd := ap, sd
-			b.add(si, ap.X, ap.Nodes, func(spec RunSpec) Point {
-				return sd.Cell(&Cell{
-					X:       ap.X,
-					Nodes:   ap.Nodes,
-					Seed:    spec.Seed,
-					opt:     opt,
-					profile: prof,
-					app:     a,
-					appID:   b.appID,
-					name:    spec.Name(),
-				})
-			})
+			spec := RunSpec{
+				Scenario:  s.Name,
+				Series:    sd.Name,
+				seriesIdx: si,
+				X:         ap.X,
+				Nodes:     ap.Nodes,
+				Warmup:    warmup,
+				Iters:     iters,
+				Seed:      specSeed(s.Name, sd.Name, ap.X),
+				App:       appName,
+				Machine:   profName,
+				Jitter:    opt.Jitter,
+			}
+			spec.run = func() Point {
+				return sd.Cell(&Cell{X: ap.X, Nodes: ap.Nodes, Seed: spec.Seed,
+					opt: opt, profile: prof, app: a, name: spec.Name()})
+			}
+			specs = append(specs, spec)
 		}
 	}
-	return b.plan(), nil
-}
-
-// Identity returns the scenario's fingerprint component: the plain
-// name at Version 0 — the exact form every pre-versioned cache key
-// hashed, so introducing the version field orphaned nothing — and
-// "name@vN" once bumped.
-func (s *Scenario) Identity() string {
-	if s.Version == 0 {
-		return s.Name
-	}
-	return fmt.Sprintf("%s@v%d", s.Name, s.Version)
+	return Plan{Skeleton: skel, Specs: specs}, nil
 }
 
 // --- registry ---

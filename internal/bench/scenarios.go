@@ -119,10 +119,7 @@ func jacobiTaperScenario() *Scenario {
 		Name:  "jacobi-taper",
 		Title: "Jacobi3D halo exchange vs fat-tree taper ratio, 2 Summit pods",
 		App:   "jacobi3d", Machine: "summit", Kind: KindExtra,
-		// Version covers the cell-embedded fabric parameters
-		// (taperedAt's uplink count, the taper axis): bump on change.
-		Version: 1,
-		XLabel:  "taper", YLabel: "time/iter (us)",
+		XLabel: "taper", YLabel: "time/iter (us)",
 		Axis:       taperAxis(36),
 		Undersized: crossesPods(36),
 		Series: []SeriesDef{
@@ -149,10 +146,7 @@ func jacobiTaperMsgScenario() *Scenario {
 		Name:  "jacobi-taper-msgsize",
 		Title: "Jacobi3D MPI-D vs per-node grid size under fabric taper, 2 Summit pods",
 		App:   "jacobi3d", Machine: "summit", Kind: KindExtra,
-		// Version covers the per-series taper constants and fabric
-		// parameters embedded in the cells.
-		Version: 1,
-		XLabel:  "side/node", YLabel: "time/iter (us)",
+		XLabel: "side/node", YLabel: "time/iter (us)",
 		Axis: func(opt Options) []AxisPoint {
 			nodes := scaleNodes(36, opt)
 			var pts []AxisPoint
@@ -181,9 +175,7 @@ func minimdTaperScenario() *Scenario {
 		Name:  "minimd-taper",
 		Title: "miniMD neighbor exchange vs fat-tree taper ratio",
 		App:   "minimd", Machine: "summit", Kind: KindExtra,
-		// Version covers the cell-embedded fabric parameters.
-		Version: 1,
-		XLabel:  "taper", YLabel: "time/step (ms)",
+		XLabel: "taper", YLabel: "time/step (ms)",
 		Axis:       taperAxis(36),
 		Undersized: crossesPods(36),
 		Series: []SeriesDef{
@@ -218,10 +210,7 @@ func jacobiExascaleScenario() *Scenario {
 		Name:  "jacobi-exascale",
 		Title: "Jacobi3D LP model weak scaling 192^3/node, perlmutter-dragonfly",
 		App:   "", Machine: "perlmutter-dragonfly", Kind: KindExtra,
-		// Version covers the LP cost model's fixed problem base and
-		// schedule constants embedded in the cell.
-		Version: 1,
-		XLabel:  "nodes", YLabel: "time/iter (us)",
+		XLabel: "nodes", YLabel: "time/iter (us)",
 		Axis: nodeAxis(1024, 16384),
 		Series: []SeriesDef{
 			{"Blocking", cell(false)},

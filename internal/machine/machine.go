@@ -5,6 +5,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"gat/internal/gpu"
 	"gat/internal/netsim"
@@ -45,25 +46,40 @@ func Summit(nodes int) Config {
 	}
 }
 
+// minRate is the smallest bandwidth Validate accepts, in bytes/s. No
+// real link is slower, and at this rate a transfer of up to 9 GB still
+// takes a representable sim.Time.
+const minRate = 1
+
+// validRate reports whether bw is a finite bandwidth of at least
+// minRate. NaN fails it.
+func validRate(bw float64) bool { return bw >= minRate && !math.IsInf(bw, 1) }
+
 // Validate reports whether the configuration describes a buildable
-// cluster, with an error naming the offending field otherwise.
+// cluster, with an error naming the offending field otherwise. Every
+// check is written so that NaN fails it.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("machine: Nodes must be positive, got %d", c.Nodes)
 	case c.GPUsPerNode <= 0:
 		return fmt.Errorf("machine: GPUsPerNode must be positive, got %d", c.GPUsPerNode)
-	case c.GPU.MemBandwidth <= 0:
-		return fmt.Errorf("machine: GPU.MemBandwidth must be positive, got %g", c.GPU.MemBandwidth)
-	case c.GPU.CopyBandwidth <= 0:
-		return fmt.Errorf("machine: GPU.CopyBandwidth must be positive, got %g", c.GPU.CopyBandwidth)
-	case c.Net.InjectionBW <= 0:
-		return fmt.Errorf("machine: Net.InjectionBW must be positive, got %g", c.Net.InjectionBW)
-	case c.Net.IntraNodeBW <= 0:
-		return fmt.Errorf("machine: Net.IntraNodeBW must be positive, got %g", c.Net.IntraNodeBW)
-	case c.HostMemBW <= 0:
-		return fmt.Errorf("machine: HostMemBW must be positive, got %g", c.HostMemBW)
-	case c.Net.JitterFrac < 0 || c.Net.JitterFrac >= 1:
+	}
+	for _, r := range []struct {
+		name string
+		bw   float64
+	}{
+		{"GPU.MemBandwidth", c.GPU.MemBandwidth},
+		{"GPU.CopyBandwidth", c.GPU.CopyBandwidth},
+		{"Net.InjectionBW", c.Net.InjectionBW},
+		{"Net.IntraNodeBW", c.Net.IntraNodeBW},
+		{"HostMemBW", c.HostMemBW},
+	} {
+		if !validRate(r.bw) {
+			return fmt.Errorf("machine: %s must be a finite rate of at least %d byte/s, got %g", r.name, minRate, r.bw)
+		}
+	}
+	if !(c.Net.JitterFrac >= 0 && c.Net.JitterFrac < 1) {
 		return fmt.Errorf("machine: Net.JitterFrac must be in [0,1), got %g", c.Net.JitterFrac)
 	}
 	podSize := c.Net.PodSize
@@ -78,12 +94,14 @@ func (c Config) Validate() error {
 			return fmt.Errorf("machine: %w", err)
 		}
 		switch {
-		case f.UplinkBW < 0:
-			return fmt.Errorf("machine: Fabric.UplinkBW must not be negative, got %g", f.UplinkBW)
-		case f.Taper < 0:
-			return fmt.Errorf("machine: Fabric.Taper must not be negative, got %g", f.Taper)
+		case f.UplinkBW != 0 && !validRate(f.UplinkBW):
+			return fmt.Errorf("machine: Fabric.UplinkBW must be 0 (derived from Taper) or a finite rate of at least %d byte/s, got %g", minRate, f.UplinkBW)
+		case !(f.Taper >= 0) || math.IsInf(f.Taper, 1):
+			return fmt.Errorf("machine: Fabric.Taper must be a finite ratio, not negative, got %g", f.Taper)
 		case f.UplinkBW == 0 && f.Taper == 0:
 			return fmt.Errorf("machine: Fabric needs UplinkBW or a Taper ratio")
+		case !validRate(f.LinkBW(c.Net)):
+			return fmt.Errorf("machine: Fabric.Taper %g leaves each link %g bytes/s, want a finite rate of at least %d byte/s", f.Taper, f.LinkBW(c.Net), minRate)
 		case f.UplinksPerPod < 0:
 			return fmt.Errorf("machine: Fabric.UplinksPerPod must not be negative, got %d", f.UplinksPerPod)
 		case f.LinkOverhead < 0:

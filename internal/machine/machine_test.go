@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
+	"gat/internal/netsim"
 	"gat/internal/sim"
 )
 
@@ -51,6 +53,45 @@ func TestBadConfigErrors(t *testing.T) {
 	}
 	if err := Summit(4).Validate(); err != nil {
 		t.Errorf("Summit(4) should validate, got %v", err)
+	}
+
+	// Non-finite and sub-byte rates: each check must fail NaN, which
+	// passes any plain < or <= comparison.
+	nan, inf := math.NaN(), math.Inf(1)
+	tapered := func(f netsim.FabricConfig) func(*Config) {
+		return func(c *Config) { c.Fabric = &f }
+	}
+	for _, r := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"NaN GPU.MemBandwidth", func(c *Config) { c.GPU.MemBandwidth = nan }},
+		{"+Inf GPU.MemBandwidth", func(c *Config) { c.GPU.MemBandwidth = inf }},
+		{"sub-byte GPU.MemBandwidth", func(c *Config) { c.GPU.MemBandwidth = 1e-300 }},
+		{"NaN GPU.CopyBandwidth", func(c *Config) { c.GPU.CopyBandwidth = nan }},
+		{"+Inf GPU.CopyBandwidth", func(c *Config) { c.GPU.CopyBandwidth = inf }},
+		{"NaN Net.InjectionBW", func(c *Config) { c.Net.InjectionBW = nan }},
+		{"+Inf Net.InjectionBW", func(c *Config) { c.Net.InjectionBW = inf }},
+		{"NaN Net.IntraNodeBW", func(c *Config) { c.Net.IntraNodeBW = nan }},
+		{"+Inf Net.IntraNodeBW", func(c *Config) { c.Net.IntraNodeBW = inf }},
+		{"NaN HostMemBW", func(c *Config) { c.HostMemBW = nan }},
+		{"-Inf HostMemBW", func(c *Config) { c.HostMemBW = -inf }},
+		{"NaN Net.JitterFrac", func(c *Config) { c.Net.JitterFrac = nan }},
+		{"+Inf Net.JitterFrac", func(c *Config) { c.Net.JitterFrac = inf }},
+		{"NaN Fabric.Taper", tapered(netsim.FabricConfig{Taper: nan})},
+		{"+Inf Fabric.Taper", tapered(netsim.FabricConfig{Taper: inf})},
+		{"Fabric.Taper leaving sub-byte links", tapered(netsim.FabricConfig{Taper: 1e300})},
+		{"NaN Fabric.UplinkBW", tapered(netsim.FabricConfig{UplinkBW: nan, Taper: 2})},
+		{"+Inf Fabric.UplinkBW", tapered(netsim.FabricConfig{UplinkBW: inf})},
+	} {
+		cfg := Summit(40)
+		r.mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", r.name)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted it", r.name)
+		}
 	}
 }
 

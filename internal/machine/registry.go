@@ -21,19 +21,8 @@ type Profile struct {
 	// Calibrated marks profiles validated against the real machine
 	// (only Summit today); the rest are illustrative datasheet models.
 	Calibrated bool
-	// Version is the cache-identity version of the profile's cost
-	// model: bump it whenever Build's output changes simulated results
-	// (GPU datasheet numbers, network parameters, topology), so
-	// content-addressed run caches keyed on Identity are invalidated.
-	Version int
 	// Build returns the configuration at the given node count.
 	Build func(nodes int) Config
-}
-
-// Identity returns the profile's stable identity string, "name@vN" —
-// the machine component of a run fingerprint.
-func (p Profile) Identity() string {
-	return fmt.Sprintf("%s@v%d", p.Name, p.Version)
 }
 
 var profiles []Profile
@@ -96,71 +85,56 @@ func init() {
 		Name:        "summit",
 		Description: "Summit: 6x V100 per node, dual-rail EDR fat tree (paper-calibrated)",
 		Calibrated:  true,
-		Version:     1,
 		Build:       Summit,
 	})
 	RegisterProfile(Profile{
 		Name:        "perlmutter",
 		Description: "Perlmutter-like: 4x A100 per node, Slingshot-11 (illustrative)",
-		Version:     1,
 		Build:       Perlmutter,
 	})
 	RegisterProfile(Profile{
 		Name:        "frontier",
 		Description: "Frontier-like: 8x MI250X GCD per node, Slingshot-11 (illustrative)",
-		Version:     1,
 		Build:       Frontier,
 	})
 	// Fabric-backed variants: the same cost models with the detailed
-	// contention fabric attached. Each is its own profile (not a
-	// mutation of the base), so its "name@vN" identity versions its
-	// fabric parameters independently: bumping a tapered profile's
-	// Version invalidates cached runs for that profile only, never for
-	// the untouched base machines.
+	// contention fabric attached, each registered as its own profile.
 	RegisterProfile(Profile{
 		Name:        "summit-tapered-2x",
 		Description: "Summit with a 2:1 tapered fat tree (3 uplinks/pod; contention study)",
-		Version:     1,
 		Build:       taperedFatTree(Summit, 2),
 	})
 	RegisterProfile(Profile{
 		Name:        "summit-tapered-4x",
 		Description: "Summit with a 4:1 tapered fat tree (3 uplinks/pod; contention study)",
-		Version:     1,
 		Build:       taperedFatTree(Summit, 4),
 	})
 	RegisterProfile(Profile{
 		Name:        "perlmutter-dragonfly",
 		Description: "Perlmutter-like on an explicit dragonfly (2:1 global taper, illustrative)",
-		Version:     1,
 		Build:       dragonflyVariant(Perlmutter, 2),
 	})
 	RegisterProfile(Profile{
 		Name:        "frontier-dragonfly",
 		Description: "Frontier-like on an explicit dragonfly (2:1 global taper, illustrative)",
-		Version:     1,
 		Build:       dragonflyVariant(Frontier, 2),
 	})
 	// Routing/topology-zoo variants: route choice is part of the cost
-	// model, so each routed profile carries its own Version — retuning
-	// the adaptive policy (candidate count, penalty half-life) means
-	// bumping that profile's Version, invalidating only its cached runs.
+	// model, so retuning the adaptive policy (candidate count, penalty
+	// half-life) is a model change that bumps sim.EngineVersion.
 	RegisterProfile(Profile{
 		Name:        "perlmutter-dragonfly-adaptive",
 		Description: "perlmutter-dragonfly with adaptive (occupancy+penalty) routing",
-		Version:     1,
 		Build:       withRouting(dragonflyVariant(Perlmutter, 2), netsim.RoutingAdaptive),
 	})
 	RegisterProfile(Profile{
 		Name:        "frontier-slimfly",
 		Description: "Frontier-like on a diameter-2 slim-fly group graph (2:1 taper, illustrative)",
-		Version:     1,
 		Build:       topologyVariant(Frontier, netsim.TopoSlimFly, 2, 2),
 	})
 	RegisterProfile(Profile{
 		Name:        "summit-torus",
 		Description: "Summit cost model on a 3-D torus of cabinets (dimension-order routes)",
-		Version:     1,
 		Build:       topologyVariant(Summit, netsim.TopoTorus, 2, 3),
 	})
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -115,35 +114,5 @@ func TestProfilesDiffer(t *testing.T) {
 	p, _ := BuildProfile("perlmutter", 1)
 	if p.Net.InjectionBW == s.Net.InjectionBW {
 		t.Fatal("perlmutter should not share Summit's injection bandwidth")
-	}
-}
-
-// TestProfileIdentity pins the versioned identity strings that enter
-// run fingerprints: every registered profile must have a stable,
-// distinct "name@vN" identity, and bumping Version must change it.
-func TestProfileIdentity(t *testing.T) {
-	seen := map[string]bool{}
-	for _, p := range Profiles() {
-		id := p.Identity()
-		want := fmt.Sprintf("%s@v%d", p.Name, p.Version)
-		if id != want {
-			t.Errorf("profile %s identity = %q, want %q", p.Name, id, want)
-		}
-		if seen[id] {
-			t.Errorf("duplicate profile identity %q", id)
-		}
-		seen[id] = true
-	}
-	s, err := ProfileByName("summit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Identity() != "summit@v1" {
-		t.Errorf("summit identity = %q, want summit@v1 (bumping it invalidates all cached Summit runs)", s.Identity())
-	}
-	bumped := s
-	bumped.Version++
-	if bumped.Identity() == s.Identity() {
-		t.Error("version bump did not change the profile identity")
 	}
 }

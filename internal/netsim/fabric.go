@@ -74,11 +74,8 @@ func (n *Network) EnableFabric(cfg FabricConfig) *Fabric {
 	if cfg.UplinksPerPod <= 0 {
 		cfg.UplinksPerPod = 1
 	}
-	if cfg.UplinkBW <= 0 && cfg.Taper > 0 {
-		cfg.UplinkBW = float64(n.cfg.PodSize) * n.cfg.InjectionBW /
-			(cfg.Taper * float64(cfg.UplinksPerPod))
-	}
-	if cfg.UplinkBW <= 0 {
+	cfg.UplinkBW = cfg.LinkBW(n.cfg)
+	if !(cfg.UplinkBW > 0) {
 		panic("netsim: fabric needs a positive uplink bandwidth or taper ratio")
 	}
 	groups := n.topo.Group(len(n.nics)-1) + 1
@@ -96,6 +93,21 @@ func (n *Network) EnableFabric(cfg FabricConfig) *Fabric {
 	f.router = f.newRouter(cfg.Routing, n.cfg.JitterSeed)
 	n.fabric = f
 	return f
+}
+
+// LinkBW returns the bandwidth of one group link on a network
+// configured by net: UplinkBW, or when that is not positive and Taper
+// is, the group's aggregate injection bandwidth over Taper, split over
+// UplinksPerPod links (at least one).
+func (c FabricConfig) LinkBW(net Config) float64 {
+	if c.UplinkBW <= 0 && c.Taper > 0 {
+		links := c.UplinksPerPod
+		if links <= 0 {
+			links = 1
+		}
+		return float64(net.EffectivePodSize()) * net.InjectionBW / (c.Taper * float64(links))
+	}
+	return c.UplinkBW
 }
 
 // newLink creates one fabric pipe and returns its dense id.

@@ -70,9 +70,9 @@ func TestContendedFabricParallelEquality(t *testing.T) {
 // run carrying a fabric congestion summary.
 func utilResult() Result {
 	spec := bench.RunSpec{
-		FigID: "jacobi-taper", Series: "MPI-H", X: 4, Nodes: 36,
+		Scenario: "jacobi-taper", Series: "MPI-H", X: 4, Nodes: 36,
 		Warmup: 1, Iters: 2, Seed: 7,
-		Scenario: "jacobi-taper", App: "jacobi3d", Machine: "summit",
+		App: "jacobi3d", Machine: "summit",
 	}
 	pt := bench.Point{Nodes: 4, Value: 123.5, MaxLinkUtil: 0.83, MeanLinkUtil: 0.41}
 	fig := bench.Figure{

@@ -118,7 +118,7 @@ type ReportRun struct {
 // identical records.
 func (run Run) Record() ReportRun {
 	return ReportRun{
-		Figure:       run.Spec.FigID,
+		Figure:       run.Spec.Scenario,
 		Scenario:     run.Spec.Scenario,
 		App:          run.Spec.App,
 		Machine:      run.Spec.Machine,

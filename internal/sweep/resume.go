@@ -8,8 +8,9 @@ import (
 // report becomes a run source, so an interrupted or narrower sweep is
 // completed by simulating only the specs the report doesn't already
 // answer. Every v3 run record carries its fingerprint and its own
-// value, so resume matches exactly — same semantics salt, app/machine
-// versions, jitter — and a resumed point is as sound as a store hit.
+// value, so resume matches exactly — same model salt, composition,
+// coordinates and jitter — and a resumed point is as sound as a store
+// hit.
 
 // PriorHit is one reusable result: the point and the host cost the
 // reuse saves (the prior report's wall_ns for the run).

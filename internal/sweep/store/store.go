@@ -2,11 +2,11 @@
 // sweeps: a directory of immutable per-key JSON entries, one per
 // executed RunSpec, addressed by the spec's fingerprint
 // (bench.RunSpec.Fingerprint). Because the fingerprint covers every
-// input that determines a run's simulated result — engine-semantics
-// salt, versioned app/machine identities, experiment coordinates,
-// seed, jitter — a hit can be served without simulating, and a stale
-// entry can never be returned for current semantics: semantic changes
-// change the key, orphaning (not poisoning) old entries.
+// input that determines a run's simulated result — the one model salt
+// (sim.EngineVersion), the scenario, app and machine names, the
+// experiment coordinates, seed and jitter — a hit can be served
+// without simulating. Every model change bumps the salt, so it changes
+// every key, orphaning (not poisoning) old entries.
 //
 // Layout: <dir>/<key[:2]>/<key>.json, sharded on the first hash byte
 // so a full-figure cache doesn't pile thousands of files into one
@@ -54,8 +54,8 @@ type Entry struct {
 	// Provenance: where the point came from.
 	Figure   string  `json:"figure"`
 	Scenario string  `json:"scenario,omitempty"`
-	App      string  `json:"app,omitempty"`     // versioned identity, e.g. jacobi3d@v1
-	Machine  string  `json:"machine,omitempty"` // versioned identity, e.g. summit@v1
+	App      string  `json:"app,omitempty"`
+	Machine  string  `json:"machine,omitempty"`
 	Series   string  `json:"series"`
 	X        int     `json:"x"`
 	Nodes    int     `json:"nodes"`
@@ -92,10 +92,10 @@ func NewEntry(key string, spec bench.RunSpec, pt bench.Point, wallNS int64) (Ent
 	return Entry{
 		Schema:       Schema,
 		Key:          key,
-		Figure:       spec.FigID,
+		Figure:       spec.Scenario,
 		Scenario:     spec.Scenario,
-		App:          spec.AppIdentity(),
-		Machine:      spec.MachineIdentity(),
+		App:          spec.App,
+		Machine:      spec.Machine,
 		Series:       spec.Series,
 		X:            spec.X,
 		Nodes:        spec.Nodes,

@@ -14,7 +14,7 @@ import (
 
 // testSpec compiles a real plan and returns one spec plus its key, so
 // the cache tests exercise the same fingerprints production uses.
-func testSpec(t *testing.T) (bench.RunSpec, string) {
+func testSpec(t testing.TB) (bench.RunSpec, string) {
 	t.Helper()
 	p, err := bench.PlanScenario("fig6a", bench.Options{MaxNodes: 2, Warmup: 1, Iters: 2}, bench.Overrides{})
 	if err != nil {
@@ -25,7 +25,7 @@ func testSpec(t *testing.T) (bench.RunSpec, string) {
 }
 
 // mustEntry builds a valid entry for one executed spec.
-func mustEntry(t *testing.T, key string, spec bench.RunSpec, pt bench.Point, wallNS int64) Entry {
+func mustEntry(t testing.TB, key string, spec bench.RunSpec, pt bench.Point, wallNS int64) Entry {
 	t.Helper()
 	e, err := NewEntry(key, spec, pt, wallNS)
 	if err != nil {

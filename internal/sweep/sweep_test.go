@@ -150,8 +150,8 @@ func TestSweepRunMetadata(t *testing.T) {
 	}
 	seeds := map[uint64]bool{}
 	for _, r := range f.Runs {
-		if r.Spec.FigID != "fig6a" {
-			t.Fatalf("run has wrong figure id %q", r.Spec.FigID)
+		if r.Spec.Scenario != "fig6a" {
+			t.Fatalf("run has wrong figure id %q", r.Spec.Scenario)
 		}
 		if r.Spec.Iters <= 0 || r.Spec.Warmup <= 0 {
 			t.Fatalf("run %s missing iteration metadata: %+v", r.Spec.Name(), r.Spec)

@@ -59,6 +59,8 @@ benchmark-check:
 # (a no-op on the per-GPU engine, the real thing on jacobi-exascale,
 # whose runs partition across the conservative pdes shards, here at
 # 1,024, 2,048 and 4,096 nodes, so at three partition sizes).
+# jacobi-exascale gets the same gate at -shards 3 too, which splits its
+# 64, 128 and 256 dragonfly groups unevenly.
 sweep-smoke:
 	@$(GO) build -o /tmp/gat-sweep ./cmd/sweep
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 1 > /tmp/gat-sweep-serial.txt
@@ -72,6 +74,8 @@ sweep-smoke:
 	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 4096 -iters 2 -warmup 1 -j 1 > /tmp/gat-sweep-exa-serial.txt
 	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 4096 -iters 2 -warmup 1 -j 4 -shards 4 > /tmp/gat-sweep-exa-sharded.txt
 	@cmp /tmp/gat-sweep-exa-serial.txt /tmp/gat-sweep-exa-sharded.txt
+	@/tmp/gat-sweep -scenario jacobi-exascale -maxnodes 4096 -iters 2 -warmup 1 -j 4 -shards 3 > /tmp/gat-sweep-exa-sharded3.txt
+	@cmp /tmp/gat-sweep-exa-serial.txt /tmp/gat-sweep-exa-sharded3.txt
 	@rm -rf /tmp/gat-sweep-cache
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -cache-dir /tmp/gat-sweep-cache > /tmp/gat-sweep-cold.txt
 	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -cache-dir /tmp/gat-sweep-cache -v \

@@ -88,11 +88,16 @@ type exaShape struct {
 	faces     uint8 // bit f set: face f has a neighbor
 }
 
-// exaNode is one node's LP state. The slice of these is indexed by LP
-// id; during the run each element is touched only by its owner shard.
+// exaNode is one node's LP state, one 64-byte record. The slice of
+// these is indexed by LP id; each element is touched only by its owner
+// shard, which also builds it when the node starts.
 type exaNode struct {
-	shape int32 // index into exaModel.shapes; static
-	first int32 // index of the node's first link in exaModel.links; static
+	// links holds the halo link across each face: its full
+	// send→deliver delay under the α–β model, in nanoseconds, 0 where
+	// the face has no neighbor. The peer is the node's LP id plus the
+	// face's stride. Static once the node has started, as is shape.
+	links [NumFaces]int32
+	shape int32 // index into exaModel.shapes
 
 	// Mutable per-iteration state.
 	k           int32    // current iteration, 1-based
@@ -103,16 +108,21 @@ type exaNode struct {
 }
 
 // exaModel is the LP state of one RunExa: the node records, the shape
-// table they index, every node's halo links in one slab, and the
-// schedule all nodes share. A halo link is its full send→deliver delay
-// under the α–β model, in nanoseconds; its peer is the node's LP id
-// plus the face's stride.
+// table they index, what a node needs to build its record, and the
+// schedule all nodes share.
 type exaModel struct {
-	nodes      []exaNode
-	shapes     []exaShape
-	links      []int32
-	step       [NumFaces]int // LP-id distance to the neighbor across each face
-	iters      int32         // total iterations (warmup + timed)
+	nodes  []exaNode
+	shapes []exaShape
+	// class[ax][i] is the class of position i on axis ax, and
+	// nClass[ax] the number of classes on it; a node's shape is one
+	// class per axis.
+	class  [3][]int32
+	nClass [3]int
+	step   [NumFaces]int // LP-id distance to the neighbor across each face
+	net    netsim.Config
+	topo   netsim.Topology
+
+	iters      int32 // total iterations (warmup + timed)
 	warmupIter int32
 	overlap    bool
 }
@@ -121,8 +131,8 @@ type exaModel struct {
 // decomposition d, with one node per block. Each axis position falls
 // into a class by (block size, has a minus neighbor, has a plus
 // neighbor); a shape is one class per axis, priced once from a
-// representative Block. The links are filled walking x, y, z with flat
-// strides, each node's in face order, into a slab of exact size.
+// representative Block. The node records are left for each node to
+// build on its own shard when it starts (start).
 func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warmup int, overlap bool) *exaModel {
 	nNodes := d.Count()
 	if iters > math.MaxInt32 || nNodes > math.MaxInt32/NumFaces {
@@ -131,24 +141,23 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 	}
 	x := &exaModel{
 		nodes:      make([]exaNode, nNodes),
+		net:        cfg.Net,
+		topo:       topo,
 		iters:      int32(iters),
 		warmupIter: int32(warmup),
 		overlap:    overlap,
 	}
 
-	// class[ax][i] is the class of position i on axis ax, and rep[ax][c]
-	// the first position of class c.
+	// rep[ax][c] is the first position of class c on axis ax.
 	type axisClass struct {
 		size        int
 		minus, plus bool
 	}
-	var class [3][]int32
 	var rep [3][]int
-	nLinks := 0
 	for ax := 0; ax < 3; ax++ {
 		dim := d.Dims[ax]
 		var keys []axisClass
-		class[ax] = make([]int32, dim)
+		x.class[ax] = make([]int32, dim)
 		for i := 0; i < dim; i++ {
 			k := axisClass{size: d.blockSize(ax, i), minus: i > 0, plus: i < dim-1}
 			c := slices.Index(keys, k)
@@ -157,16 +166,15 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 				keys = append(keys, k)
 				rep[ax] = append(rep[ax], i)
 			}
-			class[ax][i] = int32(c)
+			x.class[ax][i] = int32(c)
 		}
-		nLinks += 2 * (dim - 1) * (nNodes / dim)
+		x.nClass[ax] = len(keys)
 	}
 
 	// Aggregate node roofline: all GPUs stream the update together.
 	aggBW := cfg.GPU.MemBandwidth * float64(cfg.GPUsPerNode)
 	launch := cfg.GPU.KernelLaunchHost
-	nClass := [3]int{len(rep[0]), len(rep[1]), len(rep[2])}
-	x.shapes = make([]exaShape, 0, nClass[0]*nClass[1]*nClass[2])
+	x.shapes = make([]exaShape, 0, x.nClass[0]*x.nClass[1]*x.nClass[2])
 	for _, cx := range rep[0] {
 		for _, cy := range rep[1] {
 			for _, cz := range rep[2] {
@@ -195,34 +203,35 @@ func newExaModel(cfg machine.Config, topo netsim.Topology, d Decomp, iters, warm
 		}
 	}
 
-	x.links = make([]int32, 0, nLinks)
 	sy := d.Dims[2]
 	sx := d.Dims[1] * sy
 	x.step = [NumFaces]int{-sx, sx, -sy, sy, -1, 1}
-	n := 0
-	for i := 0; i < d.Dims[0]; i++ {
-		for j := 0; j < d.Dims[1]; j++ {
-			for k := 0; k < d.Dims[2]; k++ {
-				shape := (int(class[0][i])*nClass[1]+int(class[1][j]))*nClass[2] + int(class[2][k])
-				sh := &x.shapes[shape]
-				x.nodes[n] = exaNode{shape: int32(shape), first: int32(len(x.links))}
-				for face, st := range x.step {
-					if sh.faces&(1<<face) == 0 {
-						continue
-					}
-					peer := n + st
-					delay := netsim.PathLatency(cfg.Net, topo, n, peer) + sh.inject[face]
-					if delay > math.MaxInt32 {
-						//gat:alloc-ok cold panic path
-						panic(fmt.Sprintf("jacobi: halo delay %v from node %d to %d does not fit a link", delay, n, peer))
-					}
-					x.links = append(x.links, int32(delay))
-				}
-				n++
-			}
-		}
-	}
 	return x
+}
+
+// start builds node n's record, on the node's shard as its start
+// message is delivered: the shape, from the classes of the node's
+// position on each axis (nodes are numbered walking x, y, z), and the
+// delay of each halo link.
+func (x *exaModel) start(n int) *exaNode {
+	sx, sy := x.step[1], x.step[3]
+	shape := (int(x.class[0][n/sx])*x.nClass[1]+int(x.class[1][n%sx/sy]))*x.nClass[2] + int(x.class[2][n%sy])
+	sh := &x.shapes[shape]
+	s := &x.nodes[n]
+	*s = exaNode{shape: int32(shape)}
+	for face, st := range x.step {
+		if sh.faces&(1<<face) == 0 {
+			continue
+		}
+		peer := n + st
+		delay := netsim.PathLatency(x.net, x.topo, n, peer) + sh.inject[face]
+		if delay > math.MaxInt32 {
+			//gat:alloc-ok cold panic path
+			panic(fmt.Sprintf("jacobi: halo delay %v from node %d to %d does not fit a link", delay, n, peer))
+		}
+		s.links[face] = int32(delay)
+	}
+	return s
 }
 
 // handle drives one node's iteration protocol. It is a deterministic
@@ -232,7 +241,7 @@ func (x *exaModel) handle(ctx *pdes.Ctx, m pdes.Message) {
 	s := &x.nodes[ctx.LP()]
 	switch m.Kind {
 	case exaStart:
-		x.startIter(ctx, s, 1)
+		x.startIter(ctx, x.start(ctx.LP()), 1)
 	case exaBoundaryDone:
 		x.sendHalos(ctx, s, int32(m.Data))
 		ctx.Send(ctx.LP(), x.shapes[s.shape].interiorT, exaComputeDone, m.Data)
@@ -295,11 +304,10 @@ func (x *exaModel) sendHalos(ctx *pdes.Ctx, s *exaNode, k int32) {
 		return
 	}
 	faces := x.shapes[s.shape].faces
-	lp, l := ctx.LP(), s.first
+	lp := ctx.LP()
 	for face, st := range x.step {
 		if faces&(1<<face) != 0 {
-			ctx.Send(lp+st, sim.Time(x.links[l]), exaHalo, int64(k))
-			l++
+			ctx.Send(lp+st, sim.Time(s.links[face]), exaHalo, int64(k))
 		}
 	}
 }
@@ -316,12 +324,16 @@ func (x *exaModel) sendHalos(ctx *pdes.Ctx, s *exaNode, k int32) {
 //
 // Per-node state is kept small, since it sets the cost of a 10k-node
 // run: the static costs live once per block shape (a handful of shapes
-// per grid), a halo link is its 4-byte delay, a node record 40 bytes,
-// and its pdes inbox 232, eight 24-byte message slots included. A
-// 16,384-node run on two shards allocates about 407 bytes per node,
-// the engine's buckets included (518 with 32-byte slots in a separate
-// slab, 8-byte links and per-node traffic counters; 809 with 40-byte
-// messages, 24-byte links and per-node copies of the shape constants).
+// per grid), a node record is 64 bytes with its six 4-byte halo links,
+// and its pdes inbox 232, eight 24-byte message slots included. Each
+// node builds its record on its own shard as it starts, so no
+// goroutine sets up every node. A 16,384-node run on two shards
+// allocates about 444 bytes per node, the engine's buckets included, or
+// 184 when it runs on the inboxes and post queues an earlier run kept
+// (407 every run with the links in a separate slab and the posts filed
+// at once; 518 with 32-byte slots in a separate slab, 8-byte links and
+// per-node traffic counters; 809 with 40-byte messages, 24-byte links
+// and per-node copies of the shape constants).
 func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -55,11 +55,11 @@ func exaReference(cfg machine.Config, topo netsim.Topology, d Decomp) []exaRefNo
 }
 
 // checkExaSetup builds the LP model of cfg's machine on the global grid
-// with the shape builder and with the per-node reference, and fails
-// unless every node gets the same compute times, the same ordered
-// (peer, delay) links, the same halo bytes and neighbor count. A link's
-// peer is derived as sendHalos derives it: the node's id plus the
-// stride of the shape's next face.
+// with the shape builder, starts every node, and fails unless every
+// node gets the compute times, the (peer, delay) link on each face, the
+// halo bytes and the neighbor count the per-node reference gives it. A
+// link's peer is derived as sendHalos derives it: the node's id plus
+// the stride of the face.
 func checkExaSetup(t *testing.T, cfg machine.Config, global [3]int) {
 	t.Helper()
 	topo, err := netsim.TopologyByName(cfg.Net.Topology, cfg.Net.EffectivePodSize(), cfg.Nodes)
@@ -72,30 +72,30 @@ func checkExaSetup(t *testing.T, cfg machine.Config, global [3]int) {
 	if len(x.nodes) != len(ref) {
 		t.Fatalf("%v on %d nodes: %d node records, want %d", global, cfg.Nodes, len(x.nodes), len(ref))
 	}
-	links := 0
 	for n, want := range ref {
-		s := x.nodes[n]
+		s := *x.start(n)
 		sh := x.shapes[s.shape]
 		if sh.boundaryT != want.boundaryT || sh.interiorT != want.interiorT {
 			t.Fatalf("%v on %d nodes, node %d: boundary/interior %d/%d ns, want %d/%d ns",
 				global, cfg.Nodes, n, sh.boundaryT, sh.interiorT, want.boundaryT, want.interiorT)
 		}
-		if int(sh.degree) != len(want.neighbors) || int(s.first) != links {
-			t.Fatalf("%v on %d nodes, node %d: %d links from %d, want %d from %d",
-				global, cfg.Nodes, n, sh.degree, s.first, len(want.neighbors), links)
-		}
 		var faces []int
 		for face := range x.step {
 			if sh.faces&(1<<face) != 0 {
 				faces = append(faces, face)
+			} else if s.links[face] != 0 {
+				t.Fatalf("%v on %d nodes, node %d: a %d ns link on face %d, which has no neighbor",
+					global, cfg.Nodes, n, s.links[face], face)
 			}
 		}
-		if len(faces) != len(want.neighbors) {
-			t.Fatalf("%v on %d nodes, node %d: faces %v, want %d neighbors", global, cfg.Nodes, n, faces, len(want.neighbors))
+		if int(sh.degree) != len(want.neighbors) || len(faces) != len(want.neighbors) {
+			t.Fatalf("%v on %d nodes, node %d: degree %d, faces %v, want %d neighbors",
+				global, cfg.Nodes, n, sh.degree, faces, len(want.neighbors))
 		}
 		var bytes int64
 		for i, nb := range want.neighbors {
-			face, delay := faces[i], x.links[links+i]
+			face := faces[i]
+			delay := s.links[face]
 			if peer := n + x.step[face]; face != nb.face || peer != int(nb.lp) || sim.Time(delay) != nb.delay {
 				t.Fatalf("%v on %d nodes, node %d, link %d: face %d to %d in %d ns, want face %d to %d in %d ns",
 					global, cfg.Nodes, n, i, face, peer, delay, nb.face, nb.lp, nb.delay)
@@ -105,10 +105,6 @@ func checkExaSetup(t *testing.T, cfg machine.Config, global [3]int) {
 		if sh.haloBytes != bytes {
 			t.Fatalf("%v on %d nodes, node %d: %d halo bytes, want %d", global, cfg.Nodes, n, sh.haloBytes, bytes)
 		}
-		links += len(want.neighbors)
-	}
-	if len(x.links) != links || cap(x.links) != links {
-		t.Fatalf("%v on %d nodes: link slab len %d cap %d, want both %d", global, cfg.Nodes, len(x.links), cap(x.links), links)
 	}
 }
 

@@ -35,24 +35,64 @@ func exaCfg(t *testing.T, profile string, nodes int) machine.Config {
 }
 
 // TestExaShardEquality checks the figure-relevant result fields are
-// identical at K ∈ {1, 2, 4} on a multi-group dragonfly, for both
-// schedules.
+// identical at K ∈ {1, 2, 3, 4} on multi-group dragonflies, for both
+// schedules: 6 groups of 16 nodes, which 4 shards split 2, 2, 2 and 0,
+// and 8 groups, which 3 shards split 3, 3 and 2.
 func TestExaShardEquality(t *testing.T) {
-	cfg := exaCfg(t, "perlmutter-dragonfly", 96) // 6 groups of 16
-	jc := Config{Global: WeakGlobal([3]int{64, 64, 64}, 96), Warmup: 1, Iters: 3}
-	for _, overlap := range []bool{false, true} {
-		serial := RunExa(cfg, jc, ExaOpts{Shards: 1, Overlap: overlap})
-		if serial.TimePerIter <= 0 || serial.NetMsgs == 0 {
-			t.Fatalf("overlap=%v: degenerate serial result %+v", overlap, serial)
-		}
-		for _, k := range []int{2, 4} {
-			sharded := RunExa(cfg, jc, ExaOpts{Shards: k, Overlap: overlap})
-			if figureOf(sharded) != figureOf(serial) {
-				t.Errorf("overlap=%v shards=%d: result diverged\nserial:  %+v\nsharded: %+v",
-					overlap, k, figureOf(serial), figureOf(sharded))
+	for _, nodes := range []int{96, 128} {
+		cfg := exaCfg(t, "perlmutter-dragonfly", nodes)
+		jc := Config{Global: WeakGlobal([3]int{64, 64, 64}, nodes), Warmup: 1, Iters: 3}
+		for _, overlap := range []bool{false, true} {
+			serial := RunExa(cfg, jc, ExaOpts{Shards: 1, Overlap: overlap})
+			if serial.TimePerIter <= 0 || serial.NetMsgs == 0 {
+				t.Fatalf("%d nodes, overlap=%v: degenerate serial result %+v", nodes, overlap, serial)
 			}
-			if sharded.Shards != k {
-				t.Errorf("overlap=%v: effective shards = %d, want %d", overlap, sharded.Shards, k)
+			for _, k := range []int{2, 3, 4} {
+				sharded := RunExa(cfg, jc, ExaOpts{Shards: k, Overlap: overlap})
+				if figureOf(sharded) != figureOf(serial) {
+					t.Errorf("%d nodes, overlap=%v shards=%d: result diverged\nserial:  %+v\nsharded: %+v",
+						nodes, overlap, k, figureOf(serial), figureOf(sharded))
+				}
+				if sharded.Shards != k {
+					t.Errorf("%d nodes, overlap=%v: effective shards = %d, want %d", nodes, overlap, sharded.Shards, k)
+				}
+			}
+		}
+	}
+}
+
+// TestExaBackToBack runs RunExa at 16,384, then 1,024, then 16,384
+// nodes in one process, on two shards with the overlapped schedule and
+// on three with the blocking one, so that each run sets up its LPs on
+// the pdes storage the run before kept. Every run must give, field for
+// field, the result that a build keeping nothing between runs gave.
+func TestExaBackToBack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16k-node runs in -short mode")
+	}
+	for _, c := range []struct {
+		shards  int
+		overlap bool
+		big     ExaResult // 16,384 nodes
+		small   ExaResult // 1,024 nodes
+	}{
+		{2, true,
+			ExaResult{TimePerIter: 37880, Total: 227280, Events: 684032, NetBytes: 138915348480, NetMsgs: 471040, Shards: 2, Windows: 18, CrossMessages: 26624, Lookahead: 2400},
+			ExaResult{TimePerIter: 37880, Total: 227280, Events: 40832, NetBytes: 8115978240, NetMsgs: 27520, Shards: 2, Windows: 18, CrossMessages: 2304, Lookahead: 2400}},
+		{3, false,
+			ExaResult{TimePerIter: 43929, Total: 257525, Events: 585728, NetBytes: 138915348480, NetMsgs: 471040, Shards: 3, Windows: 12, CrossMessages: 37504, Lookahead: 2400},
+			ExaResult{TimePerIter: 43929, Total: 257525, Events: 34688, NetBytes: 8115978240, NetMsgs: 27520, Shards: 3, Windows: 12, CrossMessages: 3904, Lookahead: 2400}},
+	} {
+		for i, nodes := range []int{16384, 1024, 16384} {
+			cfg := exaCfg(t, "perlmutter-dragonfly", nodes)
+			jc := Config{Global: WeakGlobal([3]int{192, 192, 192}, nodes), Warmup: 1, Iters: 5}
+			want := c.big
+			if nodes == 1024 {
+				want = c.small
+			}
+			if got := RunExa(cfg, jc, ExaOpts{Shards: c.shards, Overlap: c.overlap}); got != want {
+				t.Errorf("run %d, %d nodes on %d shards, overlap=%v:\ngot  %+v\nwant %+v",
+					i, nodes, c.shards, c.overlap, got, want)
 			}
 		}
 	}
@@ -145,7 +185,8 @@ func TestExaShardsClampedToGroups(t *testing.T) {
 }
 
 // TestExaAllocsPerNode guards RunExa against per-node allocation: the
-// inboxes and the halo links live in slabs, so a whole run
+// inboxes and the node records, halo links inside, live in slabs, so a
+// whole run
 // (one shard, overlapped schedule) allocates fewer times than it has
 // nodes. A slice per node, or inboxes outgrowing their slots, breaks
 // the bound.
@@ -161,12 +202,16 @@ func TestExaAllocsPerNode(t *testing.T) {
 }
 
 // TestExaBytesPerNode guards the LP model's footprint per simulated
-// node: inboxes with their slots, node records, halo links and the
-// engine's buckets together. A 4,096-node run (one shard, overlapped
-// schedule) must allocate fewer than 410 bytes per node (400 on Go
-// 1.24); with 32-byte slots in a slab of their own, 8-byte links and
-// per-node traffic counters it took 510, and with 40-byte messages,
-// 24-byte links and per-node copies of the shape constants about 800.
+// node. The measured run follows one of the same size, so it sets up
+// its inboxes and queues its posts in the storage pdes kept from that
+// run (the inbox's 232 bytes are pinned in pdes); it allocates the node
+// records with their halo links and the engine's buckets. A 4,096-node
+// run (one shard, overlapped schedule) must allocate fewer than 410
+// bytes per node: 164 on Go 1.24, and 424 as the first run in a
+// process. Before pdes kept its storage every run took 400; with
+// 32-byte slots in a slab of their own, 8-byte links and per-node
+// traffic counters 510, and with 40-byte messages, 24-byte links and
+// per-node copies of the shape constants about 800.
 func TestExaBytesPerNode(t *testing.T) {
 	if !sim.Recycles {
 		t.Skip("the gatcheck build allocates every record afresh")

@@ -47,8 +47,9 @@ func Summit(nodes int) Config {
 }
 
 // minRate is the smallest bandwidth Validate accepts, in bytes/s. No
-// real link is slower, and at this rate a transfer of up to 9 GB still
-// takes a representable sim.Time.
+// real link is slower. At this rate a transfer of up to about 4.6 GB
+// (2^62 ns at 1 byte/s) still takes a representable sim.Time;
+// sim.DurationOf panics on a longer one.
 const minRate = 1
 
 // validRate reports whether bw is a finite bandwidth of at least

@@ -94,11 +94,12 @@ func (p *fuzzProgram) deliver(lp int, st *fuzzLP, now sim.Time, m Message, send 
 	}
 }
 
-// runPDES runs the program on a Runner with the given shard count.
-func (p *fuzzProgram) runPDES(shards int) ([]fuzzLP, uint64) {
+// runPDES runs the program on a Runner with the given shard count and
+// shard map (nil: contiguous blocks of LPs).
+func (p *fuzzProgram) runPDES(shards int, shardOf func(int) int) ([]fuzzLP, uint64) {
 	lps := make([]fuzzLP, p.lps)
 	r := MustNew(Config{
-		LPs: p.lps, Shards: shards, Lookahead: fuzzLookahead,
+		LPs: p.lps, Shards: shards, Lookahead: fuzzLookahead, ShardOf: shardOf,
 		Handler: func(ctx *Ctx, m Message) {
 			lp := ctx.LP()
 			p.deliver(lp, &lps[lp], ctx.Now(), m, ctx.Send)
@@ -160,12 +161,25 @@ func refBefore(a, b Message) bool {
 	return a.Seq < b.Seq
 }
 
+// fuzzPartitions are the partitions FuzzPDESOrder runs each program
+// on: 1, 2 and 3 shards of contiguous LP blocks, and 2 and 3 shards
+// that deal the LPs out by id modulo the shard count, so that no shard's
+// LPs form one range.
+var fuzzPartitions = []struct {
+	shards  int
+	shardOf func(int) int
+}{
+	{1, nil}, {2, nil}, {3, nil},
+	{2, func(lp int) int { return lp % 2 }},
+	{3, func(lp int) int { return lp % 3 }},
+}
+
 // FuzzPDESOrder runs random LP programs — Posts at colliding instants;
-// zero-delay, timed and cross-LP sends of kinds 0–255 per delivery — at
-// 1, 2 and 3 shards and on a reference model, and checks that every
-// LP's delivery log (each message's At, Src, Dst, Seq, Kind and Data,
-// and the time it came) and the delivered-message count agree across
-// all four.
+// zero-delay, timed and cross-LP sends of kinds 0–255 per delivery — on
+// every fuzzPartitions partition and on a reference model, and checks
+// that every LP's delivery log (each message's At, Src, Dst, Seq, Kind
+// and Data, and the time it came) and the delivered-message count agree
+// across all six.
 func FuzzPDESOrder(f *testing.F) {
 	// all ties: six LPs posted at t=0 send to LP 0 at exactly the
 	// lookahead and to themselves with zero delay
@@ -186,15 +200,17 @@ func FuzzPDESOrder(f *testing.F) {
 			return
 		}
 		want, wantEvents := p.runReference()
-		for _, shards := range []int{1, 2, 3} {
-			got, events := p.runPDES(shards)
+		for _, part := range fuzzPartitions {
+			got, events := p.runPDES(part.shards, part.shardOf)
+			strided := part.shardOf != nil
 			if events != wantEvents {
-				t.Errorf("shards=%d: %d messages delivered, the reference delivered %d", shards, events, wantEvents)
+				t.Errorf("shards=%d strided=%v: %d messages delivered, the reference delivered %d",
+					part.shards, strided, events, wantEvents)
 			}
 			for lp := range want {
 				if !slices.Equal(got[lp].log, want[lp].log) {
-					t.Fatalf("shards=%d: LP %d delivery log diverged from the reference\ngot:  %v\nwant: %v",
-						shards, lp, got[lp].log, want[lp].log)
+					t.Fatalf("shards=%d strided=%v: LP %d delivery log diverged from the reference\ngot:  %v\nwant: %v",
+						part.shards, strided, lp, got[lp].log, want[lp].log)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package pdes
 import (
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"gat/internal/sim"
@@ -55,6 +56,58 @@ type lpBox struct {
 	sendSeq  uint32
 	draining bool
 	slots    [boxSlots]boxMsg
+}
+
+// lpSlab is a Runner's per-LP storage: every LP's shard and inbox, and
+// each shard's queue of Posts, by shard id.
+type lpSlab struct {
+	lpShard []int32
+	boxes   []lpBox
+	posts   [][]boxMsg
+}
+
+// kept is the storage of the largest run that has finished, for the
+// next New to take: a process that runs one partitioned simulation
+// after another allocates and zeroes its inboxes once, not once per run
+// on whichever goroutine calls New. It carries nothing of a run: New's
+// shards overwrite every shard entry and inbox they hand out, and a
+// post queue is read only up to its length. One slot, not a sync.Pool:
+// a collection empties a pool, which would make reuse depend on when
+// the collector runs, and the slot holds no more than the largest run
+// needed. The gatcheck build, where sim.Recycles is false, never keeps
+// one.
+var kept struct {
+	sync.Mutex
+	slab *lpSlab
+}
+
+// takeSlab returns storage for n LPs: the kept slab if it is large
+// enough, else a new one.
+func takeSlab(n int) *lpSlab {
+	if sim.Recycles {
+		kept.Lock()
+		s := kept.slab
+		if s != nil && cap(s.boxes) >= n {
+			kept.slab = nil
+			kept.Unlock()
+			s.lpShard, s.boxes = s.lpShard[:n], s.boxes[:n]
+			return s
+		}
+		kept.Unlock()
+	}
+	return &lpSlab{lpShard: make([]int32, n), boxes: make([]lpBox, n)}
+}
+
+// putSlab keeps s if it is larger than the slab kept so far.
+func putSlab(s *lpSlab) {
+	if !sim.Recycles {
+		return
+	}
+	kept.Lock()
+	if kept.slab == nil || cap(kept.slab.boxes) < cap(s.boxes) {
+		kept.slab = s
+	}
+	kept.Unlock()
 }
 
 // buf returns the array the box's messages live in.

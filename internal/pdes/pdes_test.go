@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -242,7 +243,8 @@ func TestPostAfterRun(t *testing.T) {
 
 // TestMessageLayout pins the sizes the per-LP state is budgeted on: a
 // 32-byte Message, as handlers and outboxes see it, a 24-byte in-box
-// message, and a 232-byte lpBox holding eight of them; and checks that
+// message, and a 232-byte lpBox holding eight of them; pins a shard at
+// 192 bytes, three whole cache lines of its own; and checks that
 // a message with the largest Src and Kind is delivered from its inbox
 // as filed.
 func TestMessageLayout(t *testing.T) {
@@ -263,22 +265,30 @@ func TestMessageLayout(t *testing.T) {
 	if got := unsafe.Sizeof(lpBox{}); got != 232 {
 		t.Errorf("lpBox is %d bytes, want 232", got)
 	}
+	if got := unsafe.Sizeof(shard{}); got != 192 {
+		t.Errorf("shard is %d bytes, want 192", got)
+	}
 }
 
 // TestInboxSpill checks an inbox that must hold more messages than its
 // slots: LP 0 is posted three times its slot count, latest first, with
-// kinds up to 255, and each delivery at t=2 sends itself a zero-delay
-// message while the box is spilled. Delivery must follow (At, Seq)
+// kinds up to 255, so its box has spilled by the first delivery, and
+// each delivery at t=2 sends itself a zero-delay message while the box
+// is spilled. Delivery must follow (At, Seq)
 // order with every field intact, at one shard and at two.
 func TestInboxSpill(t *testing.T) {
 	const posts = 3 * boxSlots
 	for _, shards := range []int{1, 2} {
 		var got []Message
+		spilled := false
 		r := MustNew(Config{
 			LPs: 2, Shards: shards, Lookahead: 1,
 			Handler: func(ctx *Ctx, m Message) {
 				if ctx.LP() != 0 {
 					return
+				}
+				if len(got) == 0 {
+					spilled = ctx.box.spill != nil
 				}
 				got = append(got, m)
 				if m.At == 2 && m.Kind != 0 {
@@ -289,10 +299,10 @@ func TestInboxSpill(t *testing.T) {
 		for i := posts - 1; i >= 0; i-- {
 			r.Post(0, sim.Time(i%3), int32(255-i), int64(i))
 		}
-		if r.boxes[0].spill == nil {
+		r.Run()
+		if !spilled {
 			t.Fatalf("shards=%d: %d pending messages did not spill", shards, posts)
 		}
-		r.Run()
 		var want []Message
 		for at := sim.Time(0); at < 3; at++ {
 			for i := posts - 1; i >= 0; i-- {
@@ -315,6 +325,138 @@ func TestInboxSpill(t *testing.T) {
 	}
 }
 
+// spillRun runs a program on lps LPs at the given shard count and
+// returns every LP's delivery log and the run's Stats. LP 0 is posted
+// posts messages over t = 0..2, latest first, which spill its inbox once
+// posts exceeds boxSlots; every other LP is posted one. Each delivery
+// with hops left (Data) sends one hop less to the next LP at the
+// lookahead and, at t=2, one to itself with zero delay. The Runner
+// comes from New, so it takes whatever storage an earlier run left;
+// spillRun returns that storage too.
+func spillRun(lps, posts, shards int) ([][]Message, Stats, *lpSlab) {
+	const la = 4 * sim.Nanosecond
+	logs := make([][]Message, lps)
+	r := MustNew(Config{
+		LPs: lps, Shards: shards, Lookahead: la,
+		Handler: func(ctx *Ctx, m Message) {
+			lp := ctx.LP()
+			logs[lp] = append(logs[lp], m)
+			if m.Data <= 0 {
+				return
+			}
+			ctx.Send((lp+1)%lps, la, m.Kind, m.Data-1)
+			if m.At == 2 {
+				ctx.Send(lp, 0, 0, m.Data-1)
+			}
+		},
+	})
+	for i := posts - 1; i >= 0; i-- {
+		r.Post(0, sim.Time(i%3), int32(i%256), 3)
+	}
+	for lp := 1; lp < lps; lp++ {
+		r.Post(lp, sim.Time(lp%3), 1, 2)
+	}
+	slab := r.slab
+	r.Run()
+	return logs, r.Stats(), slab
+}
+
+// spillResult is what a spillRun delivered.
+type spillResult struct {
+	logs [][]Message
+	st   Stats
+}
+
+// spillRunFresh is spillRun on new storage: it drops the kept slab
+// first.
+func spillRunFresh(lps, posts, shards int) spillResult {
+	kept.Lock()
+	kept.slab = nil
+	kept.Unlock()
+	logs, st, _ := spillRun(lps, posts, shards)
+	return spillResult{logs, st}
+}
+
+// TestBackToBackRuns checks that storage a Runner hands back carries
+// nothing into the next run: a program that spills an inbox, then a
+// smaller one on the same storage, then the large one again, at 1, 2
+// and 3 shards in turn, must each deliver what a Runner on new storage
+// delivers, with the same Stats. The runs after the first must reuse
+// the kept storage rather than allocate their own.
+func TestBackToBackRuns(t *testing.T) {
+	type program struct{ lps, posts int }
+	big, small := program{24, 3 * boxSlots}, program{5, 2}
+	keptSlab := func() *lpSlab {
+		kept.Lock()
+		defer kept.Unlock()
+		return kept.slab
+	}
+	want := map[[2]int]spillResult{}
+	for _, shards := range []int{1, 2, 3} {
+		for _, p := range []program{big, small} {
+			want[[2]int{p.lps, shards}] = spillRunFresh(p.lps, p.posts, shards)
+		}
+	}
+	for _, shards := range []int{1, 2, 3} {
+		for i, p := range []program{big, small, big} {
+			before := keptSlab()
+			logs, st, used := spillRun(p.lps, p.posts, shards)
+			if sim.Recycles && before != nil && cap(before.boxes) >= p.lps && used != before {
+				t.Errorf("shards=%d, run %d (%d LPs): new storage, not the kept one", shards, i, p.lps)
+			}
+			w := want[[2]int{p.lps, shards}]
+			if st != w.st {
+				t.Errorf("shards=%d, run %d (%d LPs): Stats %+v, on new storage %+v", shards, i, p.lps, st, w.st)
+			}
+			for lp := range logs {
+				if !slices.Equal(logs[lp], w.logs[lp]) {
+					t.Fatalf("shards=%d, run %d (%d LPs): LP %d delivered\n%v\non new storage\n%v",
+						shards, i, p.lps, lp, logs[lp], w.logs[lp])
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentRunners runs the programs of TestBackToBackRuns on four
+// goroutines at once, each at 1, 2 and 3 shards in turn, so that
+// Runners take and hand back the kept storage concurrently: every run
+// must deliver what a Runner on new storage delivers, with the same
+// Stats.
+func TestConcurrentRunners(t *testing.T) {
+	type program struct{ lps, posts int }
+	programs := []program{{24, 3 * boxSlots}, {5, 2}, {11, boxSlots + 1}}
+	want := map[[2]int]spillResult{}
+	for _, shards := range []int{1, 2, 3} {
+		for _, p := range programs {
+			want[[2]int{p.lps, shards}] = spillRunFresh(p.lps, p.posts, shards)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*len(programs); i++ {
+				p, shards := programs[(g+i)%len(programs)], 1+(g+i)%3
+				logs, st, _ := spillRun(p.lps, p.posts, shards)
+				w := want[[2]int{p.lps, shards}]
+				if st != w.st {
+					t.Errorf("goroutine %d, %d LPs on %d shards: Stats %+v, want %+v", g, p.lps, shards, st, w.st)
+				}
+				for lp := range logs {
+					if !slices.Equal(logs[lp], w.logs[lp]) {
+						t.Errorf("goroutine %d, %d LPs on %d shards: LP %d delivered\n%v\nwant\n%v",
+							g, p.lps, shards, lp, logs[lp], w.logs[lp])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // panicText runs f and returns what it panicked with, or "" when it
 // returned.
 func panicText(f func()) (msg string) {
@@ -329,8 +471,8 @@ func panicText(f func()) (msg string) {
 
 // TestSendSeqWrapPanics checks an LP whose send counter is at its
 // maximum cannot send again, since its next Seq would wrap to 0 and
-// sort before everything it sent earlier: Ctx.Send and Post both
-// panic, naming the LP.
+// sort before everything it sent earlier: Ctx.Send and the filing of a
+// Post when Run starts both panic, naming the LP.
 func TestSendSeqWrapPanics(t *testing.T) {
 	r := MustNew(Config{LPs: 2, Shards: 1, Handler: func(ctx *Ctx, m Message) {
 		if m.Kind == 0 {
@@ -344,7 +486,8 @@ func TestSendSeqWrapPanics(t *testing.T) {
 	}
 	r = MustNew(Config{LPs: 3, Handler: func(*Ctx, Message) {}})
 	r.boxes[2].sendSeq = math.MaxUint32
-	if msg := panicText(func() { r.Post(2, 0, 0, 0) }); !strings.Contains(msg, "LP 2 ") {
+	r.Post(2, 0, 0, 0)
+	if msg := panicText(r.Run); !strings.Contains(msg, "LP 2 ") {
 		t.Errorf("Post from a full counter: panic %q, want one naming LP 2", msg)
 	}
 }

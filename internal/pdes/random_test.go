@@ -30,17 +30,23 @@ type randLP struct {
 	log []string
 }
 
-// runRandom executes the randomized workload on k shards and returns
-// the per-LP delivery logs plus run stats. The handler's behavior is a
-// function of LP state and message only — never of the partition — so
-// any divergence between shard counts is a delivery-order bug.
-func runRandom(seed int64, k int) ([]string, Stats) {
+// runRandom executes the randomized workload on k shards, with LPs in
+// contiguous blocks or, if strided, dealt out by id modulo k, and
+// returns the per-LP delivery logs plus run stats. The handler's
+// behavior is a function of LP state and message only — never of the
+// partition — so any divergence between partitions is a delivery-order
+// bug.
+func runRandom(seed int64, k int, strided bool) ([]string, Stats) {
 	lps := make([]randLP, randLPs)
 	for i := range lps {
 		lps[i].rng = rand.New(rand.NewSource(seed + int64(i)))
 	}
+	var shardOf func(int) int
+	if strided {
+		shardOf = func(lp int) int { return lp % k }
+	}
 	r := MustNew(Config{
-		LPs: randLPs, Shards: k, Lookahead: randLookahead,
+		LPs: randLPs, Shards: k, Lookahead: randLookahead, ShardOf: shardOf,
 		Handler: func(ctx *Ctx, m Message) {
 			lp := &lps[ctx.LP()]
 			lp.log = append(lp.log, fmt.Sprintf("t=%d src=%d seq=%d kind=%d data=%d",
@@ -78,27 +84,33 @@ func runRandom(seed int64, k int) ([]string, Stats) {
 }
 
 // TestRandomWorkloadShardEquivalence cross-checks sharded against
-// serial delivery order over several seeds and shard counts, including
-// a K that does not divide the LP count.
+// serial delivery order over several seeds and partitions: contiguous
+// blocks at 2, 3 and 4 shards, including a K that does not divide the
+// LP count, and LPs dealt out by id modulo 2 and 3, so that no shard's
+// LPs form one range.
 func TestRandomWorkloadShardEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		serial, serialStats := runRandom(seed, 1)
+		serial, serialStats := runRandom(seed, 1, false)
 		if serialStats.Events < randLPs {
 			t.Fatalf("seed %d: workload barely ran (%d events)", seed, serialStats.Events)
 		}
-		for _, k := range []int{2, 3, 4} {
-			sharded, st := runRandom(seed, k)
+		for _, part := range []struct {
+			k       int
+			strided bool
+		}{{2, false}, {3, false}, {4, false}, {2, true}, {3, true}} {
+			k := part.k
+			sharded, st := runRandom(seed, k, part.strided)
 			if st.Shards != k {
 				t.Fatalf("seed %d: wanted %d shards, got %d", seed, k, st.Shards)
 			}
 			if st.Events != serialStats.Events {
-				t.Errorf("seed %d k=%d: event count diverged: %d vs serial %d",
-					seed, k, st.Events, serialStats.Events)
+				t.Errorf("seed %d k=%d strided=%v: event count diverged: %d vs serial %d",
+					seed, k, part.strided, st.Events, serialStats.Events)
 			}
 			for lp := range sharded {
 				if sharded[lp] != serial[lp] {
-					t.Fatalf("seed %d k=%d: LP %d delivery order diverged\n--- serial ---\n%s\n--- k=%d ---\n%s",
-						seed, k, lp, serial[lp], k, sharded[lp])
+					t.Fatalf("seed %d k=%d strided=%v: LP %d delivery order diverged\n--- serial ---\n%s\n--- k=%d ---\n%s",
+						seed, k, part.strided, lp, serial[lp], k, sharded[lp])
 				}
 			}
 		}

@@ -64,14 +64,19 @@ func (t Time) String() string {
 // DurationOf converts a byte count and a bandwidth in bytes/second into a
 // transfer duration, rounded half-up to the nearest nanosecond.
 // Truncating instead would shave up to 1ns off every transfer, a bias
-// that compounds over the millions of transfers in a long sweep. Zero
-// or negative bandwidth panics: it always indicates a miswired cost
-// model rather than a recoverable condition.
+// that compounds over the millions of transfers in a long sweep. A zero,
+// negative or NaN bandwidth panics, and so does a duration at or past
+// maxTime (about 146 years), which no Time can hold: either always
+// indicates a miswired cost model rather than a recoverable condition.
 func DurationOf(bytes int64, bytesPerSec float64) Time {
-	if bytesPerSec <= 0 {
-		panic("sim: non-positive bandwidth")
+	if !(bytesPerSec > 0) {
+		panic("sim: non-positive or NaN bandwidth")
 	}
-	return Time(math.Floor(float64(bytes)/bytesPerSec*float64(Second) + 0.5))
+	d := math.Floor(float64(bytes)/bytesPerSec*float64(Second) + 0.5)
+	if d >= float64(maxTime) {
+		panic("sim: transfer duration past the largest Time")
+	}
+	return Time(d)
 }
 
 // ArgFunc is a statically defined callback that receives its state as

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -170,18 +171,37 @@ func TestDurationOf(t *testing.T) {
 		{"just under half", 49, 100e9, 0},            // 0.49 ns
 		{"just over half", 51, 100e9, 1},             // 0.51 ns
 		{"large fractional", 1 << 20, 12.5e9, 83886}, // 83886.08 ns
+		// The longest transfer at 1 byte/s that a Time can hold.
+		{"largest at 1 B/s", 4_611_686_018, 1, 4_611_686_018 * Second},
 	}
 	for _, c := range cases {
 		if got := DurationOf(c.bytes, c.bytesPerSec); got != c.want {
 			t.Errorf("%s: DurationOf(%d, %g) = %v, want %v", c.name, c.bytes, c.bytesPerSec, got, c.want)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("zero bandwidth did not panic")
-		}
-	}()
-	DurationOf(1, 0)
+	// A miswired bandwidth, or a duration at or past maxTime, panics
+	// instead of wrapping to a negative Time.
+	for _, c := range []struct {
+		name        string
+		bytes       int64
+		bytesPerSec float64
+	}{
+		{"zero bandwidth", 1, 0},
+		{"negative bandwidth", 1, -1},
+		{"NaN bandwidth", 1, math.NaN()},
+		{"one byte past the largest at 1 B/s", 4_611_686_019, 1},
+		{"1 TiB at 1 B/s", 1 << 40, 1},
+		{"largest int64 at 1 GB/s", math.MaxInt64, 1e9},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: DurationOf(%d, %g) did not panic", c.name, c.bytes, c.bytesPerSec)
+				}
+			}()
+			DurationOf(c.bytes, c.bytesPerSec)
+		}()
+	}
 }
 
 // TestTimedHoldSteadyStateAllocs pins the timed store's steady state:

@@ -116,10 +116,7 @@ func tableSlot(t Time) uint64 { return uint64(t) * 0x9E3779B97F4A7C15 >> (64 - t
 // displaced parents down, one copy per level instead of a three-copy
 // swap; in the common no-movement case (a new bucket later than its
 // parent) nothing is written beyond the append. Opening a bucket is
-// written inline, not in helpers, to keep this path's stack shallow:
-// pdes shards run each lookahead window on a fresh goroutine, and two
-// more frames here overflowed its initial stack, costing a stack copy
-// per window.
+// written inline, not in helpers, to keep this path's stack shallow.
 //
 //gat:hotpath
 func (h *eventHeap) push(t Time, seq uint64, ev event) {

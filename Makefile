@@ -52,7 +52,9 @@ benchmark-check:
 # run that filled it, and a -resume from the sweep's own -json report
 # — with the warm and the resumed runs simulating nothing (the
 # "[0-9]* simulated" provenance line comes from the run counter). The
-# same report re-tagged gat-sweep-v2 must be refused, naming the tag.
+# same report with its first run's key blanked, the way to force a
+# re-run, must resume every run but that one, which it simulates; re-
+# tagged gat-sweep-v2 it must be refused, naming the tag.
 # The tapered-fabric scenario gets the same serial-vs-parallel gate:
 # fabric link contention must not perturb deterministic reassembly —
 # and -shards 4 layered on top must still reproduce the serial bytes
@@ -90,12 +92,19 @@ sweep-smoke:
 	@cmp /tmp/gat-sweep-serial.txt /tmp/gat-sweep-resumed.txt
 	@grep -Eq "\(([0-9]+) runs: 0 simulated, 0 from store, \1 resumed\)" /tmp/gat-sweep-resumed-log.txt || \
 		{ echo "sweep-smoke: resume from the sweep's own report still simulated:"; tail -2 /tmp/gat-sweep-resumed-log.txt; exit 1; }
+	@sed '0,/"key": "[0-9a-f]*"/s//"key": ""/' $(SMOKE_OUT)/sweep-smoke.json > /tmp/gat-sweep-smoke-keyless.json
+	@/tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -j 4 -resume /tmp/gat-sweep-smoke-keyless.json -v \
+		> /tmp/gat-sweep-keyless.txt 2> /tmp/gat-sweep-keyless-log.txt
+	@cmp /tmp/gat-sweep-serial.txt /tmp/gat-sweep-keyless.txt
+	@grep -Eo "[0-9]+ runs: 1 simulated, 0 from store, [0-9]+ resumed" /tmp/gat-sweep-keyless-log.txt | \
+		awk '{ n++; ok = $$1 == $$8 + 1 } END { exit !(n == 1 && ok) }' || \
+		{ echo "sweep-smoke: a report with one key blanked did not re-run exactly that run:"; tail -2 /tmp/gat-sweep-keyless-log.txt; exit 1; }
 	@sed 's/"gat-sweep-v3"/"gat-sweep-v2"/' $(SMOKE_OUT)/sweep-smoke.json > /tmp/gat-sweep-smoke-v2.json
 	@if /tmp/gat-sweep -fig all -maxnodes 2 -iters 2 -resume /tmp/gat-sweep-smoke-v2.json > /dev/null 2> /tmp/gat-sweep-v2-log.txt; then \
 		echo "sweep-smoke: -resume accepted a gat-sweep-v2 report"; exit 1; fi
 	@grep -q gat-sweep-v2 /tmp/gat-sweep-v2-log.txt || \
 		{ echo "sweep-smoke: the v2 refusal does not name the schema:"; cat /tmp/gat-sweep-v2-log.txt; exit 1; }
-	@echo "sweep-smoke: parallel, sharded, warm-cache and resumed output byte-identical to serial; warm and resumed runs simulated 0 runs; a v2 report is refused"
+	@echo "sweep-smoke: parallel, sharded, warm-cache and resumed output byte-identical to serial; warm and resumed runs simulated 0 runs; a blanked key re-runs its run alone; a v2 report is refused"
 
 # Sweep-as-a-service smoke: a sweepd on a random port backs a cold
 # `sweep -remote` run, the warm rerun simulates nothing and emits
@@ -191,6 +200,10 @@ claims-smoke:
 # FuzzChannelMatch interleaves Channel sends and receives from both
 # endpoints over a few tags, ready signals firing before or after the
 # match, against a reference of one FIFO per (destination, tag).
+# FuzzMPIMatch runs host-buffer Isend and Irecv programs over 3 ranks,
+# each rank posting in its own order with compute gaps, and requires
+# the k-th send of each (source, destination, tag) to complete with the
+# k-th receive and every rank's match queues to end empty.
 # FuzzCharmBound runs Charm-H and Charm-D at 1-2 nodes and ODF 1-4 to
 # completion and again bounded near the full TimePerIter, and requires
 # the bounded run to stop exactly when it cannot beat its bound and
@@ -208,6 +221,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPDESOrder$$' -fuzztime 20s ./internal/pdes
 	$(GO) test -run '^$$' -fuzz '^FuzzExaSetup$$' -fuzztime 20s ./internal/jacobi
 	$(GO) test -run '^$$' -fuzz '^FuzzChannelMatch$$' -fuzztime 20s ./internal/comm
+	$(GO) test -run '^$$' -fuzz '^FuzzMPIMatch$$' -fuzztime 20s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzCharmBound$$' -fuzztime 20s ./internal/jacobi
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime 20s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreGet$$' -fuzztime 20s ./internal/sweep/store

@@ -359,7 +359,12 @@ func RunExa(cfg machine.Config, jc Config, opts ExaOpts) ExaResult {
 	}
 	groupsPer := (nGroups + k - 1) / k
 	shardOf := func(node int) int { return topo.Group(node) / groupsPer }
-	lookahead := netsim.MinCrossLatency(cfg.Net, topo, nNodes, shardOf)
+	// Every cross-shard pair is cross-group, so the lookahead is the
+	// cross-group latency; a single shard has no window.
+	var lookahead sim.Time
+	if k > 1 {
+		lookahead = netsim.CrossGroupLatency(cfg.Net, topo)
+	}
 
 	x := newExaModel(cfg, topo, d, jc.Warmup+jc.Iters, jc.Warmup, opts.Overlap)
 	r := pdes.MustNew(pdes.Config{

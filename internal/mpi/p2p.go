@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"slices"
 	"unsafe"
 
 	"gat/internal/sim"
@@ -16,20 +17,12 @@ func (r *Rank) Isend(dst, tag int, bytes int64, kind BufKind) Request {
 	w := r.w
 	done := w.M.Eng.NewSignal()
 	req := done.Ref()
-	key := newMatchKey(r.id, dst, tag)
-	s := w.slot(key)
-	if len(s.recvs) > 0 {
-		pr := s.recvs[0]
-		n := copy(s.recvs, s.recvs[1:])
-		s.recvs[n] = pendingRecv{}
-		s.recvs = s.recvs[:n]
-		if n == 0 && len(s.sends) == 0 {
-			w.release(key, s)
-		}
-		w.start(key, bytes, kind, pr.kind, done, pr.done)
+	to := w.ranks[dst]
+	if pr, ok := take(&to.posted, r.id, tag); ok {
+		w.start(r.id, dst, bytes, kind, pr.kind, done, pr.done)
 		return req
 	}
-	s.sends = append(s.sends, pendingSend{bytes: bytes, kind: kind, done: done})
+	to.unexpected = append(to.unexpected, pending{src: r.id, tag: tag, bytes: bytes, kind: kind, done: done})
 	return req
 }
 
@@ -39,21 +32,26 @@ func (r *Rank) Irecv(src, tag int, kind BufKind) Request {
 	w := r.w
 	done := w.M.Eng.NewSignal()
 	req := done.Ref()
-	key := newMatchKey(src, r.id, tag)
-	s := w.slot(key)
-	if len(s.sends) > 0 {
-		ps := s.sends[0]
-		n := copy(s.sends, s.sends[1:])
-		s.sends[n] = pendingSend{}
-		s.sends = s.sends[:n]
-		if n == 0 && len(s.recvs) == 0 {
-			w.release(key, s)
-		}
-		w.start(key, ps.bytes, ps.kind, kind, ps.done, done)
+	if ps, ok := take(&r.unexpected, src, tag); ok {
+		w.start(src, r.id, ps.bytes, ps.kind, kind, ps.done, done)
 		return req
 	}
-	s.recvs = append(s.recvs, pendingRecv{kind: kind, done: done})
+	r.posted = append(r.posted, pending{src: src, tag: tag, kind: kind, done: done})
 	return req
+}
+
+// take removes and returns the oldest operation in *q from src under
+// tag, if there is one.
+//
+//gat:hotpath
+func take(q *[]pending, src, tag int) (pending, bool) {
+	for i, p := range *q {
+		if p.src == src && p.tag == tag {
+			*q = slices.Delete(*q, i, i+1)
+			return p, true
+		}
+	}
+	return pending{}, false
 }
 
 // matchDone links a matched pair's completion: when the transfer has
@@ -81,12 +79,12 @@ func matchDoneFire(e *sim.Engine, arg unsafe.Pointer) {
 // kinds.
 //
 //gat:hotpath
-func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sdone, rdone *sim.Signal) {
+func (w *World) start(src, dst int, bytes int64, sendKind, recvKind BufKind, sdone, rdone *sim.Signal) {
 	if sendKind != recvKind {
 		panic("mpi: mixed host/device buffer match not supported")
 	}
-	srcNode := w.M.NodeOf(key.src())
-	dstNode := w.M.NodeOf(key.dst())
+	srcNode := w.M.NodeOf(src)
+	dstNode := w.M.NodeOf(dst)
 	md := w.links.Get()
 	md.w, md.sdone, md.rdone = w, sdone, rdone
 	var arrived *sim.Signal
@@ -97,7 +95,7 @@ func (w *World) start(key matchKey, bytes int64, sendKind, recvKind BufKind, sdo
 		// Spectrum MPI's large-device-message fallback: chunked
 		// staging through pinned host buffers.
 		arrived = w.M.Net.PipelinedStagedTransfer(
-			w.M.GPUOf(key.src()), w.M.GPUOf(key.dst()),
+			w.M.GPUOf(src), w.M.GPUOf(dst),
 			srcNode, dstNode, bytes, w.M.Cfg.Net.PipelineChunkSize, sim.FiredSignal())
 	default:
 		arrived = w.M.Net.TransferGPUDirect(srcNode, dstNode, bytes, sim.FiredSignal())

@@ -45,95 +45,26 @@ const (
 )
 
 // World is an MPI communicator over all ranks of a machine, one rank
-// per GPU.
+// per GPU. It keeps no match state of its own: unmatched operations
+// wait in their destination rank's queues (see Rank).
 type World struct {
 	M     *machine.Machine
 	Opt   Options
 	ranks []*Rank
-
-	// match holds unmatched sends and receives keyed by (src, dst,
-	// tag). Both directions share one slot so posting an operation
-	// costs a single map lookup — tag matching is on the per-message
-	// hot path, and hashing the three-int key twice showed up in
-	// profiles. Emptied slots are deleted and recycled through free:
-	// halo-exchange tags embed the iteration number, so without
-	// recycling the map would grow by every key ever used over a run.
-	match map[matchKey]*matchSlot
-	free  []*matchSlot
 
 	// links recycles the match links of matched pairs as their pair
 	// completes.
 	links sim.FreeList[matchDone]
 }
 
-// matchKey packs (src, dst, tag) into one word: posting a message hashes
-// the key once, and hashing a single uint64 is measurably cheaper than
-// hashing a three-int struct on the per-message hot path. Ranks use 16
-// bits and tags 32 — biased by 2^31 so the negative collective tag
-// space fits — enough for any configuration the simulator can build;
-// newMatchKey panics loudly rather than silently colliding if a tag
-// scheme ever outgrows that.
-type matchKey uint64
-
-//gat:hotpath
-func newMatchKey(src, dst, tag int) matchKey {
-	t := uint64(tag) + 1<<31
-	if uint(src)|uint(dst) >= 1<<16 || t >= 1<<32 {
-		panic("mpi: rank or tag exceeds match-key range")
-	}
-	return matchKey(uint64(src)<<48 | uint64(dst)<<32 | t)
-}
-
-func (k matchKey) src() int { return int(k >> 48) }
-func (k matchKey) dst() int { return int(k >> 32 & 0xffff) }
-
-// matchSlot queues unmatched operations for one (src, dst, tag). The
-// queues pop head-first by copy-down, preserving capacity: a matched
-// pair usually leaves the slot empty, and the next iteration's
-// operations reuse the backing arrays.
-type matchSlot struct {
-	sends []pendingSend
-	recvs []pendingRecv
-}
-
-//gat:hotpath
-func (w *World) slot(key matchKey) *matchSlot {
-	s := w.match[key]
-	if s == nil {
-		if n := len(w.free); n > 0 {
-			s = w.free[n-1]
-			w.free[n-1] = nil
-			w.free = w.free[:n-1]
-		} else {
-			s = &matchSlot{}
-		}
-		//gat:alloc-ok intentional single-lookup tag matching; recycled slots keep the map at steady-state size
-		w.match[key] = s
-	}
-	return s
-}
-
-// release returns an emptied slot to the freelist. Its backing arrays
-// come along, so the next key reuses them.
-//
-//gat:hotpath
-func (w *World) release(key matchKey, s *matchSlot) {
-	//gat:alloc-ok paired with slot's insert; deleting returns the slot to the freelist without growth
-	delete(w.match, key)
-	w.free = append(w.free, s)
-}
-
-// pendingSend and pendingRecv are unmatched operations; done is the
-// completion signal behind the operation's Request.
-type pendingSend struct {
-	bytes int64
-	kind  BufKind
-	done  *sim.Signal
-}
-
-type pendingRecv struct {
-	kind BufKind
-	done *sim.Signal
+// pending is an unmatched send or receive, queued at its destination
+// rank under its source rank and tag; done is the completion signal
+// behind the operation's Request. bytes is a send's size.
+type pending struct {
+	src, tag int
+	bytes    int64
+	kind     BufKind
+	done     *sim.Signal
 }
 
 // Request is a non-blocking operation handle: a reference to the
@@ -145,11 +76,7 @@ type Request = sim.SignalRef
 
 // NewWorld creates a world over m with one rank per GPU.
 func NewWorld(m *machine.Machine, opt Options) *World {
-	w := &World{
-		M:     m,
-		Opt:   opt,
-		match: make(map[matchKey]*matchSlot),
-	}
+	w := &World{M: m, Opt: opt}
 	for i := 0; i < m.Procs(); i++ {
 		w.ranks = append(w.ranks, &Rank{w: w, id: i})
 	}
@@ -172,10 +99,22 @@ func (w *World) Run(body func(r *Rank)) sim.Time {
 }
 
 // Rank is one MPI process bound to a host core and one GPU.
+//
+// As MPI libraries do, a rank keeps two queues in posting order: the
+// sends addressed to it that no receive has matched (unexpected) and
+// the receives it posted that no send has matched (posted). A new
+// operation takes the oldest entry of the other kind with its peer and
+// tag, so messages between two ranks under one tag match in order.
+// Each queue holds a rank's operations of an iteration or two in
+// flight, a few entries long, and pops by copy-down, keeping its
+// backing array for the next iteration.
 type Rank struct {
 	w    *World
 	id   int
 	proc *sim.Proc
+
+	unexpected []pending
+	posted     []pending
 }
 
 // ID returns the rank number.

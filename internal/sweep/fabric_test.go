@@ -118,8 +118,8 @@ func TestLinkUtilInReportAndResume(t *testing.T) {
 	if !ok {
 		t.Fatal("resume lookup by fingerprint failed")
 	}
-	if hit.Point.MaxLinkUtil != 0.83 || hit.Point.MeanLinkUtil != 0.41 {
-		t.Fatalf("resume dropped the congestion summary: %+v", hit.Point)
+	if pt := hit.Point(); pt.MaxLinkUtil != 0.83 || pt.MeanLinkUtil != 0.41 {
+		t.Fatalf("resume dropped the congestion summary: %+v", pt)
 	}
 }
 

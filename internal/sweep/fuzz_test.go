@@ -11,7 +11,8 @@ import (
 // it accepts with NewPrior. Neither may panic; an accepted report
 // carries SchemaV3, and NewPrior indexes no keyless run. Seeds are a
 // real fig6a report at the goldens' scale, the synthetic fabric report,
-// and refused shapes: a v2 tag, a truncated document.
+// a report run in the format of writers before store.Record, and
+// refused shapes: a v2 tag, a truncated document.
 func FuzzReadJSON(f *testing.F) {
 	res, err := Sweep([]string{"fig6a"}, Options{Workers: 1, Bench: bench.Options{MaxNodes: 2, Iters: 2}})
 	if err != nil {
@@ -27,6 +28,7 @@ func FuzzReadJSON(f *testing.F) {
 		f.Add(bytes.Replace(buf.Bytes(), []byte(SchemaV3), []byte("gat-sweep-v2"), 1))
 	}
 	f.Add([]byte(`{"schema":"gat-sweep-v3","figures":[{"runs":[{"key":"k","error":"x"},{"key":""},{"key":"k"}]}]}`))
+	f.Add([]byte(`{"schema":"gat-sweep-v3","workers":1,"wall_ns":5,"figures":[{"id":"fig7b","runs":[` + parentRun + `]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {

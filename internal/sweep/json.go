@@ -5,18 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"gat/internal/sweep/store"
 )
 
 // JSON report schema, version gat-sweep-v3. Figure values are fully
 // deterministic; the wall_ns fields and the header's workers/wall_ns
 // are host-side measurements and vary run to run.
 //
-// Every per-run record carries the run's composition
-// (scenario/app/machine) and its provenance — the content-address key
-// (fingerprint), the cached flag with its source (sim/store/prior),
-// the run's own value/meta, and the jitter fraction — which makes a
-// report self-contained for exact resume (-resume) and cache audits
-// (-explain).
+// Every per-run record is the run's store.Record — the fields a cache
+// entry carries after its schema tag — plus the source it came from
+// (sim/store/prior), which makes a report self-contained for exact
+// resume (-resume) and cache audits (-explain). Earlier v3 writers also
+// wrote "scenario" (always equal to "figure"), "cached" (source other
+// than sim) and a reserved "error"; readers ignore all three.
 
 // SchemaV3 is the schema tag WriteJSON writes and ReadJSON accepts.
 const SchemaV3 = "gat-sweep-v3"
@@ -60,56 +62,16 @@ type ReportPoint struct {
 	Meta  string  `json:"meta,omitempty"`
 }
 
-// ReportRun is the per-run record: enough to re-execute the spec in
-// isolation (figure, series, x, nodes, iteration counts, seed), the
-// scenario composition that produced it (scenario, app, machine), the
-// provenance (fingerprint key, cached flag and source, the run's own
-// value), plus WallNS — the host cost of the simulation that produced
-// the value. For cached/resumed runs that is the original simulation's
-// cost carried through the store or prior report, not the microseconds
-// the lookup took, so resuming a warm-sweep report never launders
-// lookup times into saved-cost accounting.
+// ReportRun is the per-run record: the run's store.Record — enough to
+// re-execute the spec in isolation and to resume it exactly by its key
+// — plus Source, where the point came from ("sim", "store" or
+// "prior"). For cached and resumed runs the record's WallNS is the
+// original simulation's cost, not the lookup's, so resuming a
+// warm-sweep report never launders lookup times into saved-cost
+// accounting.
 type ReportRun struct {
-	Figure   string `json:"figure"`
-	Scenario string `json:"scenario,omitempty"`
-	App      string `json:"app,omitempty"`
-	Machine  string `json:"machine,omitempty"`
-	Series   string `json:"series"`
-	X        int    `json:"x"`
-	Nodes    int    `json:"nodes"`
-	Warmup   int    `json:"warmup"`
-	Iters    int    `json:"iters"`
-	Seed     uint64 `json:"seed"`
-	WallNS   int64  `json:"wall_ns"`
-
-	// Provenance. Key is the spec's content-address fingerprint, the
-	// only thing resume matches a run by; Cached reports whether the
-	// point was served without simulating, with Source naming where
-	// from ("sim", "store" or "prior"); Value/Meta duplicate the run's
-	// figure point so a partial report resumes exactly; Jitter is the
-	// run's network jitter fraction; Error, when non-empty, marks a run
-	// whose result must not be reused (resume re-runs it). Error is reserved: the
-	// writer never emits it today — specs cannot fail, only be absent —
-	// but readers honor it so hand-annotated or externally generated
-	// reports can force selective re-runs.
-	Key    string  `json:"key,omitempty"`
-	Cached bool    `json:"cached"`
-	Source string  `json:"source,omitempty"`
-	Value  float64 `json:"value"`
-	Meta   string  `json:"meta,omitempty"`
-	Jitter float64 `json:"jitter,omitempty"`
-	Error  string  `json:"error,omitempty"`
-
-	// MaxLinkUtil and MeanLinkUtil summarize the run's fabric-link
-	// congestion (bench.Point): where the run was network-bound.
-	// Absent for runs on NIC-only machines and in pre-fabric documents.
-	MaxLinkUtil  float64 `json:"max_link_util,omitempty"`
-	MeanLinkUtil float64 `json:"mean_link_util,omitempty"`
-
-	// Routing names the fabric's route-choice policy ("minimal",
-	// "valiant", "adaptive"; bench.Point). Absent for runs on NIC-only
-	// machines and in pre-routing documents.
-	Routing string `json:"routing,omitempty"`
+	store.Record
+	Source string `json:"source,omitempty"`
 }
 
 // Record renders the run as its gat-sweep-v3 per-run record — the
@@ -118,26 +80,8 @@ type ReportRun struct {
 // identical records.
 func (run Run) Record() ReportRun {
 	return ReportRun{
-		Figure:       run.Spec.Scenario,
-		Scenario:     run.Spec.Scenario,
-		App:          run.Spec.App,
-		Machine:      run.Spec.Machine,
-		Series:       run.Spec.Series,
-		X:            run.Spec.X,
-		Nodes:        run.Spec.Nodes,
-		Warmup:       run.Spec.Warmup,
-		Iters:        run.Spec.Iters,
-		Seed:         run.Spec.Seed,
-		WallNS:       run.SimWallNS,
-		Key:          run.Key,
-		Cached:       run.Source != SourceSim,
-		Source:       run.Source.String(),
-		Value:        run.Point.Value,
-		Meta:         run.Point.Meta,
-		Jitter:       run.Spec.Jitter,
-		MaxLinkUtil:  run.Point.MaxLinkUtil,
-		MeanLinkUtil: run.Point.MeanLinkUtil,
-		Routing:      run.Point.Routing,
+		Record: store.RecordOf(run.Key, run.Spec, run.Point, run.SimWallNS),
+		Source: run.Source.String(),
 	}
 }
 

@@ -104,7 +104,7 @@ func TestRoutingInReportAndStore(t *testing.T) {
 	if !ok {
 		t.Fatal("resume lookup by fingerprint failed")
 	}
-	if hit.Point.Routing != "adaptive" {
-		t.Fatalf("resume dropped the routing field: %+v", hit.Point)
+	if hit.Point().Routing != "adaptive" {
+		t.Fatalf("resume dropped the routing field: %+v", hit)
 	}
 }

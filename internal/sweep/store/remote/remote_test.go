@@ -244,7 +244,7 @@ func TestPublishRunAndHealthz(t *testing.T) {
 	if health.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", health.StatusCode)
 	}
-	rec := sweep.ReportRun{Figure: "fig6a", Series: "Charm-D", X: 2, Nodes: 2, Iters: 2, Value: 3, Source: "sim"}
+	rec := sweep.ReportRun{Record: store.Record{Figure: "fig6a", Series: "Charm-D", X: 2, Nodes: 2, Iters: 2, Value: 3}, Source: "sim"}
 	if err := c.PublishRun("nightly", rec); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestTokenRoundTripAndUnauthorized(t *testing.T) {
 	if err := bad.Put(e); !errors.Is(err, remote.ErrUnauthorized) {
 		t.Fatalf("Put with wrong token = %v, want errors.Is(_, ErrUnauthorized)", err)
 	}
-	if err := bad.PublishRun("nightly", sweep.ReportRun{Figure: "f", Series: "s"}); !errors.Is(err, remote.ErrUnauthorized) {
+	if err := bad.PublishRun("nightly", sweep.ReportRun{Record: store.Record{Figure: "f", Series: "s"}}); !errors.Is(err, remote.ErrUnauthorized) {
 		t.Fatalf("PublishRun with wrong token = %v, want errors.Is(_, ErrUnauthorized)", err)
 	}
 	if bad.Down() {

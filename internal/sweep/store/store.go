@@ -16,12 +16,12 @@
 // errors that abort a sweep: the run is simply re-simulated and the
 // entry rewritten.
 //
-// The unit of exchange is the whole Entry — value, provenance
-// coordinates and the original simulation's wall cost — so any cache
-// backend that moves Entries (the disk store here, the sweepd HTTP
-// service, an in-memory fake) round-trips wall_ns provenance without
-// knowing what it means. Build entries with NewEntry, which validates
-// the invariants Put relies on.
+// The unit of exchange is the whole Entry — the schema tag and the
+// run's Record: value, provenance coordinates and the original
+// simulation's wall cost — so any cache backend that moves Entries (the
+// disk store here, the sweepd HTTP service, an in-memory fake)
+// round-trips wall_ns provenance without knowing what it means. Build
+// entries with NewEntry, which validates the invariants Put relies on.
 package store
 
 import (
@@ -44,56 +44,47 @@ const Schema = "gat-cache-v1"
 // memo; errors.Is(err, ErrReadOnly) identifies the cause.
 var ErrReadOnly = errors.New("store is read-only")
 
-// Entry is one cached run: the key it is filed under, the spec
-// coordinates that produced it (for humans reading the cache dir —
-// lookups trust only the key), and the resulting figure point.
-type Entry struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
+// Record is one run's result with the coordinates that produced it:
+// the key it is filed under, the spec's scenario (as figure), app,
+// machine and experiment cell, the resulting figure point, and the
+// host cost of the simulation that produced it. A cache entry, a sweep
+// report's run record, a sweepd watch line and a -resume lookup all
+// carry one; the coordinates are for humans and audits — lookups trust
+// only the key. RecordOf is its only builder and Point the only way
+// back to a figure point.
+type Record struct {
+	Key string `json:"key"`
 
 	// Provenance: where the point came from.
-	Figure   string  `json:"figure"`
-	Scenario string  `json:"scenario,omitempty"`
-	App      string  `json:"app,omitempty"`
-	Machine  string  `json:"machine,omitempty"`
-	Series   string  `json:"series"`
-	X        int     `json:"x"`
-	Nodes    int     `json:"nodes"`
-	Warmup   int     `json:"warmup"`
-	Iters    int     `json:"iters"`
-	Seed     uint64  `json:"seed"`
-	Jitter   float64 `json:"jitter,omitempty"`
+	Figure  string  `json:"figure"`
+	App     string  `json:"app,omitempty"`
+	Machine string  `json:"machine,omitempty"`
+	Series  string  `json:"series"`
+	X       int     `json:"x"`
+	Nodes   int     `json:"nodes"`
+	Warmup  int     `json:"warmup"`
+	Iters   int     `json:"iters"`
+	Seed    uint64  `json:"seed"`
+	Jitter  float64 `json:"jitter,omitempty"`
 
-	// The cached result, including the run's fabric-link congestion
-	// summary (zero/absent on NIC-only machines).
+	// The result, including the run's fabric-link congestion summary
+	// and route-choice policy (zero/absent on NIC-only machines).
 	Value        float64 `json:"value"`
 	Meta         string  `json:"meta,omitempty"`
 	MaxLinkUtil  float64 `json:"max_link_util,omitempty"`
 	MeanLinkUtil float64 `json:"mean_link_util,omitempty"`
 	Routing      string  `json:"routing,omitempty"`
 
-	// WallNS is the host cost of the original simulation — what the
-	// hit saved. Metadata only.
+	// WallNS is the host cost of the original simulation — what a hit
+	// or a resumed run saved, not what the lookup cost. Metadata only.
 	WallNS int64 `json:"wall_ns"`
 }
 
-// NewEntry builds the cache entry for one executed spec, validating
-// the invariants every backend's Put relies on: the key is a
-// well-formed fingerprint and the point's x coordinate round-trips
-// (Entry.Point rebuilds it from X, so a spec whose point disagrees
-// with its own x cell would corrupt reassembly on the next hit).
-func NewEntry(key string, spec bench.RunSpec, pt bench.Point, wallNS int64) (Entry, error) {
-	if !ValidKey(key) {
-		return Entry{}, fmt.Errorf("store: malformed key %q for spec %s", key, spec.Name())
-	}
-	if pt.Nodes != spec.X {
-		return Entry{}, fmt.Errorf("store: spec %s produced a point at x=%d; refusing to cache", spec.Name(), pt.Nodes)
-	}
-	return Entry{
-		Schema:       Schema,
+// RecordOf builds the record of one executed spec filed under key.
+func RecordOf(key string, spec bench.RunSpec, pt bench.Point, wallNS int64) Record {
+	return Record{
 		Key:          key,
 		Figure:       spec.Scenario,
-		Scenario:     spec.Scenario,
 		App:          spec.App,
 		Machine:      spec.Machine,
 		Series:       spec.Series,
@@ -109,16 +100,37 @@ func NewEntry(key string, spec bench.RunSpec, pt bench.Point, wallNS int64) (Ent
 		MeanLinkUtil: pt.MeanLinkUtil,
 		Routing:      pt.Routing,
 		WallNS:       wallNS,
-	}, nil
+	}
 }
 
-// Point reconstructs the figure point the entry caches.
-func (e Entry) Point() bench.Point {
+// Point reconstructs the figure point the record carries.
+func (r Record) Point() bench.Point {
 	return bench.Point{
-		Nodes: e.X, Value: e.Value, Meta: e.Meta,
-		MaxLinkUtil: e.MaxLinkUtil, MeanLinkUtil: e.MeanLinkUtil,
-		Routing: e.Routing,
+		Nodes: r.X, Value: r.Value, Meta: r.Meta,
+		MaxLinkUtil: r.MaxLinkUtil, MeanLinkUtil: r.MeanLinkUtil,
+		Routing: r.Routing,
 	}
+}
+
+// Entry is one cached run: its record under the cache schema tag.
+type Entry struct {
+	Schema string `json:"schema"`
+	Record
+}
+
+// NewEntry builds the cache entry for one executed spec, validating
+// the invariants every backend's Put relies on: the key is a
+// well-formed fingerprint and the point's x coordinate round-trips
+// (Record.Point rebuilds it from X, so a spec whose point disagrees
+// with its own x cell would corrupt reassembly on the next hit).
+func NewEntry(key string, spec bench.RunSpec, pt bench.Point, wallNS int64) (Entry, error) {
+	if !ValidKey(key) {
+		return Entry{}, fmt.Errorf("store: malformed key %q for spec %s", key, spec.Name())
+	}
+	if pt.Nodes != spec.X {
+		return Entry{}, fmt.Errorf("store: spec %s produced a point at x=%d; refusing to cache", spec.Name(), pt.Nodes)
+	}
+	return Entry{Schema: Schema, Record: RecordOf(key, spec, pt, wallNS)}, nil
 }
 
 // Validate checks the entry's self-description: the schema tag this
@@ -218,7 +230,7 @@ func (s *Store) Path(key string) string {
 }
 
 // Get looks a key up and returns the whole entry (the point via
-// Entry.Point, plus provenance like the original simulation's WallNS).
+// Record.Point, plus provenance like the original simulation's WallNS).
 // ok reports a usable hit; a missing entry returns (zero, false, nil)
 // and a corrupt one (unparseable JSON, wrong schema, key mismatch from
 // a renamed file) returns (zero, false, err) so the caller can log the

@@ -250,8 +250,8 @@ func Sweep(ids []string, opt Options) (Result, error) {
 			}
 		}
 		if src == SourceSim {
-			if h, ok := opt.Prior[key]; ok {
-				pt, src, simWallNS = h.Point, SourcePrior, h.WallNS
+			if rec, ok := opt.Prior[key]; ok {
+				pt, src, simWallNS = rec.Point(), SourcePrior, rec.WallNS
 			}
 		}
 		if src == SourceSim {

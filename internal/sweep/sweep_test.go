@@ -219,11 +219,11 @@ func TestWriteJSON(t *testing.T) {
 			if r.Figure != f.ID {
 				t.Fatalf("run under %s claims figure %s", f.ID, r.Figure)
 			}
-			if r.Scenario != f.ID || r.Machine != "summit" {
+			if r.Machine != "summit" {
 				t.Fatalf("run under %s missing composition fields: %+v", f.ID, r)
 			}
-			if len(r.Key) != 32 || r.Cached || r.Source != "sim" {
-				t.Fatalf("run under %s missing provenance (want 32-char key, cached=false, source=sim): %+v", f.ID, r)
+			if len(r.Key) != 32 || r.Source != "sim" {
+				t.Fatalf("run under %s missing provenance (want 32-char key, source=sim): %+v", f.ID, r)
 			}
 		}
 	}

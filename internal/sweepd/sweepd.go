@@ -168,11 +168,11 @@ func (s *Server) sweep(id string) *sweepState {
 	return ss
 }
 
-// publish appends one validated, re-marshaled run line and wakes every
+// publish appends validated, re-marshaled run lines and wakes every
 // watcher.
-func (ss *sweepState) publish(line []byte) {
+func (ss *sweepState) publish(lines ...[]byte) {
 	ss.mu.Lock()
-	ss.runs = append(ss.runs, line)
+	ss.runs = append(ss.runs, lines...)
 	ss.mu.Unlock()
 	ss.cond.Broadcast()
 }
@@ -297,22 +297,23 @@ func (s *Server) handleReportPost(w http.ResponseWriter, r *http.Request) {
 		clientError(w, http.StatusBadRequest, "body is not a gat-sweep report: %v", err)
 		return
 	}
-	ss := s.sweep(id)
-	n := 0
+	// Validate every run before publishing any: a refused report leaves
+	// the sweep and its watchers untouched.
+	var lines [][]byte
 	for _, f := range rep.Figures {
 		for _, rec := range f.Runs {
 			line, err := marshalRun(rec)
 			if err != nil {
-				clientError(w, http.StatusBadRequest, "run %d: %v", n, err)
+				clientError(w, http.StatusBadRequest, "run %d: %v", len(lines), err)
 				return
 			}
-			ss.publish(line)
-			n++
+			lines = append(lines, line)
 		}
 	}
-	s.logf("sweep %s: +%d runs from a published report", id, n)
+	s.sweep(id).publish(lines...)
+	s.logf("sweep %s: +%d runs from a published report", id, len(lines))
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"published\":%d}\n", n)
+	fmt.Fprintf(w, "{\"published\":%d}\n", len(lines))
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
@@ -320,8 +321,9 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	ss.mu.Lock()
 	lines := ss.runs[:len(ss.runs):len(ss.runs)] // append-only: the snapshot is immutable
 	ss.mu.Unlock()
+	id, _ := json.Marshal(r.PathValue("id")) // a string always marshals
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"sweep\":%q,\"runs\":[", r.PathValue("id"))
+	fmt.Fprintf(w, "{\"sweep\":%s,\"runs\":[", id)
 	for i, line := range lines {
 		if i > 0 {
 			w.Write([]byte(","))

@@ -191,7 +191,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func runRecord(fig, series string, x int) sweep.ReportRun {
-	return sweep.ReportRun{Figure: fig, Series: series, X: x, Nodes: x, Iters: 2, Value: float64(x) * 1.5, Source: "sim"}
+	return sweep.ReportRun{Record: store.Record{Figure: fig, Series: series, X: x, Nodes: x, Iters: 2, Value: float64(x) * 1.5}, Source: "sim"}
 }
 
 func postRun(t *testing.T, url, id string, rec sweep.ReportRun) {
@@ -303,6 +303,70 @@ func TestSweepSnapshot(t *testing.T) {
 	}
 	if snap.Sweep != "snap" || len(snap.Runs) != 2 {
 		t.Fatalf("snapshot = %+v, want 2 runs under 'snap'", snap)
+	}
+}
+
+// TestSweepSnapshotIDIsJSON: the snapshot names its sweep in JSON's
+// string syntax whatever the id holds — Go's %q would write DEL and
+// control bytes as \x escapes, which JSON does not have.
+func TestSweepSnapshotIDIsJSON(t *testing.T) {
+	ts, _ := newServer(t)
+	resp, body := doJSON(t, http.MethodGet, ts.URL+"/v1/sweep/a%7Fb%01c", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot = %d: %s", resp.StatusCode, body)
+	}
+	var snap struct {
+		Sweep string            `json:"sweep"`
+		Runs  []sweep.ReportRun `json:"runs"`
+	}
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, body)
+	}
+	if snap.Sweep != "a\x7fb\x01c" || len(snap.Runs) != 0 {
+		t.Fatalf("snapshot = %+v, want no runs under %q", snap, "a\x7fb\x01c")
+	}
+}
+
+// TestRefusedReportPublishesNothing: a report with one invalid run is
+// refused whole — neither the snapshot nor a watcher attached before it
+// sees the runs that came before the invalid one.
+func TestRefusedReportPublishesNothing(t *testing.T) {
+	ts, _ := newServer(t)
+	const id = "partial"
+	watch, err := http.Get(ts.URL + "/v1/watch/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer watch.Body.Close()
+
+	bad := runRecord("fig6a", "Charm-D", 2)
+	bad.Figure = ""
+	rep := sweep.Report{
+		Schema:  sweep.SchemaV3,
+		Figures: []sweep.ReportFigure{{ID: "fig6a", Runs: []sweep.ReportRun{runRecord("fig6a", "Charm-D", 1), bad}}},
+	}
+	body, _ := json.Marshal(&rep)
+	resp, msg := doJSON(t, http.MethodPost, ts.URL+"/v1/sweep/"+id+"/report", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "run 1") {
+		t.Fatalf("report with a figureless run = %d (%s), want a 400 naming run 1", resp.StatusCode, msg)
+	}
+	resp, msg = doJSON(t, http.MethodGet, ts.URL+"/v1/sweep/"+id, nil)
+	if resp.StatusCode != http.StatusOK || strings.Contains(msg, `"figure"`) {
+		t.Fatalf("after a refused report, snapshot = %d: %s", resp.StatusCode, msg)
+	}
+
+	// The watcher's first line must be the next accepted run.
+	postRun(t, ts.URL, id, runRecord("fig7b", "MPI-D", 8))
+	sc := bufio.NewScanner(watch.Body)
+	if !sc.Scan() {
+		t.Fatalf("watch stream ended early: %v", sc.Err())
+	}
+	var rec sweep.ReportRun
+	if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Figure != "fig7b" || rec.X != 8 {
+		t.Fatalf("watcher's first line = %+v, want the fig7b run posted after the refused report", rec)
 	}
 }
 
